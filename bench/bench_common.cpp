@@ -76,8 +76,7 @@ std::string BenchEnv::configFingerprint() const {
         << Config.RelaxPercent << '|' << Config.ClusterK << '|'
         << Config.NodeThreshold << '|' << Config.MemoryBudgetBytes << '|'
         << Config.Resilient << '|' << Config.DeadlineSeconds << '|'
-        << Config.Shards << '|' << Config.BatchWidth << '|'
-        << Config.CacheBudgetBytes;
+        << Config.Shards << '|' << Config.CacheBudgetBytes;
   const std::string Text = Knobs.str();
   uint64_t Hash = 1469598103934665603ull; // FNV-1a 64
   for (unsigned char C : Text) {
@@ -277,101 +276,41 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
     }
   };
 
-  // Phase 2: certify. With BatchWidth > 1 the convex and GenProve-family
-  // methods propagate chunks of pairs as one stacked abstract state
-  // (bit-identical per-pair bounds; docs/PERFORMANCE.md), and the chunk's
-  // wall clock is charged once — MeanSeconds then shows the amortization.
-  const size_t BatchWidth =
-      static_cast<size_t>(std::max<int64_t>(Config.BatchWidth, 1));
-
+  // Phase 2: certify.
   if (IsConvex) {
-    for (size_t Base = 0; Base < Pairs.size(); Base += BatchWidth) {
-      const size_t ChunkEnd = std::min(Pairs.size(), Base + BatchWidth);
-      Timer ChunkTimer;
-      if (ChunkEnd - Base == 1) {
-        const auto &[E1, E2] = Latents[Base];
-        const std::vector<OutputSpec> &Specs = PairSpecs[Base];
-        DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
-        std::vector<ConvexResult> Results;
-        switch (Which) {
-        case Method::Box:
-          Results =
-              analyzeBoxMulti(Pipeline, LatentShape, E1, E2, Specs, Memory);
-          break;
-        case Method::HybridZono:
-          Results = analyzeHybridZonotopeMulti(Pipeline, LatentShape, E1, E2,
-                                               Specs, Memory);
-          break;
-        case Method::Zonotope:
-          Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2,
-                                         Specs, ZonotopeKind::Zonotope,
-                                         Memory);
-          break;
-        default:
-          Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2,
-                                         Specs, ZonotopeKind::DeepZono,
-                                         Memory);
-          break;
-        }
-        std::vector<ProbBounds> AllBounds;
-        bool PairOom = false;
-        for (const ConvexResult &Result : Results) {
-          AllBounds.push_back(Result.Bounds);
-          PairOom |= Result.Bounds.OutOfMemory;
-          PeakBytes = std::max(PeakBytes, Result.PeakBytes);
-        }
-        Accumulate(AllBounds, PairOom);
-      } else {
-        // Each pair keeps its own specs; the batch API evaluates one
-        // shared spec list against every segment, so the chunk's lists
-        // are concatenated and each pair reads back its own slice
-        // (bounds are per-(state, spec), so the extra evaluations do not
-        // perturb anything).
-        std::vector<std::pair<Tensor, Tensor>> Segments;
-        std::vector<OutputSpec> Union;
-        std::vector<size_t> Offset;
-        for (size_t I = Base; I < ChunkEnd; ++I) {
-          Segments.push_back(Latents[I]);
-          Offset.push_back(Union.size());
-          Union.insert(Union.end(), PairSpecs[I].begin(),
-                       PairSpecs[I].end());
-        }
-        DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
-        std::vector<std::vector<ConvexResult>> Batch;
-        switch (Which) {
-        case Method::Box:
-          Batch = analyzeBoxBatch(Pipeline, LatentShape, Segments, Union,
-                                  Memory);
-          break;
-        case Method::HybridZono:
-          Batch = analyzeHybridZonotopeBatch(Pipeline, LatentShape, Segments,
-                                             Union, Memory);
-          break;
-        case Method::Zonotope:
-          Batch = analyzeZonotopeBatch(Pipeline, LatentShape, Segments,
-                                       Union, ZonotopeKind::Zonotope,
-                                       Memory);
-          break;
-        default:
-          Batch = analyzeZonotopeBatch(Pipeline, LatentShape, Segments,
-                                       Union, ZonotopeKind::DeepZono,
-                                       Memory);
-          break;
-        }
-        for (size_t I = Base; I < ChunkEnd; ++I) {
-          const size_t Local = I - Base;
-          std::vector<ProbBounds> AllBounds;
-          bool PairOom = false;
-          for (size_t J = 0; J < PairSpecs[I].size(); ++J) {
-            const ConvexResult &Result = Batch[Local][Offset[Local] + J];
-            AllBounds.push_back(Result.Bounds);
-            PairOom |= Result.Bounds.OutOfMemory;
-            PeakBytes = std::max(PeakBytes, Result.PeakBytes);
-          }
-          Accumulate(AllBounds, PairOom);
-        }
+    for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
+      const auto &[E1, E2] = Latents[PairIdx];
+      const std::vector<OutputSpec> &Specs = PairSpecs[PairIdx];
+      Timer PairTimer;
+      DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
+      std::vector<ConvexResult> Results;
+      switch (Which) {
+      case Method::Box:
+        Results =
+            analyzeBoxMulti(Pipeline, LatentShape, E1, E2, Specs, Memory);
+        break;
+      case Method::HybridZono:
+        Results = analyzeHybridZonotopeMulti(Pipeline, LatentShape, E1, E2,
+                                             Specs, Memory);
+        break;
+      case Method::Zonotope:
+        Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2, Specs,
+                                       ZonotopeKind::Zonotope, Memory);
+        break;
+      default:
+        Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2, Specs,
+                                       ZonotopeKind::DeepZono, Memory);
+        break;
       }
-      SumSeconds += ChunkTimer.seconds();
+      std::vector<ProbBounds> AllBounds;
+      bool PairOom = false;
+      for (const ConvexResult &Result : Results) {
+        AllBounds.push_back(Result.Bounds);
+        PairOom |= Result.Bounds.OutOfMemory;
+        PeakBytes = std::max(PeakBytes, Result.PeakBytes);
+      }
+      Accumulate(AllBounds, PairOom);
+      SumSeconds += PairTimer.seconds();
     }
   } else if (Which == Method::Sampling) {
     for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
@@ -418,45 +357,29 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
       Accumulate(AllBounds, /*PairOom=*/false);
     }
   } else {
-    // The GenProve-family methods. Chunks of two or more pairs go through
-    // propagateSegmentsBatch; non-batchable configurations (refinement
-    // schedule, resilience, splits) transparently run sequentially inside
-    // it, so every per-pair bound matches the width-1 run exactly.
-    for (size_t Base = 0; Base < Pairs.size(); Base += BatchWidth) {
-      const size_t ChunkEnd = std::min(Pairs.size(), Base + BatchWidth);
-      Timer ChunkTimer;
-      std::vector<PropagatedState> States;
-      if (ChunkEnd - Base == 1) {
-        States.push_back(Analyzer.propagateSegment(Pipeline, LatentShape,
-                                                   Latents[Base].first,
-                                                   Latents[Base].second));
-      } else {
-        const std::vector<std::pair<Tensor, Tensor>> Segments(
-            Latents.begin() + static_cast<int64_t>(Base),
-            Latents.begin() + static_cast<int64_t>(ChunkEnd));
-        States = Analyzer.propagateSegmentsBatch(Pipeline, LatentShape,
-                                                 Segments);
-      }
-      for (size_t I = Base; I < ChunkEnd; ++I) {
-        const PropagatedState &State = States[I - Base];
-        PeakBytes = std::max(PeakBytes, State.PeakBytes);
-        MaxRegions = std::max(MaxRegions, State.Stats.MaxRegions);
-        MaxNodes = std::max(MaxNodes, State.Stats.MaxNodes);
-        MaxRetries = std::max(MaxRetries, State.Retries);
-        if (State.Degraded)
-          ++NumDegraded;
-        Cell.MaxRung = std::max(
-            Cell.MaxRung, static_cast<int64_t>(State.Stats.Rung));
-        Cell.Rollbacks += State.Stats.Rollbacks;
-        Cell.FallbackBoxLayers += State.Stats.FallbackBoxLayers;
-        if (State.Stats.DeadlineHit)
-          ++Cell.DeadlineHits;
-        std::vector<ProbBounds> AllBounds;
-        for (const OutputSpec &Spec : PairSpecs[I])
-          AllBounds.push_back(Analyzer.boundsFor(State, Spec));
-        Accumulate(AllBounds, State.OutOfMemory);
-      }
-      SumSeconds += ChunkTimer.seconds();
+    // The GenProve-family methods.
+    for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
+      Timer PairTimer;
+      const PropagatedState State = Analyzer.propagateSegment(
+          Pipeline, LatentShape, Latents[PairIdx].first,
+          Latents[PairIdx].second);
+      PeakBytes = std::max(PeakBytes, State.PeakBytes);
+      MaxRegions = std::max(MaxRegions, State.Stats.MaxRegions);
+      MaxNodes = std::max(MaxNodes, State.Stats.MaxNodes);
+      MaxRetries = std::max(MaxRetries, State.Retries);
+      if (State.Degraded)
+        ++NumDegraded;
+      Cell.MaxRung =
+          std::max(Cell.MaxRung, static_cast<int64_t>(State.Stats.Rung));
+      Cell.Rollbacks += State.Stats.Rollbacks;
+      Cell.FallbackBoxLayers += State.Stats.FallbackBoxLayers;
+      if (State.Stats.DeadlineHit)
+        ++Cell.DeadlineHits;
+      std::vector<ProbBounds> AllBounds;
+      for (const OutputSpec &Spec : PairSpecs[PairIdx])
+        AllBounds.push_back(Analyzer.boundsFor(State, Spec));
+      Accumulate(AllBounds, State.OutOfMemory);
+      SumSeconds += PairTimer.seconds();
     }
   }
 
@@ -602,7 +525,6 @@ void BenchEnv::writeRunReport() {
   W.key("resilient").value(Config.Resilient);
   W.key("deadline_seconds").value(Config.DeadlineSeconds);
   W.key("shards").value(Config.Shards);
-  W.key("batch_width").value(Config.BatchWidth);
   W.key("cache_budget_bytes")
       .value(static_cast<int64_t>(Config.CacheBudgetBytes));
   W.endObject();

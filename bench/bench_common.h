@@ -109,12 +109,6 @@ struct BenchConfig {
   /// Part of the cache fingerprint: shard-count changes re-associate the
   /// bound sums, so cells computed under a different count are recomputed.
   int64_t Shards = 1;
-  /// Propagate up to this many of a cell's pairs as ONE batched abstract
-  /// state (stacked GEMM rows; docs/PERFORMANCE.md). Per-pair bounds are
-  /// bit-identical to the width-1 run, but the joint-run telemetry cells
-  /// (peak memory, max regions/nodes) describe the shared propagation, so
-  /// the knob is part of the cache fingerprint.
-  int64_t BatchWidth = 1;
   /// Byte budget handed to the process-wide PropagationCache; 0 keeps the
   /// cache off. Warm starts change per-cell wall-clock (MeanSeconds), so
   /// this too is part of the cache fingerprint.

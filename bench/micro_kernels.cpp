@@ -8,7 +8,8 @@
 // ablation from DESIGN.md).
 //
 // Emit the machine-readable record with:
-//   micro_kernels --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
+//   micro_kernels --benchmark_repetitions=5 --benchmark_out=BENCH_kernels.json
+//                 --benchmark_out_format=json
 //
 // BM_Instrumentation measures the telemetry plane's own cost — the same
 // propagation with metrics off (the relaxed-load fast path) vs on — and is
@@ -16,22 +17,22 @@
 //   micro_kernels --benchmark_filter=BM_Instrumentation \
 //                 --benchmark_out=BENCH_obs.json --benchmark_out_format=json
 //
-// BM_PropagatePerSpec / BM_PropagateBatched / BM_CacheWarmStart measure
-// the cross-query amortization layer (docs/PERFORMANCE.md): many segment
-// specs through one shared decoder, sequentially vs as one stacked
-// abstract state, and a repeated query cold vs warm-started from the
-// propagation cache. CI records them to BENCH_batch.json:
-//   micro_kernels --benchmark_filter='BM_Propagate(PerSpec|Batched)|BM_CacheWarmStart' \
+// BM_PropagatePerSpec / BM_PropagateAmortized / BM_CacheWarmStart
+// measure the propagation cache (docs/PERFORMANCE.md): many segment specs
+// through one shared decoder cold vs warm-started, and a repeated query
+// cold vs warm. CI records them to BENCH_batch.json:
+//   micro_kernels --benchmark_filter='BM_Propagate(PerSpec|Amortized)|BM_CacheWarmStart'
+//                 --benchmark_repetitions=5
 //                 --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
-// BM_PropagateLayerPair / BM_FusedChain / BM_TwoTier measure the fused
-// affine->ReLU kernel chains and the two-tier screened fast path; CI's
-// fused-kernel-smoke job records them into BENCH_kernels.json and gates
-// BM_FusedChain >= 1.3x over BM_PropagateLayerPair at threads=1 (min
-// cpu_time over the repetitions):
-//   micro_kernels --benchmark_filter='BM_PropagateLayerPair|BM_FusedChain|BM_TwoTier' \
-//                 --benchmark_repetitions=3 \
-//                 --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
+// BM_PropagateLayerPair / BM_TwoTier measure a deep Linear->ReLU chain
+// and the two-tier screened fast path; CI's fused-kernel-smoke job gates
+// the screen on real-time medians over the repetitions.
+//
+// Every benchmark that pins the pool reports real time (main-thread CPU
+// time would hide the workers' share), and registers a threads:N row only
+// on a host with at least N hardware threads — on fewer, the row would
+// measure the scheduler, not the kernel.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +48,9 @@
 #include "src/util/rng.h"
 
 #include <benchmark/benchmark.h>
+
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -83,6 +87,18 @@ struct PoolScope {
   ~PoolScope() { ThreadPool::global().setThreads(ThreadPool::envThreads()); }
 };
 
+/// Register the Args rows whose last entry (the pool thread count) the
+/// host has hardware threads for, reporting real time.
+void threadRows(benchmark::internal::Benchmark *B,
+                const std::vector<std::vector<int64_t>> &Rows) {
+  const int64_t Cores =
+      static_cast<int64_t>(std::thread::hardware_concurrency());
+  for (const std::vector<int64_t> &Row : Rows)
+    if (Row.back() <= Cores)
+      B->Args(Row);
+  B->UseRealTime();
+}
+
 void BM_Matmul(benchmark::State &State) {
   const int64_t N = State.range(0);
   PoolScope Scope(State.range(1));
@@ -97,16 +113,18 @@ void BM_Matmul(benchmark::State &State) {
 }
 BENCHMARK(BM_Matmul)
     ->ArgNames({"n", "threads"})
-    ->Args({64, 1})
-    ->Args({128, 1})
-    ->Args({256, 1})
-    ->Args({512, 1})
-    ->Args({128, 2})
-    ->Args({256, 2})
-    ->Args({512, 2})
-    ->Args({128, 4})
-    ->Args({256, 4})
-    ->Args({512, 4});
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{64, 1},
+                     {128, 1},
+                     {256, 1},
+                     {512, 1},
+                     {128, 2},
+                     {256, 2},
+                     {512, 2},
+                     {128, 4},
+                     {256, 4},
+                     {512, 4}});
+    });
 
 void BM_MatmulNaive(benchmark::State &State) {
   const int64_t N = State.range(0);
@@ -135,8 +153,9 @@ void BM_MatmulTransB(benchmark::State &State) {
 }
 BENCHMARK(BM_MatmulTransB)
     ->ArgNames({"n", "threads"})
-    ->Args({256, 1})
-    ->Args({256, 4});
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{256, 1}, {256, 4}});
+    });
 
 void BM_Conv2d(benchmark::State &State) {
   const int64_t Batch = State.range(0);
@@ -159,11 +178,9 @@ void BM_Conv2d(benchmark::State &State) {
 }
 BENCHMARK(BM_Conv2d)
     ->ArgNames({"batch", "threads"})
-    ->Args({1, 1})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({16, 4})
-    ->Args({64, 4});
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{1, 1}, {16, 1}, {64, 1}, {16, 4}, {64, 4}});
+    });
 
 void BM_ConvTranspose2d(benchmark::State &State) {
   const int64_t Batch = State.range(0);
@@ -187,9 +204,9 @@ void BM_ConvTranspose2d(benchmark::State &State) {
 }
 BENCHMARK(BM_ConvTranspose2d)
     ->ArgNames({"batch", "threads"})
-    ->Args({1, 1})
-    ->Args({16, 1})
-    ->Args({16, 4});
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{1, 1}, {16, 1}, {16, 4}});
+    });
 
 /// Grid-cell style concurrency: independent propagations through
 /// independent networks fanned out over the pool, the same shape as
@@ -239,9 +256,9 @@ void BM_ConcurrentCells(benchmark::State &State) {
 }
 BENCHMARK(BM_ConcurrentCells)
     ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{1}, {2}, {4}});
+    });
 
 /// Segment vs quadratic propagation through a random MLP: the degree-2
 /// overhead ablation.
@@ -325,12 +342,11 @@ void BM_Instrumentation(benchmark::State &State) {
 BENCHMARK(BM_Instrumentation)->ArgName("metrics")->Arg(0)->Arg(1);
 
 //===----------------------------------------------------------------------===//
-// Cross-query amortization (docs/PERFORMANCE.md): the shared-decoder
-// workload — many latent segments against ONE frozen pipeline — run
-// per-spec (the pre-batching shape: one propagation per segment) vs as a
-// single stacked abstract state whose affine layers see every segment's
-// rows in one production-sized GEMM. Bounds are bit-identical either way;
-// the wall-clock ratio is the batching win recorded in BENCH_batch.json.
+// Propagation-cache amortization (docs/PERFORMANCE.md): the
+// shared-decoder workload — many latent segments against ONE frozen
+// pipeline — propagated cold per spec vs with the propagation cache warm.
+// Bounds are bit-identical either way; the wall-clock ratio is the cache
+// win recorded in BENCH_batch.json.
 //===----------------------------------------------------------------------===//
 
 Sequential sharedDecoder(Rng &R) {
@@ -349,8 +365,7 @@ Sequential sharedDecoder(Rng &R) {
 
 /// Tight segments — the certification traffic shape: each query perturbs
 /// a latent point slightly, so it crosses few ReLUs and its per-layer
-/// GEMMs are a handful of rows. That is where stacking K queries into
-/// one call pays most (the affine work per query is call-overhead-bound).
+/// GEMMs are a handful of rows.
 std::vector<std::pair<Tensor, Tensor>> sharedDecoderSegments(int64_t K,
                                                              Rng &R) {
   std::vector<std::pair<Tensor, Tensor>> Segments;
@@ -384,56 +399,32 @@ void BM_PropagatePerSpec(benchmark::State &State) {
 }
 BENCHMARK(BM_PropagatePerSpec)
     ->ArgNames({"specs", "threads"})
-    ->Args({16, 1})
-    ->Args({32, 1})
-    ->Args({16, 4})
-    ->Args({64, 4});
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{16, 1}, {32, 1}, {16, 4}, {64, 4}});
+    });
 
-void BM_PropagateBatched(benchmark::State &State) {
-  const int64_t NumSpecs = State.range(0);
-  PoolScope Scope(State.range(1));
-  Rng R(9);
-  Sequential Net = sharedDecoder(R);
-  const auto Segments = sharedDecoderSegments(NumSpecs, R);
-  const GenProve Analyzer(GenProveConfig{});
-  for (auto _ : State) {
-    const std::vector<PropagatedState> Finals =
-        Analyzer.propagateSegmentsBatch(Net.view(), Shape({1, 8}), Segments);
-    size_t Regions = 0;
-    for (const PropagatedState &Final : Finals)
-      Regions += Final.Regions.size();
-    benchmark::DoNotOptimize(Regions);
-  }
-  State.SetItemsProcessed(State.iterations() * NumSpecs);
-}
-BENCHMARK(BM_PropagateBatched)
-    ->ArgNames({"specs", "threads"})
-    ->Args({16, 1})
-    ->Args({32, 1})
-    ->Args({16, 4})
-    ->Args({64, 4});
-
-/// The full amortization layer on hot traffic: the same ≥16-spec
-/// shared-decoder workload as BM_PropagatePerSpec, propagated as ONE
-/// batched abstract state with the propagation cache on. The first
-/// iteration runs cold and stores every boundary state; every following
-/// iteration — the steady state of repeated-spec serve traffic — warm
-/// starts past the whole pipeline. BM_PropagatePerSpec vs this ratio is
-/// the headline ≥2x amortization number CI asserts from BENCH_batch.json
-/// (bounds stay bit-identical: a warm start only skips work).
+/// The propagation cache on hot traffic: the same ≥16-spec
+/// shared-decoder workload as BM_PropagatePerSpec, one propagateSegment
+/// per spec with the cache on. The first iteration runs cold and stores
+/// every boundary state; every following iteration — the steady state of
+/// repeated-spec traffic — warm starts past the whole pipeline.
+/// BM_PropagatePerSpec vs this ratio is the ≥2x amortization number CI
+/// asserts from BENCH_batch.json (bounds stay bit-identical: a warm start
+/// only skips work).
 void BM_PropagateAmortized(benchmark::State &State) {
   const int64_t NumSpecs = State.range(0);
-  Rng R(9); // same seed as PerSpec/Batched: identical workload
+  Rng R(9); // same seed as PerSpec: identical workload
   Sequential Net = sharedDecoder(R);
   const auto Segments = sharedDecoderSegments(NumSpecs, R);
   const GenProve Analyzer(GenProveConfig{});
   PropagationCache::global().configure(64u << 20);
   for (auto _ : State) {
-    const std::vector<PropagatedState> Finals =
-        Analyzer.propagateSegmentsBatch(Net.view(), Shape({1, 8}), Segments);
     size_t Regions = 0;
-    for (const PropagatedState &Final : Finals)
+    for (const auto &[Start, End] : Segments) {
+      const PropagatedState Final =
+          Analyzer.propagateSegment(Net.view(), Shape({1, 8}), Start, End);
       Regions += Final.Regions.size();
+    }
     benchmark::DoNotOptimize(Regions);
   }
   PropagationCache::global().configure(0);
@@ -465,15 +456,9 @@ void BM_CacheWarmStart(benchmark::State &State) {
 BENCHMARK(BM_CacheWarmStart)->ArgName("warm")->Arg(0)->Arg(1);
 
 //===----------------------------------------------------------------------===//
-// Fused affine->ReLU chains and the two-tier screen (docs/PERFORMANCE.md).
-// BM_PropagateLayerPair is the unfused baseline: each Linear->ReLU pair
-// round-trips the abstract state through memory (node GEMM + center GEMM +
-// radius |W| GEMM, then a separate rectification pass). BM_FusedChain runs
-// the same pipeline with Config.FuseRelu: the box planes stream through
-// fusedBoxAffineTransB (one sweep of W instead of two) and the ReLU is
-// applied while the rows are cache-hot. Bounds are bit-identical; the
-// wall-clock ratio is the fusion win CI asserts (>= 1.3x at threads=1)
-// from BENCH_kernels.json.
+// Deep Linear->ReLU chains and the two-tier screen (docs/PERFORMANCE.md).
+// BM_PropagateLayerPair propagates a segment through a 64->512^4->10 MLP:
+// every Linear layer runs on the memoized W^T kernels.
 //===----------------------------------------------------------------------===//
 
 Sequential deepPairChain(Rng &R) {
@@ -490,7 +475,7 @@ Sequential deepPairChain(Rng &R) {
   return Net;
 }
 
-void propagatePairChain(benchmark::State &State, bool Fuse) {
+void BM_PropagateLayerPair(benchmark::State &State) {
   PoolScope Scope(State.range(0));
   Rng R(11);
   Sequential Net = deepPairChain(R);
@@ -498,23 +483,18 @@ void propagatePairChain(benchmark::State &State, bool Fuse) {
   Tensor End = Start.clone();
   for (int64_t J = 0; J < 64; ++J)
     End[J] += R.normal(0.0, 0.05);
-  GenProveConfig Config;
-  Config.FuseRelu = Fuse;
-  const GenProve Analyzer(Config);
+  const GenProve Analyzer(GenProveConfig{});
   for (auto _ : State) {
     const PropagatedState Final =
         Analyzer.propagateSegment(Net.view(), Shape({1, 64}), Start, End);
     benchmark::DoNotOptimize(Final.Regions.size());
   }
 }
-
-void BM_PropagateLayerPair(benchmark::State &State) {
-  propagatePairChain(State, false);
-}
-BENCHMARK(BM_PropagateLayerPair)->ArgName("threads")->Arg(1)->Arg(4);
-
-void BM_FusedChain(benchmark::State &State) { propagatePairChain(State, true); }
-BENCHMARK(BM_FusedChain)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK(BM_PropagateLayerPair)
+    ->ArgName("threads")
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{1}, {4}});
+    });
 
 /// The two-tier precision fast path on clearly-decidable traffic: the
 /// same analysis with the full sound double tier (screen:0) vs

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 namespace genprove {
 
@@ -192,21 +191,6 @@ bool overlaps(const ProbBounds &A, const ProbBounds &B) {
          B.Lower <= A.Upper + DifferentialTol;
 }
 
-/// Bitwise equality of two output hulls (the --fuse contract).
-bool hullsBitEqual(const ZonotopeOutputBounds &A,
-                   const ZonotopeOutputBounds &B) {
-  if (A.OutOfMemory != B.OutOfMemory)
-    return false;
-  if (A.OutOfMemory)
-    return true;
-  if (A.Lo.numel() != B.Lo.numel())
-    return false;
-  for (int64_t J = 0; J < A.Lo.numel(); ++J)
-    if (A.Lo[J] != B.Lo[J] || A.Hi[J] != B.Hi[J])
-      return false;
-  return true;
-}
-
 /// Directed enclosure of one halfspace functional at a concrete output
 /// row: [FnLo, FnUp] contains the exact real g . y + c. Used to make the
 /// screened consistency check non-flaky: only a *certain* concrete
@@ -268,16 +252,11 @@ ModelAudit auditSegment(const std::string &Name,
     Audit.Domains.push_back(Dom);
   }
 
-  // Zonotope family bounds, all computed with directed rounding. With
-  // Config.Fused, each domain additionally runs through the fused
-  // affine->ReLU kernel chains: the fused hull must contain the oracle
-  // (its own DomainAudit) AND be bit-identical to the unfused hull.
+  // Zonotope family bounds, all computed with directed rounding.
   {
     SoundRoundingScope On(true);
     auto auditHull = [&](const char *DomName,
-                         const std::function<ZonotopeOutputBounds(bool)>
-                             &Run) {
-      const ZonotopeOutputBounds Bounds = Run(false);
+                         const ZonotopeOutputBounds &Bounds) {
       DomainAudit Dom;
       Dom.Domain = DomName;
       Dom.OutOfMemory = Bounds.OutOfMemory;
@@ -286,38 +265,24 @@ ModelAudit auditSegment(const std::string &Name,
         Dom.Violations = countViolations(Outputs, Bounds.Lo, Bounds.Hi);
       }
       Audit.Domains.push_back(Dom);
-      if (!Config.Fused)
-        return;
-      const ZonotopeOutputBounds Fused = Run(true);
-      DomainAudit FusedDom;
-      FusedDom.Domain = std::string(DomName) + "_fused";
-      FusedDom.OutOfMemory = Fused.OutOfMemory;
-      if (!Fused.OutOfMemory) {
-        FusedDom.Samples = K * Outputs.dim(1);
-        FusedDom.Violations = countViolations(Outputs, Fused.Lo, Fused.Hi);
-      }
-      Audit.Domains.push_back(FusedDom);
-      if (!hullsBitEqual(Bounds, Fused)) {
-        Audit.DifferentialOk = false;
-        Audit.DifferentialNote = std::string(DomName) +
-                                 " fused hull not bit-identical to unfused";
-      }
     };
-    auditHull("zonotope", [&](bool Fuse) {
+    {
       DeviceMemoryModel Memory(0);
-      return zonotopeOutputBounds(Layers, InputShape, Start, End,
-                                  ZonotopeKind::Zonotope, Memory, Fuse);
-    });
-    auditHull("deepzono", [&](bool Fuse) {
+      auditHull("zonotope",
+                zonotopeOutputBounds(Layers, InputShape, Start, End,
+                                     ZonotopeKind::Zonotope, Memory));
+    }
+    {
       DeviceMemoryModel Memory(0);
-      return zonotopeOutputBounds(Layers, InputShape, Start, End,
-                                  ZonotopeKind::DeepZono, Memory, Fuse);
-    });
-    auditHull("hybrid", [&](bool Fuse) {
+      auditHull("deepzono",
+                zonotopeOutputBounds(Layers, InputShape, Start, End,
+                                     ZonotopeKind::DeepZono, Memory));
+    }
+    {
       DeviceMemoryModel Memory(0);
-      return hybridZonotopeOutputBounds(Layers, InputShape, Start, End,
-                                        Memory, Fuse);
-    });
+      auditHull("hybrid", hybridZonotopeOutputBounds(Layers, InputShape,
+                                                     Start, End, Memory));
+    }
   }
 
   // Differential mode: the exact-segment probability bounds must nest
@@ -348,23 +313,6 @@ ModelAudit auditSegment(const std::string &Name,
           "] not nested in relaxed bounds [" +
           std::to_string(RelaxedBounds.Lower) + ", " +
           std::to_string(RelaxedBounds.Upper) + "]";
-    }
-
-    // The engine-level fused path (union/box domain through
-    // propagateRegions) must be bit-identical to the unfused one.
-    if (Config.Fused) {
-      GenProveConfig FusedCfg = ExactCfg;
-      FusedCfg.FuseRelu = true;
-      const ProbBounds FusedBounds =
-          GenProve(FusedCfg)
-              .analyzeSegment(Layers, InputShape, Start, End, Spec)
-              .Bounds;
-      if (FusedBounds.Lower != ExactBounds.Lower ||
-          FusedBounds.Upper != ExactBounds.Upper) {
-        Audit.DifferentialOk = false;
-        Audit.DifferentialNote =
-            "fused engine bounds not bit-identical to unfused";
-      }
     }
   }
 

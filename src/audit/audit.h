@@ -31,10 +31,6 @@ struct AuditConfig {
   int64_t SamplesPerModel = 1000; ///< concrete latent points per model.
   uint64_t Seed = 0x5eed5eedull;  ///< deterministic across runs and threads.
   bool Differential = true;       ///< run the exact-vs-relaxed nesting check.
-  /// Audit the fused affine->ReLU kernel path: containment of the concrete
-  /// oracle in the fused zonotope-family bounds, plus bit-equality of the
-  /// fused and unfused bounds (any mismatch fails DifferentialOk).
-  bool Fused = true;
   /// Audit the two-tier screened path end-to-end: run
   /// analyzeSegmentScreened against a borderline-heavy adversarial spec
   /// (the halfspace boundary slices through the middle of the observed

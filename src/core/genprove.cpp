@@ -15,26 +15,6 @@
 
 namespace genprove {
 
-PropagateConfig GenProve::basePropConfig(double P, double K) const {
-  PropagateConfig PropConfig;
-  PropConfig.Relax.RelaxPercent = P;
-  PropConfig.Relax.ClusterK = K;
-  PropConfig.Relax.NodeThreshold = Config.NodeThreshold;
-  PropConfig.EnableRelax = P > 0.0;
-  PropConfig.Cdf = makeCdf(Config.Distribution);
-  PropConfig.Resilience = Config.Resilience;
-  PropConfig.FuseRelu = Config.FuseRelu;
-  if (Config.UseCache) {
-    PropConfig.Cache = &PropagationCache::global();
-    // Caller tag: the abstract-domain identity plus the distribution
-    // behind the (unhashable) Cdf closure.
-    uint64_t Tag = hashing::hashString(hashing::FnvOffset, "genprove.union");
-    Tag = hashing::hashU64(Tag, static_cast<uint64_t>(Config.Distribution));
-    PropConfig.CacheSalt = cacheSaltForConfig(PropConfig, Tag);
-  }
-  return PropConfig;
-}
-
 PropagatedState GenProve::propagateWithSchedule(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const std::vector<Region> &Initial) const {
@@ -49,7 +29,22 @@ PropagatedState GenProve::propagateWithSchedule(
   for (int64_t Attempt = 0;; ++Attempt) {
     GENPROVE_SPAN("attempt");
     DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
-    const PropagateConfig PropConfig = basePropConfig(P, K);
+    PropagateConfig PropConfig;
+    PropConfig.Relax.RelaxPercent = P;
+    PropConfig.Relax.ClusterK = K;
+    PropConfig.Relax.NodeThreshold = Config.NodeThreshold;
+    PropConfig.EnableRelax = P > 0.0;
+    PropConfig.Cdf = makeCdf(Config.Distribution);
+    PropConfig.Resilience = Config.Resilience;
+    if (Config.UseCache) {
+      PropConfig.Cache = &PropagationCache::global();
+      // Caller tag: the abstract-domain identity plus the distribution
+      // behind the (unhashable) Cdf closure.
+      uint64_t Tag =
+          hashing::hashString(hashing::FnvOffset, "genprove.union");
+      Tag = hashing::hashU64(Tag, static_cast<uint64_t>(Config.Distribution));
+      PropConfig.CacheSalt = cacheSaltForConfig(PropConfig, Tag);
+    }
 
     PropagateStats Stats;
     std::vector<Region> Final = propagateRegions(
@@ -168,129 +163,6 @@ GenProve::propagateSegment(const std::vector<const Layer *> &Layers,
       Merged.Regions.push_back(std::move(R));
   }
   return Merged;
-}
-
-std::vector<PropagatedState> GenProve::propagateSegmentsBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments) const {
-  GENPROVE_SPAN("propagate_batch");
-  static Counter &BatchedCtr =
-      MetricsRegistry::global().counter("batch.propagations");
-  static Counter &BatchedQueriesCtr =
-      MetricsRegistry::global().counter("batch.queries");
-  static Counter &BatchFallbackCtr =
-      MetricsRegistry::global().counter("batch.sequential_fallbacks");
-
-  const size_t K = Segments.size();
-  std::vector<PropagatedState> Out(K);
-  const auto Sequential = [&] {
-    for (size_t I = 0; I < K; ++I)
-      Out[I] = propagateSegment(Layers, InputShape, Segments[I].first,
-                                Segments[I].second);
-  };
-
-  // Batching is only sound-and-identical when nothing couples queries:
-  // input splitting re-parameterizes, resilient degradation merges boxes
-  // across the whole state, and the refinement schedule reacts to the
-  // *joint* OOM. Any of those => per-query propagation.
-  const bool Batchable = K > 1 && Config.InputSplits <= 1 &&
-                         !Config.Resilience.Enabled &&
-                         Config.Schedule == RefinementSchedule::None;
-  if (!Batchable) {
-    Sequential();
-    return Out;
-  }
-
-  // Per-query cache routing: a member whose solo key chain has a
-  // full-depth entry skips the joint run entirely — its propagateSegment
-  // call warm-starts past the whole pipeline, bit-identical by the cache
-  // contract. The cold members form the (smaller) joint batch, whose
-  // final state the engine stores back per query, so repeats hit no
-  // matter how the batches around them were composed.
-  static Counter &BatchWarmCtr =
-      MetricsRegistry::global().counter("batch.cache_warm_queries");
-  std::vector<char> WarmHit(K, 0);
-  PropagationCache &Cache = PropagationCache::global();
-  if (Config.UseCache && Cache.enabled()) {
-    const PropagateConfig PC =
-        basePropConfig(Config.RelaxPercent, Config.ClusterK);
-    int64_t NumWarm = 0;
-    for (size_t I = 0; I < K; ++I) {
-      std::vector<Region> SoloInit;
-      SoloInit.push_back(makeSegmentRegion(
-          Segments[I].first.reshaped({1, Segments[I].first.numel()}),
-          Segments[I].second.reshaped({1, Segments[I].second.numel()})));
-      const std::vector<uint64_t> SoloChain = PropagationCache::chainKeys(
-          PC.CacheSalt, InputShape, SoloInit, Layers);
-      if (Cache.peekDepth(SoloChain) == Layers.size()) {
-        WarmHit[I] = 1;
-        ++NumWarm;
-      }
-    }
-    if (NumWarm > 0)
-      BatchWarmCtr.add(NumWarm);
-  }
-
-  std::vector<Region> Initial;
-  std::vector<size_t> ColdIdx;
-  Initial.reserve(K);
-  for (size_t I = 0; I < K; ++I) {
-    if (WarmHit[I]) {
-      Out[I] = propagateSegment(Layers, InputShape, Segments[I].first,
-                                Segments[I].second);
-      continue;
-    }
-    const Tensor A = Segments[I].first.reshaped(
-        {1, Segments[I].first.numel()});
-    const Tensor B = Segments[I].second.reshaped(
-        {1, Segments[I].second.numel()});
-    Region R = makeSegmentRegion(A, B);
-    R.Query = static_cast<int32_t>(I);
-    Initial.push_back(std::move(R));
-    ColdIdx.push_back(I);
-  }
-  if (ColdIdx.empty())
-    return Out;
-  if (ColdIdx.size() == 1) {
-    const size_t I = ColdIdx.front();
-    Out[I] = propagateSegment(Layers, InputShape, Segments[I].first,
-                              Segments[I].second);
-    return Out;
-  }
-
-  PropagatedState Joint = propagateWithSchedule(Layers, InputShape, Initial);
-  if (Joint.OutOfMemory) {
-    // The joint state blew the device budget. A sequential run gives each
-    // query the budget to itself, so fall back — the per-query bounds are
-    // then the unbatched path's by construction.
-    BatchFallbackCtr.add(1);
-    Sequential();
-    return Out;
-  }
-  BatchedCtr.add(1);
-  BatchedQueriesCtr.add(static_cast<int64_t>(ColdIdx.size()));
-
-  // Split the joint state per query (warm-routed members already hold
-  // their solo results). Region order within a query is the order a
-  // sequential run produces; the tag is reset so the split states are
-  // byte-identical to single-query ones.
-  for (const size_t I : ColdIdx) {
-    Out[I].Stats = Joint.Stats; // incl. the joint run's layer timeline
-    Out[I].PeakBytes = Joint.PeakBytes;
-    Out[I].Seconds = Joint.Seconds;
-    Out[I].Retries = Joint.Retries;
-    Out[I].UsedRelaxPercent = Joint.UsedRelaxPercent;
-    Out[I].UsedClusterK = Joint.UsedClusterK;
-    Out[I].Cdf = Joint.Cdf;
-    Out[I].Degraded = Joint.Degraded;
-  }
-  for (Region &R : Joint.Regions) {
-    const size_t I = static_cast<size_t>(R.Query);
-    check(I < K, "batched propagation produced an unknown query tag");
-    R.Query = 0;
-    Out[I].Regions.push_back(std::move(R));
-  }
-  return Out;
 }
 
 PropagatedState

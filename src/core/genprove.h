@@ -25,8 +25,6 @@
 #include "src/core/spec.h"
 #include "src/domains/propagate.h"
 
-#include <utility>
-
 namespace genprove {
 
 /// Deterministic analyses collapse bounds to {[0,0],[1,1],[0,1]}.
@@ -61,14 +59,6 @@ struct GenProveConfig {
   /// on resilient or fault-injected runs; warm-started bounds are
   /// bit-identical to cold ones.
   bool UseCache = true;
-  /// Stream each affine->ReLU layer pair through one fused cache-resident
-  /// kernel instead of round-tripping the abstract state through memory
-  /// between the layers. Results are bit-identical to the unfused path at
-  /// any thread count in both rounding modes (the fused kernels keep the
-  /// exact per-element ascending-k accumulation order); fused and unfused
-  /// runs use distinct propagation-cache salts so mid-chain states are
-  /// never shared across the flag.
-  bool FuseRelu = false;
   /// Two-tier precision fast path for analyzeSegment: a float32 screening
   /// propagation classifies each parameter-range piece as clearly-inside /
   /// clearly-outside / borderline using a sound error-margin cushion
@@ -140,29 +130,6 @@ public:
                                    const Tensor &Start,
                                    const Tensor &End) const;
 
-  /// Propagate many latent segments through the same pipeline as ONE
-  /// batched abstract state: each query's initial region is tagged with
-  /// its index, affine layers see all queries' rows stacked into single
-  /// production-sized GEMM calls, and the final state is split back per
-  /// query. Because the affine kernels are row-independent (fixed
-  /// ascending-k accumulation per output element, fp-contract off), ReLU
-  /// splitting is per-region, and relaxation groups by query, the
-  /// returned regions — and therefore any bounds computed from them —
-  /// are bit-identical to propagateSegment() run per query, at any
-  /// thread count, in both rounding modes.
-  ///
-  /// Falls back to sequential per-query propagation whenever batching
-  /// could couple queries: input splitting, resilience, or a refinement
-  /// schedule is configured, or the joint state blows the device budget
-  /// (each query then gets the budget to itself, like a sequential run).
-  /// Per-query telemetry (Seconds, PeakBytes, Stats) on the batched path
-  /// describes the shared batched run, not a per-query share.
-  std::vector<PropagatedState>
-  propagateSegmentsBatch(const std::vector<const Layer *> &Layers,
-                         const Shape &InputShape,
-                         const std::vector<std::pair<Tensor, Tensor>>
-                             &Segments) const;
-
   /// Propagate a polygonal chain through the given waypoints (the input
   /// shape of Figure 2): waypoint i sits at parameter i/(n-1), and each
   /// leg is a segment region weighted by the input CDF. Useful for
@@ -224,11 +191,6 @@ private:
   propagateWithSchedule(const std::vector<const Layer *> &Layers,
                         const Shape &InputShape,
                         const std::vector<Region> &Initial) const;
-
-  /// Engine configuration of one propagation attempt at relaxation
-  /// parameters (p, k); shared by the scheduled and the batched paths so
-  /// the propagation-cache salt can never drift between them.
-  PropagateConfig basePropConfig(double P, double K) const;
 
   GenProveConfig Config;
 };

@@ -43,7 +43,7 @@ std::vector<ConvexResult>
 analyzeBoxMulti(const std::vector<const Layer *> &Layers,
                 const Shape &InputShape, const Tensor &Start,
                 const Tensor &End, const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse) {
+                DeviceMemoryModel &Memory) {
   Tensor Center, Radius;
   segmentBox(Start, End, Center, Radius);
   std::vector<Region> Init;
@@ -51,7 +51,6 @@ analyzeBoxMulti(const std::vector<const Layer *> &Layers,
 
   PropagateConfig Config;
   Config.EnableRelax = false;
-  Config.FuseRelu = Fuse;
   PropagateStats Stats;
   const std::vector<Region> Final =
       propagateRegions(Layers, InputShape, std::move(Init), Config, Memory,
@@ -75,74 +74,11 @@ analyzeBoxMulti(const std::vector<const Layer *> &Layers,
   return Results;
 }
 
-std::vector<std::vector<ConvexResult>>
-analyzeBoxBatch(const std::vector<const Layer *> &Layers,
-                const Shape &InputShape,
-                const std::vector<std::pair<Tensor, Tensor>> &Segments,
-                const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse) {
-  const size_t K = Segments.size();
-  std::vector<std::vector<ConvexResult>> Out(K);
-  if (K == 0)
-    return Out;
-
-  // Every segment's box flows through one Query-tagged propagation; the
-  // engine transforms each region independently (interval arithmetic is
-  // per box), so per-query results are bit-identical to lone runs.
-  std::vector<Region> Init;
-  Init.reserve(K);
-  for (size_t I = 0; I < K; ++I) {
-    Tensor Center, Radius;
-    segmentBox(Segments[I].first, Segments[I].second, Center, Radius);
-    Region R = makeBoxRegion(Center, Radius, 1.0);
-    R.Query = static_cast<int32_t>(I);
-    Init.push_back(std::move(R));
-  }
-
-  PropagateConfig Config;
-  Config.EnableRelax = false;
-  Config.FuseRelu = Fuse;
-  PropagateStats Stats;
-  std::vector<Region> Final =
-      propagateRegions(Layers, InputShape, std::move(Init), Config, Memory,
-                       Stats);
-
-  if (Stats.OutOfMemory) {
-    // The joint state blew the budget: fall back to sequential
-    // per-segment analyses so bounds match a caller-side loop.
-    for (size_t I = 0; I < K; ++I)
-      Out[I] = analyzeBoxMulti(Layers, InputShape, Segments[I].first,
-                               Segments[I].second, Specs, Memory, Fuse);
-    return Out;
-  }
-
-  std::vector<std::vector<Region>> PerQuery(K);
-  for (Region &R : Final) {
-    const size_t I = static_cast<size_t>(R.Query);
-    R.Query = 0;
-    PerQuery[I].push_back(std::move(R));
-  }
-
-  ConvexResult Base;
-  Base.PeakBytes = Memory.peakBytes();
-  Base.MaxGenerators = 0;
-  for (size_t I = 0; I < K; ++I) {
-    Out[I].reserve(Specs.size());
-    for (const OutputSpec &Spec : Specs) {
-      ConvexResult PerSpec = Base;
-      PerSpec.Bounds = computeProbBounds(PerQuery[I], Spec).deterministic();
-      Out[I].push_back(std::move(PerSpec));
-    }
-  }
-  return Out;
-}
-
 ConvexResult analyzeBox(const std::vector<const Layer *> &Layers,
                         const Shape &InputShape, const Tensor &Start,
                         const Tensor &End, const OutputSpec &Spec,
-                        DeviceMemoryModel &Memory, bool Fuse) {
-  return analyzeBoxMulti(Layers, InputShape, Start, End, {Spec}, Memory,
-                         Fuse)
+                        DeviceMemoryModel &Memory) {
+  return analyzeBoxMulti(Layers, InputShape, Start, End, {Spec}, Memory)
       .front();
 }
 

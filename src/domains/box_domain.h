@@ -15,33 +15,18 @@
 
 namespace genprove {
 
-/// Analyze the segment e1->e2 with pure interval arithmetic. With \p Fuse
-/// the underlying propagation streams Linear->ReLU pairs through the
-/// fused box kernel (PropagateConfig::FuseRelu); bounds and OOM points
-/// are bit-identical to the unfused analysis at any thread count in both
-/// rounding modes.
+/// Analyze the segment e1->e2 with pure interval arithmetic.
 ConvexResult analyzeBox(const std::vector<const Layer *> &Layers,
                         const Shape &InputShape, const Tensor &Start,
                         const Tensor &End, const OutputSpec &Spec,
-                        DeviceMemoryModel &Memory, bool Fuse = false);
+                        DeviceMemoryModel &Memory);
 
 /// One propagation, many specs (see analyzeZonotopeMulti).
 std::vector<ConvexResult>
 analyzeBoxMulti(const std::vector<const Layer *> &Layers,
                 const Shape &InputShape, const Tensor &Start,
                 const Tensor &End, const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse = false);
-
-/// Batched analysis: all segments' boxes flow through one Query-tagged
-/// propagateRegions() call (see analyzeZonotopeBatch for the memory and
-/// bit-identity contract; on joint OOM the batch falls back to sequential
-/// per-segment analyses). Result[i][j] is segment i against Specs[j].
-std::vector<std::vector<ConvexResult>>
-analyzeBoxBatch(const std::vector<const Layer *> &Layers,
-                const Shape &InputShape,
-                const std::vector<std::pair<Tensor, Tensor>> &Segments,
-                const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse = false);
+                DeviceMemoryModel &Memory);
 
 } // namespace genprove
 

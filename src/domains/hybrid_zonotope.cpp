@@ -2,8 +2,6 @@
 
 #include "src/domains/hybrid_zonotope.h"
 
-#include "src/nn/linear.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -46,129 +44,39 @@ HybridState initHybridState(const Tensor &Start, const Tensor &End) {
   return St;
 }
 
-/// One affine layer on any number of per-query states at once: all
-/// center/slack rows (and in sound mode the magnitude rows) flow through
-/// single stacked applyToBox calls, all generator rows through one
-/// applyLinear. Every kernel is row-independent, so each state's rows are
-/// bit-identical to a one-state call.
-/// With \p Fuse (the layer is known Linear, feeding a ReLU) the
-/// center/slack/magnitude planes run through the fused single-pass weight
-/// kernel (tensor/ops.h); unlike the plain zonotope the hybrid slack is
-/// live in round-to-nearest mode too, so both rounding modes take the
-/// fused kernel. Every output element is bit-identical either way.
-void applyAffineToStates(const Layer *L, const Shape &CurShape,
-                         std::vector<HybridState> &States, bool Fuse) {
-  const bool Sound = soundRoundingEnabled();
-  const int64_t K = static_cast<int64_t>(States.size());
-  const int64_t N = States.front().Center.numel();
-
-  Tensor Centers({K, N});
-  Tensor Slacks({K, N});
-  for (int64_t I = 0; I < K; ++I) {
-    std::copy(States[I].Center.data(), States[I].Center.data() + N,
-              Centers.data() + I * N);
-    std::copy(States[I].Slack.data(), States[I].Slack.data() + N,
-              Slacks.data() + I * N);
-  }
-  int64_t SumG = 0;
-  for (const HybridState &St : States)
-    SumG += St.Gens.dim(0);
-  Tensor AllGens({SumG, N});
-  {
-    int64_t Row = 0;
-    for (const HybridState &St : States) {
-      std::copy(St.Gens.data(), St.Gens.data() + St.Gens.numel(),
-                AllGens.data() + Row * N);
-      Row += St.Gens.dim(0);
+/// One affine layer on the state: the slack propagates like a box radius
+/// next to the center, the generators through the linear part.
+void applyAffineToState(const Layer *L, const Shape &CurShape,
+                        HybridState &St) {
+  Tensor Center = reshapeRows(St.Center, CurShape);
+  Tensor Slack = reshapeRows(St.Slack, CurShape);
+  if (soundRoundingEnabled()) {
+    // Bound |x| <= |c| + slack + sum|g| before the map, so the rounding
+    // error of every round-to-nearest kernel can be charged to the slack
+    // afterward; the three-plane box map carries the magnitude through
+    // |A| and yields the bias image of a zero input.
+    const int64_t N = St.Center.numel();
+    Tensor Mags({1, N});
+    for (int64_t J = 0; J < N; ++J) {
+      double Acc = fp::addUp(std::fabs(St.Center[J]), St.Slack[J]);
+      for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row)
+        Acc = fp::addUp(Acc, std::fabs(St.Gens.at(Row, J)));
+      Mags[J] = Acc;
     }
-  }
-
-  // Sound mode: bound |x| <= |c| + slack + sum|g| before the map, so the
-  // rounding error of every round-to-nearest kernel below can be charged
-  // to the slack afterward.
-  Tensor Mags, BiasImages;
-  // Fused path: the zero-input bias image is the bias vector itself (a
-  // zero dot product is +0.0 under round-to-nearest, and |+-0.0 + b| ==
-  // |b| bitwise), so the epilogue reads the shared bias row directly.
-  const double *FusedBias = nullptr;
-  if (Sound) {
-    Mags = Tensor({K, N});
-    for (int64_t I = 0; I < K; ++I) {
-      const HybridState &St = States[I];
-      for (int64_t J = 0; J < N; ++J) {
-        double Acc = fp::addUp(std::fabs(St.Center[J]), St.Slack[J]);
-        for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row)
-          Acc = fp::addUp(Acc, std::fabs(St.Gens.at(Row, J)));
-        Mags.at(I, J) = Acc;
-      }
-    }
-  }
-
-  if (Fuse) {
-    const Linear *Lin = static_cast<const Linear *>(L);
-    const Tensor &Wt = Lin->transposedWeight();
-    const Tensor &Bias = Lin->bias();
-    Tensor NewCenters, NewSlacks, NewMags;
-    fusedBoxAffineTransT(Centers, Slacks, Sound ? &Mags : nullptr, Wt, Bias,
-                         NewCenters, NewSlacks, Sound ? &NewMags : nullptr);
-    Centers = std::move(NewCenters);
-    Slacks = std::move(NewSlacks);
-    if (Sound) {
-      Mags = std::move(NewMags);
-      FusedBias = Bias.data();
-    }
-    AllGens = matmul(AllGens, Wt);
+    Tensor Mag = reshapeRows(Mags, CurShape);
+    Tensor BiasImage;
+    L->applyToBoxPlanes(Center, Slack, Mag, BiasImage);
+    const double Gamma = fp::accumulationBound(L->accumulationDepth());
+    for (int64_t J = 0; J < Slack.numel(); ++J)
+      Slack[J] = fp::addUp(
+          Slack[J],
+          fp::mulUp(Gamma, fp::addUp(Mag[J], std::fabs(BiasImage[J]))));
   } else {
-    if (Sound) {
-      BiasImages = Tensor({K, N});
-      Tensor BiasActs = reshapeRows(BiasImages, CurShape);
-      Tensor MagActs = reshapeRows(Mags, CurShape);
-      L->applyToBox(BiasActs, MagActs);
-      BiasImages = flattenRows(BiasActs);
-      Mags = flattenRows(MagActs);
-    }
-
-    // Slack propagates like a box radius; applyToBox maps the centers too.
-    {
-      Tensor CenterActs = reshapeRows(Centers, CurShape);
-      Tensor SlackActs = reshapeRows(Slacks, CurShape);
-      L->applyToBox(CenterActs, SlackActs);
-      Centers = flattenRows(CenterActs);
-      Slacks = flattenRows(SlackActs);
-    }
-    AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
+    L->applyToBox(Center, Slack);
   }
-
-  const double Gamma =
-      Sound ? fp::accumulationBound(L->accumulationDepth()) : 0.0;
-  const int64_t OutN = Centers.dim(1);
-  int64_t Row = 0;
-  for (int64_t I = 0; I < K; ++I) {
-    HybridState &St = States[I];
-    const int64_t G = St.Gens.dim(0);
-    Tensor NewCenter({1, OutN});
-    std::copy(Centers.data() + I * OutN, Centers.data() + (I + 1) * OutN,
-              NewCenter.data());
-    Tensor NewSlack({1, OutN});
-    std::copy(Slacks.data() + I * OutN, Slacks.data() + (I + 1) * OutN,
-              NewSlack.data());
-    Tensor NewGens({G, OutN});
-    std::copy(AllGens.data() + Row * OutN, AllGens.data() + (Row + G) * OutN,
-              NewGens.data());
-    Row += G;
-    if (Sound)
-      for (int64_t J = 0; J < OutN; ++J)
-        NewSlack[J] = fp::addUp(
-            NewSlack[J],
-            fp::mulUp(Gamma,
-                      fp::addUp(Mags.at(I, J),
-                                std::fabs(FusedBias
-                                              ? FusedBias[J]
-                                              : BiasImages.at(I, J)))));
-    St.Center = std::move(NewCenter);
-    St.Slack = std::move(NewSlack);
-    St.Gens = std::move(NewGens);
-  }
+  St.Center = flattenRows(Center);
+  St.Slack = flattenRows(Slack);
+  St.Gens = flattenRows(L->applyLinear(reshapeRows(St.Gens, CurShape)));
 }
 
 /// The hybrid ReLU transformer on one state: the fixed generator rows are
@@ -224,91 +132,32 @@ void applyReluToState(HybridState &St) {
   }
 }
 
-/// Propagate many segments as one joint state; returns false on OOM. The
-/// per-layer device charge is the sum of every state's charge (the joint
-/// state is resident at once). Telemetry lands in Result.
-bool propagateHybridBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments,
-    DeviceMemoryModel &Memory, std::vector<HybridState> &States,
-    ConvexResult &Result, bool Fuse) {
-  States.clear();
-  States.reserve(Segments.size());
-  for (const auto &Seg : Segments)
-    States.push_back(initHybridState(Seg.first, Seg.second));
-
+/// Propagate one segment; returns false on OOM. Telemetry lands in
+/// Result.
+bool propagateHybrid(const std::vector<const Layer *> &Layers,
+                     const Shape &InputShape, const Tensor &Start,
+                     const Tensor &End, DeviceMemoryModel &Memory,
+                     HybridState &St, ConvexResult &Result) {
+  St = initHybridState(Start, End);
   Shape CurShape = InputShape;
-  // The fused path consumes a Linear->ReLU pair per iteration but replays
-  // both layer boundaries' charges (pair boundary from pre-ReLU
-  // snapshots), so OOM points and telemetry match the unfused run. The
-  // hybrid generator count is fixed, but the replay keeps the charge
-  // sequence literally identical.
-  auto ChargeRows = [&](int64_t Rows, int64_t MaxG, int64_t Numel) {
-    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
-    const bool Ok = Memory.chargeState(Rows, Numel);
+  auto Charge = [&]() {
+    Result.MaxGenerators = std::max(Result.MaxGenerators, St.Gens.dim(0));
+    const bool Ok = Memory.chargeState(St.Gens.dim(0) + 2, CurShape.numel());
     Result.PeakBytes = Memory.peakBytes();
     return Ok;
   };
-  auto Charge = [&]() {
-    int64_t Rows = 0;
-    int64_t MaxG = 0;
-    for (const HybridState &St : States) {
-      MaxG = std::max(MaxG, St.Gens.dim(0));
-      Rows += St.Gens.dim(0) + 2;
-    }
-    return ChargeRows(Rows, MaxG, CurShape.numel());
-  };
   if (!Charge())
     return false;
-
-  const size_t NumLayers = Layers.size();
-  for (size_t Li = 0; Li < NumLayers; ++Li) {
-    const Layer *L = Layers[Li];
+  for (const Layer *L : Layers) {
     if (L->isAffine()) {
-      const bool FuseNext = Fuse && L->kind() == Layer::Kind::Linear &&
-                            Li + 1 < NumLayers &&
-                            Layers[Li + 1]->kind() == Layer::Kind::ReLU;
-      applyAffineToStates(L, CurShape, States, FuseNext);
+      applyAffineToState(L, CurShape, St);
       CurShape = L->outputShape(CurShape);
-      if (FuseNext) {
-        int64_t RowsPre = 0;
-        int64_t MaxGPre = 0;
-        for (const HybridState &St : States) {
-          MaxGPre = std::max(MaxGPre, St.Gens.dim(0));
-          RowsPre += St.Gens.dim(0) + 2;
-        }
-        for (HybridState &St : States)
-          applyReluToState(St);
-        if (!ChargeRows(RowsPre, MaxGPre, CurShape.numel()))
-          return false;
-        if (!Charge())
-          return false;
-        ++Li; // the ReLU layer was consumed by the fused step
-        continue;
-      }
     } else {
-      for (HybridState &St : States)
-        applyReluToState(St);
+      applyReluToState(St);
     }
     if (!Charge())
       return false;
   }
-  return true;
-}
-
-/// Propagate one segment (the batch-of-one special case; identical
-/// charges, identical kernel calls); returns false on OOM.
-bool propagateHybrid(const std::vector<const Layer *> &Layers,
-                     const Shape &InputShape, const Tensor &Start,
-                     const Tensor &End, DeviceMemoryModel &Memory,
-                     HybridState &St, ConvexResult &Result, bool Fuse) {
-  std::vector<std::pair<Tensor, Tensor>> Segments;
-  Segments.emplace_back(Start, End);
-  std::vector<HybridState> States;
-  if (!propagateHybridBatch(Layers, InputShape, Segments, Memory, States,
-                            Result, Fuse))
-    return false;
-  St = std::move(States.front());
   return true;
 }
 
@@ -372,12 +221,10 @@ ProbBounds liftedBounds(const HybridState &St, const OutputSpec &Spec) {
 std::vector<ConvexResult> analyzeHybridZonotopeMulti(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const Tensor &Start, const Tensor &End,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse) {
+    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory) {
   ConvexResult Result;
   HybridState St;
-  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result,
-                       Fuse)) {
+  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result)) {
     Result.Bounds = {0.0, 1.0, true};
     return std::vector<ConvexResult>(Specs.size(), Result);
   }
@@ -391,58 +238,24 @@ std::vector<ConvexResult> analyzeHybridZonotopeMulti(
   return Results;
 }
 
-std::vector<std::vector<ConvexResult>> analyzeHybridZonotopeBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse) {
-  const size_t K = Segments.size();
-  std::vector<std::vector<ConvexResult>> Out(K);
-  if (K == 0)
-    return Out;
-  ConvexResult Joint;
-  std::vector<HybridState> States;
-  if (!propagateHybridBatch(Layers, InputShape, Segments, Memory, States,
-                            Joint, Fuse)) {
-    // The joint state blew the budget: fall back to sequential
-    // per-segment analyses so bounds match a caller-side loop.
-    for (size_t I = 0; I < K; ++I)
-      Out[I] =
-          analyzeHybridZonotopeMulti(Layers, InputShape, Segments[I].first,
-                                     Segments[I].second, Specs, Memory, Fuse);
-    return Out;
-  }
-  for (size_t I = 0; I < K; ++I) {
-    Out[I].reserve(Specs.size());
-    for (const OutputSpec &Spec : Specs) {
-      ConvexResult PerSpec = Joint;
-      PerSpec.Bounds = liftedBounds(States[I], Spec);
-      Out[I].push_back(std::move(PerSpec));
-    }
-  }
-  return Out;
-}
-
 ConvexResult analyzeHybridZonotope(const std::vector<const Layer *> &Layers,
                                    const Shape &InputShape,
                                    const Tensor &Start, const Tensor &End,
                                    const OutputSpec &Spec,
-                                   DeviceMemoryModel &Memory, bool Fuse) {
+                                   DeviceMemoryModel &Memory) {
   return analyzeHybridZonotopeMulti(Layers, InputShape, Start, End, {Spec},
-                                    Memory, Fuse)
+                                    Memory)
       .front();
 }
 
 ZonotopeOutputBounds
 hybridZonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                            const Shape &InputShape, const Tensor &Start,
-                           const Tensor &End, DeviceMemoryModel &Memory,
-                           bool Fuse) {
+                           const Tensor &End, DeviceMemoryModel &Memory) {
   ZonotopeOutputBounds Out;
   ConvexResult Result;
   HybridState St;
-  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result,
-                       Fuse)) {
+  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result)) {
     Out.OutOfMemory = true;
     return Out;
   }

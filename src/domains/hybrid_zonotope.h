@@ -16,42 +16,25 @@
 
 namespace genprove {
 
-/// Analyze the segment e1->e2 with the hybrid zonotope domain. With
-/// \p Fuse, Linear->ReLU pairs stream through the fused single-pass
-/// kernels of tensor/ops.h (see analyzeZonotope); bounds, OOM points and
-/// telemetry are bit-identical to the unfused analysis at any thread
-/// count in both rounding modes.
+/// Analyze the segment e1->e2 with the hybrid zonotope domain.
 ConvexResult analyzeHybridZonotope(const std::vector<const Layer *> &Layers,
                                    const Shape &InputShape,
                                    const Tensor &Start, const Tensor &End,
                                    const OutputSpec &Spec,
-                                   DeviceMemoryModel &Memory,
-                                   bool Fuse = false);
+                                   DeviceMemoryModel &Memory);
 
 /// One propagation, many specs (see analyzeZonotopeMulti).
 std::vector<ConvexResult> analyzeHybridZonotopeMulti(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const Tensor &Start, const Tensor &End,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse = false);
-
-/// Batched analysis over many segments (see analyzeZonotopeBatch for the
-/// memory and bit-identity contract; on joint OOM the batch falls back to
-/// sequential per-segment analyses). Result[i][j] is segment i against
-/// Specs[j].
-std::vector<std::vector<ConvexResult>> analyzeHybridZonotopeBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse = false);
+    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory);
 
 /// Per-dimension interval hull of the final hybrid state, rounded outward
 /// (see zonotopeOutputBounds). Used by the soundness audit (src/audit).
 ZonotopeOutputBounds
 hybridZonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                            const Shape &InputShape, const Tensor &Start,
-                           const Tensor &End, DeviceMemoryModel &Memory,
-                           bool Fuse = false);
+                           const Tensor &End, DeviceMemoryModel &Memory);
 
 } // namespace genprove
 

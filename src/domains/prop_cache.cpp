@@ -12,7 +12,6 @@ namespace {
 
 uint64_t hashRegion(uint64_t H, const Region &R) {
   H = hashing::hashU64(H, static_cast<uint64_t>(R.Kind));
-  H = hashing::hashU64(H, static_cast<uint64_t>(R.Query));
   H = hashing::hashDouble(H, R.Weight);
   if (R.Kind == RegionKind::Curve) {
     H = hashing::hashDouble(H, R.T0);
@@ -175,16 +174,6 @@ size_t PropagationCache::lookupDeepest(const std::vector<uint64_t> &Chain,
   ++Misses;
   missesCtr().add(1);
   publishGaugesLocked();
-  return 0;
-}
-
-size_t PropagationCache::peekDepth(const std::vector<uint64_t> &Chain) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Budget == 0 || Chain.size() < 2)
-    return 0;
-  for (size_t I = Chain.size(); I-- > 1;)
-    if (Map.count(Chain[I]))
-      return I;
   return 0;
 }
 

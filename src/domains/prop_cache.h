@@ -3,10 +3,10 @@
 /// \file
 /// PropagationCache memoizes per-layer abstract states across
 /// propagations, so repeated or prefix-shared queries warm-start
-/// mid-network instead of re-propagating from layer 0. The serve daemon
-/// and the CLI see the bulk of the win: robustness certification traffic
-/// is dominated by re-checked and near-duplicate specifications against
-/// one frozen decoder.
+/// mid-network instead of re-propagating from layer 0. Robustness
+/// certification traffic is dominated by re-checked and near-duplicate
+/// specifications against one frozen decoder, which is what the CLI's
+/// repeated --start/--end pairs and in-process library callers send.
 ///
 /// Keying. A propagation is identified by a *key chain*: FNV-1a hashes
 /// where Chain[0] covers a caller salt (engine knobs the transformers
@@ -108,12 +108,6 @@ public:
   size_t lookupDeepest(const std::vector<uint64_t> &Chain,
                        std::vector<Region> &State, Shape &StateShape,
                        size_t &PrefixPeakBytes);
-
-  /// Non-counting probe: the deepest boundary index with a resident
-  /// entry (0 = none). Touches neither the counters nor the LRU order —
-  /// used by the batch router to decide which queries can skip the joint
-  /// propagation before any propagation is attempted.
-  size_t peekDepth(const std::vector<uint64_t> &Chain) const;
 
   /// Insert (a deep copy of) a clean boundary state. PrefixPeakBytes is
   /// the peak device charge of the propagation prefix that produced the

@@ -4,12 +4,10 @@
 
 #include "src/domains/fault_injection.h"
 #include "src/domains/prop_cache.h"
-#include "src/nn/linear.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/parallel/thread_pool.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 #include "src/util/hash.h"
 #include "src/util/timer.h"
@@ -67,44 +65,11 @@ Tensor activationsToRows(const Tensor &Acts) {
   return Acts.reshaped({K, Acts.numel() / std::max<int64_t>(K, 1)});
 }
 
-/// Interval ReLU applied elementwise to a [Rows, N] batch of box centers
-/// and radii; per element identical to reluBox() below, just on the
-/// batched tensors the fused affine kernel produces (each element is
-/// independent, so the parallel split cannot change results).
-void reluBoxRows(Tensor &Center, Tensor &Radius) {
-  double *C = Center.data();
-  double *R = Radius.data();
-  const int64_t Count = Center.numel();
-  if (soundRoundingEnabled()) {
-    parallelFor(Count, [&](int64_t Begin, int64_t End) {
-      for (int64_t I = Begin; I < End; ++I) {
-        const Interval Clamped =
-            Interval(fp::subDown(C[I], R[I]), fp::addUp(C[I], R[I])).relu();
-        Clamped.toCenterRadius(C[I], R[I]);
-      }
-    });
-    return;
-  }
-  parallelFor(Count, [&](int64_t Begin, int64_t End) {
-    for (int64_t I = Begin; I < End; ++I) {
-      const double Lo = std::max(C[I] - R[I], 0.0);
-      const double Hi = std::max(C[I] + R[I], 0.0);
-      C[I] = 0.5 * (Lo + Hi);
-      R[I] = 0.5 * (Hi - Lo);
-    }
-  });
-}
-
 /// Apply one affine layer to every region in place (exact for curves,
 /// interval arithmetic for boxes), batching all rows of a kind into a
-/// single layer application. With \p FuseRelu (the layer itself, known to
-/// be Linear and followed by a ReLU) the box planes run through the fused
-/// single-pass kernel and the interval ReLU is applied to the box rows
-/// while they are cache-hot; the caller's ReLU iteration must then skip
-/// reluBox on boxes (curves are untouched — they still split at the ReLU).
+/// single layer application.
 void applyAffineLayer(const Layer &L, const Shape &InShape,
-                      std::vector<Region> &Regions,
-                      const Linear *FuseRelu) {
+                      std::vector<Region> &Regions) {
   // Count rows of each kind and precompute every region's destination
   // offset, so the gather/scatter copy loops below can run
   // region-parallel with disjoint writes.
@@ -153,75 +118,21 @@ void applyAffineLayer(const Layer &L, const Shape &InShape,
   });
 
   Tensor NewA0, NewHi, NewCenters, NewRadii;
-  if (FuseRelu) {
-    // Fused Linear->ReLU: every plane set takes one streaming pass over
-    // the weight matrix, and the interval ReLU hits the box rows while
-    // they are still cache-hot. Each step is bit-identical to the unfused
-    // sequence (applyAffine / applyLinear / applyToBox[Sound], reluBox at
-    // the next layer) — see the kernel contracts in tensor/ops.h.
-    const Tensor &Wt = FuseRelu->transposedWeight();
-    const Tensor &Bias = FuseRelu->bias();
-    if (NumA0 > 0)
-      NewA0 = matmulTransTBias(A0Rows, Wt, Bias);
-    if (NumHi > 0)
-      NewHi = matmul(HiRows, Wt);
-    if (NumBoxes > 0) {
-      if (soundRoundingEnabled()) {
-        // applyToBoxSound, fused: the magnitude plane |c| + r rides the
-        // same weight stream, and the bias image of a zero input is the
-        // bias itself (a zero dot product is +0.0 under round-to-nearest
-        // and +-0.0 + b has the same absolute value as b), so the
-        // separate zero-input box transform disappears entirely.
-        Tensor Mags({NumBoxes, N});
-        const double *Cd = Centers.data();
-        const double *Rd = Radii.data();
-        double *Md = Mags.data();
-        parallelFor(NumBoxes * N, [&](int64_t Begin, int64_t End) {
-          for (int64_t I = Begin; I < End; ++I)
-            Md[I] = fp::addUp(std::fabs(Cd[I]), Rd[I]);
-        });
-        Tensor NewMags;
-        fusedBoxAffineTransT(Centers, Radii, &Mags, Wt, Bias, NewCenters,
-                             NewRadii, &NewMags);
-        const double Gamma =
-            fp::accumulationBound(FuseRelu->accumulationDepth());
-        const double *Biasd = Bias.data();
-        const double *NMall = NewMags.data();
-        double *NRall = NewRadii.data();
-        const int64_t OutF = NewRadii.dim(1);
-        parallelFor(NumBoxes, [&](int64_t Begin, int64_t End) {
-          for (int64_t Row = Begin; Row < End; ++Row) {
-            double *NR = NRall + Row * OutF;
-            const double *NM = NMall + Row * OutF;
-            for (int64_t J = 0; J < OutF; ++J)
-              NR[J] = fp::addUp(
-                  NR[J],
-                  fp::mulUp(Gamma, fp::addUp(NM[J], std::fabs(Biasd[J]))));
-          }
-        });
-      } else {
-        fusedBoxAffineTransT(Centers, Radii, nullptr, Wt, Bias, NewCenters,
-                             NewRadii, nullptr);
-      }
-      reluBoxRows(NewCenters, NewRadii);
-    }
-  } else {
-    if (NumA0 > 0)
-      NewA0 = activationsToRows(
-          L.applyAffine(rowsToActivations(A0Rows, InShape)));
-    if (NumHi > 0)
-      NewHi = activationsToRows(
-          L.applyLinear(rowsToActivations(HiRows, InShape)));
-    if (NumBoxes > 0) {
-      Tensor C = rowsToActivations(Centers, InShape);
-      Tensor Rr = rowsToActivations(Radii, InShape);
-      if (soundRoundingEnabled())
-        L.applyToBoxSound(C, Rr);
-      else
-        L.applyToBox(C, Rr);
-      NewCenters = activationsToRows(C);
-      NewRadii = activationsToRows(Rr);
-    }
+  if (NumA0 > 0)
+    NewA0 =
+        activationsToRows(L.applyAffine(rowsToActivations(A0Rows, InShape)));
+  if (NumHi > 0)
+    NewHi =
+        activationsToRows(L.applyLinear(rowsToActivations(HiRows, InShape)));
+  if (NumBoxes > 0) {
+    Tensor C = rowsToActivations(Centers, InShape);
+    Tensor Rr = rowsToActivations(Radii, InShape);
+    if (soundRoundingEnabled())
+      L.applyToBoxSound(C, Rr);
+    else
+      L.applyToBox(C, Rr);
+    NewCenters = activationsToRows(C);
+    NewRadii = activationsToRows(Rr);
   }
 
   const int64_t OutN = NumA0 > 0   ? NewA0.dim(1)
@@ -311,7 +222,6 @@ void reluCurve(const Region &Curve, const PropagateConfig &Config,
     const double Tm = 0.5 * (T0 + T1);
     Region Piece;
     Piece.Kind = RegionKind::Curve;
-    Piece.Query = Curve.Query;
     Piece.T0 = T0;
     Piece.T1 = T1;
     Piece.Weight = evalCdf(Config.Cdf, T1) - evalCdf(Config.Cdf, T0);
@@ -355,11 +265,6 @@ uint64_t cacheSaltForConfig(const PropagateConfig &Config,
   H = hashing::hashU64(H, Config.EnableRelax ? 1 : 0);
   H = hashing::hashDouble(H, Config.SplitEps);
   H = hashing::hashU64(H, soundRoundingEnabled() ? 1 : 0);
-  // Fused and unfused runs produce bit-identical states at every shared
-  // boundary, but a fused run skips the stores at fused pair boundaries;
-  // keeping the key spaces disjoint means a warm start can never land on
-  // a boundary the other flavor would not have produced.
-  H = hashing::hashU64(H, Config.FuseRelu ? 2 : 3);
   return H;
 }
 
@@ -395,16 +300,6 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
   const bool Resilient = Res.Enabled;
   if (Res.Faults)
     Res.Faults->arm(Memory);
-  // Kernel fusion is silently disabled on resilient or fault-injected
-  // runs: their checkpoint/rollback machinery assumes every layer
-  // boundary holds an un-advanced state, and a fused pair's boundary
-  // state has its boxes already rectified (interval ReLU is not
-  // idempotent bitwise). The same gate keeps the propagation cache out of
-  // such runs, for the same reason.
-  const bool Fusing = Config.FuseRelu && !Resilient && !Res.Faults;
-  // True while the state sits at a fused Linear->ReLU pair boundary: the
-  // boxes are already rectified, so the upcoming ReLU must skip them.
-  bool FusedPrevAffine = false;
 
   // Stats may arrive pre-populated (merged analyses); count only the
   // deltas produced by this call.
@@ -523,46 +418,6 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
     }
   }
 
-  // Per-query memoization for batched runs: when a cold input state
-  // carries several Query tags, each query's slice of the final boundary
-  // is bit-identical to a solo propagation of that query (the batching
-  // contract), so it is also stored under the query's own solo key chain
-  // — with a per-query peak tracked from the per-boundary node counts,
-  // which by the same contract equals the solo run's charge sequence
-  // exactly (OOM fidelity is preserved, not approximated). Repeated
-  // queries then warm-start solo even when they arrive inside
-  // differently-composed batches. Warm-started joint runs skip this: the
-  // per-query peaks of the skipped prefix are not observable.
-  struct QueryMemo {
-    int32_t Tag = 0;
-    uint64_t FinalKey = 0;
-    size_t PeakBytes = 0;
-  };
-  std::vector<QueryMemo> QueryMemos;
-  if (CacheActive && WarmDepth == 0) {
-    std::vector<int32_t> Tags;
-    for (const Region &R : Regions)
-      if (std::find(Tags.begin(), Tags.end(), R.Query) == Tags.end())
-        Tags.push_back(R.Query);
-    if (Tags.size() > 1) {
-      for (const int32_t Tag : Tags) {
-        std::vector<Region> Group;
-        for (const Region &R : Regions)
-          if (R.Query == Tag) {
-            Group.push_back(R);
-            Group.back().Query = 0; // solo runs carry the default tag
-          }
-        QueryMemo M;
-        M.Tag = Tag;
-        M.FinalKey = PropagationCache::chainKeys(Config.CacheSalt,
-                                                 InputShape, Group, Layers)
-                         .back();
-        M.PeakBytes = stateBytes(totalNodes(Group), InputShape.numel());
-        QueryMemos.push_back(M);
-      }
-    }
-  }
-
   if (WarmDepth == 0) {
     const int64_t Nodes = totalNodes(Regions);
     const int64_t Dim = Regions.empty() ? 0 : Regions.front().dim();
@@ -630,15 +485,6 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
     DegradeRung LayerRung =
         FullBoxActive ? DegradeRung::FullBox : DegradeRung::None;
 
-    // Fuse this layer with the next when it is a Linear feeding a ReLU
-    // (Fusing implies non-resilient, so FullBox can never be active here).
-    const Linear *FuseLin =
-        Fusing && L->kind() == Layer::Kind::Linear &&
-                Li + 1 < Layers.size() &&
-                Layers[Li + 1]->kind() == Layer::Kind::ReLU
-            ? static_cast<const Linear *>(L)
-            : nullptr;
-
     for (;;) { // Retries this layer only; predecessors are never re-run.
       LayerRecord Rec;
       Rec.Index = static_cast<int64_t>(Li);
@@ -663,7 +509,7 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
       Shape NextShape = CurShape;
       bool ChargeFailed = false;
       if (L->isAffine()) {
-        applyAffineLayer(*L, CurShape, Regions, FuseLin);
+        applyAffineLayer(*L, CurShape, Regions);
         NextShape = L->outputShape(CurShape);
       } else {
         // Exact ReLU splitting is independent per region, so the split
@@ -693,10 +539,7 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
               Region &R = Regions[static_cast<size_t>(CBegin + I)];
               auto &Out = Outs[static_cast<size_t>(I)];
               if (R.Kind == RegionKind::Box) {
-                // A fused predecessor already rectified the boxes; the
-                // charge accounting below is unchanged either way.
-                if (!FusedPrevAffine)
-                  reluBox(R);
+                reluBox(R);
                 Deltas[static_cast<size_t>(I)] = 2;
                 Out.push_back(std::move(R));
               } else {
@@ -789,35 +632,9 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
           // committed state is clean (no rung fired, nothing quarantined)
           // and safe to memoize.
           RunPeakBytes = std::max(RunPeakBytes, Rec.ChargedBytes);
-          // A fused pair's boundary state is half-advanced (boxes already
-          // rectified) and must never seed a warm start; peak tracking
-          // still runs — node counts are identical fused or not.
-          if (!FuseLin)
-            Config.Cache->store(Chain[Li + 1], Regions, CurShape,
-                                RunPeakBytes);
-          if (!QueryMemos.empty()) {
-            const int64_t Dim = CurShape.numel();
-            for (QueryMemo &M : QueryMemos) {
-              int64_t QueryNodes = 0;
-              for (const Region &R : Regions)
-                if (R.Query == M.Tag)
-                  QueryNodes += R.nodes();
-              M.PeakBytes = std::max(M.PeakBytes, stateBytes(QueryNodes, Dim));
-            }
-            if (Li + 1 == Layers.size()) {
-              for (const QueryMemo &M : QueryMemos) {
-                std::vector<Region> Split;
-                for (const Region &R : Regions)
-                  if (R.Query == M.Tag) {
-                    Split.push_back(R);
-                    Split.back().Query = 0;
-                  }
-                Config.Cache->store(M.FinalKey, Split, CurShape, M.PeakBytes);
-              }
-            }
-          }
+          Config.Cache->store(Chain[Li + 1], Regions, CurShape,
+                              RunPeakBytes);
         }
-        FusedPrevAffine = FuseLin != nullptr;
         break;
       }
 

@@ -108,18 +108,6 @@ struct PropagateConfig {
   /// cannot hash (the input-distribution identity behind Cdf, the
   /// caller's domain tag, ...); see cacheSaltForConfig().
   uint64_t CacheSalt = 0;
-  /// Stream each Linear->ReLU layer pair through one fused kernel: the
-  /// affine map of box regions computes center, radius and (sound mode)
-  /// magnitude images in a single pass over the weight matrix and applies
-  /// the interval ReLU while the rows are cache-hot; the following ReLU
-  /// layer then skips already-rectified boxes (curve splitting is
-  /// unaffected). Bit-identical to the unfused path at any thread count
-  /// in both rounding modes. Silently ignored on resilient or
-  /// fault-injected runs — the checkpoint/rollback machinery assumes
-  /// layer boundaries hold un-advanced states — and fused runs use a
-  /// distinct propagation-cache salt, with no states memoized at fused
-  /// pair boundaries (they would be half-advanced).
-  bool FuseRelu = false;
 };
 
 /// Fold the hashable engine knobs (relaxation config, SplitEps, sound

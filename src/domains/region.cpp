@@ -133,9 +133,7 @@ Region boundingBox(const Region &R) {
     const Interval Range = curveComponentRange(R, J);
     Range.toCenterRadius(Center[J], Radius[J]);
   }
-  Region Box = makeBoxRegion(Center, Radius, R.Weight);
-  Box.Query = R.Query;
-  return Box;
+  return makeBoxRegion(Center, Radius, R.Weight);
 }
 
 Region mergeBoxes(const Region &A, const Region &B) {
@@ -163,10 +161,7 @@ Region mergeBoxes(const Region &A, const Region &B) {
   }
   const double Weight = Sound ? fp::addUp(A.Weight, B.Weight)
                               : A.Weight + B.Weight;
-  Region Box = makeBoxRegion(Center, Radius, Weight);
-  // Callers only merge regions of the same query; keep the tag.
-  Box.Query = A.Query;
-  return Box;
+  return makeBoxRegion(Center, Radius, Weight);
 }
 
 double curveChordLength(const Region &Curve) {

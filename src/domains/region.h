@@ -44,13 +44,6 @@ struct Region {
   RegionKind Kind = RegionKind::Curve;
   double Weight = 0.0;
 
-  /// Which query of a batched propagation this region belongs to (0 for
-  /// single-query runs). The tag is inherited by every ReLU split piece
-  /// and every relaxation box, and regions with different tags are never
-  /// merged, so the final state of a batched run partitions exactly into
-  /// the per-query states a sequential run would have produced.
-  int32_t Query = 0;
-
   // --- Curve fields ---
   /// [Degree+1, N] coefficient matrix in the global parameter.
   Tensor Coeffs;

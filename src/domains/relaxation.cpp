@@ -5,7 +5,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <map>
 
 namespace genprove {
 
@@ -80,13 +79,7 @@ bool boxLowestMassRegions(std::vector<Region> &Regions, int64_t TargetNodes) {
   return true;
 }
 
-namespace {
-
-/// The single-chain relaxation heuristic (Section 3.1). All regions must
-/// belong to one query; relaxRegions() below groups a batched state and
-/// applies this per group, so batched relaxation is bit-identical to
-/// relaxing each query's state on its own.
-void relaxOneQuery(std::vector<Region> &Regions, const RelaxConfig &Config) {
+void relaxRegions(std::vector<Region> &Regions, const RelaxConfig &Config) {
   // Separate the chain of curve pieces (kept in parameter order) from the
   // already-relaxed boxes.
   std::vector<Region> Curves;
@@ -143,41 +136,6 @@ void relaxOneQuery(std::vector<Region> &Regions, const RelaxConfig &Config) {
       Out.push_back(std::move(Curves[I]));
       ++I;
     }
-  }
-  Regions = std::move(Out);
-}
-
-} // namespace
-
-void relaxRegions(std::vector<Region> &Regions, const RelaxConfig &Config) {
-  // Common case: a single-query state relaxes as one connected chain.
-  bool MultiQuery = false;
-  for (const Region &R : Regions) {
-    if (R.Query != Regions.front().Query) {
-      MultiQuery = true;
-      break;
-    }
-  }
-  if (!MultiQuery) {
-    relaxOneQuery(Regions, Config);
-    return;
-  }
-
-  // Batched state: each query owns an independent chain. Group by tag
-  // (preserving within-query order), relax each group with the unchanged
-  // single-chain heuristic — so the percentile cap, node threshold and
-  // clustering budget are all evaluated per query exactly as a sequential
-  // run would — and concatenate in ascending query order.
-  std::map<int32_t, std::vector<Region>> Groups;
-  for (Region &R : Regions)
-    Groups[R.Query].push_back(std::move(R));
-  std::vector<Region> Out;
-  Out.reserve(Regions.size());
-  for (auto &[Query, Group] : Groups) {
-    (void)Query;
-    relaxOneQuery(Group, Config);
-    for (Region &R : Group)
-      Out.push_back(std::move(R));
   }
   Regions = std::move(Out);
 }

@@ -31,11 +31,9 @@ struct RelaxConfig {
   int64_t NodeThreshold = 1000; ///< chains at or below this are left exact.
 };
 
-/// Apply the relaxation heuristic in place. Each query's curve regions
-/// form one connected chain processed in parameter order; batched states
-/// (regions with differing Query tags) are grouped by tag and each group
-/// relaxed independently, exactly as a sequential per-query run would.
-/// Existing boxes are left untouched (they are already relaxed).
+/// Apply the relaxation heuristic in place. The curve regions form one
+/// connected chain processed in parameter order. Existing boxes are left
+/// untouched (they are already relaxed).
 void relaxRegions(std::vector<Region> &Regions, const RelaxConfig &Config);
 
 /// Total node count of a region list (the memory model's unit).

@@ -2,8 +2,6 @@
 
 #include "src/domains/zonotope.h"
 
-#include "src/nn/linear.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -70,139 +68,42 @@ Tensor absColumnSums(const Tensor &Gens) {
   return Sums;
 }
 
-/// One affine layer on any number of per-query states at once. All
-/// centers, all generator rows, and (in sound mode) all magnitude/slack
-/// rows are stacked into single production-sized kernel calls; every
-/// kernel is row-independent (fixed ascending-k accumulation per output
-/// element, fp-contract off), so each state's rows come out bit-identical
-/// to a one-state call. The center/generator kernels are the unchanged
-/// round-to-nearest paths; in sound mode the slack additionally absorbs a
-/// rigorous bound on all of their rounding errors.
-/// With \p Fuse (the layer is known Linear, feeding a ReLU) the
-/// center/slack/magnitude planes run through the fused single-pass weight
-/// kernel (tensor/ops.h) instead of four separate box/affine calls; every
-/// output element is bit-identical either way.
-void applyAffineToStates(const Layer *L, const Shape &CurShape,
-                         std::vector<ZonoState> &States, bool Fuse) {
+/// One affine layer on the state. The center and generator kernels are
+/// the round-to-nearest paths; in sound mode the slack additionally
+/// absorbs a rigorous bound on all of their rounding errors.
+void applyAffineToState(const Layer *L, const Shape &CurShape,
+                        ZonoState &St) {
   const bool Sound = soundRoundingEnabled();
-  const int64_t K = static_cast<int64_t>(States.size());
-  const int64_t N = States.front().Center.numel();
-
-  Tensor Centers({K, N});
-  for (int64_t I = 0; I < K; ++I)
-    std::copy(States[I].Center.data(), States[I].Center.data() + N,
-              Centers.data() + I * N);
-
-  int64_t SumG = 0;
-  for (const ZonoState &St : States)
-    SumG += St.Gens.dim(0);
-  Tensor AllGens({SumG, N});
-  {
-    int64_t Row = 0;
-    for (const ZonoState &St : States) {
-      std::copy(St.Gens.data(), St.Gens.data() + St.Gens.numel(),
-                AllGens.data() + Row * N);
-      Row += St.Gens.dim(0);
-    }
-  }
-
-  Tensor Mags, BiasImages, Slacks;
-  // In the fused path the bias image of the zero-input box transform is
-  // replaced by the bias vector itself (a zero dot product is +0.0 under
-  // round-to-nearest, and |+-0.0 + b| == |b| bitwise), so the epilogue
-  // reads the shared bias row instead of per-state bias images.
-  const double *FusedBias = nullptr;
   if (Sound) {
     // Magnitude bound on any represented (or concretely forwarded) point:
-    // |x| <= |c| + sum_g |g| + slack, per state.
-    Mags = Tensor({K, N});
-    Slacks = Tensor({K, N});
-    for (int64_t I = 0; I < K; ++I) {
-      const ZonoState &St = States[I];
-      Tensor Mag = absColumnSums(St.Gens);
-      for (int64_t J = 0; J < N; ++J)
-        Mags.at(I, J) = fp::addUp(
-            Mag[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
-      std::copy(St.Slack.data(), St.Slack.data() + N, Slacks.data() + I * N);
-    }
-  }
-
-  if (Fuse) {
-    const Linear *Lin = static_cast<const Linear *>(L);
-    const Tensor &Wt = Lin->transposedWeight();
-    const Tensor &Bias = Lin->bias();
-    if (Sound) {
-      // One weight stream produces the center images (against W) and the
-      // slack and magnitude images (against |W|); bit-identical to the
-      // two applyToBox calls plus applyAffine of the unfused path.
-      Tensor NewCenters, NewSlacks, NewMags;
-      fusedBoxAffineTransT(Centers, Slacks, &Mags, Wt, Bias, NewCenters,
-                           NewSlacks, &NewMags);
-      Centers = std::move(NewCenters);
-      Slacks = std::move(NewSlacks);
-      Mags = std::move(NewMags);
-      FusedBias = Bias.data();
-    } else {
-      Centers = matmulTransTBias(Centers, Wt, Bias);
-    }
-    AllGens = matmul(AllGens, Wt);
+    // |x| <= |c| + sum_g |g| + slack. One three-plane box map carries the
+    // center through the affine map and the slack and magnitude through
+    // |A|, and yields the bias image of a zero input.
+    const int64_t N = St.Center.numel();
+    Tensor Mags = absColumnSums(St.Gens);
+    for (int64_t J = 0; J < N; ++J)
+      Mags[J] =
+          fp::addUp(Mags[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
+    Tensor Center = reshapeRows(St.Center, CurShape);
+    Tensor Slack = reshapeRows(St.Slack, CurShape);
+    Tensor Mag = reshapeRows(Mags, CurShape);
+    Tensor BiasImage;
+    L->applyToBoxPlanes(Center, Slack, Mag, BiasImage);
+    // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
+    // rounding errors of the center map, every generator row, the slack
+    // propagation and a concrete forward pass of a represented point.
+    const double Gamma = fp::accumulationBound(L->accumulationDepth());
+    St.Center = flattenRows(Center);
+    St.Slack = flattenRows(Slack);
+    for (int64_t J = 0; J < St.Slack.numel(); ++J)
+      St.Slack[J] = fp::addUp(
+          St.Slack[J],
+          fp::mulUp(Gamma, fp::addUp(Mag[J], std::fabs(BiasImage[J]))));
   } else {
-    if (Sound) {
-      // One box application on zero centers yields the bias images and
-      // |A| * Mag; a second one propagates the slacks themselves through
-      // |A|.
-      BiasImages = Tensor({K, N});
-      {
-        Tensor BiasActs = reshapeRows(BiasImages, CurShape);
-        Tensor MagActs = reshapeRows(Mags, CurShape);
-        L->applyToBox(BiasActs, MagActs);
-        BiasImages = flattenRows(BiasActs);
-        Mags = flattenRows(MagActs);
-      }
-      {
-        Tensor SlackCenters = Centers.clone();
-        Tensor CenterActs = reshapeRows(SlackCenters, CurShape);
-        Tensor SlackActs = reshapeRows(Slacks, CurShape);
-        L->applyToBox(CenterActs, SlackActs);
-        Slacks = flattenRows(SlackActs);
-      }
-    }
-
-    Centers = flattenRows(L->applyAffine(reshapeRows(Centers, CurShape)));
-    AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
+    St.Center = flattenRows(L->applyAffine(reshapeRows(St.Center, CurShape)));
+    St.Slack = Tensor({1, St.Center.numel()}); // identically zero in RN mode
   }
-
-  // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
-  // rounding errors of the center map, every generator row, the slack
-  // propagation and a concrete forward pass of a represented point.
-  const double Gamma =
-      Sound ? fp::accumulationBound(L->accumulationDepth()) : 0.0;
-  const int64_t OutN = Centers.dim(1);
-  int64_t Row = 0;
-  for (int64_t I = 0; I < K; ++I) {
-    ZonoState &St = States[I];
-    const int64_t G = St.Gens.dim(0);
-    Tensor NewCenter({1, OutN});
-    std::copy(Centers.data() + I * OutN, Centers.data() + (I + 1) * OutN,
-              NewCenter.data());
-    Tensor NewGens({G, OutN});
-    std::copy(AllGens.data() + Row * OutN, AllGens.data() + (Row + G) * OutN,
-              NewGens.data());
-    Row += G;
-    Tensor NewSlack({1, OutN}); // identically zero in RN mode
-    if (Sound)
-      for (int64_t J = 0; J < OutN; ++J)
-        NewSlack[J] = fp::addUp(
-            Slacks.at(I, J),
-            fp::mulUp(Gamma,
-                      fp::addUp(Mags.at(I, J),
-                                std::fabs(FusedBias
-                                              ? FusedBias[J]
-                                              : BiasImages.at(I, J)))));
-    St.Center = std::move(NewCenter);
-    St.Gens = std::move(NewGens);
-    St.Slack = std::move(NewSlack);
-  }
+  St.Gens = flattenRows(L->applyLinear(reshapeRows(St.Gens, CurShape)));
 }
 
 /// ReLU transformer on the state (both kinds). In sound mode the
@@ -279,92 +180,33 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
   }
 }
 
-/// Propagate many segments through the pipeline as one joint state.
-/// Returns false on OOM; the per-layer device charge is the sum of every
-/// state's charge, since the joint state is resident at once.
-/// Peak/generator telemetry accumulates into Result.
-bool propagateZonotopeBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments, ZonotopeKind Kind,
-    DeviceMemoryModel &Memory, std::vector<ZonoState> &States,
-    ConvexResult &Result, bool Fuse) {
-  States.clear();
-  States.reserve(Segments.size());
-  for (const auto &Seg : Segments)
-    States.push_back(initState(Seg.first, Seg.second));
-  Shape CurShape = InputShape;
-  // Telemetry + budget charge for a layer boundary. The fused path
-  // consumes two layers per iteration but replays both boundaries'
-  // charges (the pair boundary from pre-ReLU snapshots), so OOM points,
-  // peak bytes and generator maxima match the unfused run exactly.
-  auto ChargeRows = [&](int64_t Rows, int64_t MaxG, int64_t Numel) {
-    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
-    const bool Ok = Memory.chargeState(Rows, Numel);
-    Result.PeakBytes = Memory.peakBytes();
-    return Ok;
-  };
-  auto Charge = [&]() {
-    int64_t Rows = 0;
-    int64_t MaxG = 0;
-    for (const ZonoState &St : States) {
-      MaxG = std::max(MaxG, St.Gens.dim(0));
-      Rows += St.Gens.dim(0) + 1;
-    }
-    return ChargeRows(Rows, MaxG, CurShape.numel());
-  };
-  if (!Charge())
-    return false;
-  const size_t NumLayers = Layers.size();
-  for (size_t Li = 0; Li < NumLayers; ++Li) {
-    const Layer *L = Layers[Li];
-    if (L->isAffine()) {
-      const bool FuseNext = Fuse && L->kind() == Layer::Kind::Linear &&
-                            Li + 1 < NumLayers &&
-                            Layers[Li + 1]->kind() == Layer::Kind::ReLU;
-      applyAffineToStates(L, CurShape, States, FuseNext);
-      CurShape = L->outputShape(CurShape);
-      if (FuseNext) {
-        // Snapshot the pair-boundary charge before the ReLU can add fresh
-        // generator rows, then rectify while the states are hot.
-        int64_t RowsPre = 0;
-        int64_t MaxGPre = 0;
-        for (const ZonoState &St : States) {
-          MaxGPre = std::max(MaxGPre, St.Gens.dim(0));
-          RowsPre += St.Gens.dim(0) + 1;
-        }
-        for (ZonoState &St : States)
-          applyReluToState(Kind, St);
-        if (!ChargeRows(RowsPre, MaxGPre, CurShape.numel()))
-          return false;
-        if (!Charge())
-          return false;
-        ++Li; // the ReLU layer was consumed by the fused step
-        continue;
-      }
-    } else {
-      for (ZonoState &St : States)
-        applyReluToState(Kind, St);
-    }
-    if (!Charge())
-      return false;
-  }
-  return true;
-}
-
-/// Propagate one segment (the batch-of-one special case; identical
-/// charges, identical kernel calls). Returns false on OOM.
+/// Propagate one segment. Returns false on OOM; peak/generator
+/// telemetry accumulates into Result.
 bool propagateZonotope(const std::vector<const Layer *> &Layers,
                        const Shape &InputShape, const Tensor &Start,
                        const Tensor &End, ZonotopeKind Kind,
                        DeviceMemoryModel &Memory, ZonoState &St,
-                       ConvexResult &Result, bool Fuse) {
-  std::vector<std::pair<Tensor, Tensor>> Segments;
-  Segments.emplace_back(Start, End);
-  std::vector<ZonoState> States;
-  if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Result, Fuse))
+                       ConvexResult &Result) {
+  St = initState(Start, End);
+  Shape CurShape = InputShape;
+  auto Charge = [&]() {
+    Result.MaxGenerators = std::max(Result.MaxGenerators, St.Gens.dim(0));
+    const bool Ok = Memory.chargeState(St.Gens.dim(0) + 1, CurShape.numel());
+    Result.PeakBytes = Memory.peakBytes();
+    return Ok;
+  };
+  if (!Charge())
     return false;
-  St = std::move(States.front());
+  for (const Layer *L : Layers) {
+    if (L->isAffine()) {
+      applyAffineToState(L, CurShape, St);
+      CurShape = L->outputShape(CurShape);
+    } else {
+      applyReluToState(Kind, St);
+    }
+    if (!Charge())
+      return false;
+  }
   return true;
 }
 
@@ -429,12 +271,11 @@ std::vector<ConvexResult>
 analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, const std::vector<OutputSpec> &Specs,
-                     ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                     bool Fuse) {
+                     ZonotopeKind Kind, DeviceMemoryModel &Memory) {
   ConvexResult Result;
   ZonoState St;
   if (!propagateZonotope(Layers, InputShape, Start, End, Kind, Memory, St,
-                         Result, Fuse)) {
+                         Result)) {
     Result.Bounds = {0.0, 1.0, true};
     return std::vector<ConvexResult>(Specs.size(), Result);
   }
@@ -448,47 +289,12 @@ analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
   return Results;
 }
 
-std::vector<std::vector<ConvexResult>>
-analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
-                     const Shape &InputShape,
-                     const std::vector<std::pair<Tensor, Tensor>> &Segments,
-                     const std::vector<OutputSpec> &Specs, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse) {
-  const size_t K = Segments.size();
-  std::vector<std::vector<ConvexResult>> Out(K);
-  if (K == 0)
-    return Out;
-  ConvexResult Joint;
-  std::vector<ZonoState> States;
-  if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Joint, Fuse)) {
-    // The joint state blew the budget: fall back to sequential
-    // per-segment analyses, which see exactly what a caller-side loop
-    // would (each segment charges the device on its own).
-    for (size_t I = 0; I < K; ++I)
-      Out[I] = analyzeZonotopeMulti(Layers, InputShape, Segments[I].first,
-                                    Segments[I].second, Specs, Kind, Memory,
-                                    Fuse);
-    return Out;
-  }
-  for (size_t I = 0; I < K; ++I) {
-    Out[I].reserve(Specs.size());
-    for (const OutputSpec &Spec : Specs) {
-      ConvexResult PerSpec = Joint;
-      PerSpec.Bounds = liftedBounds(States[I], Spec);
-      Out[I].push_back(std::move(PerSpec));
-    }
-  }
-  return Out;
-}
-
 ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Start,
                              const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                             bool Fuse) {
+                             ZonotopeKind Kind, DeviceMemoryModel &Memory) {
   return analyzeZonotopeMulti(Layers, InputShape, Start, End, {Spec}, Kind,
-                              Memory, Fuse)
+                              Memory)
       .front();
 }
 
@@ -496,12 +302,12 @@ ZonotopeOutputBounds
 zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse) {
+                     DeviceMemoryModel &Memory) {
   ZonotopeOutputBounds Out;
   ConvexResult Result;
   ZonoState St;
   if (!propagateZonotope(Layers, InputShape, Start, End, Kind, Memory, St,
-                         Result, Fuse)) {
+                         Result)) {
     Out.OutOfMemory = true;
     return Out;
   }

@@ -30,8 +30,6 @@
 #include "src/domains/memory_model.h"
 #include "src/nn/sequential.h"
 
-#include <utility>
-
 namespace genprove {
 
 /// Which ReLU transformer the zonotope analysis uses.
@@ -46,18 +44,10 @@ struct ConvexResult {
 
 /// Analyze the segment e1->e2 (flat [1, N] endpoints) through the layers
 /// against the spec.
-///
-/// With \p Fuse, each Linear->ReLU layer pair streams through the fused
-/// single-pass kernels of tensor/ops.h (center, generator, and — in sound
-/// mode — slack/magnitude planes computed in one sweep over the weight
-/// matrix, ReLU applied while the rows are cache-hot). Bounds, OOM points
-/// and telemetry are bit-identical to the unfused analysis at any thread
-/// count in both rounding modes; only wall-clock time changes.
 ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Start,
                              const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                             bool Fuse = false);
+                             ZonotopeKind Kind, DeviceMemoryModel &Memory);
 
 /// Propagation is specification-independent: analyze once and evaluate
 /// every spec on the final zonotope. Returns one ConvexResult per spec
@@ -66,29 +56,7 @@ std::vector<ConvexResult>
 analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, const std::vector<OutputSpec> &Specs,
-                     ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                     bool Fuse = false);
-
-/// Batched analysis: propagate many segments through the same pipeline at
-/// once, stacking every query's center and generator rows into single
-/// production-sized kernel calls, and evaluate every spec on each final
-/// zonotope. Because all affine kernels are row-independent (fixed
-/// ascending-k accumulation per output element, fp-contract off) and the
-/// ReLU transformer runs per state, the returned bounds are bit-identical
-/// to analyzeZonotopeMulti() run per segment, in both rounding modes.
-///
-/// The per-layer device charge is the sum of all states' charges (the
-/// joint state is resident at once); when that blows the budget, the
-/// whole batch falls back to sequential per-segment analyses, so bounds
-/// always match a caller-side loop. Returned telemetry (PeakBytes,
-/// MaxGenerators) on the batched path describes the shared run.
-/// Result[i][j] is segment i against Specs[j].
-std::vector<std::vector<ConvexResult>>
-analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
-                     const Shape &InputShape,
-                     const std::vector<std::pair<Tensor, Tensor>> &Segments,
-                     const std::vector<OutputSpec> &Specs, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse = false);
+                     ZonotopeKind Kind, DeviceMemoryModel &Memory);
 
 /// Per-dimension interval hull of the final zonotope, rounded outward.
 /// Used by the soundness audit (src/audit) to check containment of
@@ -102,7 +70,7 @@ ZonotopeOutputBounds
 zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse = false);
+                     DeviceMemoryModel &Memory);
 
 } // namespace genprove
 

@@ -1,17 +1,17 @@
 //===- nn/abs_cache.h - Cached absolute-weight tensor ----------*- C++ -*-===//
 ///
 /// \file
-/// Memoized elementwise |W| for interval (box) propagation. Every
-/// applyToBox used to clone + fabs the weight tensor per call, which on
-/// deep decoders re-did the same O(|W|) work thousands of times per
-/// certification run; the cache builds |W| once and rebuilds only after
-/// an invalidate().
+/// Memoized weight-derived tensors for the verifier: elementwise |W| for
+/// the convolutions' interval (box) propagation and W^T for Linear's
+/// affine kernels. Rebuilding either per call would redo the same O(|W|)
+/// work thousands of times per certification run; the cache builds each
+/// once and rebuilds only after an invalidate().
 ///
 /// Invalidation contract: the owning layer bumps the cache from every
 /// path that can hand out mutable parameter access (the non-const
 /// weight()/bias() accessors and params()). Training loops re-fetch
-/// params() each step, so a stale |W| cannot survive into a subsequent
-/// verification pass.
+/// params() each step, so a stale |W| or W^T cannot survive into a
+/// subsequent verification pass.
 ///
 /// Thread safety: get() is safe for concurrent readers — parallel bench
 /// grid cells share Layer objects — via a double-purpose mutex that also
@@ -68,11 +68,11 @@ public:
   }
 
   /// W^T ([In, Out] from the layer's [Out, In] weight), memoized under the
-  /// same staleness contract as get(). The fused affine->ReLU kernels
-  /// consume the transposed layout: with W^T the output dimension is the
-  /// contiguous inner axis, so the per-output ascending-k accumulator
-  /// chains vectorize across outputs (the [Out, In] dot-product form
-  /// defeats the vectorizer under strict FP semantics).
+  /// same staleness contract as get(). Linear's affine kernels consume the
+  /// transposed layout: with W^T the output dimension is the contiguous
+  /// inner axis, so the per-output ascending-k accumulator chains
+  /// vectorize across outputs (the [Out, In] dot-product form defeats the
+  /// vectorizer under strict FP semantics).
   const Tensor &getTrans(const Tensor &W) const {
     std::lock_guard<std::mutex> Lock(Mu);
     const uint64_t V = Version.load(std::memory_order_acquire);

@@ -2,6 +2,7 @@
 
 #include "src/nn/layer.h"
 
+#include "src/parallel/thread_pool.h"
 #include "src/util/fp.h"
 #include "src/util/hash.h"
 
@@ -17,6 +18,13 @@ uint64_t Layer::fingerprint() const {
   return hashing::hashString(H, describe());
 }
 
+void Layer::applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
+                             Tensor &BiasImage) const {
+  BiasImage = Tensor(Center.shape());
+  applyToBox(BiasImage, Mag);
+  applyToBox(Center, Radius);
+}
+
 void Layer::applyToBoxSound(Tensor &Center, Tensor &Radius) const {
   const int64_t Depth = accumulationDepth();
   if (Depth <= 0) {
@@ -29,25 +37,29 @@ void Layer::applyToBoxSound(Tensor &Center, Tensor &Radius) const {
   // so gamma_K * (|A|(|c| + r) + |b|) bounds the rounding error of the
   // round-to-nearest affine kernels on the center AND of a concrete
   // forward pass of any boxed point, for any summation order the tiled
-  // kernels pick (standard dot-product error analysis). Running the box
-  // transformer on (0, |c|+r) recovers both ingredients at once: the
-  // center output of a zero input is the bias image b, the radius output
-  // is |A| * (|c| + r).
-  const int64_t InN = Center.numel();
+  // kernels pick (standard dot-product error analysis). The magnitude
+  // plane of applyToBoxPlanes() carries |A| * (|c| + r), its bias image
+  // the |b| term.
   Tensor Mag(Center.shape());
-  for (int64_t I = 0; I < InN; ++I)
-    Mag[I] = fp::addUp(std::fabs(Center[I]), Radius[I]);
-  Tensor BiasImage(Center.shape());
-  applyToBox(BiasImage, Mag);
-
-  applyToBox(Center, Radius);
+  const double *C = Center.data();
+  const double *R = Radius.data();
+  double *M = Mag.data();
+  parallelFor(Mag.numel(), [&](int64_t Begin, int64_t End) {
+    for (int64_t I = Begin; I < End; ++I)
+      M[I] = fp::addUp(std::fabs(C[I]), R[I]);
+  });
+  Tensor BiasImage;
+  applyToBoxPlanes(Center, Radius, Mag, BiasImage);
 
   const double Gamma = fp::accumulationBound(Depth);
-  const int64_t OutN = Radius.numel();
-  for (int64_t I = 0; I < OutN; ++I)
-    Radius[I] = fp::addUp(
-        Radius[I],
-        fp::mulUp(Gamma, fp::addUp(Mag[I], std::fabs(BiasImage[I]))));
+  const double *MOut = Mag.data();
+  const double *B = BiasImage.data();
+  double *ROut = Radius.data();
+  parallelFor(Radius.numel(), [&](int64_t Begin, int64_t End) {
+    for (int64_t I = Begin; I < End; ++I)
+      ROut[I] = fp::addUp(
+          ROut[I], fp::mulUp(Gamma, fp::addUp(MOut[I], std::fabs(B[I]))));
+  });
 }
 
 } // namespace genprove

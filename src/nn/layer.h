@@ -91,12 +91,22 @@ public:
   /// applyToBoxSound() needs no radius inflation.
   virtual int64_t accumulationDepth() const { return 0; }
 
+  /// The box map of the sound transformers: Center' = A*Center + b and
+  /// Radius' = |A|*Radius as in applyToBox(), plus a magnitude plane
+  /// Mag' = |A|*Mag, and BiasImage set to the image A*0 + b of a zero
+  /// input (one row per input row; only its absolute value is meaningful,
+  /// the sign of a zero entry is unspecified). Every plane is
+  /// bit-identical to the applyToBox() kernels. The base class runs two
+  /// applyToBox() calls; Linear streams all three planes in one pass.
+  virtual void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
+                                Tensor &BiasImage) const;
+
   /// Sound variant of applyToBox(): same round-to-nearest kernels, but the
   /// output radius is inflated by a rigorous bound on the accumulated
   /// rounding error so [Center' +- Radius'] contains the exact interval
   /// image — and any round-to-nearest forward pass through this layer of a
   /// point in the input box. Implemented once on the base class in terms
-  /// of applyToBox()/accumulationDepth().
+  /// of applyToBoxPlanes()/accumulationDepth().
   void applyToBoxSound(Tensor &Center, Tensor &Radius) const;
 
   /// Learnable parameters (empty for shape/activation layers).

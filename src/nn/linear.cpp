@@ -2,9 +2,10 @@
 
 #include "src/nn/linear.h"
 
+#include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 
 namespace genprove {
@@ -14,9 +15,27 @@ Linear::Linear(int64_t InFeatures, int64_t OutFeatures)
       Weight({OutFeatures, InFeatures}), Bias({OutFeatures}),
       GradWeight({OutFeatures, InFeatures}), GradBias({OutFeatures}) {}
 
+namespace {
+
+/// Out[i, j] += Bias[j] for every row, in place.
+void addBiasRows(Tensor &Out, const Tensor &Bias) {
+  const int64_t N = Bias.numel();
+  double *Od = Out.data();
+  const double *Bd = Bias.data();
+  parallelFor(Out.dim(0), [&](int64_t Begin, int64_t End) {
+    for (int64_t I = Begin; I < End; ++I)
+      for (int64_t J = 0; J < N; ++J)
+        Od[I * N + J] += Bd[J];
+  });
+}
+
+} // namespace
+
 Tensor Linear::forward(const Tensor &Input) {
   CachedInput = Input;
-  return applyAffine(Input);
+  Tensor Out = matmulTransB(Input, Weight); // [B, Out]
+  addBiasRows(Out, Bias);
+  return Out;
 }
 
 Tensor Linear::backward(const Tensor &GradOutput) {
@@ -31,21 +50,37 @@ Tensor Linear::backward(const Tensor &GradOutput) {
 }
 
 Tensor Linear::applyAffine(const Tensor &Points) const {
-  Tensor Out = matmulTransB(Points, Weight); // [B, Out]
-  const int64_t B = Out.dim(0);
-  for (int64_t I = 0; I < B; ++I)
-    for (int64_t J = 0; J < OutFeatures; ++J)
-      Out.at(I, J) += Bias[J];
+  Tensor Out = matmul(Points, AbsCache.getTrans(Weight)); // [B, Out]
+  addBiasRows(Out, Bias);
   return Out;
 }
 
 Tensor Linear::applyLinear(const Tensor &Points) const {
-  return matmulTransB(Points, Weight);
+  return matmul(Points, AbsCache.getTrans(Weight));
 }
 
 void Linear::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Center = applyAffine(Center);
-  Radius = matmulTransB(Radius, AbsCache.get(Weight));
+  Tensor NewCenter, NewRadius;
+  fusedBoxAffineTransT(Center, Radius, nullptr, AbsCache.getTrans(Weight),
+                       Bias, NewCenter, NewRadius, nullptr);
+  Center = std::move(NewCenter);
+  Radius = std::move(NewRadius);
+}
+
+void Linear::applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
+                              Tensor &BiasImage) const {
+  Tensor NewCenter, NewRadius, NewMag;
+  fusedBoxAffineTransT(Center, Radius, &Mag, AbsCache.getTrans(Weight), Bias,
+                       NewCenter, NewRadius, &NewMag);
+  Center = std::move(NewCenter);
+  Radius = std::move(NewRadius);
+  Mag = std::move(NewMag);
+  // A zero input's dot product is +0.0, and +0.0 + b == b up to the sign
+  // of a zero bias: the bias image is the bias itself.
+  BiasImage = Tensor(Center.shape());
+  const int64_t N = Bias.numel();
+  for (int64_t I = 0; I < Center.dim(0); ++I)
+    std::copy(Bias.data(), Bias.data() + N, BiasImage.data() + I * N);
 }
 
 std::vector<Param> Linear::params() {

@@ -9,6 +9,14 @@
 namespace genprove {
 
 /// Fully connected layer: y = x W^T + b with W of shape [Out, In].
+///
+/// The verifier interface (applyAffine/applyLinear/applyToBox[Planes])
+/// runs on a memoized W^T [In, Out] next to W: with the output dimension
+/// contiguous, every output element is an ascending-k accumulator chain
+/// that vectorizes across outputs, bit-identical to the [Out, In]
+/// dot-product form. Training (forward/backward) stays on the dot form:
+/// params() invalidates the memo every optimizer step, so a training
+/// forward through W^T would re-transpose every step.
 class Linear : public Layer {
 public:
   Linear(int64_t InFeatures, int64_t OutFeatures);
@@ -18,6 +26,8 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
+                        Tensor &BiasImage) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
   Shape outputShape(const Shape &InputShape) const override;
@@ -30,7 +40,7 @@ public:
 
   int64_t inFeatures() const { return InFeatures; }
   int64_t outFeatures() const { return OutFeatures; }
-  // Mutable parameter access invalidates the memoized |W| (see
+  // Mutable parameter access invalidates the memoized W^T (see
   // nn/abs_cache.h for the contract).
   Tensor &weight() {
     AbsCache.invalidate();
@@ -42,9 +52,6 @@ public:
   }
   const Tensor &weight() const { return Weight; }
   const Tensor &bias() const { return Bias; }
-  /// Memoized W^T for the fused affine->ReLU kernels (see
-  /// AbsWeightCache::getTrans for why they want the transposed layout).
-  const Tensor &transposedWeight() const { return AbsCache.getTrans(Weight); }
 
 private:
   int64_t InFeatures;

@@ -130,7 +130,6 @@ bool decodeServeRequest(const std::string &Line, ServeRequest &Out,
   Out.Deterministic = Flag("deterministic", false);
   Out.Sound = Flag("sound", false);
   Out.Arcsine = Flag("arcsine", false);
-  Out.Fuse = Flag("fuse", false);
   Out.FastScreen = Flag("fast_screen", false);
   if (const JsonValue *Inject = V.find("inject"))
     Out.Inject = Inject->stringOr("");
@@ -205,8 +204,6 @@ std::string encodeServeStats(const ServeStatsInfo &S) {
   W.key("cache_misses").value(S.CacheMisses);
   W.key("cache_evictions").value(S.CacheEvictions);
   W.key("cache_bytes").value(S.CacheBytes);
-  W.key("coalesce_batches").value(S.CoalesceBatches);
-  W.key("coalesce_requests").value(S.CoalesceRequests);
   W.key("prometheus").value(S.Prometheus);
   W.endObject();
   return W.str();
@@ -239,7 +236,6 @@ std::string encodeServeWorkerSpec(const ServeWorkerSpec &S) {
   W.key("threshold").value(S.NodeThreshold);
   W.key("arcsine").value(S.Arcsine);
   W.key("sound").value(S.Sound);
-  W.key("fuse").value(S.Fuse);
   W.key("fast_screen").value(S.FastScreen);
   W.key("heartbeat_ms").value(S.HeartbeatMs);
   W.key("inject").value(S.Inject);
@@ -319,7 +315,6 @@ bool decodeServeWorkerSpec(const std::string &Text, ServeWorkerSpec &Out,
       V.find("threshold") ? V.find("threshold")->intOr(250) : 250;
   Out.Arcsine = V.find("arcsine") ? V.find("arcsine")->boolOr(false) : false;
   Out.Sound = V.find("sound") ? V.find("sound")->boolOr(false) : false;
-  Out.Fuse = V.find("fuse") ? V.find("fuse")->boolOr(false) : false;
   Out.FastScreen =
       V.find("fast_screen") ? V.find("fast_screen")->boolOr(false) : false;
   Out.HeartbeatMs = Num("heartbeat_ms", 100.0);

@@ -9,7 +9,7 @@
 ///    "start":[...],"end":[...],"specs":["argmax:0:3"],
 ///    "deadline_ms":500,"budget_mb":64,"p":0.02,"k":100,"threshold":250,
 ///    "deterministic":false,"sound":true,"arcsine":false,
-///    "fuse":false,"fast_screen":false,
+///    "fast_screen":false,
 ///    "inject":"crash","inject_ms":200}
 ///   {"type":"stats"}   live counters + Prometheus exposition
 ///   {"type":"ping"}    liveness probe
@@ -63,9 +63,6 @@ struct ServeRequest {
   bool Deterministic = false;
   bool Sound = false;
   bool Arcsine = false;
-  /// Fused affine->ReLU kernel chains (bit-identical to unfused; wire
-  /// field "fuse").
-  bool Fuse = false;
   /// Two-tier precision fast path (wire field "fast_screen"): float32
   /// screening decides clear regions, borderline regions re-run under the
   /// sound double tier. Reported bounds always come from the sound tier.
@@ -128,15 +125,12 @@ struct ServeStatsInfo {
   int64_t CacheMisses = 0;
   int64_t CacheEvictions = 0;
   int64_t CacheBytes = 0;
-  /// Request-coalescing counters; zero when --coalesce-window-ms is off.
-  int64_t CoalesceBatches = 0;
-  int64_t CoalesceRequests = 0;
   std::string Prometheus;
 };
 
-/// {"type":"stats",...} line with live queue state, propagation-cache and
-/// coalescing counters, and the Prometheus exposition of the daemon's
-/// metrics registry.
+/// {"type":"stats",...} line with live queue state, propagation-cache
+/// counters, and the Prometheus exposition of the daemon's metrics
+/// registry.
 std::string encodeServeStats(const ServeStatsInfo &S);
 
 /// Everything an --isolate worker process needs to run one request's
@@ -158,7 +152,6 @@ struct ServeWorkerSpec {
   int64_t NodeThreshold = 250;
   bool Arcsine = false;
   bool Sound = false; ///< enable directed rounding in the worker process
-  bool Fuse = false;  ///< fused affine->ReLU kernel chains
   /// Two-tier screening requested; applied only when the worker's plan
   /// rung is Screening (escalated retries run the full sound path).
   bool FastScreen = false;

@@ -7,7 +7,6 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
-#include "src/parallel/thread_pool.h"
 #include "src/shard/process_launcher.h"
 #include "src/shard/protocol.h"
 #include "src/util/io.h"
@@ -21,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
 
@@ -109,39 +107,6 @@ private:
 
 } // namespace
 
-std::string coalesceKeyFor(const ServeRequest &Req) {
-  // Every knob the engine sees must be in the key, or two incompatible
-  // requests could share one joint state:
-  //   * net / input shape / p / k / threshold / arcsine — the propagation
-  //     configuration itself;
-  //   * budget_mb — the leader acquires ONE admission ticket whose slice
-  //     sizes the joint run's device budget;
-  //   * sound — the requested rounding mode (process-scoped today, but a
-  //     request that asked for sound bounds must never share a state with
-  //     one that did not);
-  //   * fuse / fast_screen — kernel-fusion and two-tier screening change
-  //     the propagation path (fused runs are bit-identical but use a
-  //     distinct cache salt; screened requests never coalesce at all, see
-  //     the gate in runVerify);
-  //   * the pool's thread count — bit-identity makes it result-neutral,
-  //     but keying on it keeps batches from straddling an operator's
-  //     mid-run setThreads() resize.
-  // Deterministic is deliberately absent: the collapse is applied
-  // per-member AFTER bounds are computed from the member's own final
-  // state (runCoalescedBatch), so it cannot couple members. Specs are
-  // per-member for the same reason. Resilience/QoS rung never varies
-  // here: coalescing requires DeadlineMs <= 0, and the batched engine
-  // runs without resilience by construction.
-  char Buf[320];
-  std::snprintf(Buf, sizeof(Buf), "|%s|%.17g|%.17g|%lld|%d|%lld|%d|%d|%d|%lld",
-                Req.InputShape.c_str(), Req.RelaxPercent, Req.ClusterK,
-                static_cast<long long>(Req.NodeThreshold),
-                Req.Arcsine ? 1 : 0, static_cast<long long>(Req.BudgetMb),
-                Req.Sound ? 1 : 0, Req.Fuse ? 1 : 0, Req.FastScreen ? 1 : 0,
-                static_cast<long long>(ThreadPool::global().threads()));
-  return Req.Net + Buf;
-}
-
 Server::Server(ServeConfig Config, const ModelRegistry &Models)
     : Cfg(std::move(Config)), Registry(Models), Admission(Cfg.Admission) {}
 
@@ -216,34 +181,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
                   "--allow-inject)");
 
   //===------------------------------------------------------------------===//
-  // Coalescing: compatible requests arriving within the window share one
-  // batched propagation. A request the batch cannot answer (lone arrival,
-  // shed joint ticket, per-query abort) falls through to the supervised
-  // path below with nothing lost but the window wait.
-  //===------------------------------------------------------------------===//
-  // Fast-screen requests never coalesce: the screen is a per-segment
-  // classification whose borderline set depends on the request's own
-  // spec, so there is no shared joint state to amortize.
-  if (Cfg.CoalesceWindowSeconds > 0.0 && Cfg.CoalesceMaxBatch > 1 &&
-      !Cfg.Isolate && Req.Inject.empty() && Req.DeadlineMs <= 0.0 &&
-      !Req.FastScreen && !stopping()) {
-    if (tryCoalesce(Req, Model, InShape, R)) {
-      countResponse(R.Status);
-      if (R.Status == "ok" || R.Status == "degraded") {
-        MetricsRegistry::global()
-            .counter(labeledMetricName("serve.rung", "rung",
-                                       shardRungName(R.Rung)))
-            .add(1);
-        RunSeconds.record(R.RunMs / 1000.0);
-      }
-      RequestSeconds.record(nowSeconds() - T0);
-      return R;
-    }
-    R = ServeResponse();
-    R.Id = Req.Id;
-  }
-
-  //===------------------------------------------------------------------===//
   // Admission: a budget slice and a concurrency slot, or an explicit shed.
   //===------------------------------------------------------------------===//
   const double DeadlineSeconds =
@@ -299,7 +236,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Req.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
   Conf.MemoryBudgetBytes = Ticket.budgetBytes();
   Conf.Resilience = Qos.Resilience;
-  Conf.FuseRelu = Req.Fuse;
   Conf.FastScreen = Req.FastScreen;
 
   const double RunStart = nowSeconds();
@@ -347,7 +283,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Spec.NodeThreshold = Req.NodeThreshold;
       Spec.Arcsine = Req.Arcsine;
       Spec.Sound = Cfg.SoundMode;
-      Spec.Fuse = Req.Fuse;
       Spec.FastScreen = Req.FastScreen;
       Spec.HeartbeatMs =
           std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
@@ -428,182 +363,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   return R;
 }
 
-bool Server::tryCoalesce(const ServeRequest &Req,
-                         const RegisteredModel *Model, const Shape &InShape,
-                         ServeResponse &R) {
-  auto Job = std::make_shared<CoalesceJob>();
-  Job->Req = &Req;
-  const std::string Key = coalesceKeyFor(Req);
-
-  std::unique_lock<std::mutex> Lock(CoalesceMu);
-  std::shared_ptr<CoalesceBucket> Bucket;
-  bool Leader = false;
-  auto It = CoalesceOpen.find(Key);
-  if (It != CoalesceOpen.end() && !It->second->Closed &&
-      static_cast<int64_t>(It->second->Jobs.size()) < Cfg.CoalesceMaxBatch) {
-    Bucket = It->second;
-  } else {
-    Bucket = std::make_shared<CoalesceBucket>();
-    CoalesceOpen[Key] = Bucket;
-    Leader = true;
-  }
-  Bucket->Jobs.push_back(Job);
-
-  if (!Leader) {
-    // A full batch need not wait out the window; wake the leader early.
-    if (static_cast<int64_t>(Bucket->Jobs.size()) >= Cfg.CoalesceMaxBatch)
-      Bucket->Cv.notify_all();
-    // The leader always closes the bucket within window + run time, so
-    // this wait is bounded.
-    Bucket->Cv.wait(Lock, [&] { return Job->Done; });
-    R = Job->Resp;
-    return !Job->Declined;
-  }
-
-  const auto Deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(Cfg.CoalesceWindowSeconds));
-  Bucket->Cv.wait_until(Lock, Deadline, [&] {
-    return static_cast<int64_t>(Bucket->Jobs.size()) >=
-               Cfg.CoalesceMaxBatch ||
-           stopping();
-  });
-  Bucket->Closed = true;
-  auto Cur = CoalesceOpen.find(Key);
-  if (Cur != CoalesceOpen.end() && Cur->second == Bucket)
-    CoalesceOpen.erase(Cur);
-  const std::vector<std::shared_ptr<CoalesceJob>> Jobs = Bucket->Jobs;
-  Lock.unlock();
-
-  runCoalescedBatch(Jobs, Model, InShape);
-
-  Lock.lock();
-  for (const auto &J : Jobs)
-    J->Done = true;
-  Bucket->Cv.notify_all();
-  R = Job->Resp;
-  return !Job->Declined;
-}
-
-void Server::runCoalescedBatch(
-    const std::vector<std::shared_ptr<CoalesceJob>> &Jobs,
-    const RegisteredModel *Model, const Shape &InShape) {
-  static Counter &Batches =
-      MetricsRegistry::global().counter("serve.coalesce.batches");
-  static Counter &BatchedRequests =
-      MetricsRegistry::global().counter("serve.coalesce.requests");
-  static Counter &DedupHits =
-      MetricsRegistry::global().counter("serve.coalesce.dedup_hits");
-  static Counter &Declines =
-      MetricsRegistry::global().counter("serve.coalesce.declined");
-
-  // A batch of one amortizes nothing: hand the request straight to the
-  // supervised path rather than pay an unsupervised propagation.
-  if (Jobs.size() < 2) {
-    for (const auto &J : Jobs)
-      J->Declined = true;
-    Declines.add(static_cast<int64_t>(Jobs.size()));
-    return;
-  }
-
-  const ServeRequest &Lead = *Jobs.front()->Req;
-  // One admission ticket covers the joint run; companions ride along
-  // without consuming concurrency slots.
-  AdmissionTicket Ticket =
-      Admission.acquire(static_cast<size_t>(Lead.BudgetMb) << 20, 0.0);
-  if (!Ticket.admitted()) {
-    // Shed joint ticket: let every member queue (and possibly shed) on
-    // its own through the normal path, which owns that protocol.
-    for (const auto &J : Jobs)
-      J->Declined = true;
-    Declines.add(static_cast<int64_t>(Jobs.size()));
-    return;
-  }
-
-  // Dedupe identical (start, end) pairs: repeated segments — the repeat
-  // traffic the propagation cache also targets — propagate once and fan
-  // their state out to every requester.
-  const int64_t Latent = static_cast<int64_t>(Lead.Start.size());
-  std::vector<std::pair<Tensor, Tensor>> Segments;
-  std::map<std::pair<std::vector<double>, std::vector<double>>, size_t>
-      SegIndex;
-  std::vector<size_t> JobSeg(Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    const ServeRequest &Rq = *Jobs[I]->Req;
-    auto SegKey = std::make_pair(Rq.Start, Rq.End);
-    auto Found = SegIndex.find(SegKey);
-    if (Found != SegIndex.end()) {
-      JobSeg[I] = Found->second;
-      DedupHits.add(1);
-      continue;
-    }
-    JobSeg[I] = Segments.size();
-    SegIndex.emplace(std::move(SegKey), Segments.size());
-    Segments.emplace_back(Tensor({1, Latent}, Rq.Start),
-                          Tensor({1, Latent}, Rq.End));
-  }
-
-  GenProveConfig Conf;
-  Conf.RelaxPercent = Lead.RelaxPercent;
-  Conf.ClusterK = Lead.ClusterK;
-  Conf.NodeThreshold = Lead.NodeThreshold;
-  Conf.Distribution =
-      Lead.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
-  Conf.MemoryBudgetBytes = Ticket.budgetBytes();
-  Conf.FuseRelu = Lead.Fuse; // keyed, so uniform across the batch
-  // No resilience: batching needs the abort-on-OOM engine (a resilient
-  // run's degradations could couple queries). An aborted or degraded
-  // member is declined back to the supervised path below.
-
-  const double RunStart = nowSeconds();
-  const GenProve Prover(Conf);
-  const std::vector<PropagatedState> States =
-      Prover.propagateSegmentsBatch(Model->Pipeline, InShape, Segments);
-  const double RunDone = nowSeconds();
-  Batches.add(1);
-
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    CoalesceJob &J = *Jobs[I];
-    const ServeRequest &Rq = *J.Req;
-    const PropagatedState &St = States[JobSeg[I]];
-    if (St.OutOfMemory) {
-      J.Declined = true;
-      Declines.add(1);
-      continue;
-    }
-    BatchedRequests.add(1);
-    ServeResponse &Resp = J.Resp;
-    Resp.Id = Rq.Id;
-    Resp.Rung = ShardRung::Configured;
-    Resp.QueueMs = Ticket.queueSeconds() * 1000.0;
-    Resp.RunMs = (RunDone - RunStart) * 1000.0;
-    for (const std::string &Text : Rq.Specs) {
-      OutputSpec Spec;
-      parseOutputSpecText(Text, Spec, nullptr); // validated at decode
-      ProbBounds Bounds = Prover.boundsFor(St, Spec);
-      Bounds.Degraded = Bounds.Degraded || St.Degraded;
-      if (Rq.Deterministic)
-        Bounds = Bounds.deterministic();
-      ServeSpecBounds B;
-      B.Lower = Bounds.Lower;
-      B.Upper = Bounds.Upper;
-      B.Degraded = Bounds.Degraded;
-      B.Verdict = verdictFor(Bounds, Rq.Deterministic);
-      Resp.Specs.push_back(std::move(B));
-    }
-    Resp.Status = St.Degraded ? "degraded" : "ok";
-  }
-  Ticket.release();
-
-  if (logEnabled())
-    EventLog::global().emit(
-        LogLevel::Info, "serve.coalesce",
-        {{"requests", static_cast<int64_t>(Jobs.size())},
-         {"segments", static_cast<int64_t>(Segments.size())},
-         {"run_ms", (RunDone - RunStart) * 1000.0}});
-}
-
 bool Server::handleLine(int Fd, const std::string &Line) {
   ServeRequest Req;
   std::string Code, Detail;
@@ -628,8 +387,6 @@ bool Server::handleLine(int Fd, const std::string &Line) {
     S.CacheMisses = Cache.Misses;
     S.CacheEvictions = Cache.Evictions;
     S.CacheBytes = static_cast<int64_t>(Cache.Bytes);
-    S.CoalesceBatches = Reg.counter("serve.coalesce.batches").value();
-    S.CoalesceRequests = Reg.counter("serve.coalesce.requests").value();
     S.Prometheus = Reg.toPrometheus();
     return writeLine(Fd, encodeServeStats(S));
   }

@@ -34,24 +34,14 @@
 #include "src/serve/request.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace genprove {
-
-/// Compatibility class of a verify request for coalescing: requests may
-/// share one batched propagation only when every result-affecting knob is
-/// identical (the admission budget too, since the leader acquires one
-/// ticket for the whole batch). Specs and determinism are per-member —
-/// bounds are evaluated per request on its own final state. Exposed for
-/// the differential tests; the definition documents each keyed knob.
-std::string coalesceKeyFor(const ServeRequest &Req);
 
 struct ServeConfig {
   std::string SocketPath; ///< Unix-domain socket the daemon listens on
@@ -87,19 +77,6 @@ struct ServeConfig {
   /// bounds are refused unless this is on (the rounding mode is process
   /// scoped, so it cannot be toggled per request).
   bool SoundMode = false;
-  /// Coalesce compatible verify requests that arrive within this window
-  /// into one batched propagation (GenProve::propagateSegmentsBatch):
-  /// the first request of a compatibility class (net, engine knobs,
-  /// budget; no deadline, no inject, not --isolate) becomes the leader,
-  /// waits up to this long for companions, holds ONE admission ticket
-  /// for the joint run and splits the per-query results — which are
-  /// bit-exactly what each request would have computed alone — back to
-  /// every member. 0 disables coalescing. The batched run is not
-  /// supervised; any member whose propagation aborts (OOM) or degrades
-  /// is transparently re-run through the normal supervised path.
-  double CoalesceWindowSeconds = 0.0;
-  /// Most requests one coalesced batch may carry (leader included).
-  int64_t CoalesceMaxBatch = 8;
 };
 
 class Server {
@@ -127,42 +104,11 @@ private:
     std::shared_ptr<std::atomic<bool>> Done;
   };
 
-  /// One request waiting on (or leading) a coalesced batch. The pointed-to
-  /// request lives on the owning connection thread's stack, which blocks
-  /// until Done, so the leader may read it safely.
-  struct CoalesceJob {
-    const ServeRequest *Req = nullptr;
-    ServeResponse Resp;
-    bool Done = false;
-    /// The batch could not answer this member (lone request, shed joint
-    /// ticket, per-query OOM/degradation); run the supervised path.
-    bool Declined = false;
-  };
-
-  /// An open compatibility bucket: jobs accumulate until the leader's
-  /// window expires or the batch is full, then the bucket closes and the
-  /// leader runs the joint propagation.
-  struct CoalesceBucket {
-    std::vector<std::shared_ptr<CoalesceJob>> Jobs;
-    bool Closed = false;
-    std::condition_variable Cv;
-  };
-
   void handleConnection(int Fd, std::shared_ptr<std::atomic<bool>> Done);
   /// One request line → one response line; true while the connection
   /// should stay open.
   bool handleLine(int Fd, const std::string &Line);
   ServeResponse runVerify(const ServeRequest &Req);
-  /// Enter the coalescer with a validated request. True when the batch
-  /// answered and \p R is final; false when the request must run the
-  /// normal supervised path instead.
-  bool tryCoalesce(const ServeRequest &Req, const RegisteredModel *Model,
-                   const Shape &InShape, ServeResponse &R);
-  /// Leader side: one admission ticket, one batched propagation, split
-  /// the per-query results into every job's response.
-  void runCoalescedBatch(
-      const std::vector<std::shared_ptr<CoalesceJob>> &Jobs,
-      const RegisteredModel *Model, const Shape &InShape);
   bool writeLine(int Fd, const std::string &Line);
   /// Join threads whose connection has ended (all of them when \p All).
   void reapConnections(bool All);
@@ -175,9 +121,6 @@ private:
   int ListenFd = -1;
   std::vector<ConnEntry> Connections;
   std::mutex ConnectionsMu;
-  std::mutex CoalesceMu;
-  std::unordered_map<std::string, std::shared_ptr<CoalesceBucket>>
-      CoalesceOpen;
 };
 
 } // namespace genprove

@@ -299,125 +299,14 @@ void gemmTransBRowBlock(const double *Ad, const double *Bd, double *Cd,
   }
 }
 
-/// gemmTransBRowBlock with the bias folded into the store: Crow[J] =
-/// dot + Biasd[J]. The dot accumulates in the identical ascending-k
-/// order and the bias add is the same double operation the unfused
-/// separate pass performs after a store/load round-trip (which is exact),
-/// so the result is bit-identical while touching C once instead of twice.
-__attribute__((always_inline)) inline void
-gemmTransBBiasBody(const double *__restrict__ Ad,
-                   const double *__restrict__ Bd,
-                   const double *__restrict__ Biasd, double *__restrict__ Cd,
-                   int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  for (int64_t I = IBegin; I < IEnd; ++I) {
-    const double *Arow = Ad + I * K;
-    double *Crow = Cd + I * N;
-    int64_t J = 0;
-    for (; J + 4 <= N; J += 4) {
-      const double *B0 = Bd + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk) {
-        const double Av = Arow[Kk];
-        S0 += Av * B0[Kk];
-        S1 += Av * B1[Kk];
-        S2 += Av * B2[Kk];
-        S3 += Av * B3[Kk];
-      }
-      Crow[J] = S0 + Biasd[J];
-      Crow[J + 1] = S1 + Biasd[J + 1];
-      Crow[J + 2] = S2 + Biasd[J + 2];
-      Crow[J + 3] = S3 + Biasd[J + 3];
-    }
-    for (; J < N; ++J) {
-      const double *Brow = Bd + J * K;
-      double Acc = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk)
-        Acc += Arow[Kk] * Brow[Kk];
-      Crow[J] = Acc + Biasd[J];
-    }
-  }
-}
-
-/// The fused box/zonotope affine kernel: one pass over the weight rows
-/// produces the center dot (against W), the radius dot (against |W|) and
-/// optionally the magnitude dot (against |W|) per output element, with
-/// |W| taken by std::fabs in registers. Each accumulator is a plain
-/// ascending-k chain, so every output is bit-identical to the separate
-/// matmulTransB calls that stream W two to four times.
-template <bool WithMag>
-__attribute__((always_inline)) inline void
-fusedBoxAffineBody(const double *__restrict__ Cen,
-                   const double *__restrict__ Rad,
-                   const double *__restrict__ Mag,
-                   const double *__restrict__ Wd,
-                   const double *__restrict__ Biasd, double *__restrict__ OutC,
-                   double *__restrict__ OutR, double *__restrict__ OutM,
-                   int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  for (int64_t I = IBegin; I < IEnd; ++I) {
-    const double *__restrict__ Crow = Cen + I * K;
-    const double *__restrict__ Rrow = Rad + I * K;
-    const double *__restrict__ Mrow = WithMag ? Mag + I * K : nullptr;
-    double *__restrict__ OC = OutC + I * N;
-    double *__restrict__ OR = OutR + I * N;
-    double *__restrict__ OM = WithMag ? OutM + I * N : nullptr;
-    int64_t J = 0;
-    // Two weight-row streams per step: six (or four) live accumulator
-    // chains saturate the FP ports without spilling.
-    for (; J + 2 <= N; J += 2) {
-      const double *__restrict__ W0 = Wd + J * K;
-      const double *__restrict__ W1 = W0 + K;
-      double Sc0 = 0.0, Sc1 = 0.0, Sr0 = 0.0, Sr1 = 0.0;
-      double Sm0 = 0.0, Sm1 = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk) {
-        const double Cv = Crow[Kk], Rv = Rrow[Kk];
-        const double W0v = W0[Kk], W1v = W1[Kk];
-        const double A0v = std::fabs(W0v), A1v = std::fabs(W1v);
-        Sc0 += Cv * W0v;
-        Sc1 += Cv * W1v;
-        Sr0 += Rv * A0v;
-        Sr1 += Rv * A1v;
-        if (WithMag) {
-          const double Mv = Mrow[Kk];
-          Sm0 += Mv * A0v;
-          Sm1 += Mv * A1v;
-        }
-      }
-      OC[J] = Sc0 + Biasd[J];
-      OC[J + 1] = Sc1 + Biasd[J + 1];
-      OR[J] = Sr0;
-      OR[J + 1] = Sr1;
-      if (WithMag) {
-        OM[J] = Sm0;
-        OM[J + 1] = Sm1;
-      }
-    }
-    for (; J < N; ++J) {
-      const double *__restrict__ Wrow = Wd + J * K;
-      double Sc = 0.0, Sr = 0.0, Sm = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk) {
-        const double Wv = Wrow[Kk];
-        const double Absv = std::fabs(Wv);
-        Sc += Crow[Kk] * Wv;
-        Sr += Rrow[Kk] * Absv;
-        if (WithMag)
-          Sm += Mrow[Kk] * Absv;
-      }
-      OC[J] = Sc + Biasd[J];
-      OR[J] = Sr;
-      if (WithMag)
-        OM[J] = Sm;
-    }
-  }
-}
-
-/// The transposed-weight fused body: Wt is W^T [K, N], so for each input
-/// element k the three accumulator rows advance over the contiguous
-/// output axis — independent per-output ascending-k chains that the
-/// vectorizer can run in lanes (the dot-product form above keeps the
-/// chain in one scalar register and cannot be vectorized under strict FP
-/// semantics). The bias lands after the complete dot, exactly like the
-/// `S + Bias[j]` store of the transB form, so the two kernels are
-/// bit-identical.
+/// The interval affine body behind fusedBoxAffineTransT: Wt is W^T
+/// [K, N], so for each input element k the accumulator rows advance over
+/// the contiguous output axis — independent per-output ascending-k chains
+/// that the vectorizer can run in lanes (the dot-product form of
+/// gemmTransBRowBlock keeps the chain in one scalar register and cannot
+/// be vectorized under strict FP semantics). The bias lands after the
+/// complete dot, so every output is bit-identical to the dot form plus a
+/// bias pass.
 template <bool WithMag>
 __attribute__((always_inline)) inline void
 fusedBoxAffineTBody(const double *__restrict__ Cen,
@@ -460,54 +349,10 @@ fusedBoxAffineTBody(const double *__restrict__ Cen,
   }
 }
 
-/// gemmRows-style transposed GEMM with the bias folded in after the full
-/// dot: C[i,:] = sum_k A[i,k] * Wt[k,:], then += Bias. Bit-identical to
-/// matmulTransBBias / matmulTransB + bias pass.
-__attribute__((always_inline)) inline void
-gemmTransTBiasBody(const double *__restrict__ Ad,
-                   const double *__restrict__ Wtd,
-                   const double *__restrict__ Biasd, double *__restrict__ Cd,
-                   int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  for (int64_t I = IBegin; I < IEnd; ++I) {
-    const double *__restrict__ Arow = Ad + I * K;
-    double *__restrict__ Crow = Cd + I * N;
-    for (int64_t J = 0; J < N; ++J)
-      Crow[J] = 0.0;
-    for (int64_t Kk = 0; Kk < K; ++Kk) {
-      const double Av = Arow[Kk];
-      const double *__restrict__ Wt = Wtd + Kk * N;
-      for (int64_t J = 0; J < N; ++J)
-        Crow[J] += Av * Wt[J];
-    }
-    for (int64_t J = 0; J < N; ++J)
-      Crow[J] += Biasd[J];
-  }
-}
-
-// Like the GEMM bodies above, the fused kernels compile once for the
+// Like the GEMM bodies above, the interval kernel compiles once for the
 // baseline ISA and once for AVX-512, both with fp-contract=off: an FMA
 // contraction would single-round the multiply-add and break the bitwise
-// match with the unfused matmulTransB reference.
-__attribute__((optimize("fp-contract=off"))) void
-gemmTransBBiasBlockPlain(const double *Ad, const double *Bd,
-                         const double *Biasd, double *Cd, int64_t IBegin,
-                         int64_t IEnd, int64_t K, int64_t N) {
-  gemmTransBBiasBody(Ad, Bd, Biasd, Cd, IBegin, IEnd, K, N);
-}
-
-__attribute__((optimize("fp-contract=off"))) void
-fusedBoxRowBlockPlain(const double *Cen, const double *Rad, const double *Mag,
-                      const double *Wd, const double *Biasd, double *OutC,
-                      double *OutR, double *OutM, int64_t IBegin, int64_t IEnd,
-                      int64_t K, int64_t N) {
-  if (Mag)
-    fusedBoxAffineBody<true>(Cen, Rad, Mag, Wd, Biasd, OutC, OutR, OutM,
-                             IBegin, IEnd, K, N);
-  else
-    fusedBoxAffineBody<false>(Cen, Rad, nullptr, Wd, Biasd, OutC, OutR,
-                              nullptr, IBegin, IEnd, K, N);
-}
-
+// match with the matmulTransB form training uses.
 __attribute__((optimize("fp-contract=off"))) void
 fusedBoxTRowBlockPlain(const double *Cen, const double *Rad,
                        const double *Mag, const double *Wtd,
@@ -520,13 +365,6 @@ fusedBoxTRowBlockPlain(const double *Cen, const double *Rad,
   else
     fusedBoxAffineTBody<false>(Cen, Rad, nullptr, Wtd, Biasd, OutC, OutR,
                                nullptr, IBegin, IEnd, K, N);
-}
-
-__attribute__((optimize("fp-contract=off"))) void
-gemmTransTBiasBlockPlain(const double *Ad, const double *Wtd,
-                         const double *Biasd, double *Cd, int64_t IBegin,
-                         int64_t IEnd, int64_t K, int64_t N) {
-  gemmTransTBiasBody(Ad, Wtd, Biasd, Cd, IBegin, IEnd, K, N);
 }
 
 #if GENPROVE_GEMM_MULTIVERSION
@@ -545,33 +383,7 @@ fusedBoxTRowBlockAvx512(const double *Cen, const double *Rad,
                                nullptr, IBegin, IEnd, K, N);
 }
 
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-gemmTransTBiasBlockAvx512(const double *Ad, const double *Wtd,
-                          const double *Biasd, double *Cd, int64_t IBegin,
-                          int64_t IEnd, int64_t K, int64_t N) {
-  gemmTransTBiasBody(Ad, Wtd, Biasd, Cd, IBegin, IEnd, K, N);
-}
-
 #endif // GENPROVE_GEMM_MULTIVERSION
-
-// The dot-product-form kernels (transB layout) deliberately have no
-// AVX-512 clones: their scalar accumulator chains gain nothing from the
-// wider ISA (measured slower — the clone trades the tuned baseline
-// codegen for vector setup it can never use), matching the plain-only
-// gemmTransBRowBlock.
-void gemmTransBBiasBlock(const double *Ad, const double *Bd,
-                         const double *Biasd, double *Cd, int64_t IBegin,
-                         int64_t IEnd, int64_t K, int64_t N) {
-  gemmTransBBiasBlockPlain(Ad, Bd, Biasd, Cd, IBegin, IEnd, K, N);
-}
-
-void fusedBoxRowBlock(const double *Cen, const double *Rad, const double *Mag,
-                      const double *Wd, const double *Biasd, double *OutC,
-                      double *OutR, double *OutM, int64_t IBegin, int64_t IEnd,
-                      int64_t K, int64_t N) {
-  fusedBoxRowBlockPlain(Cen, Rad, Mag, Wd, Biasd, OutC, OutR, OutM, IBegin,
-                        IEnd, K, N);
-}
 
 void fusedBoxTRowBlock(const double *Cen, const double *Rad,
                        const double *Mag, const double *Wtd,
@@ -585,16 +397,6 @@ void fusedBoxTRowBlock(const double *Cen, const double *Rad,
 #endif
   fusedBoxTRowBlockPlain(Cen, Rad, Mag, Wtd, Biasd, OutC, OutR, OutM, IBegin,
                          IEnd, K, N);
-}
-
-void gemmTransTBiasBlock(const double *Ad, const double *Wtd,
-                         const double *Biasd, double *Cd, int64_t IBegin,
-                         int64_t IEnd, int64_t K, int64_t N) {
-#if GENPROVE_GEMM_MULTIVERSION
-  if (useAvx512())
-    return gemmTransTBiasBlockAvx512(Ad, Wtd, Biasd, Cd, IBegin, IEnd, K, N);
-#endif
-  gemmTransTBiasBlockPlain(Ad, Wtd, Biasd, Cd, IBegin, IEnd, K, N);
 }
 
 } // namespace
@@ -641,54 +443,6 @@ Tensor matmulTransB(const Tensor &A, const Tensor &B) {
   return C;
 }
 
-Tensor matmulTransBBias(const Tensor &A, const Tensor &B, const Tensor &Bias) {
-  check(A.rank() == 2 && B.rank() == 2, "matmulTransBBias requires rank-2");
-  const int64_t M = A.dim(0), K = A.dim(1), N = B.dim(0);
-  check(B.dim(1) == K, "matmulTransBBias inner dimension mismatch");
-  check(Bias.numel() == N, "matmulTransBBias bias length mismatch");
-  Tensor C({M, N});
-  const double *Ad = A.data();
-  const double *Bd = B.data();
-  const double *Biasd = Bias.data();
-  double *Cd = C.data();
-  parallelFor(M, [&](int64_t IBegin, int64_t IEnd) {
-    gemmTransBBiasBlock(Ad, Bd, Biasd, Cd, IBegin, IEnd, K, N);
-  });
-  return C;
-}
-
-void fusedBoxAffineTransB(const Tensor &Centers, const Tensor &Radii,
-                          const Tensor *Mags, const Tensor &W,
-                          const Tensor &Bias, Tensor &OutC, Tensor &OutR,
-                          Tensor *OutMags) {
-  check(Centers.rank() == 2 && Radii.rank() == 2 && W.rank() == 2,
-        "fusedBoxAffineTransB requires rank-2");
-  const int64_t M = Centers.dim(0), K = Centers.dim(1), N = W.dim(0);
-  check(W.dim(1) == K, "fusedBoxAffineTransB weight dimension mismatch");
-  check(Radii.dim(0) == M && Radii.dim(1) == K,
-        "fusedBoxAffineTransB radius shape mismatch");
-  check(Bias.numel() == N, "fusedBoxAffineTransB bias length mismatch");
-  check(!Mags || (Mags->dim(0) == M && Mags->dim(1) == K),
-        "fusedBoxAffineTransB magnitude shape mismatch");
-  check(!Mags == !OutMags, "fusedBoxAffineTransB needs OutMags iff Mags");
-  OutC = Tensor({M, N});
-  OutR = Tensor({M, N});
-  if (OutMags)
-    *OutMags = Tensor({M, N});
-  const double *Cen = Centers.data();
-  const double *Rad = Radii.data();
-  const double *Mag = Mags ? Mags->data() : nullptr;
-  const double *Wd = W.data();
-  const double *Biasd = Bias.data();
-  double *OC = OutC.data();
-  double *OR = OutR.data();
-  double *OM = OutMags ? OutMags->data() : nullptr;
-  parallelFor(M, [&](int64_t IBegin, int64_t IEnd) {
-    fusedBoxRowBlock(Cen, Rad, Mag, Wd, Biasd, OC, OR, OM, IBegin, IEnd, K,
-                     N);
-  });
-}
-
 void fusedBoxAffineTransT(const Tensor &Centers, const Tensor &Radii,
                           const Tensor *Mags, const Tensor &Wt,
                           const Tensor &Bias, Tensor &OutC, Tensor &OutR,
@@ -719,23 +473,6 @@ void fusedBoxAffineTransT(const Tensor &Centers, const Tensor &Radii,
     fusedBoxTRowBlock(Cen, Rad, Mag, Wtd, Biasd, OC, OR, OM, IBegin, IEnd, K,
                       N);
   });
-}
-
-Tensor matmulTransTBias(const Tensor &A, const Tensor &Wt,
-                        const Tensor &Bias) {
-  check(A.rank() == 2 && Wt.rank() == 2, "matmulTransTBias requires rank-2");
-  const int64_t M = A.dim(0), K = A.dim(1), N = Wt.dim(1);
-  check(Wt.dim(0) == K, "matmulTransTBias inner dimension mismatch");
-  check(Bias.numel() == N, "matmulTransTBias bias length mismatch");
-  Tensor C({M, N});
-  const double *Ad = A.data();
-  const double *Wtd = Wt.data();
-  const double *Biasd = Bias.data();
-  double *Cd = C.data();
-  parallelFor(M, [&](int64_t IBegin, int64_t IEnd) {
-    gemmTransTBiasBlock(Ad, Wtd, Biasd, Cd, IBegin, IEnd, K, N);
-  });
-  return C;
 }
 
 std::pair<int64_t, int64_t> ConvGeometry::convOutput(int64_t H,

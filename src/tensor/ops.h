@@ -30,47 +30,23 @@ Tensor matmulTransA(const Tensor &A, const Tensor &B);
 /// C = A * Bᵀ where A is (MxK) and B is (NxK); result (MxN).
 Tensor matmulTransB(const Tensor &A, const Tensor &B);
 
-/// C = A * Bᵀ + Bias broadcast over rows (Bias is [N]). Bit-identical to
-/// matmulTransB followed by a separate += Bias[j] pass — the dot product
-/// accumulates in the same ascending-k order and the bias add is the same
-/// double-precision operation, just performed at the store instead of
-/// after a memory round-trip.
-Tensor matmulTransBBias(const Tensor &A, const Tensor &B, const Tensor &Bias);
-
-/// Fused interval affine map through a Linear weight W [N, K] (transB
-/// layout): one streaming pass over W computes, per row i of the [M, K]
-/// inputs,
-///   OutC[i]   = Centers[i] * Wᵀ + Bias        (center image)
-///   OutR[i]   = Radii[i]   * |W|ᵀ             (radius image)
-///   OutMags[i]= Mags[i]    * |W|ᵀ             (optional magnitude image)
-/// |W| is taken elementwise with std::fabs on the fly, which is bitwise
-/// equal to the memoized AbsWeightCache tensor, so every output element is
-/// bit-identical to the three (or two) separate matmulTransB calls of the
-/// unfused path — W is simply streamed once instead of two to four times.
-/// Mags/OutMags may be null to skip the magnitude plane (round-nearest
-/// mode). Out tensors are (re)allocated to [M, N].
-void fusedBoxAffineTransB(const Tensor &Centers, const Tensor &Radii,
-                          const Tensor *Mags, const Tensor &W,
-                          const Tensor &Bias, Tensor &OutC, Tensor &OutR,
-                          Tensor *OutMags);
-
-/// fusedBoxAffineTransB with the weight supplied pre-transposed: Wt is
-/// W^T [K, N] (Linear::transposedWeight()). Bit-identical to the transB
-/// form — each output element accumulates the same ascending-k chain —
-/// but with the output dimension contiguous the chains vectorize across
-/// outputs, which the strict-FP dot-product form cannot. This is the
-/// kernel the fused affine->ReLU path actually runs.
+/// Interval affine map through a Linear weight supplied pre-transposed:
+/// Wt is W^T [K, N] for a weight W [N, K]. One streaming pass over Wt
+/// computes, per row i of the [M, K] inputs,
+///   OutC[i]   = Centers[i] * Wt + Bias        (center image)
+///   OutR[i]   = Radii[i]   * |Wt|             (radius image)
+///   OutMags[i]= Mags[i]    * |Wt|             (optional magnitude image)
+/// with |Wt| taken elementwise in registers. Every output element
+/// accumulates one ascending-k chain and the bias lands after the full
+/// dot, so each plane is bit-identical to matmulTransB against W (or
+/// |W|) followed by a bias pass; with the output dimension contiguous the
+/// chains vectorize across outputs, which the strict-FP dot-product form
+/// cannot. Mags/OutMags may be null to skip the magnitude plane. Out
+/// tensors are (re)allocated to [M, N].
 void fusedBoxAffineTransT(const Tensor &Centers, const Tensor &Radii,
                           const Tensor *Mags, const Tensor &Wt,
                           const Tensor &Bias, Tensor &OutC, Tensor &OutR,
                           Tensor *OutMags);
-
-/// C = A * Wt + Bias broadcast over rows, with Wt = W^T [K, N].
-/// Bit-identical to matmulTransBBias(A, W, Bias) (same ascending-k chain
-/// per output, bias added after the full dot), in the vectorizable
-/// transposed layout. Used for the curve planes of the fused path.
-Tensor matmulTransTBias(const Tensor &A, const Tensor &Wt,
-                        const Tensor &Bias);
 
 /// Geometry of a 2-D convolution.
 struct ConvGeometry {

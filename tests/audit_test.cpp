@@ -56,35 +56,25 @@ TEST(Audit, DilationStaysFarBelowOnePercent) {
   }
 }
 
-/// The fused and two-tier paths ride the same >= 1000-sample oracle: the
-/// fused hulls must be violation-free (and, via DifferentialOk,
-/// bit-identical to the unfused ones), and the screened consistency check
-/// must cover every zoo model with its piece classification recorded.
-TEST(Audit, FusedAndScreenedPathsCovered) {
+/// The two-tier path rides the same >= 1000-sample oracle: the screened
+/// consistency check must cover every zoo model with its piece
+/// classification recorded.
+TEST(Audit, ScreenedPathCovered) {
   const AuditReport Report = auditBuiltinZoo(fuzzConfig());
   for (const ModelAudit &M : Report.Models) {
-    int FusedDomains = 0;
     bool SawScreened = false;
     for (const DomainAudit &Dom : M.Domains) {
-      if (Dom.Domain.size() > 6 &&
-          Dom.Domain.compare(Dom.Domain.size() - 6, 6, "_fused") == 0) {
-        ++FusedDomains;
-        EXPECT_EQ(Dom.Violations, 0) << M.Model << "/" << Dom.Domain;
-        EXPECT_GE(Dom.Samples, 1000) << M.Model << "/" << Dom.Domain;
-      }
       if (Dom.Domain == "screened") {
         SawScreened = true;
         EXPECT_EQ(Dom.Violations, 0) << M.Model;
         EXPECT_GE(Dom.Samples, 1000) << M.Model;
       }
     }
-    EXPECT_EQ(FusedDomains, 3) << M.Model;
     EXPECT_TRUE(SawScreened) << M.Model;
     // Piece classification totals cover the whole screened range.
     EXPECT_EQ(M.ScreenedInside + M.ScreenedOutside + M.ScreenedBorderline, 32)
         << M.Model;
-    // The fused-vs-unfused and screened-vs-full differentials fold into
-    // DifferentialOk.
+    // The screened-vs-full differential folds into DifferentialOk.
     EXPECT_TRUE(M.DifferentialOk) << M.Model << ": " << M.DifferentialNote;
   }
   // The adversarial spec slices through the output range, so the MLP

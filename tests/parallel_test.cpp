@@ -200,6 +200,20 @@ Tensor naiveMatmulTransB(const Tensor &A, const Tensor &B) {
   return C;
 }
 
+/// Rows of A plus Bias broadcast, as the dot-form bias pass adds it.
+Tensor addBiasRows(Tensor A, const Tensor &Bias) {
+  for (int64_t I = 0; I < A.dim(0); ++I)
+    for (int64_t J = 0; J < A.dim(1); ++J)
+      A.at(I, J) += Bias[J];
+  return A;
+}
+
+Tensor absTensor(Tensor A) {
+  for (int64_t I = 0; I < A.numel(); ++I)
+    A[I] = std::fabs(A[I]);
+  return A;
+}
+
 TEST(TiledGemmTest, BitwiseEqualToNaiveReference) {
   Rng R(99);
   // 300 crosses the k-tile boundary (GemmTileK = 256); 23/29 exercise the
@@ -215,6 +229,21 @@ TEST(TiledGemmTest, BitwiseEqualToNaiveReference) {
     const Tensor RefAB = naiveMatmul(A, B);
     const Tensor RefTa = naiveMatmulTransA(At, B);
     const Tensor RefTb = naiveMatmulTransB(A, Bt);
+
+    // Linear's verifier interface runs on its memoized W^T; every plane
+    // must equal the dot form (W = Bt, [Out, In]) that training keeps.
+    Linear Lin(K, N);
+    Lin.weight() = Bt.clone();
+    Lin.bias() = Tensor::randn({N}, R, 1.0);
+    const Tensor AbsW = absTensor(Bt);
+    const Tensor Radii = absTensor(Tensor::randn({M, K}, R, 1.0));
+    const Tensor Mags = absTensor(Tensor::randn({M, K}, R, 1.0));
+    const Tensor RefAffine = addBiasRows(RefTb, Lin.bias());
+    const Tensor RefRadius = naiveMatmulTransB(Radii, AbsW);
+    const Tensor RefMag = naiveMatmulTransB(Mags, AbsW);
+    const Tensor RefBiasImage =
+        addBiasRows(naiveMatmulTransB(Tensor({M, K}), Bt), Lin.bias());
+
     for (int64_t Threads : {int64_t(1), int64_t(4)}) {
       ThreadCount Scope(Threads);
       EXPECT_TRUE(bitIdentical(matmul(A, B), RefAB))
@@ -223,6 +252,34 @@ TEST(TiledGemmTest, BitwiseEqualToNaiveReference) {
           << "matmulTransA " << M << "x" << K << "x" << N << " @" << Threads;
       EXPECT_TRUE(bitIdentical(matmulTransB(A, Bt), RefTb))
           << "matmulTransB " << M << "x" << K << "x" << N << " @" << Threads;
+
+      EXPECT_TRUE(bitIdentical(Lin.applyAffine(A), RefAffine))
+          << "applyAffine " << M << "x" << K << "x" << N << " @" << Threads;
+      EXPECT_TRUE(bitIdentical(Lin.applyLinear(A), RefTb))
+          << "applyLinear " << M << "x" << K << "x" << N << " @" << Threads;
+      Tensor Center = A.clone(), Radius = Radii.clone();
+      Lin.applyToBox(Center, Radius);
+      EXPECT_TRUE(bitIdentical(Center, RefAffine))
+          << "applyToBox center " << M << "x" << K << "x" << N << " @"
+          << Threads;
+      EXPECT_TRUE(bitIdentical(Radius, RefRadius))
+          << "applyToBox radius " << M << "x" << K << "x" << N << " @"
+          << Threads;
+      Tensor PCenter = A.clone(), PRadius = Radii.clone(), PMag = Mags.clone();
+      Tensor BiasImage;
+      Lin.applyToBoxPlanes(PCenter, PRadius, PMag, BiasImage);
+      EXPECT_TRUE(bitIdentical(PCenter, RefAffine))
+          << "applyToBoxPlanes center " << M << "x" << K << "x" << N << " @"
+          << Threads;
+      EXPECT_TRUE(bitIdentical(PRadius, RefRadius))
+          << "applyToBoxPlanes radius " << M << "x" << K << "x" << N << " @"
+          << Threads;
+      EXPECT_TRUE(bitIdentical(PMag, RefMag))
+          << "applyToBoxPlanes magnitude " << M << "x" << K << "x" << N
+          << " @" << Threads;
+      EXPECT_TRUE(bitIdentical(BiasImage, RefBiasImage))
+          << "applyToBoxPlanes bias image " << M << "x" << K << "x" << N
+          << " @" << Threads;
     }
   }
 }

@@ -8,7 +8,6 @@
 /// a live Server answering ping/verify/stats, shedding under load,
 /// surviving injected worker faults, and draining on requestStop.
 
-#include "src/domains/prop_cache.h"
 #include "src/nn/linear.h"
 #include "src/nn/serialize.h"
 #include "src/obs/json.h"
@@ -588,56 +587,6 @@ TEST_F(ServeEndToEnd, OverloadShedsWithExplicitResponse) {
 
   ::close(Fd);
   ::close(Slow);
-}
-
-TEST_F(ServeEndToEnd, CoalescedRequestsRoundTripWithSameBounds) {
-  ServeConfig Cfg;
-  Cfg.CoalesceWindowSeconds = 0.5;
-  Cfg.CoalesceMaxBatch = 4;
-  startServer(Cfg);
-  // In-process daemon: the coalesced path is the cache-eligible one, so
-  // give the process-wide cache a budget for the duration of the test.
-  PropagationCache::global().configure(32u << 20);
-
-  const int Fd1 = connectSocket();
-  const int Fd2 = connectSocket();
-  ASSERT_GE(Fd1, 0);
-  ASSERT_GE(Fd2, 0);
-
-  // Two waves of identical no-deadline requests from two connections:
-  // each wave lands in one coalesce bucket (window 500ms >> send skew),
-  // and the second wave's joint propagation warm-starts off the first.
-  for (int Wave = 0; Wave < 2; ++Wave) {
-    ASSERT_TRUE(sendLine(Fd1, verifyLine("c1", -1.0)));
-    ASSERT_TRUE(sendLine(Fd2, verifyLine("c2", -1.0)));
-    for (const int Fd : {Fd1, Fd2}) {
-      std::string Line;
-      ASSERT_TRUE(readLine(Fd, Line, 30.0)) << "wave " << Wave;
-      JsonValue Reply;
-      ASSERT_TRUE(parseJson(Line, Reply, nullptr));
-      // Coalescing must be invisible in the answer: same status, same
-      // full-fidelity rung, and the same exact bounds as the unbatched
-      // request in PingVerifyAndStats (argmax:0 holds with probability
-      // one on this segment).
-      EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
-      EXPECT_EQ(Reply.find("rung")->stringOr(""), "configured");
-      const JsonValue *Specs = Reply.find("specs");
-      ASSERT_TRUE(Specs && Specs->Items.size() == 1);
-      EXPECT_NEAR(Specs->Items[0].find("lower")->numberOr(-1.0), 1.0, 1e-9);
-      EXPECT_NEAR(Specs->Items[0].find("upper")->numberOr(-1.0), 1.0, 1e-9);
-    }
-  }
-
-  JsonValue Stats;
-  ASSERT_TRUE(roundTrip(Fd1, "{\"type\":\"stats\"}", Stats));
-  EXPECT_GE(Stats.find("coalesce_batches")->intOr(0), 1);
-  EXPECT_GE(Stats.find("coalesce_requests")->intOr(0), 2);
-  // The repeated wave hits the propagation cache.
-  EXPECT_GE(Stats.find("cache_hits")->intOr(0), 1);
-
-  ::close(Fd1);
-  ::close(Fd2);
-  PropagationCache::global().configure(0);
 }
 
 TEST_F(ServeEndToEnd, DrainAnswersInFlightThenStops) {

@@ -6,7 +6,7 @@
 //   genprove_cli --net decoder.bin [--net classifier.bin ...]
 //                --input-shape 1x8
 //                --start start.txt --end end.txt
-//                [--start s2.txt --end e2.txt ...]  (batched propagation)
+//                [--start s2.txt --end e2.txt ...]  (certified in turn)
 //                --spec argmax:0:10 | sign:3:+:40 | halfspace:0.5:-1
 //                [--spec ... more endpoints, bounded concurrently]
 //                [--cache-mb N]
@@ -93,7 +93,7 @@ namespace {
       "                    [--cache-mb N]\n"
       "                    [--p P] [--k K] [--threshold T] [--budget-mb M]\n"
       "                    [--deterministic] [--arcsine] [--sound]\n"
-      "                    [--fuse] [--fast-screen] [--screen-splits N]\n"
+      "                    [--fast-screen] [--screen-splits N]\n"
       "                    [--splits N]\n"
       "                    [--schedule A|B] [--threads N]\n"
       "                    [--resilient] [--deadline-ms D]\n"
@@ -114,12 +114,7 @@ namespace {
       "                      computation; floating-point-sound intervals at\n"
       "                      a sub-percent width cost (docs/SOUNDNESS.md)\n"
       "\n"
-      "kernels (docs/PERFORMANCE.md):\n"
-      "  --fuse              stream each affine->ReLU layer pair through\n"
-      "                      one fused cache-resident kernel; bounds are\n"
-      "                      bit-identical to the unfused path at any\n"
-      "                      thread count in both rounding modes. Ignored\n"
-      "                      on resilient/fault-injected propagations.\n"
+      "two-tier screen (docs/PERFORMANCE.md):\n"
       "  --fast-screen       two-tier precision fast path: a float32\n"
       "                      screen with a sound error cushion classifies\n"
       "                      parameter pieces as inside/outside/borderline\n"
@@ -129,12 +124,10 @@ namespace {
       "  --screen-splits N   pieces the screen splits the range into\n"
       "                      (default 32)\n"
       "\n"
-      "cross-query amortization (docs/PERFORMANCE.md):\n"
-      "  --start/--end ...   repeated pairs define several latent segments;\n"
-      "                      all of them flow through the network as ONE\n"
-      "                      batched abstract state (stacked GEMM rows) and\n"
-      "                      the results are split back per pair, bit-\n"
-      "                      identical to running each pair alone. Needs\n"
+      "several segments (docs/PERFORMANCE.md):\n"
+      "  --start/--end ...   repeated pairs define several latent segments,\n"
+      "                      certified one after another; each prints the\n"
+      "                      bounds a lone run of that pair prints. Needs\n"
       "                      the single-process path (no --shards).\n"
       "  --cache-mb N        give the propagation cache an N MiB budget:\n"
       "                      repeated or prefix-sharing queries warm-start\n"
@@ -484,8 +477,7 @@ int main(int Argc, char **Argv) {
       EndPaths.push_back(Next());
       Forward({Arg, EndPaths.back()});
     } else if (Arg == "--cache-mb") {
-      // Coordinator/local-only: the cache is per-process, and the sharded
-      // paths are excluded from batching anyway.
+      // Coordinator/local-only: the cache is per-process.
       PropagationCache::global().configure(
           static_cast<size_t>(std::stoull(Next())) << 20);
     } else if (Arg == "--spec") {
@@ -518,9 +510,6 @@ int main(int Argc, char **Argv) {
       Config.Mode = AnalysisMode::Deterministic;
     } else if (Arg == "--sound") {
       setSoundRounding(true);
-      Forward({Arg});
-    } else if (Arg == "--fuse") {
-      Config.FuseRelu = true;
       Forward({Arg});
     } else if (Arg == "--fast-screen") {
       Config.FastScreen = true;
@@ -620,9 +609,8 @@ int main(int Argc, char **Argv) {
   if (StartPaths.size() != EndPaths.size())
     usage("--start and --end must come in pairs");
   if (StartPaths.size() > 1 && Shards > 0)
-    usage("repeated --start/--end pairs (batched propagation) need the "
-          "single-process path; drop --shards or run one pair per "
-          "invocation");
+    usage("repeated --start/--end pairs need the single-process path; "
+          "drop --shards or run one pair per invocation");
   if (Shards > 0 && SplitsGiven)
     usage("--shards and --splits are mutually exclusive (a shard is an "
           "input split that runs in its own process)");
@@ -943,18 +931,12 @@ int main(int Argc, char **Argv) {
   }
 
   //===--------------------------------------------------------------------===//
-  // Single-process path. One --start/--end pair keeps the original
-  // semantics exactly (propagateSegmentsBatch with one segment IS
-  // propagateSegment); several pairs flow through the network as one
-  // batched abstract state and are split back per pair, bit-identical to
-  // running each pair alone (docs/PERFORMANCE.md).
+  // Single-process path: each --start/--end pair is propagated once, in
+  // order, and every (pair, spec) endpoint is then bounded against its
+  // pair's state concurrently. boundsFor only reads the state, and results
+  // land in per-slot positions, so the printed order (and every digit)
+  // matches the serial run.
   //===--------------------------------------------------------------------===//
-
-  // The expensive propagation happens once per batch; every (pair, spec)
-  // endpoint is then bounded against its shared state concurrently.
-  // boundsFor only reads the state, and results land in per-slot
-  // positions, so the printed order (and every digit) matches the serial
-  // run.
   const GenProve Analyzer(Config);
 
   if (Config.FastScreen) {
@@ -1021,7 +1003,9 @@ int main(int Argc, char **Argv) {
   std::vector<PropagatedState> States;
   {
     GENPROVE_SPAN("analyze");
-    States = Analyzer.propagateSegmentsBatch(Pipeline, InputShape, Segments);
+    for (const auto &[SegStart, SegEnd] : Segments)
+      States.push_back(
+          Analyzer.propagateSegment(Pipeline, InputShape, SegStart, SegEnd));
   }
   const size_t NumPairs = States.size();
   const size_t NumSpecs = Specs.size();
@@ -1042,11 +1026,8 @@ int main(int Argc, char **Argv) {
 
   // The observability artifacts are flushed by FlushOnExit on every exit
   // path — including the OOM return below; a failing run is exactly when
-  // the per-layer timeline matters. On a batched run the layer timeline
-  // describes the shared propagation, so one table covers every pair.
-  if (Report && !States.front().Stats.Layers.empty())
-    printLayerReport(States.front().Stats.Layers);
-
+  // the per-layer timeline matters, so each pair's table prints before its
+  // OOM verdict.
   bool AnyOom = false;
   bool Degraded = false;
   for (size_t Pair = 0; Pair < NumPairs; ++Pair) {
@@ -1055,6 +1036,8 @@ int main(int Argc, char **Argv) {
     if (NumPairs > 1)
       std::printf("segment: %s -> %s\n", StartPaths[Pair].c_str(),
                   EndPaths[Pair].c_str());
+    if (Report && !State.Stats.Layers.empty())
+      printLayerReport(State.Stats.Layers);
     if (State.OutOfMemory) {
       std::printf("result: OUT OF MEMORY (budget %s; try --p, --schedule "
                   "or --splits)\n",
@@ -1089,12 +1072,12 @@ int main(int Argc, char **Argv) {
       }
     }
   }
-  // On the batched path every state's telemetry describes the shared run,
-  // so Seconds comes from one state and the peaks are maxed — identical
-  // numbers for one pair, a joint summary for several.
+  // One summary over every pair: times add up, peaks are maxed.
+  double Seconds = 0.0;
   int64_t MaxRegions = 0, MaxNodes = 0, Retries = 0;
   size_t PeakBytes = 0;
   for (const PropagatedState &State : States) {
+    Seconds += State.Seconds;
     MaxRegions = std::max(MaxRegions, State.Stats.MaxRegions);
     MaxNodes = std::max(MaxNodes, State.Stats.MaxNodes);
     PeakBytes = std::max(PeakBytes, State.PeakBytes);
@@ -1102,14 +1085,18 @@ int main(int Argc, char **Argv) {
   }
   std::printf("stats:   %.2fs, %lld regions peak, %lld nodes peak, %s "
               "device memory, %lld retries\n",
-              States.front().Seconds, static_cast<long long>(MaxRegions),
+              Seconds, static_cast<long long>(MaxRegions),
               static_cast<long long>(MaxNodes),
               formatBytes(PeakBytes).c_str(),
               static_cast<long long>(Retries));
   if (AnyOom)
     return 3;
   if (Degraded) {
-    const PropagateStats &Stats = States.front().Stats;
+    // The first degraded pair's ladder telemetry.
+    auto It = std::find_if(States.begin(), States.end(),
+                           [](const PropagatedState &S) { return S.Degraded; });
+    const PropagateStats &Stats =
+        (It != States.end() ? *It : States.front()).Stats;
     std::printf("degrade: rung %s, %lld rollbacks, %lld fallback-box layers, "
                 "deadline %s, quarantined mass %.6f\n",
                 degradeRungName(Stats.Rung),

@@ -73,13 +73,8 @@ namespace {
       "  --repeat-mix N       draw each request's segment from a pool of N\n"
       "                       distinct variants with a Zipf-ish rank\n"
       "                       distribution (rank r weighted 1/(r+1)), so\n"
-      "                       hot segments repeat — the traffic shape the\n"
-      "                       daemon's propagation cache and request\n"
-      "                       coalescing amortize (docs/SERVING.md).\n"
+      "                       hot segments repeat (docs/SERVING.md).\n"
       "                       0 (default) sends the one legacy segment\n"
-      "  --require-cache-hits fail unless the daemon's /stats reports a\n"
-      "                       nonzero propagation-cache hit count after\n"
-      "                       the run\n"
       "  --seed S             RNG seed (default 7)\n"
       "  --out PATH           JSON results file (default BENCH_serve.json)\n");
   std::exit(2);
@@ -221,7 +216,6 @@ struct GenOptions {
   bool HaveExpect = false;
   double ExpectContain = 0.0;
   int64_t RepeatMix = 0;
-  bool RequireCacheHits = false;
   uint64_t Seed = 7;
   std::string OutPath = "BENCH_serve.json";
 };
@@ -339,10 +333,9 @@ void clientMain(const GenOptions &Opt, int64_t ClientId, Tally &T) {
     const double DeadlineMs = deadlineForIndex(Index, Opt.DeadlineMs);
     std::string Inject;
     // Inject at phase K-1, not phase 0: the deadline mix above has
-    // period 5 with the no-deadline (coalesce/cache-eligible) band at
-    // phase 0, so a phase-0 injection with K a multiple of 5 would
-    // fault every cache-eligible request onto the supervised path and
-    // --require-cache-hits could never pass alongside --inject-every.
+    // period 5 with the no-deadline band at phase 0, so a phase-0
+    // injection with K a multiple of 5 would fault every no-deadline
+    // request.
     if (Opt.InjectEvery > 0 &&
         Index % Opt.InjectEvery == Opt.InjectEvery - 1)
       Inject = InjectCycle[(Index / Opt.InjectEvery) % 4];
@@ -496,8 +489,6 @@ int main(int Argc, char **Argv) {
       Opt.ExpectContain = std::stod(NextArg(I));
     } else if (Arg == "--repeat-mix")
       Opt.RepeatMix = std::stoll(NextArg(I));
-    else if (Arg == "--require-cache-hits")
-      Opt.RequireCacheHits = true;
     else if (Arg == "--seed")
       Opt.Seed = std::stoull(NextArg(I));
     else if (Arg == "--out")
@@ -521,10 +512,9 @@ int main(int Argc, char **Argv) {
   const double Seconds = nowSeconds() - Start;
 
   // One stats probe after the fleet finishes: the daemon's cumulative
-  // propagation-cache and coalescing counters land in the results file
-  // next to the client-side latencies.
-  int64_t CacheHits = 0, CacheMisses = 0, CoalesceBatches = 0,
-          CoalesceRequests = 0;
+  // propagation-cache counters land in the results file next to the
+  // client-side latencies.
+  int64_t CacheHits = 0, CacheMisses = 0;
   {
     LineClient Stats(Opt.Socket);
     std::string Reply;
@@ -539,8 +529,6 @@ int main(int Argc, char **Argv) {
         };
         CacheHits = Int("cache_hits");
         CacheMisses = Int("cache_misses");
-        CoalesceBatches = Int("coalesce_batches");
-        CoalesceRequests = Int("coalesce_requests");
       }
     }
   }
@@ -568,8 +556,6 @@ int main(int Argc, char **Argv) {
   W.key("repeat_mix").value(Opt.RepeatMix);
   W.key("cache_hits").value(CacheHits);
   W.key("cache_misses").value(CacheMisses);
-  W.key("coalesce_batches").value(CoalesceBatches);
-  W.key("coalesce_requests").value(CoalesceRequests);
   W.key("latency_ms").beginObject();
   W.key("p50").value(P50);
   W.key("p90").value(P90);
@@ -590,17 +576,6 @@ int main(int Argc, char **Argv) {
                  "%lld unsound bounds\n",
                  static_cast<long long>(T.Unanswered),
                  static_cast<long long>(T.SoundnessViolations));
-    return 1;
-  }
-  // The amortization contract (CI smoke): repeated-segment traffic must
-  // actually hit the daemon's propagation cache.
-  if (Opt.RequireCacheHits && CacheHits <= 0) {
-    std::fprintf(stderr,
-                 "genprove_loadgen: CONTRACT VIOLATION — --require-cache-"
-                 "hits but the daemon reported %lld cache hits "
-                 "(%lld misses)\n",
-                 static_cast<long long>(CacheHits),
-                 static_cast<long long>(CacheMisses));
     return 1;
   }
   return 0;

@@ -12,8 +12,8 @@
 // tiny_net.bin is the quickstart 4 -> 16 -> 16 -> 3 MLP; deep_net.bin is a
 // deeper 6 -> 32 -> 32 -> 32 -> 4 chain (start/end in deep_start.txt /
 // deep_end.txt, input shape 1x6) with three affine->ReLU pairs, so the
-// fused-kernel CI differential exercises fusion on more than one pair per
-// forward pass.
+// CI smoke jobs exercise more than one Linear->ReLU pair per forward
+// pass.
 //
 // Exit codes: 0 ok, 2 usage or I/O error.
 //
@@ -79,7 +79,7 @@ int main(int Argc, char **Argv) {
   }
 
   // The deeper smoke network: 6 -> 32 -> 32 -> 32 -> 4, three
-  // affine->ReLU pairs for the fused-kernel differential.
+  // affine->ReLU pairs.
   Rng DeepR(2022);
   Sequential Deep;
   Deep.add(std::make_unique<Linear>(6, 32));

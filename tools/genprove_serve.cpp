@@ -98,13 +98,7 @@ namespace {
       "  --allow-inject        honor the request \"inject\" field (CI\n"
       "                        fault smoke only)\n"
       "\n"
-      "cross-request amortization (docs/SERVING.md):\n"
-      "  --coalesce-window-ms T  hold the first compatible verify request\n"
-      "                        up to T ms for companions, then answer the\n"
-      "                        whole batch from one batched propagation\n"
-      "                        (bit-exact per request; default 0 = off;\n"
-      "                        ignored with --isolate)\n"
-      "  --coalesce-max-batch N  most requests per batch (default 8)\n"
+      "propagation cache (docs/SERVING.md):\n"
       "  --cache-mb N          propagation-cache budget: memoize per-layer\n"
       "                        abstract states so repeated/prefix-shared\n"
       "                        requests warm-start mid-network (default 0\n"
@@ -257,7 +251,6 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   Conf.MemoryBudgetBytes = Spec.BudgetBytes;
   Conf.Resilience.Enabled = true;
   Conf.Resilience.DeadlineSeconds = Spec.DeadlineSeconds;
-  Conf.FuseRelu = Spec.Fuse;
   Conf.FastScreen = Spec.FastScreen;
 
   AttemptPlan Plan;
@@ -342,10 +335,6 @@ int main(int Argc, char **Argv) {
       Cfg.WriteTimeoutSeconds = std::stod(NextArg(I)) / 1000.0;
     } else if (Arg == "--drain-deadline-ms") {
       Cfg.DrainDeadlineSeconds = std::stod(NextArg(I)) / 1000.0;
-    } else if (Arg == "--coalesce-window-ms") {
-      Cfg.CoalesceWindowSeconds = std::stod(NextArg(I)) / 1000.0;
-    } else if (Arg == "--coalesce-max-batch") {
-      Cfg.CoalesceMaxBatch = std::stoll(NextArg(I));
     } else if (Arg == "--cache-mb") {
       PropagationCache::global().configure(
           static_cast<size_t>(std::stoull(NextArg(I))) << 20);
