@@ -56,8 +56,10 @@ struct GenProveConfig {
   /// Consult the process-wide PropagationCache (domains/prop_cache.h) for
   /// mid-network warm starts. A no-op until the cache is given a byte
   /// budget via PropagationCache::global().configure(), and never active
-  /// on resilient or fault-injected runs; warm-started bounds are
-  /// bit-identical to cold ones.
+  /// on fault-injected or full-box-start runs. A resilient run warm-starts
+  /// only when its budget holds the cached prefix's peak, and stores
+  /// states only until its first rung or quarantine; warm-started bounds
+  /// are bit-identical to cold ones.
   bool UseCache = true;
   /// Two-tier precision fast path for analyzeSegment: a float32 screening
   /// propagation classifies each parameter-range piece as clearly-inside /

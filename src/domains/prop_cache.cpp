@@ -154,7 +154,8 @@ void PropagationCache::publishGaugesLocked() {
 size_t PropagationCache::lookupDeepest(const std::vector<uint64_t> &Chain,
                                        std::vector<Region> &State,
                                        Shape &StateShape,
-                                       size_t &PrefixPeakBytes) {
+                                       size_t &PrefixPeakBytes,
+                                       const AdmitFn &Admit) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Budget == 0 || Chain.size() < 2)
     return 0;
@@ -162,6 +163,8 @@ size_t PropagationCache::lookupDeepest(const std::vector<uint64_t> &Chain,
     auto It = Map.find(Chain[I]);
     if (It == Map.end())
       continue;
+    if (Admit && !Admit(It->second.PrefixPeakBytes))
+      break;
     touchLocked(It->second, Chain[I]);
     State = It->second.State;
     StateShape = It->second.StateShape;
@@ -178,8 +181,8 @@ size_t PropagationCache::lookupDeepest(const std::vector<uint64_t> &Chain,
 }
 
 void PropagationCache::store(uint64_t Key, const std::vector<Region> &State,
-                             const Shape &StateShape,
-                             size_t PrefixPeakBytes) {
+                             const Shape &StateShape, size_t PrefixPeakBytes,
+                             bool Final) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Budget == 0)
     return;
@@ -211,8 +214,7 @@ void PropagationCache::store(uint64_t Key, const std::vector<Region> &State,
   E.StateShape = StateShape;
   E.PrefixPeakBytes = PrefixPeakBytes;
   E.Bytes = B;
-  Lru.push_front(Key);
-  E.LruIt = Lru.begin();
+  E.LruIt = Lru.insert(Final ? Lru.begin() : Lru.end(), Key);
   CurBytes += B;
   Map.emplace(Key, std::move(E));
   ++Insertions;

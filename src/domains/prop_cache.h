@@ -6,7 +6,8 @@
 /// mid-network instead of re-propagating from layer 0. Robustness
 /// certification traffic is dominated by re-checked and near-duplicate
 /// specifications against one frozen decoder, which is what the CLI's
-/// repeated --start/--end pairs and in-process library callers send.
+/// repeated --start/--end pairs, served requests and in-process library
+/// callers send.
 ///
 /// Keying. A propagation is identified by a *key chain*: FNV-1a hashes
 /// where Chain[0] covers a caller salt (engine knobs the transformers
@@ -29,20 +30,31 @@
 ///
 /// Budgeting. Entries are charged bytes like any abstract state
 /// (stateBytes of the stored nodes) against an embedded DeviceMemoryModel
-/// whose budget is the configured cache budget; insertion evicts in LRU
-/// order until the new entry fits. configure(0) — the default — disables
-/// the cache entirely and drops all entries.
+/// whose budget is the configured cache budget; insertion evicts from the
+/// cold end of the recency list until the new entry fits. A propagation's
+/// final boundary enters at the hot end, its intermediate boundaries at
+/// the cold end, and a hit moves an entry to the hot end. Intermediate
+/// states are usually far larger than final ones and serve only
+/// prefix-shared queries, while final states serve every exact repeat;
+/// cold-end insertion makes intermediate states evict each other instead
+/// of pushing final states out before their next repeat. configure(0) —
+/// the default — disables the cache entirely and drops all entries.
 ///
-/// Only *clean* states are cached: the engine stores a boundary state
-/// only when no degradation rung fired and no fault injection is armed
-/// (resilient runs never consult the cache at all, because their prefix
-/// states depend on the memory budget, not just the inputs).
+/// Only *clean* states are cached: a boundary state is stored only while
+/// its propagation has fired no degradation rung and quarantined nothing,
+/// so it is bit for bit the state a cold plain run commits and plain and
+/// resilient runs share entries. Runs with fault injection armed or
+/// lifted to the full box up front never touch the cache. A resilient
+/// run takes a cached prefix only if its budget holds the prefix's peak
+/// (see lookupDeepest); a cold run under that budget could not have
+/// degraded inside the prefix either.
 ///
 /// Counters cache.hits / cache.misses / cache.evictions /
 /// cache.insertions, the cache.bytes gauge and the cache.hit_rate gauge
 /// feed the metrics registry (run_report.json, Prometheus, /stats); hits
 /// and misses count per propagation, not per probed boundary, so
-/// hit_rate is the fraction of propagations that warm-started.
+/// hit_rate is the fraction of cache-eligible propagations that
+/// warm-started.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +67,7 @@
 #include "src/tensor/shape.h"
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -102,20 +115,28 @@ public:
             const std::vector<Region> &Input,
             const std::vector<const Layer *> &Layers);
 
+  /// Admission test for a resident prefix, given its peak device charge.
+  /// Called under the cache lock, so it must not call back into the cache.
+  using AdmitFn = std::function<bool(size_t PrefixPeakBytes)>;
+
   /// Probe the chain from the deepest boundary down to boundary 1 and
   /// copy out the deepest cached state. Returns the number of layers the
-  /// caller may skip (0 = miss). Counts one hit or one miss per call.
+  /// caller may skip (0 = miss). Counts one hit or one miss per call: when
+  /// \p Admit rejects the deepest resident entry, the probe is a miss and
+  /// the entry is left untouched.
   size_t lookupDeepest(const std::vector<uint64_t> &Chain,
                        std::vector<Region> &State, Shape &StateShape,
-                       size_t &PrefixPeakBytes);
+                       size_t &PrefixPeakBytes, const AdmitFn &Admit = {});
 
   /// Insert (a deep copy of) a clean boundary state. PrefixPeakBytes is
   /// the peak device charge of the propagation prefix that produced the
-  /// state, replayed on warm start. A key that is already resident is
-  /// only touched in LRU order; an entry larger than the whole budget is
-  /// dropped on the floor.
+  /// state, replayed on warm start. \p Final marks a propagation's last
+  /// boundary, which enters at the hot end; an intermediate boundary
+  /// (Final = false) enters at the cold end. A resident key is replaced;
+  /// an entry larger than the whole budget is dropped on the floor.
   void store(uint64_t Key, const std::vector<Region> &State,
-             const Shape &StateShape, size_t PrefixPeakBytes);
+             const Shape &StateShape, size_t PrefixPeakBytes,
+             bool Final = true);
 
 private:
   struct Entry {
@@ -133,7 +154,8 @@ private:
   size_t Budget = 0;
   size_t CurBytes = 0;
   std::unordered_map<uint64_t, Entry> Map;
-  /// Front = most recently used; eviction pops the back.
+  /// Front = hot end (hits, final states); back = cold end (intermediate
+  /// states). Eviction pops the back.
   std::list<uint64_t> Lru;
   /// Charges mirror the cache's resident bytes, so cache pressure shows
   /// up in the same device accounting the abstract states use.

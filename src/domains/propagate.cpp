@@ -384,12 +384,17 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
     Degrade(DegradeRung::FullBox);
   }
 
-  // Propagation-cache warm start. Only non-resilient, fault-free runs
-  // are eligible: a resilient run's intermediate states depend on the
-  // memory budget (rollbacks, local boxing), not just the inputs, so
-  // they are not a pure function of the key chain.
-  const bool CacheActive = Config.Cache && !Resilient && !Res.Faults &&
-                           Config.Cache->enabled();
+  // Propagation-cache warm start. A committed state is memoizable while
+  // the run is clean — no rung fired, nothing quarantined — because it is
+  // then bit for bit what a cold plain run commits, so plain and resilient
+  // runs share entries. Runs with fault injection armed or lifted to the
+  // full box up front never touch the cache.
+  const auto Clean = [&] {
+    return RunRung == DegradeRung::None &&
+           Stats.QuarantinedRegions == Quarantined0;
+  };
+  const bool CacheActive =
+      Config.Cache && !Res.Faults && Clean() && Config.Cache->enabled();
   std::vector<uint64_t> Chain;
   size_t WarmDepth = 0;
   size_t RunPeakBytes = 0; // peak device charge of the layers run so far
@@ -399,14 +404,21 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
     std::vector<Region> WarmState;
     Shape WarmShape;
     size_t WarmPeak = 0;
-    WarmDepth =
-        Config.Cache->lookupDeepest(Chain, WarmState, WarmShape, WarmPeak);
+    // A resilient run takes a cached prefix only if its budget holds the
+    // prefix's peak: every charge of the cold prefix then fits as well, so
+    // a cold run would have committed the same clean states. Otherwise the
+    // probe is a miss and the run goes cold down the ladder.
+    const auto Admit = [&](size_t Peak) {
+      return !Resilient || Memory.tryCharge(Peak);
+    };
+    WarmDepth = Config.Cache->lookupDeepest(Chain, WarmState, WarmShape,
+                                            WarmPeak, Admit);
     if (WarmDepth > 0) {
-      // Replay the skipped prefix's peak device charge as one charge: the
-      // peak of the cold run's monotone charge sequence is its maximum,
-      // so budget exhaustion (and the peak gauge) behaves exactly as a
-      // cold run's would.
-      if (!Memory.charge(WarmPeak)) {
+      // Replay the skipped prefix's peak device charge as one charge (a
+      // resilient run already did, in Admit): the peak of the cold run's
+      // monotone charge sequence is its maximum, so budget exhaustion (and
+      // the peak gauge) behaves exactly as a cold run's would.
+      if (!Resilient && !Memory.charge(WarmPeak)) {
         Stats.OutOfMemory = true;
         FlushCounters();
         return {};
@@ -627,13 +639,11 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
           FlushCounters();
           return {};
         }
-        if (CacheActive) {
-          // CacheActive implies a non-resilient, fault-free run, so every
-          // committed state is clean (no rung fired, nothing quarantined)
-          // and safe to memoize.
+        if (CacheActive && Clean()) {
           RunPeakBytes = std::max(RunPeakBytes, Rec.ChargedBytes);
           Config.Cache->store(Chain[Li + 1], Regions, CurShape,
-                              RunPeakBytes);
+                              RunPeakBytes,
+                              /*Final=*/Li + 1 == Layers.size());
         }
         break;
       }

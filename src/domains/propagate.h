@@ -99,9 +99,11 @@ struct PropagateConfig {
   ParamCdf Cdf;             ///< empty = uniform (identity CDF).
   double SplitEps = 1e-9;   ///< minimum gap between split points.
   ResilienceConfig Resilience;
-  /// Optional memoizing abstract-state cache (domains/prop_cache.h). Only
-  /// consulted on non-resilient, fault-free runs — a warm start replays
-  /// the prefix's peak device charge and is bit-identical to a cold run.
+  /// Optional memoizing abstract-state cache (domains/prop_cache.h),
+  /// consulted by every run without fault injection or a full-box start.
+  /// A warm start replays the prefix's peak device charge and is
+  /// bit-identical to a cold run; states are stored only while the run is
+  /// clean (no rung fired, nothing quarantined).
   PropagationCache *Cache = nullptr;
   /// Caller-provided salt folded into the cache key chain. Must separate
   /// every knob the transformers depend on that PropagateConfig itself

@@ -158,6 +158,11 @@ std::vector<int64_t> ShardScheduler::exhaustedShards() const {
 // ShardSupervisor
 //===----------------------------------------------------------------------===//
 
+void ShardWorkerLauncher::waitForProgress(double Seconds) {
+  if (Seconds > 0.0)
+    std::this_thread::sleep_for(std::chrono::duration<double>(Seconds));
+}
+
 ShardSupervisor::ShardSupervisor(ShardPolicy Policy,
                                  ShardWorkerLauncher &Launcher,
                                  FallbackFn Fallback, AdmitFn Admit)
@@ -405,7 +410,12 @@ ShardRunSummary ShardSupervisor::run() {
     if (Live.empty() && !Sched.pendingWork())
       break;
     if (!Live.empty()) {
-      Sleep(Policy.PollIntervalSeconds);
+      // A scripted clock advances only through Policy.Sleep; otherwise the
+      // launcher may end the wait early when an attempt finishes.
+      if (Policy.Sleep)
+        Sleep(Policy.PollIntervalSeconds);
+      else
+        Launcher.waitForProgress(Policy.PollIntervalSeconds);
       continue;
     }
     // Nothing live: wait out the earliest backoff. The floor keeps a
@@ -590,7 +600,12 @@ bool InProcessShardLauncher::launch(const AttemptPlan &Plan) {
       } else {
         Raw->ResultLine = encodeShardResult(R);
       }
-      Raw->Done.store(true, std::memory_order_release);
+      {
+        // Set under Mu so waitForProgress cannot miss the wake-up.
+        std::lock_guard<std::mutex> Lock(Mu);
+        Raw->Done.store(true, std::memory_order_release);
+      }
+      Progress.notify_all();
     });
   }
   std::lock_guard<std::mutex> Lock(Mu);
@@ -633,6 +648,16 @@ WorkerPoll InProcessShardLauncher::poll(int64_t Shard) {
   if (Finished->Worker.joinable())
     Finished->Worker.join();
   return P;
+}
+
+void InProcessShardLauncher::waitForProgress(double Seconds) {
+  std::unique_lock<std::mutex> Lock(Mu);
+  Progress.wait_for(Lock, std::chrono::duration<double>(Seconds), [this] {
+    for (const auto &Entry : Slots)
+      if (Entry.second->Done.load(std::memory_order_acquire))
+        return true;
+    return false;
+  });
 }
 
 void InProcessShardLauncher::kill(int64_t Shard) {

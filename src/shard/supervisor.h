@@ -31,6 +31,7 @@
 #include "src/shard/shard.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -197,6 +198,11 @@ public:
 
   /// Forcibly end the shard's live attempt (heartbeat/deadline kill).
   virtual void kill(int64_t Shard) = 0;
+
+  /// Block for up to \p Seconds between polls of live attempts. The
+  /// default sleeps the whole interval; a launcher that learns directly
+  /// when an attempt finishes returns as soon as one does.
+  virtual void waitForProgress(double Seconds);
 };
 
 /// Outcome of a supervised run: one result per shard (worker-produced or
@@ -284,10 +290,12 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
 
 /// A launcher that runs runShardAttempt on a std::thread and round-trips
 /// the result through the wire protocol (encode + decode), exercising the
-/// supervisor and protocol layers without fork/exec. FaultHook lets tests
-/// fail an attempt deterministically: return true and set the outcome —
-/// Hang produces a worker that never finishes and never heartbeats (the
-/// supervisor must kill it), anything else an instant failure.
+/// supervisor and protocol layers without fork/exec. A finishing worker
+/// wakes the supervisor's waitForProgress, so a fast attempt costs no
+/// poll interval. FaultHook lets tests fail an attempt deterministically:
+/// return true and set the outcome — Hang produces a worker that never
+/// finishes and never heartbeats (the supervisor must kill it), anything
+/// else an instant failure.
 class InProcessShardLauncher : public ShardWorkerLauncher {
 public:
   using FaultHook =
@@ -300,6 +308,7 @@ public:
   bool launch(const AttemptPlan &Plan) override;
   WorkerPoll poll(int64_t Shard) override;
   void kill(int64_t Shard) override;
+  void waitForProgress(double Seconds) override;
 
 private:
   struct Slot {
@@ -313,6 +322,8 @@ private:
   const ShardWorkContext &Ctx;
   FaultHook Hook;
   std::mutex Mu;
+  /// Notified after a worker thread sets its slot Done under Mu.
+  std::condition_variable Progress;
   std::map<int64_t, std::unique_ptr<Slot>> Slots;
 };
 

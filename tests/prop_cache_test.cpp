@@ -2,14 +2,16 @@
 ///
 /// \file
 /// The PropagationCache contract (docs/PERFORMANCE.md): warm starts must
-/// never change bounds (only skip work), entries must stay within the
-/// byte budget via LRU eviction, and a weight mutation through any
-/// mutable accessor must invalidate the keys (the AbsWeightCache
-/// generation regression).
+/// never change bounds (only skip work), plain and resilient runs share
+/// entries while the resilient run is clean, entries must stay within the
+/// byte budget with final states outliving intermediate ones, and a
+/// weight mutation through any mutable accessor must invalidate the keys
+/// (the AbsWeightCache generation regression).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "src/core/genprove.h"
+#include "src/domains/fault_injection.h"
 #include "src/domains/prop_cache.h"
 #include "src/nn/activations.h"
 #include "src/nn/linear.h"
@@ -18,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace genprove {
@@ -204,6 +208,241 @@ TEST(PropagationCacheTest, EvictionKeepsBytesWithinBudget) {
   const auto S = PropagationCache::global().snapshot();
   EXPECT_GT(S.Evictions, 0) << "budget never exerted pressure";
   EXPECT_LE(S.Bytes, S.BudgetBytes);
+}
+
+void expectSameBounds(const ProbBounds &Want, const ProbBounds &Got,
+                      const char *What) {
+  EXPECT_EQ(Want.Lower, Got.Lower) << What;
+  EXPECT_EQ(Want.Upper, Got.Upper) << What;
+}
+
+/// Resilient runs are cache-eligible: a cold/warm pair is a full-depth hit
+/// whose bounds equal a cache-off cold run bit for bit, in both rounding
+/// modes, and entries cross between plain and resilient runs both ways.
+TEST(PropagationCacheTest, ResilientRunsWarmStartBitIdenticallyToPlainRuns) {
+  Rng R(31);
+  Sequential Net = makeRandomMlp(R, {4, 12, 8, 3});
+  const std::vector<const Layer *> Layers = Net.view();
+  const auto Depth = static_cast<int64_t>(Layers.size());
+  const Tensor Start = Tensor::randn({1, 4}, R);
+  const Tensor End = Tensor::randn({1, 4}, R);
+  const OutputSpec Spec = OutputSpec::argmaxWins(1, 3);
+  GenProveConfig ResilientConfig;
+  ResilientConfig.Resilience.Enabled = true;
+  const GenProve Plain(GenProveConfig{});
+  const GenProve Resilient(ResilientConfig);
+  const auto Run = [&](const GenProve &Analyzer) {
+    return Analyzer.propagateSegment(Layers, Shape({1, 4}), Start, End);
+  };
+  PropagationCache &Cache = PropagationCache::global();
+
+  for (const bool Sound : {false, true}) {
+    SoundRoundingScope Rounding(Sound);
+    const ProbBounds Reference = Plain.boundsFor(Run(Plain), Spec);
+
+    CacheScope Scope(32u << 20);
+    const auto Before = Cache.snapshot();
+    const PropagatedState Cold = Run(Resilient);
+    const auto AfterCold = Cache.snapshot();
+    EXPECT_EQ(AfterCold.Misses, Before.Misses + 1);
+    EXPECT_EQ(AfterCold.Insertions, Before.Insertions + Depth);
+    const PropagatedState Warm = Run(Resilient);
+    EXPECT_EQ(Cache.snapshot().Hits, AfterCold.Hits + 1);
+    EXPECT_EQ(Warm.Stats.CacheWarmLayers, Depth);
+    EXPECT_FALSE(Warm.Degraded);
+    expectSameBounds(Reference, Resilient.boundsFor(Cold, Spec), "cold");
+    expectSameBounds(Reference, Resilient.boundsFor(Warm, Spec), "warm");
+
+    Cache.clear();
+    (void)Run(Plain);
+    const PropagatedState FromPlain = Run(Resilient);
+    EXPECT_EQ(FromPlain.Stats.CacheWarmLayers, Depth);
+    expectSameBounds(Reference, Resilient.boundsFor(FromPlain, Spec),
+                     "resilient run warm from a plain run's entry");
+
+    Cache.clear();
+    (void)Run(Resilient);
+    const PropagatedState FromResilient = Run(Plain);
+    EXPECT_EQ(FromResilient.Stats.CacheWarmLayers, Depth);
+    expectSameBounds(Reference, Plain.boundsFor(FromResilient, Spec),
+                     "plain run warm from a resilient run's entry");
+  }
+}
+
+/// A pipeline and segment whose plain propagation peaks at one layer, and
+/// a device budget that holds every charge before that layer but not the
+/// layer's own state: a resilient run under it rolls back there.
+struct PeakLayerCase {
+  Sequential Net;
+  Tensor Start, End;
+  int64_t PeakLayer = -1;
+  size_t Budget = 0;
+};
+
+PeakLayerCase makePeakLayerCase() {
+  PeakLayerCase C;
+  Rng R(41);
+  C.Net = makeRandomMlp(R, {4, 24, 24, 24, 3});
+  C.Start = Tensor::randn({1, 4}, R);
+  C.End = Tensor::randn({1, 4}, R);
+  const PropagatedState Plain = GenProve(GenProveConfig{}).propagateSegment(
+      C.Net.view(), Shape({1, 4}), C.Start, C.End);
+  const std::vector<LayerRecord> &Layers = Plain.Stats.Layers;
+  size_t Peak = 0;
+  for (const LayerRecord &L : Layers)
+    Peak = std::max(Peak, L.ChargedBytes);
+  size_t Before = stateBytes(2, 4); // the input segment's two nodes
+  for (const LayerRecord &L : Layers) {
+    if (L.ChargedBytes == Peak) {
+      C.PeakLayer = L.Index;
+      break;
+    }
+    Before = std::max(Before, L.ChargedBytes);
+  }
+  C.Budget = Before;
+  return C;
+}
+
+/// A resilient run stores boundaries only while it is clean: the budget
+/// forces LocalBox at layer k, so nothing deeper than boundary k (the
+/// state entering layer k) reaches the cache.
+TEST(PropagationCacheTest, ResilientRunStoresNoBoundaryPastItsFirstRung) {
+  const PeakLayerCase C = makePeakLayerCase();
+  const std::vector<const Layer *> Layers = C.Net.view();
+  GenProveConfig ResilientConfig;
+  ResilientConfig.Resilience.Enabled = true;
+  ResilientConfig.MemoryBudgetBytes = C.Budget;
+  const GenProve Resilient(ResilientConfig);
+  const GenProve Plain(GenProveConfig{});
+
+  CacheScope Cache(32u << 20);
+  const auto Before = PropagationCache::global().snapshot();
+  const PropagatedState Degraded =
+      Resilient.propagateSegment(Layers, Shape({1, 4}), C.Start, C.End);
+  const auto After = PropagationCache::global().snapshot();
+  ASSERT_GT(C.PeakLayer, 0);
+  ASSERT_LT(static_cast<size_t>(C.PeakLayer), Degraded.Stats.Layers.size());
+  const LayerRecord &Rung =
+      Degraded.Stats.Layers[static_cast<size_t>(C.PeakLayer)];
+  ASSERT_EQ(Rung.Rung, DegradeRung::LocalBox);
+  for (int64_t I = 0; I < C.PeakLayer; ++I)
+    ASSERT_EQ(Degraded.Stats.Layers[static_cast<size_t>(I)].Rung,
+              DegradeRung::None);
+
+  EXPECT_EQ(After.Insertions, Before.Insertions + C.PeakLayer);
+  // The deepest resident boundary is k: an unlimited plain run resumes
+  // there.
+  const PropagatedState Resumed =
+      Plain.propagateSegment(Layers, Shape({1, 4}), C.Start, C.End);
+  EXPECT_EQ(Resumed.Stats.CacheWarmLayers, C.PeakLayer);
+  EXPECT_FALSE(Resumed.Degraded);
+}
+
+/// A resilient run whose budget cannot hold a cached prefix's peak ignores
+/// the entry, counts a miss, and answers exactly as its cold run does.
+TEST(PropagationCacheTest, ResilientRunIgnoresAPrefixItsBudgetCannotHold) {
+  const PeakLayerCase C = makePeakLayerCase();
+  const std::vector<const Layer *> Layers = C.Net.view();
+  const OutputSpec Spec = OutputSpec::argmaxWins(0, 3);
+  GenProveConfig ResilientConfig;
+  ResilientConfig.Resilience.Enabled = true;
+  ResilientConfig.MemoryBudgetBytes = C.Budget;
+  const GenProve Resilient(ResilientConfig);
+  const auto Run = [&](const GenProve &Analyzer) {
+    return Analyzer.propagateSegment(Layers, Shape({1, 4}), C.Start, C.End);
+  };
+  const PropagatedState Reference = Run(Resilient);
+  ASSERT_NE(Reference.Stats.Rung, DegradeRung::None);
+
+  CacheScope Cache(32u << 20);
+  (void)Run(GenProve(GenProveConfig{}));
+  const auto Before = PropagationCache::global().snapshot();
+  const PropagatedState Got = Run(Resilient);
+  const auto After = PropagationCache::global().snapshot();
+  EXPECT_EQ(After.Hits, Before.Hits);
+  EXPECT_EQ(After.Misses, Before.Misses + 1);
+  EXPECT_EQ(Got.Stats.CacheWarmLayers, 0);
+  EXPECT_EQ(Got.Stats.Rung, Reference.Stats.Rung);
+  EXPECT_EQ(Got.Stats.Rollbacks, Reference.Stats.Rollbacks);
+  expectSameBounds(Resilient.boundsFor(Reference, Spec),
+                   Resilient.boundsFor(Got, Spec), "ignored prefix");
+}
+
+/// Fault-injected runs and full-box starts neither probe nor fill the
+/// cache, even when it holds their exact chain.
+TEST(PropagationCacheTest, FaultedAndFullBoxStartRunsLeaveTheCacheAlone) {
+  Rng R(43);
+  Sequential Net = makeRandomMlp(R, {4, 12, 8, 3});
+  const Tensor Start = Tensor::randn({1, 4}, R);
+  const Tensor End = Tensor::randn({1, 4}, R);
+  CacheScope Cache(32u << 20);
+  (void)GenProve(GenProveConfig{})
+      .propagateSegment(Net.view(), Shape({1, 4}), Start, End);
+
+  FaultPlan Plan;
+  Plan.OomAtLayer = 1;
+  FaultInjector Faults(Plan);
+  GenProveConfig Faulted;
+  Faulted.Resilience.Enabled = true;
+  Faulted.Resilience.Faults = &Faults;
+  GenProveConfig FullBox;
+  FullBox.Resilience.Enabled = true;
+  FullBox.Resilience.StartAtFullBox = true;
+
+  for (const GenProveConfig &Config : {Faulted, FullBox}) {
+    const auto Before = PropagationCache::global().snapshot();
+    const PropagatedState S = GenProve(Config).propagateSegment(
+        Net.view(), Shape({1, 4}), Start, End);
+    const auto After = PropagationCache::global().snapshot();
+    EXPECT_TRUE(S.Degraded);
+    EXPECT_EQ(S.Stats.CacheWarmLayers, 0);
+    EXPECT_EQ(After.Hits, Before.Hits);
+    EXPECT_EQ(After.Misses, Before.Misses);
+    EXPECT_EQ(After.Insertions, Before.Insertions);
+  }
+}
+
+/// Intermediate boundaries enter at the cold end: a stream of distinct
+/// queries whose intermediate states overflow the budget evicts those
+/// states among themselves, and query A's final state is still resident
+/// for its repeat. Pure LRU evicts it.
+TEST(PropagationCacheTest, FinalStateSurvivesIntermediateEvictionPressure) {
+  Rng R(47);
+  Sequential Net = makeRandomMlp(R, {4, 48, 48, 3});
+  const std::vector<const Layer *> Layers = Net.view();
+  const OutputSpec Spec = OutputSpec::argmaxWins(2, 3);
+  const GenProve Analyzer(GenProveConfig{});
+  std::vector<std::pair<Tensor, Tensor>> Queries;
+  for (int I = 0; I < 9; ++I)
+    Queries.emplace_back(Tensor::randn({1, 4}, R), Tensor::randn({1, 4}, R));
+  const auto Run = [&](const std::pair<Tensor, Tensor> &Q) {
+    return Analyzer.propagateSegment(Layers, Shape({1, 4}), Q.first,
+                                     Q.second);
+  };
+
+  // Cache off: A's reference bounds, and every query's boundary sizes.
+  // The budget holds any single state twice over, but not the
+  // intermediate states of all the queries.
+  const ProbBounds Reference = Analyzer.boundsFor(Run(Queries[0]), Spec);
+  size_t Largest = 0, Total = 0;
+  for (const auto &Q : Queries)
+    for (const LayerRecord &L : Run(Q).Stats.Layers) {
+      Largest = std::max(Largest, L.ChargedBytes);
+      Total += L.ChargedBytes;
+    }
+  ASSERT_GT(Total, 4 * Largest);
+
+  CacheScope Cache(2 * Largest);
+  for (const auto &Q : Queries)
+    (void)Run(Q);
+  EXPECT_GT(PropagationCache::global().snapshot().Evictions, 0);
+
+  const auto Before = PropagationCache::global().snapshot();
+  const PropagatedState Again = Run(Queries[0]);
+  EXPECT_EQ(PropagationCache::global().snapshot().Hits, Before.Hits + 1);
+  EXPECT_EQ(Again.Stats.CacheWarmLayers, static_cast<int64_t>(Layers.size()))
+      << "query A's final state was evicted";
+  expectSameBounds(Reference, Analyzer.boundsFor(Again, Spec), "repeat");
 }
 
 TEST(PropagationCacheTest, ConfigureZeroDisablesAndDrops) {

@@ -8,6 +8,7 @@
 /// a live Server answering ping/verify/stats, shedding under load,
 /// surviving injected worker faults, and draining on requestStop.
 
+#include "src/domains/prop_cache.h"
 #include "src/nn/linear.h"
 #include "src/nn/serialize.h"
 #include "src/obs/json.h"
@@ -491,6 +492,43 @@ TEST_F(ServeEndToEnd, PingVerifyAndStats) {
   EXPECT_EQ(Reply.find("code")->stringOr(""), "malformed");
   ASSERT_TRUE(roundTrip(Fd, "{\"type\":\"ping\"}", Reply));
   EXPECT_EQ(Reply.find("type")->stringOr(""), "pong");
+
+  ::close(Fd);
+}
+
+/// Served requests run resilient, and a clean resilient run is
+/// cache-eligible: the repeat of a request is a warm start whose bounds
+/// match the first answer digit for digit.
+TEST_F(ServeEndToEnd, RepeatedRequestWarmStartsFromCache) {
+  struct CacheScope {
+    CacheScope() { PropagationCache::global().configure(16u << 20); }
+    ~CacheScope() { PropagationCache::global().configure(0); }
+  } Cache;
+  ServeConfig Cfg;
+  startServer(Cfg);
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+
+  JsonValue Reply;
+  ASSERT_TRUE(roundTrip(Fd, "{\"type\":\"stats\"}", Reply));
+  const int64_t HitsBefore = Reply.find("cache_hits")->intOr(-1);
+  std::string Bounds[2];
+  for (int I = 0; I < 2; ++I) {
+    ASSERT_TRUE(roundTrip(Fd, verifyLine("r" + std::to_string(I), -1.0),
+                          Reply));
+    EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
+    EXPECT_EQ(Reply.find("rung")->stringOr(""), "configured");
+    const JsonValue *Specs = Reply.find("specs");
+    ASSERT_TRUE(Specs && Specs->Items.size() == 1);
+    char Text[64];
+    std::snprintf(Text, sizeof(Text), "%.17g %.17g",
+                  Specs->Items[0].find("lower")->numberOr(-1.0),
+                  Specs->Items[0].find("upper")->numberOr(-1.0));
+    Bounds[I] = Text;
+  }
+  EXPECT_EQ(Bounds[0], Bounds[1]);
+  ASSERT_TRUE(roundTrip(Fd, "{\"type\":\"stats\"}", Reply));
+  EXPECT_EQ(Reply.find("cache_hits")->intOr(-1), HitsBefore + 1);
 
   ::close(Fd);
 }

@@ -21,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -727,6 +729,53 @@ TEST(ShardDifferential, InjectedCrashesKeepMergedBoundsSound) {
   // The oracle: a degraded merged interval must contain the exact one.
   for (size_t I = 0; I < Base.size(); ++I)
     expectContains(Merged.Specs[I], Base[I]);
+}
+
+/// A Linear layer that stalls each affine application, so an in-process
+/// attempt is still running when the supervisor first polls it.
+class SlowLinear : public Linear {
+public:
+  using Linear::Linear;
+  Tensor applyAffine(const Tensor &Points) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return Linear::applyAffine(Points);
+  }
+};
+
+/// The in-process launcher wakes the supervisor when its worker thread
+/// finishes: a ~50 ms attempt under a 30 s poll interval returns at once
+/// instead of sleeping out the interval.
+TEST(ShardSupervisor, FinishedInProcessAttemptWakesTheSupervisor) {
+  Rng R(2027);
+  Sequential Net;
+  auto L = std::make_unique<SlowLinear>(2, 2);
+  L->weight() = Tensor::randn({2, 2}, R, 0.8);
+  L->bias() = Tensor::randn({2}, R, 0.5);
+  Net.add(std::move(L));
+  ShardWorkContext Ctx;
+  Ctx.Pipeline = Net.view();
+  Ctx.InputShape = Shape({1, 2});
+  Ctx.Start = Tensor::randn({1, 2}, R);
+  Ctx.End = Tensor::randn({1, 2}, R);
+  Ctx.Specs.push_back(OutputSpec::argmaxWins(0, 2));
+
+  ShardPolicy Policy;
+  Policy.MaxRetries = 0;
+  Policy.PollIntervalSeconds = 30.0;
+  Policy.HeartbeatTimeoutSeconds = 0.0;
+  InProcessShardLauncher Launcher(Ctx);
+  ShardSupervisor Supervisor(Policy, Launcher, /*Fallback=*/{});
+  const auto T0 = std::chrono::steady_clock::now();
+  const ShardRunSummary Summary = Supervisor.run();
+  const double Seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count();
+
+  EXPECT_GE(Seconds, 0.05);
+  EXPECT_LT(Seconds, 1.0) << "supervisor slept out its poll interval";
+  EXPECT_FALSE(Summary.Degraded);
+  ASSERT_EQ(Summary.Results.size(), 1u);
+  EXPECT_EQ(Summary.Results[0].Specs.size(), 1u);
 }
 
 TEST(ShardAttempt, IntervalBoxRungIsDegradedButSound) {

@@ -132,8 +132,9 @@ namespace {
       "  --cache-mb N        give the propagation cache an N MiB budget:\n"
       "                      repeated or prefix-sharing queries warm-start\n"
       "                      mid-network from memoized per-layer states\n"
-      "                      (LRU-evicted, charged against the simulated\n"
-      "                      device). 0 (default) disables the cache.\n"
+      "                      (charged against the simulated device;\n"
+      "                      intermediate states are evicted before final\n"
+      "                      ones). 0 (default) disables the cache.\n"
       "\n"
       "resilience:\n"
       "  --resilient         never fail: on OOM roll back to the last layer\n"
