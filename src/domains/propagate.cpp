@@ -49,6 +49,12 @@ const char *degradeRungName(DegradeRung R) {
 
 namespace {
 
+/// Minimum gap between two ReLU split points; closer roots merge.
+constexpr double SplitEps = 1e-9;
+/// Resilient mode: checkpoint rollbacks allowed per layer before the
+/// engine gives up on local boxing and lifts the state to the FullBox rung.
+constexpr int64_t MaxLayerRetries = 6;
+
 double evalCdf(const ParamCdf &Cdf, double T) { return Cdf ? Cdf(T) : T; }
 
 /// Reshape a flat [K, N] row batch to the layer activation shape
@@ -206,7 +212,7 @@ void reluCurve(const Region &Curve, const PropagateConfig &Config,
   std::sort(Cuts.begin(), Cuts.end());
   Cuts.erase(std::unique(Cuts.begin(), Cuts.end(),
                          [&](double A, double B) {
-                           return B - A < Config.SplitEps;
+                           return B - A < SplitEps;
                          }),
              Cuts.end());
   // Guard the boundaries after deduplication: never lose the piece.
@@ -263,7 +269,6 @@ uint64_t cacheSaltForConfig(const PropagateConfig &Config,
   H = hashing::hashDouble(H, Config.Relax.ClusterK);
   H = hashing::hashU64(H, static_cast<uint64_t>(Config.Relax.NodeThreshold));
   H = hashing::hashU64(H, Config.EnableRelax ? 1 : 0);
-  H = hashing::hashDouble(H, Config.SplitEps);
   H = hashing::hashU64(H, soundRoundingEnabled() ? 1 : 0);
   return H;
 }
@@ -347,7 +352,7 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
   // Drop non-finite regions, accounting their mass so bound computations
   // can widen soundly. Only active in resilient mode.
   const auto Quarantine = [&](std::vector<Region> &Rs) {
-    if (!Resilient || !Res.DetectNonFinite)
+    if (!Resilient)
       return;
     const size_t Before = Rs.size();
     size_t Kept = 0;
@@ -657,7 +662,7 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
                                 {{"layer", static_cast<int64_t>(Li)},
                                  {"layer_rollbacks", LayerRollbacks}});
       Regions = Checkpoint;
-      const bool LocalExhausted = LayerRollbacks > Res.MaxLayerRetries;
+      const bool LocalExhausted = LayerRollbacks > MaxLayerRetries;
       bool Lifted = false;
       if (!LocalExhausted) {
         // Local coarsening, Appendix C style: each retry halves the node

@@ -65,6 +65,10 @@ const char *degradeRungName(DegradeRung R);
 /// The resilience layer around the engine: checkpointed in-place
 /// degradation, deadlines and the interval fallback. Disabled by default,
 /// in which case the engine keeps the paper's abort-on-OOM behaviour.
+/// Enabled, it also quarantines regions containing NaN/Inf (their mass
+/// widens the final bounds, see PropagateStats) and allows a fixed number
+/// of checkpoint rollbacks per layer (MaxLayerRetries in propagate.cpp)
+/// before lifting the state to the FullBox rung.
 struct ResilienceConfig {
   bool Enabled = false;
   /// Wall-clock budget for one propagation, in seconds; 0 = none. When it
@@ -75,12 +79,6 @@ struct ResilienceConfig {
   /// Clock used for deadline checks; empty = steady wall clock. Tests
   /// install FaultInjector::clock() for deterministic skew.
   std::function<double()> Clock;
-  /// Checkpoint rollbacks allowed per layer before the engine gives up on
-  /// local boxing and lifts the state to the FullBox rung.
-  int64_t MaxLayerRetries = 6;
-  /// Quarantine regions containing NaN/Inf instead of propagating them;
-  /// their mass widens the final bounds (see PropagateStats).
-  bool DetectNonFinite = true;
   /// Lift the initial state straight to the FullBox rung before layer 0.
   /// The whole pipeline then runs budget-exempt interval arithmetic — the
   /// cheapest sound analysis available. The shard supervisor sets this on
@@ -97,7 +95,6 @@ struct PropagateConfig {
   RelaxConfig Relax;
   bool EnableRelax = true;
   ParamCdf Cdf;             ///< empty = uniform (identity CDF).
-  double SplitEps = 1e-9;   ///< minimum gap between split points.
   ResilienceConfig Resilience;
   /// Optional memoizing abstract-state cache (domains/prop_cache.h),
   /// consulted by every run without fault injection or a full-box start.
@@ -112,8 +109,8 @@ struct PropagateConfig {
   uint64_t CacheSalt = 0;
 };
 
-/// Fold the hashable engine knobs (relaxation config, SplitEps, sound
-/// rounding mode) into a cache salt, together with \p CallerTag — the
+/// Fold the hashable engine knobs (relaxation config, sound rounding
+/// mode) into a cache salt, together with \p CallerTag — the
 /// caller's hash of everything the engine cannot see: the identity of the
 /// input distribution behind Cdf and the abstract-domain tag.
 uint64_t cacheSaltForConfig(const PropagateConfig &Config,

@@ -15,12 +15,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include <poll.h>
@@ -36,28 +33,6 @@ double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Safe "1x4"-style shape parse; the CLI's version exits on garbage, a
-/// daemon must refuse with a typed error instead.
-bool parseShapeText(const std::string &Text, Shape &Out) {
-  std::vector<int64_t> Dims;
-  std::istringstream In(Text);
-  std::string Part;
-  while (std::getline(In, Part, 'x')) {
-    if (Part.empty() ||
-        Part.find_first_not_of("0123456789") != std::string::npos)
-      return false;
-    errno = 0;
-    const long long V = std::strtoll(Part.c_str(), nullptr, 10);
-    if (errno == ERANGE || V <= 0)
-      return false;
-    Dims.push_back(V);
-  }
-  if (Dims.empty())
-    return false;
-  Out = Shape(Dims);
-  return true;
 }
 
 std::string verdictFor(const ProbBounds &B, bool Deterministic) {
@@ -168,7 +143,7 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   if (!Model)
     return Reject("unknown net '" + Req.Net + "'");
   Shape InShape;
-  if (!parseShapeText(Req.InputShape, InShape))
+  if (!parseShape(Req.InputShape, InShape))
     return Reject("bad input_shape '" + Req.InputShape + "'");
   const int64_t Latent = static_cast<int64_t>(Req.Start.size());
   if (InShape.numel() != Latent)
@@ -179,6 +154,10 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   if (!Req.Inject.empty() && !Cfg.AllowInject)
     return Reject("fault injection is disabled (server runs without "
                   "--allow-inject)");
+  if (!Cfg.Isolate && !Req.Inject.empty() && Req.Inject != "slow")
+    return Reject("inject '" + Req.Inject +
+                  "' needs a server started with --isolate (in-process "
+                  "requests have no worker process to crash, hang or kill)");
 
   //===------------------------------------------------------------------===//
   // Admission: a budget slice and a concurrency slot, or an explicit shed.
@@ -212,7 +191,9 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   R.Rung = Qos.Rung;
 
   // Injected "slow": hold the admission slot before propagating, creating
-  // the queue pressure the loadgen fault mix wants to observe.
+  // the queue pressure the loadgen fault mix wants to observe. The other
+  // faults are worker-process faults; only --isolate gets this far with
+  // one.
   if (Req.Inject == "slow")
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         std::clamp(Req.InjectMs, 0.0, 10000.0)));
@@ -236,21 +217,18 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Req.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
   Conf.MemoryBudgetBytes = Ticket.budgetBytes();
   Conf.Resilience = Qos.Resilience;
-  Conf.FastScreen = Req.FastScreen;
+  // The screen runs only on its own rung: a deadline-coarsened request
+  // has no time for a screen-then-certify round trip.
+  Conf.FastScreen = Qos.Rung == ShardRung::Screening;
 
   const double RunStart = nowSeconds();
   std::vector<ShardResult> Results;
   ShardRunSummary Summary;
 
-  if (Qos.Rung == ShardRung::IntervalBox) {
-    // Out of time (or nearly): skip supervision and run the interval-box
-    // bound directly — it is budget-exempt, cannot OOM or crash, and is
-    // the cheapest sound answer. runShardAttempt applies StartAtFullBox
-    // from the plan rung.
-    AttemptPlan Plan;
-    Plan.Rung = ShardRung::IntervalBox;
-    Results.push_back(runShardAttempt(Ctx, Plan));
-  } else {
+  if (Cfg.Isolate && Qos.Rung != ShardRung::IntervalBox) {
+    // One supervised worker process: a crash, hang or kill costs that
+    // child, is retried up the rung ladder, and ends at the sound
+    // interval-box fallback at worst.
     ShardPolicy Policy;
     Policy.NumShards = 1;
     Policy.MaxRetries = Cfg.RequestRetries;
@@ -269,51 +247,40 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       return runShardAttempt(Ctx, Plan);
     };
 
-    if (Cfg.Isolate) {
-      ServeWorkerSpec Spec;
-      Spec.NetPaths = Model->Paths;
-      Spec.InputShape = Req.InputShape;
-      Spec.Start = Req.Start;
-      Spec.End = Req.End;
-      Spec.Specs = Req.Specs;
-      Spec.BudgetBytes = Ticket.budgetBytes();
-      Spec.DeadlineSeconds = Qos.Resilience.DeadlineSeconds;
-      Spec.RelaxPercent = Req.RelaxPercent;
-      Spec.ClusterK = Req.ClusterK;
-      Spec.NodeThreshold = Req.NodeThreshold;
-      Spec.Arcsine = Req.Arcsine;
-      Spec.Sound = Cfg.SoundMode;
-      Spec.FastScreen = Req.FastScreen;
-      Spec.HeartbeatMs =
-          std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
-      if (Req.Inject != "slow")
-        Spec.Inject = Req.Inject; // slow is handled server-side above
-      WorkerSpecFile File(encodeServeWorkerSpec(Spec));
-      if (!File.ok())
-        return Reject("cannot stage worker spec file");
-      ProcessShardLauncher Launcher(Cfg.ExePath,
-                                    {"--worker-request", File.path()});
-      ShardSupervisor Supervisor(Policy, Launcher, Fallback);
-      Summary = Supervisor.run();
-      Results = Summary.Results;
-    } else {
-      InProcessShardLauncher::FaultHook Hook;
-      if (!Req.Inject.empty() && Req.Inject != "slow") {
-        const std::string Mode = Req.Inject;
-        Hook = [Mode](const AttemptPlan &Plan, AttemptOutcome &Outcome) {
-          if (Plan.Attempt > 0)
-            return false; // the retry recovers
-          Outcome = Mode == "hang"      ? AttemptOutcome::Hang
-                    : Mode == "oomkill" ? AttemptOutcome::OomKill
-                                        : AttemptOutcome::Crash;
-          return true;
-        };
-      }
-      InProcessShardLauncher Launcher(Ctx, Hook);
-      ShardSupervisor Supervisor(Policy, Launcher, Fallback);
-      Summary = Supervisor.run();
-      Results = Summary.Results;
-    }
+    ServeWorkerSpec Spec;
+    Spec.NetPaths = Model->Paths;
+    Spec.InputShape = Req.InputShape;
+    Spec.Start = Req.Start;
+    Spec.End = Req.End;
+    Spec.Specs = Req.Specs;
+    Spec.BudgetBytes = Ticket.budgetBytes();
+    Spec.DeadlineSeconds = Qos.Resilience.DeadlineSeconds;
+    Spec.RelaxPercent = Req.RelaxPercent;
+    Spec.ClusterK = Req.ClusterK;
+    Spec.NodeThreshold = Req.NodeThreshold;
+    Spec.Arcsine = Req.Arcsine;
+    Spec.Sound = Cfg.SoundMode;
+    Spec.FastScreen = Conf.FastScreen;
+    Spec.HeartbeatMs =
+        std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
+    if (Req.Inject != "slow")
+      Spec.Inject = Req.Inject; // slow is handled server-side above
+    WorkerSpecFile File(encodeServeWorkerSpec(Spec));
+    if (!File.ok())
+      return Reject("cannot stage worker spec file");
+    ProcessShardLauncher Launcher(Cfg.ExePath,
+                                  {"--worker-request", File.path()});
+    ShardSupervisor Supervisor(Policy, Launcher, Fallback);
+    Summary = Supervisor.run();
+    Results = Summary.Results;
+  } else {
+    // In process, the request is one attempt on this connection thread at
+    // its QoS rung. The resilient engine turns OOM, non-finite values and
+    // the deadline into a sound, possibly widened bound by itself; the
+    // interval-box rung is budget-exempt and cannot fail at all.
+    AttemptPlan Plan;
+    Plan.Rung = Qos.Rung;
+    Results.push_back(runShardAttempt(Ctx, Plan));
   }
 
   const double RunDone = nowSeconds();

@@ -4,19 +4,21 @@
 /// genprove_serve's engine room: a Unix-domain-socket server speaking the
 /// newline-JSON protocol of serve/request.h. One accept loop (poll with a
 /// short tick so stop/drain flags are honored promptly), one thread per
-/// connection, requests executed through the shard supervisor so every
-/// fault mode the CLI's sharded path survives — crash, hang, OOM-kill,
-/// protocol garbage — is contained per request here too:
+/// connection, and each request certified on its connection's thread:
 ///
 ///   admission   AdmissionController partitions the daemon budget and
 ///               sheds excess load with explicit OVERLOADED responses;
 ///   QoS         qosDecisionFor maps the request's remaining deadline
 ///               onto the rung ladder; late requests get sound DEGRADED
 ///               interval-box answers, never silent timeouts;
-///   containment propagation runs under a per-request ShardSupervisor
-///               (in-process worker by default, fork/exec with --isolate)
-///               with retry/backoff and a sound interval-box fallback;
-///               slow clients are bounded by write deadlines;
+///   containment in process, one runShardAttempt at the QoS rung with
+///               the resilient engine armed, which turns OOM, non-finite
+///               values and the deadline into a sound, possibly widened
+///               bound. Only --isolate contains crashes and hangs: the
+///               attempt runs in a fork/exec'd worker under a
+///               ShardSupervisor with retry/backoff and a sound
+///               interval-box fallback. Slow clients are bounded by
+///               write deadlines in both modes;
 ///   lifecycle   requestStop() (the SIGTERM handler's one call) stops the
 ///               accept loop, sheds the queue, drains in-flight work
 ///               under a deadline and flushes all ObsFlushGuard artifacts.
@@ -47,14 +49,16 @@ struct ServeConfig {
   std::string SocketPath; ///< Unix-domain socket the daemon listens on
   AdmissionController::Config Admission;
   QosPolicy Qos;
-  /// Retries per request after the first attempt before the interval-box
-  /// fallback answers (the per-request supervision ladder).
+  /// --isolate only: retries per request after the first worker attempt
+  /// before the interval-box fallback answers (the per-request
+  /// supervision ladder).
   int64_t RequestRetries = 2;
-  /// Backoff between request-level retries; interactive latencies want a
-  /// much shorter ladder than the batch CLI.
+  /// --isolate only: backoff between request-level retries; interactive
+  /// latencies want a much shorter ladder than the batch CLI.
   double BackoffInitialSeconds = 0.01;
   double BackoffMaxSeconds = 0.1;
-  /// Kill a worker silent for this long (catches hung propagations).
+  /// --isolate only: kill a worker silent for this long (catches hung
+  /// propagations).
   double HeartbeatTimeoutSeconds = 2.0;
   /// Budget for writing one response to a client; a socket still blocked
   /// after this is a slow/dead client and the connection is dropped.
@@ -65,13 +69,14 @@ struct ServeConfig {
   size_t MaxLineBytes = 1u << 20;
   /// Concurrent client connections (not requests; admission bounds those).
   int64_t MaxConnections = 64;
-  /// Run propagations in fork/exec worker processes (full isolation:
-  /// a crashing propagation cannot take the daemon down) instead of
-  /// in-process worker threads.
+  /// Run propagations in supervised fork/exec worker processes (a
+  /// crashing or hung propagation cannot take the daemon down) instead of
+  /// directly on the connection thread.
   bool Isolate = false;
   /// Path re-exec'd for --isolate workers (normally /proc/self/exe).
   std::string ExePath = "/proc/self/exe";
   /// Honor the request "inject" field (CI fault smoke); off in production.
+  /// crash, hang and oomkill need Isolate; without it they get an error.
   bool AllowInject = false;
   /// Directed rounding was enabled at startup; requests asking for sound
   /// bounds are refused unless this is on (the rounding mode is process

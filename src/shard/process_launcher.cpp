@@ -2,12 +2,17 @@
 
 #include "src/shard/process_launcher.h"
 
+#include "src/obs/log.h"
 #include "src/shard/protocol.h"
 #include "src/util/io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -38,6 +43,47 @@ void untrackChild(pid_t Pid) {
       return;
   }
 }
+
+/// Heartbeat emitter: one protocol line every IntervalMs until destroyed.
+/// Each beat carries the liveness digest (charged state bytes, current
+/// layer) sampled from the RunLiveness atomics the propagation loop
+/// refreshes — a hung worker keeps beating with a frozen digest, which is
+/// exactly how the supervisor tells "hung but heartbeating" from "slow".
+class HeartbeatThread {
+public:
+  HeartbeatThread(int64_t Shard, double IntervalMs) {
+    Worker = std::thread([this, Shard, IntervalMs] {
+      int64_t Seq = 0;
+      while (!Stop.load(std::memory_order_acquire)) {
+        RunLiveness &Live = RunLiveness::global();
+        const std::string Line = encodeShardHeartbeat(
+            Shard, Seq++, Live.StateBytes.load(std::memory_order_relaxed),
+            Live.CurrentLayer.load(std::memory_order_relaxed));
+        std::fprintf(stdout, "%s\n", Line.c_str());
+        std::fflush(stdout);
+        // Sleep in small slices so shutdown is prompt.
+        double Left = IntervalMs;
+        while (Left > 0.0 && !Stop.load(std::memory_order_acquire)) {
+          const double Slice = std::min(Left, 10.0);
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(Slice));
+          Left -= Slice;
+        }
+      }
+    });
+  }
+  ~HeartbeatThread() {
+    Stop.store(true, std::memory_order_release);
+    if (Worker.joinable())
+      Worker.join();
+  }
+  HeartbeatThread(const HeartbeatThread &) = delete;
+  HeartbeatThread &operator=(const HeartbeatThread &) = delete;
+
+private:
+  std::atomic<bool> Stop{false};
+  std::thread Worker;
+};
 
 } // namespace
 
@@ -244,6 +290,33 @@ void ProcessShardLauncher::kill(int64_t Shard) {
   if (C.PipeFd >= 0)
     ::close(C.PipeFd);
   Children.erase(It);
+}
+
+int runWorkerAttempt(const ShardWorkContext &Ctx, const AttemptPlan &Plan,
+                     double HeartbeatMs,
+                     const std::function<ShardTelemetry()> &Telemetry,
+                     const std::function<void()> &Stall) {
+  ShardResult Result;
+  {
+    HeartbeatThread Beat(Plan.Shard, HeartbeatMs);
+    if (Stall)
+      Stall();
+    Result = runShardAttempt(Ctx, Plan);
+  }
+  if (Result.OutOfMemory) {
+    // No sound partial bounds to report; exit 3 tells the supervisor this
+    // attempt is retryable at a higher rung. (The attempt's telemetry dies
+    // with it — an accepted loss; the retry's survives.)
+    std::fprintf(stderr, "shard %lld: out of memory\n",
+                 static_cast<long long>(Plan.Shard));
+    return 3;
+  }
+  const ShardTelemetry Tel = Telemetry ? Telemetry() : ShardTelemetry();
+  const std::string Line =
+      encodeShardResult(Result, Tel.empty() ? nullptr : &Tel);
+  std::fprintf(stdout, "%s\n", Line.c_str());
+  std::fflush(stdout);
+  return Result.Degraded ? 4 : 0;
 }
 
 } // namespace genprove

@@ -20,6 +20,9 @@
 /// Live worker pids are mirrored into an async-signal-safe registry so the
 /// CLI's SIGINT/SIGTERM handler can kill the whole brood before exiting.
 ///
+/// runWorkerAttempt is the worker side of the same contract, shared by
+/// `genprove_cli --shard-worker` and `genprove_serve --worker-request`.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GENPROVE_SHARD_PROCESS_LAUNCHER_H
@@ -28,6 +31,7 @@
 #include "src/shard/protocol.h"
 #include "src/shard/supervisor.h"
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -82,6 +86,19 @@ private:
   std::vector<std::string> BaseArgs;
   std::map<int64_t, Child> Children;
 };
+
+/// Worker side: run \p Plan on \p Ctx while a heartbeat thread prints one
+/// heartbeat line (with the RunLiveness digest) every \p HeartbeatMs, then
+/// end the attempt the way ProcessShardLauncher classifies it. Returns the
+/// exit code: 3 with no result line on simulated-device OOM; otherwise one
+/// result line on stdout, carrying \p Telemetry's capture when non-empty,
+/// and 4 when the result is degraded, else 0. \p Stall, when set, runs
+/// inside the heartbeat scope before the attempt (an injected slow fault:
+/// the worker stays visibly alive through it).
+int runWorkerAttempt(const ShardWorkContext &Ctx, const AttemptPlan &Plan,
+                     double HeartbeatMs,
+                     const std::function<ShardTelemetry()> &Telemetry = {},
+                     const std::function<void()> &Stall = {});
 
 } // namespace genprove
 

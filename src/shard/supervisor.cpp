@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <thread>
 #include <utility>
 
 namespace genprove {
@@ -157,11 +159,6 @@ std::vector<int64_t> ShardScheduler::exhaustedShards() const {
 //===----------------------------------------------------------------------===//
 // ShardSupervisor
 //===----------------------------------------------------------------------===//
-
-void ShardWorkerLauncher::waitForProgress(double Seconds) {
-  if (Seconds > 0.0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(Seconds));
-}
 
 ShardSupervisor::ShardSupervisor(ShardPolicy Policy,
                                  ShardWorkerLauncher &Launcher,
@@ -410,12 +407,7 @@ ShardRunSummary ShardSupervisor::run() {
     if (Live.empty() && !Sched.pendingWork())
       break;
     if (!Live.empty()) {
-      // A scripted clock advances only through Policy.Sleep; otherwise the
-      // launcher may end the wait early when an attempt finishes.
-      if (Policy.Sleep)
-        Sleep(Policy.PollIntervalSeconds);
-      else
-        Launcher.waitForProgress(Policy.PollIntervalSeconds);
+      Sleep(Policy.PollIntervalSeconds);
       continue;
     }
     // Nothing live: wait out the earliest backoff. The floor keeps a
@@ -461,9 +453,10 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   // and the coordinator collapses after mergeShardResults.
   Cfg.Mode = AnalysisMode::Probabilistic;
   Cfg.InputSplits = 1;
-  // Screening is not scheduled as a plan rung (rungForAttempt never
-  // returns it); normalize a defensive arrival to Configured and let the
-  // FastScreen config decide below.
+  // The scheduler never plans Screening (rungForAttempt never returns
+  // it), but an in-process served request passes its QoS rung straight
+  // in: Screening runs the Configured rung, and the FastScreen config
+  // decides below.
   ShardRung Rung = Plan.Rung == ShardRung::Screening ? ShardRung::Configured
                                                      : Plan.Rung;
   if (Rung != ShardRung::Configured)
@@ -563,117 +556,6 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
     Out.Specs.push_back(SB);
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// InProcessShardLauncher
-//===----------------------------------------------------------------------===//
-
-InProcessShardLauncher::InProcessShardLauncher(const ShardWorkContext &Ctx,
-                                               FaultHook Hook)
-    : Ctx(Ctx), Hook(std::move(Hook)) {}
-
-InProcessShardLauncher::~InProcessShardLauncher() {
-  for (auto &Entry : Slots)
-    if (Entry.second->Worker.joinable())
-      Entry.second->Worker.join();
-}
-
-bool InProcessShardLauncher::launch(const AttemptPlan &Plan) {
-  auto Sl = std::make_unique<Slot>();
-  AttemptOutcome Outcome = AttemptOutcome::Crash;
-  if (Hook && Hook(Plan, Outcome)) {
-    Sl->Faulted = true;
-    Sl->Outcome = Outcome;
-    // A Hang never finishes (and never heartbeats) until the supervisor
-    // kills it; every other injected outcome fails instantly.
-    Sl->Done.store(Outcome != AttemptOutcome::Hang,
-                   std::memory_order_release);
-  } else {
-    Slot *Raw = Sl.get();
-    Raw->Worker = std::thread([this, Plan, Raw] {
-      ShardResult R = runShardAttempt(Ctx, Plan);
-      if (R.OutOfMemory) {
-        // Mirror the process worker, which exits 3 without a result line.
-        Raw->Faulted = true;
-        Raw->Outcome = AttemptOutcome::Oom;
-      } else {
-        Raw->ResultLine = encodeShardResult(R);
-      }
-      {
-        // Set under Mu so waitForProgress cannot miss the wake-up.
-        std::lock_guard<std::mutex> Lock(Mu);
-        Raw->Done.store(true, std::memory_order_release);
-      }
-      Progress.notify_all();
-    });
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  Slots[Plan.Shard] = std::move(Sl);
-  return true;
-}
-
-WorkerPoll InProcessShardLauncher::poll(int64_t Shard) {
-  std::unique_ptr<Slot> Finished;
-  WorkerPoll P;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Slots.find(Shard);
-    if (It == Slots.end()) {
-      P.Finished = true;
-      P.Outcome = AttemptOutcome::Crash;
-      return P;
-    }
-    Slot &Sl = *It->second;
-    if (!Sl.Done.load(std::memory_order_acquire)) {
-      // A live worker thread is by definition making progress; a hung
-      // fault is the one thing that goes silent.
-      P.HeartbeatSeen = !Sl.Faulted;
-      return P;
-    }
-    Finished = std::move(It->second);
-    Slots.erase(It);
-  }
-  P.Finished = true;
-  P.HeartbeatSeen = !Finished->Faulted;
-  if (Finished->Faulted) {
-    P.Outcome = Finished->Outcome;
-  } else if (classifyShardMessage(Finished->ResultLine) ==
-                 ShardMessageKind::Result &&
-             decodeShardResult(Finished->ResultLine, P.Result)) {
-    P.Outcome = AttemptOutcome::Ok;
-  } else {
-    P.Outcome = AttemptOutcome::Protocol;
-  }
-  if (Finished->Worker.joinable())
-    Finished->Worker.join();
-  return P;
-}
-
-void InProcessShardLauncher::waitForProgress(double Seconds) {
-  std::unique_lock<std::mutex> Lock(Mu);
-  Progress.wait_for(Lock, std::chrono::duration<double>(Seconds), [this] {
-    for (const auto &Entry : Slots)
-      if (Entry.second->Done.load(std::memory_order_acquire))
-        return true;
-    return false;
-  });
-}
-
-void InProcessShardLauncher::kill(int64_t Shard) {
-  std::unique_ptr<Slot> Sl;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Slots.find(Shard);
-    if (It == Slots.end())
-      return;
-    Sl = std::move(It->second);
-    Slots.erase(It);
-  }
-  // A std::thread cannot be killed; let it run to completion and drop the
-  // result, which is what discarding a killed process's pipe does.
-  if (Sl->Worker.joinable())
-    Sl->Worker.join();
 }
 
 } // namespace genprove

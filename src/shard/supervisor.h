@@ -30,14 +30,8 @@
 #include "src/shard/protocol.h"
 #include "src/shard/shard.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace genprove {
@@ -183,7 +177,7 @@ struct WorkerPoll {
 
 /// Abstraction over "run one shard attempt somewhere". The production
 /// implementation forks a genprove_cli --shard-worker process
-/// (shard/process_launcher.h); tests use scripted or in-thread launchers.
+/// (shard/process_launcher.h); tests use scripted launchers.
 /// At most one live attempt per shard at a time, keyed by shard index.
 class ShardWorkerLauncher {
 public:
@@ -198,11 +192,6 @@ public:
 
   /// Forcibly end the shard's live attempt (heartbeat/deadline kill).
   virtual void kill(int64_t Shard) = 0;
-
-  /// Block for up to \p Seconds between polls of live attempts. The
-  /// default sleeps the whole interval; a launcher that learns directly
-  /// when an attempt finishes returns as soon as one does.
-  virtual void waitForProgress(double Seconds);
 };
 
 /// Outcome of a supervised run: one result per shard (worker-produced or
@@ -261,8 +250,8 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// The work a shard attempt actually performs (shared by the CLI worker
-// mode, the in-process launcher and the coordinator fallback).
+// The work a shard attempt actually performs (shared by the worker
+// processes, in-process served requests and the coordinator fallback).
 //===----------------------------------------------------------------------===//
 
 /// Everything needed to certify one shard: the pipeline, the latent
@@ -287,45 +276,6 @@ struct ShardWorkContext {
 /// conservative spec bounds) when the Configured rung hit the budget.
 ShardResult runShardAttempt(const ShardWorkContext &Ctx,
                             const AttemptPlan &Plan);
-
-/// A launcher that runs runShardAttempt on a std::thread and round-trips
-/// the result through the wire protocol (encode + decode), exercising the
-/// supervisor and protocol layers without fork/exec. A finishing worker
-/// wakes the supervisor's waitForProgress, so a fast attempt costs no
-/// poll interval. FaultHook lets tests fail an attempt deterministically:
-/// return true and set the outcome — Hang produces a worker that never
-/// finishes and never heartbeats (the supervisor must kill it), anything
-/// else an instant failure.
-class InProcessShardLauncher : public ShardWorkerLauncher {
-public:
-  using FaultHook =
-      std::function<bool(const AttemptPlan &Plan, AttemptOutcome &Outcome)>;
-
-  explicit InProcessShardLauncher(const ShardWorkContext &Ctx,
-                                  FaultHook Hook = {});
-  ~InProcessShardLauncher() override;
-
-  bool launch(const AttemptPlan &Plan) override;
-  WorkerPoll poll(int64_t Shard) override;
-  void kill(int64_t Shard) override;
-  void waitForProgress(double Seconds) override;
-
-private:
-  struct Slot {
-    std::thread Worker;
-    std::atomic<bool> Done{false};
-    bool Faulted = false; ///< hook-failed; Outcome below is the verdict
-    AttemptOutcome Outcome = AttemptOutcome::Crash;
-    std::string ResultLine; ///< encoded protocol line (valid when Done)
-  };
-
-  const ShardWorkContext &Ctx;
-  FaultHook Hook;
-  std::mutex Mu;
-  /// Notified after a worker thread sets its slot Done under Mu.
-  std::condition_variable Progress;
-  std::map<int64_t, std::unique_ptr<Slot>> Slots;
-};
 
 } // namespace genprove
 

@@ -3,7 +3,9 @@
 #include "src/tensor/shape.h"
 
 #include "src/util/error.h"
+#include "src/util/parse.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace genprove {
@@ -37,6 +39,24 @@ std::string Shape::toString() const {
   }
   Out << ']';
   return Out.str();
+}
+
+bool parseShape(const std::string &Text, Shape &Out) {
+  std::vector<int64_t> Dims;
+  size_t Begin = 0;
+  for (;;) {
+    const size_t End = std::min(Text.find('x', Begin), Text.size());
+    int64_t Dim = 0;
+    if (!parseNumber(std::string_view(Text).substr(Begin, End - Begin), Dim) ||
+        Dim <= 0)
+      return false;
+    Dims.push_back(Dim);
+    if (End == Text.size())
+      break;
+    Begin = End + 1;
+  }
+  Out = Shape(std::move(Dims));
+  return true;
 }
 
 } // namespace genprove

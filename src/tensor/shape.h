@@ -46,6 +46,11 @@ private:
   std::vector<int64_t> Dims;
 };
 
+/// Parse a "1x4"-style shape: positive decimal dimensions separated by
+/// 'x'. False, with \p Out untouched, on empty text, an empty, non-digit
+/// or non-positive dimension, or a dimension that overflows int64_t.
+bool parseShape(const std::string &Text, Shape &Out);
+
 } // namespace genprove
 
 #endif // GENPROVE_TENSOR_SHAPE_H

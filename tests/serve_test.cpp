@@ -6,7 +6,8 @@
 /// the wire codec (verify round-trip, typed malformed/bad_request
 /// errors, worker-spec round-trip), and an end-to-end Unix-socket test:
 /// a live Server answering ping/verify/stats, shedding under load,
-/// surviving injected worker faults, and draining on requestStop.
+/// surviving injected faults in --isolate worker processes, refusing them
+/// in process, and draining on requestStop.
 
 #include "src/domains/prop_cache.h"
 #include "src/nn/linear.h"
@@ -558,9 +559,13 @@ TEST_F(ServeEndToEnd, ZeroDeadlineStillGetsSoundDegradedBounds) {
   ::close(Fd);
 }
 
+/// Crash, oomkill and hang hit real --isolate worker processes (the built
+/// genprove_serve, re-exec'd in --worker-request mode).
 TEST_F(ServeEndToEnd, InjectedCrashIsRetriedToASoundAnswer) {
   ServeConfig Cfg;
   Cfg.AllowInject = true;
+  Cfg.Isolate = true;
+  Cfg.ExePath = GENPROVE_SERVE_EXE;
   Cfg.HeartbeatTimeoutSeconds = 0.3; // fast hang detection for the test
   startServer(Cfg);
   const int Fd = connectSocket();
@@ -581,14 +586,65 @@ TEST_F(ServeEndToEnd, InjectedCrashIsRetriedToASoundAnswer) {
   ::close(Fd);
 }
 
+/// Injection needs --allow-inject; in process, only "slow" (a server-side
+/// sleep) is honored, and the worker-process faults name --isolate.
 TEST_F(ServeEndToEnd, InjectionRefusedWithoutAllowInject) {
-  ServeConfig Cfg; // AllowInject defaults off
+  struct Case {
+    bool AllowInject;
+    const char *Fault;
+    const char *Status;
+  };
+  const Case Cases[] = {
+      {false, "crash", "error"}, {false, "slow", "error"},
+      {true, "crash", "error"},  {true, "hang", "error"},
+      {true, "oomkill", "error"}, {true, "slow", "ok"},
+  };
+  for (const Case &C : Cases) {
+    ServeConfig Cfg;
+    Cfg.AllowInject = C.AllowInject;
+    startServer(Cfg);
+    const int Fd = connectSocket();
+    ASSERT_GE(Fd, 0);
+    JsonValue Reply;
+    ASSERT_TRUE(roundTrip(Fd, verifyLine(C.Fault, -1.0, C.Fault), Reply))
+        << C.Fault;
+    EXPECT_EQ(Reply.find("status")->stringOr(""), C.Status)
+        << C.Fault << ", allow_inject " << C.AllowInject;
+    if (C.AllowInject && std::string(C.Status) == "error") {
+      const JsonValue *Why = Reply.find("error");
+      ASSERT_NE(Why, nullptr) << C.Fault;
+      EXPECT_NE(Why->stringOr("").find("--isolate"), std::string::npos)
+          << C.Fault;
+    }
+    ::close(Fd);
+    stopServer();
+  }
+}
+
+/// Screening never overrides a deadline-driven coarsening: a fast_screen
+/// request whose deadline lands in the Resilient band runs unscreened.
+TEST_F(ServeEndToEnd, FastScreenInResilientBandIsNotScreened) {
+  ServeConfig Cfg;
+  Cfg.Qos.ResilientFloorSeconds = 30.0; // any real deadline is Resilient
+  Cfg.Qos.BoxFloorSeconds = 0.001;
   startServer(Cfg);
   const int Fd = connectSocket();
   ASSERT_GE(Fd, 0);
+
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  const auto Pieces = [&Reg] {
+    return Reg.counter("screen.inside_pieces").value() +
+           Reg.counter("screen.outside_pieces").value() +
+           Reg.counter("screen.borderline_pieces").value();
+  };
+  const int64_t Before = Pieces();
+  std::string Line = verifyLine("screen", 5000.0);
+  Line.insert(Line.size() - 1, ",\"fast_screen\":true");
   JsonValue Reply;
-  ASSERT_TRUE(roundTrip(Fd, verifyLine("nope", -1.0, "crash"), Reply));
-  EXPECT_EQ(Reply.find("status")->stringOr(""), "error");
+  ASSERT_TRUE(roundTrip(Fd, Line, Reply));
+  EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
+  EXPECT_EQ(Reply.find("rung")->stringOr(""), "resilient");
+  EXPECT_EQ(Pieces(), Before);
   ::close(Fd);
 }
 

@@ -4,9 +4,10 @@
 /// round-trips, the retry/backoff/escalation scheduler on a fake clock,
 /// the supervision loop against scripted worker failures (crash, hang,
 /// heartbeat loss, exhaustion -> fallback), and the differential oracle —
-/// a supervised sharded run must produce the same verdicts and (to float
-/// slack) the same bounds as the single-process path, and with injected
-/// faults its merged interval must still contain the fault-free one.
+/// a sharded run (one runShardAttempt per shard, merged) must produce the
+/// same verdicts and (to float slack) the same bounds as the
+/// single-process path, and a supervised run with injected faults must
+/// still merge to an interval containing the fault-free one.
 
 #include "src/core/genprove.h"
 #include "src/domains/memory_model.h"
@@ -21,12 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -397,8 +396,10 @@ TEST(ShardScheduler, EscalateRaisesRungWithoutConsumingAnAttempt) {
 // Supervisor against scripted failures, on a fake clock.
 // ---------------------------------------------------------------------------
 
-/// A launcher whose attempts resolve according to a script:
-///   Ok            — finishes instantly with bounds [0.1, 0.2] per spec;
+/// A launcher whose attempts resolve synchronously according to a script:
+///   Ok            — finishes instantly: with Ctx set, with the real
+///                   runShardAttempt result, else with bounds [0.1, 0.2]
+///                   per spec;
 ///   Hang          — never finishes, never heartbeats;
 ///   SlowHeartbeat — never finishes but heartbeats (deadline test);
 ///   anything else — fails instantly with that outcome.
@@ -410,6 +411,7 @@ public:
   std::vector<AttemptPlan> Launches;
   int64_t Kills = 0;
   int64_t NumSpecs = 1;
+  const ShardWorkContext *Ctx = nullptr;
 
   AttemptOutcome outcomeFor(const AttemptPlan &P) const {
     const auto It = Script.find({P.Shard, P.Attempt});
@@ -435,7 +437,9 @@ public:
     P.Finished = true;
     P.HeartbeatSeen = true;
     P.Outcome = O;
-    if (O == AttemptOutcome::Ok) {
+    if (O == AttemptOutcome::Ok && Ctx) {
+      P.Result = runShardAttempt(*Ctx, Plan);
+    } else if (O == AttemptOutcome::Ok) {
       P.Result.Shard = Shard;
       P.Result.Rung = static_cast<int64_t>(Plan.Rung);
       for (int64_t I = 0; I < NumSpecs; ++I) {
@@ -594,7 +598,7 @@ TEST(ShardMerge, MissingSpecSlotsAreConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: real propagation through the in-process launcher.
+// End-to-end: real propagation, one runShardAttempt per planned shard.
 // ---------------------------------------------------------------------------
 
 struct ShardFixture {
@@ -637,18 +641,6 @@ struct ShardFixture {
       Out.push_back(GP.boundsFor(State, Spec));
     return Out;
   }
-
-  /// Fast real-time supervision policy for in-process workers.
-  static ShardPolicy fastPolicy(int64_t NumShards, int64_t MaxRetries) {
-    ShardPolicy P;
-    P.NumShards = NumShards;
-    P.MaxRetries = MaxRetries;
-    P.PollIntervalSeconds = 0.001;
-    P.BackoffInitialSeconds = 0.001;
-    P.BackoffMaxSeconds = 0.01;
-    P.HeartbeatTimeoutSeconds = 30.0; // real threads must never trip it
-    return P;
-  }
 };
 
 TEST(ShardDifferential, ShardCountsAgreeWithSingleProcess) {
@@ -658,15 +650,17 @@ TEST(ShardDifferential, ShardCountsAgreeWithSingleProcess) {
 
   for (int64_t N : {1, 2, 4}) {
     const ShardWorkContext Ctx = F.context(N);
-    InProcessShardLauncher Launcher(Ctx);
-    ShardSupervisor Supervisor(ShardFixture::fastPolicy(N, 1), Launcher,
-                               /*Fallback=*/{});
-    const ShardRunSummary Summary = Supervisor.run();
-    EXPECT_FALSE(Summary.Degraded) << "fault-free run must be clean, N=" << N;
-    EXPECT_EQ(Summary.Restarts, 0);
+    std::vector<ShardResult> Results;
+    for (int64_t Shard = 0; Shard < N; ++Shard) {
+      AttemptPlan Plan;
+      Plan.Shard = Shard;
+      Results.push_back(runShardAttempt(Ctx, Plan));
+      EXPECT_FALSE(Results.back().Degraded)
+          << "fault-free attempt must be clean, N=" << N;
+    }
 
     const MergedCertificate Merged =
-        mergeShardResults(Summary.Results, static_cast<int64_t>(F.Specs.size()));
+        mergeShardResults(Results, static_cast<int64_t>(F.Specs.size()));
     EXPECT_FALSE(Merged.Degraded);
     ASSERT_EQ(Merged.Specs.size(), Base.size());
     for (size_t I = 0; I < Base.size(); ++I) {
@@ -692,28 +686,21 @@ TEST(ShardDifferential, InjectedCrashesKeepMergedBoundsSound) {
 
   const int64_t N = 4;
   const ShardWorkContext Ctx = F.context(N);
-  // Shard 1's first attempt crashes; shard 2 crashes until its budget is
+  // Shard 1's first attempt crashes; shard 2 fails until its budget is
   // gone and must be bounded by the coordinator's interval-box fallback.
-  const auto Hook = [](const AttemptPlan &Plan, AttemptOutcome &Outcome) {
-    if (Plan.Shard == 1 && Plan.Attempt == 0) {
-      Outcome = AttemptOutcome::Crash;
-      return true;
-    }
-    if (Plan.Shard == 2) {
-      Outcome = Plan.Attempt == 0 ? AttemptOutcome::OomKill
-                                  : AttemptOutcome::Crash;
-      return true;
-    }
-    return false;
-  };
-  InProcessShardLauncher Launcher(Ctx, Hook);
+  double Clock = 0.0;
+  ScriptedLauncher Launcher;
+  Launcher.Ctx = &Ctx;
+  Launcher.Script[{1, 0}] = AttemptOutcome::Crash;
+  Launcher.Script[{2, 0}] = AttemptOutcome::OomKill;
+  Launcher.Script[{2, 1}] = AttemptOutcome::Crash;
   const auto Fallback = [&Ctx](int64_t Shard) {
     AttemptPlan Plan;
     Plan.Shard = Shard;
     Plan.Rung = ShardRung::IntervalBox;
     return runShardAttempt(Ctx, Plan);
   };
-  ShardSupervisor Supervisor(ShardFixture::fastPolicy(N, 1), Launcher,
+  ShardSupervisor Supervisor(fakeClockPolicy(N, 1, &Clock), Launcher,
                              Fallback);
   const ShardRunSummary Summary = Supervisor.run();
 
@@ -729,53 +716,6 @@ TEST(ShardDifferential, InjectedCrashesKeepMergedBoundsSound) {
   // The oracle: a degraded merged interval must contain the exact one.
   for (size_t I = 0; I < Base.size(); ++I)
     expectContains(Merged.Specs[I], Base[I]);
-}
-
-/// A Linear layer that stalls each affine application, so an in-process
-/// attempt is still running when the supervisor first polls it.
-class SlowLinear : public Linear {
-public:
-  using Linear::Linear;
-  Tensor applyAffine(const Tensor &Points) const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return Linear::applyAffine(Points);
-  }
-};
-
-/// The in-process launcher wakes the supervisor when its worker thread
-/// finishes: a ~50 ms attempt under a 30 s poll interval returns at once
-/// instead of sleeping out the interval.
-TEST(ShardSupervisor, FinishedInProcessAttemptWakesTheSupervisor) {
-  Rng R(2027);
-  Sequential Net;
-  auto L = std::make_unique<SlowLinear>(2, 2);
-  L->weight() = Tensor::randn({2, 2}, R, 0.8);
-  L->bias() = Tensor::randn({2}, R, 0.5);
-  Net.add(std::move(L));
-  ShardWorkContext Ctx;
-  Ctx.Pipeline = Net.view();
-  Ctx.InputShape = Shape({1, 2});
-  Ctx.Start = Tensor::randn({1, 2}, R);
-  Ctx.End = Tensor::randn({1, 2}, R);
-  Ctx.Specs.push_back(OutputSpec::argmaxWins(0, 2));
-
-  ShardPolicy Policy;
-  Policy.MaxRetries = 0;
-  Policy.PollIntervalSeconds = 30.0;
-  Policy.HeartbeatTimeoutSeconds = 0.0;
-  InProcessShardLauncher Launcher(Ctx);
-  ShardSupervisor Supervisor(Policy, Launcher, /*Fallback=*/{});
-  const auto T0 = std::chrono::steady_clock::now();
-  const ShardRunSummary Summary = Supervisor.run();
-  const double Seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-          .count();
-
-  EXPECT_GE(Seconds, 0.05);
-  EXPECT_LT(Seconds, 1.0) << "supervisor slept out its poll interval";
-  EXPECT_FALSE(Summary.Degraded);
-  ASSERT_EQ(Summary.Results.size(), 1u);
-  EXPECT_EQ(Summary.Results[0].Specs.size(), 1u);
 }
 
 TEST(ShardAttempt, IntervalBoxRungIsDegradedButSound) {

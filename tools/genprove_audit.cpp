@@ -21,6 +21,7 @@
 #include "src/audit/audit.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/util/parse.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,11 +60,13 @@ int main(int Argc, char **Argv) {
         usage(("missing value for " + Arg).c_str());
       return Argv[++I];
     };
-    if (Arg == "--samples")
-      Config.SamplesPerModel = std::stoll(Next());
-    else if (Arg == "--seed")
-      Config.Seed = std::stoull(Next());
-    else if (Arg == "--no-differential")
+    if (Arg == "--samples") {
+      if (!parseNumber(Next(), Config.SamplesPerModel))
+        usage("--samples wants a number");
+    } else if (Arg == "--seed") {
+      if (!parseNumber(Next(), Config.Seed))
+        usage("--seed wants a number");
+    } else if (Arg == "--no-differential")
       Config.Differential = false;
     else if (Arg == "--report-out")
       ReportOutPath = Next();

@@ -48,6 +48,7 @@
 #include "src/domains/prop_cache.h"
 #include "src/nn/serialize.h"
 #include "src/util/fp.h"
+#include "src/util/parse.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
@@ -235,15 +236,13 @@ std::string findNonFiniteParam(Sequential &Net) {
   return {};
 }
 
-Shape parseShape(const std::string &Text) {
-  std::vector<int64_t> Dims;
-  std::istringstream In(Text);
-  std::string Part;
-  while (std::getline(In, Part, 'x'))
-    Dims.push_back(std::stoll(Part));
-  if (Dims.empty())
-    usage("bad --input-shape");
-  return Shape(Dims);
+/// A numeric flag value; a malformed number is a usage error (exit 2).
+template <typename T> T numberArg(const std::string &Flag,
+                                  const std::string &Text) {
+  T Value{};
+  if (!parseNumber(Text, Value))
+    usage((Flag + " wants a number, got '" + Text + "'").c_str());
+  return Value;
 }
 
 OutputSpec parseSpec(const std::string &Text) {
@@ -353,11 +352,11 @@ WorkerFaultPlan parseWorkerFault(const std::string &Text) {
     usage("bad --inject-worker-fault mode (crash|hang|oomkill|slow)");
   if (!std::getline(In, Part, ':'))
     usage("--inject-worker-fault needs a shard index");
-  Plan.Shard = std::stoll(Part);
+  Plan.Shard = numberArg<int64_t>("--inject-worker-fault shard", Part);
   if (std::getline(In, Part, ':'))
-    Plan.Attempts = std::stoll(Part);
+    Plan.Attempts = numberArg<int64_t>("--inject-worker-fault attempts", Part);
   if (std::getline(In, Part, ':'))
-    Plan.Millis = std::stod(Part);
+    Plan.Millis = numberArg<double>("--inject-worker-fault ms", Part);
   if (Plan.Mode == "slow" && Plan.Millis >= 600000)
     Plan.Millis = 2000; // a kill -9 window, not an eternity
   Plan.Active = true;
@@ -379,46 +378,6 @@ void maybeFireWorkerFault(const WorkerFaultPlan &Plan, int64_t Shard,
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(Plan.Millis));
 }
-
-/// Heartbeat emitter: one protocol line every IntervalMs until stopped.
-/// Each beat carries the liveness digest (charged state bytes, current
-/// layer) sampled from the RunLiveness atomics the propagation loop
-/// refreshes — a hung worker keeps beating with a frozen digest, which is
-/// exactly how the supervisor tells "hung but heartbeating" from "slow".
-class HeartbeatThread {
-public:
-  HeartbeatThread(int64_t Shard, double IntervalMs) {
-    Worker = std::thread([this, Shard, IntervalMs] {
-      int64_t Seq = 0;
-      while (!Stop.load(std::memory_order_acquire)) {
-        RunLiveness &Live = RunLiveness::global();
-        const std::string Line = encodeShardHeartbeat(
-            Shard, Seq++,
-            Live.StateBytes.load(std::memory_order_relaxed),
-            Live.CurrentLayer.load(std::memory_order_relaxed));
-        std::fprintf(stdout, "%s\n", Line.c_str());
-        std::fflush(stdout);
-        // Sleep in small slices so shutdown is prompt.
-        double Left = IntervalMs;
-        while (Left > 0.0 && !Stop.load(std::memory_order_acquire)) {
-          const double Slice = std::min(Left, 10.0);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(Slice));
-          Left -= Slice;
-        }
-      }
-    });
-  }
-  ~HeartbeatThread() {
-    Stop.store(true, std::memory_order_release);
-    if (Worker.joinable())
-      Worker.join();
-  }
-
-private:
-  std::atomic<bool> Stop{false};
-  std::thread Worker;
-};
 
 } // namespace
 
@@ -480,33 +439,34 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--cache-mb") {
       // Coordinator/local-only: the cache is per-process.
       PropagationCache::global().configure(
-          static_cast<size_t>(std::stoull(Next())) << 20);
+          static_cast<size_t>(numberArg<uint64_t>(Arg, Next())) << 20);
     } else if (Arg == "--spec") {
       const std::string V = Next();
       SpecTexts.push_back(V);
       Forward({Arg, V});
     } else if (Arg == "--threads") {
-      ThreadsGiven = std::stoll(Next());
+      ThreadsGiven = numberArg<int64_t>(Arg, Next());
       ThreadPool::global().setThreads(ThreadsGiven);
     } else if (Arg == "--p") {
       const std::string V = Next();
-      Config.RelaxPercent = std::stod(V);
+      Config.RelaxPercent = numberArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--k") {
       const std::string V = Next();
-      Config.ClusterK = std::stod(V);
+      Config.ClusterK = numberArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--threshold") {
       const std::string V = Next();
-      Config.NodeThreshold = std::stoll(V);
+      Config.NodeThreshold = numberArg<int64_t>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--budget-mb") {
       Config.MemoryBudgetBytes =
-          static_cast<size_t>(std::stoull(Next())) << 20;
+          static_cast<size_t>(numberArg<uint64_t>(Arg, Next())) << 20;
     } else if (Arg == "--budget-bytes") {
       // Byte-granular budget, used when the coordinator forwards each
       // worker its exact per-shard slice.
-      Config.MemoryBudgetBytes = static_cast<size_t>(std::stoull(Next()));
+      Config.MemoryBudgetBytes =
+          static_cast<size_t>(numberArg<uint64_t>(Arg, Next()));
     } else if (Arg == "--deterministic") {
       Config.Mode = AnalysisMode::Deterministic;
     } else if (Arg == "--sound") {
@@ -517,7 +477,7 @@ int main(int Argc, char **Argv) {
       Forward({Arg});
     } else if (Arg == "--screen-splits") {
       const std::string V = Next();
-      Config.ScreenSplits = std::stoll(V);
+      Config.ScreenSplits = numberArg<int64_t>(Arg, V);
       if (Config.ScreenSplits < 1)
         usage("--screen-splits wants N >= 1");
       Forward({Arg, V});
@@ -525,7 +485,7 @@ int main(int Argc, char **Argv) {
       Config.Distribution = ParamDistribution::Arcsine;
       Forward({Arg});
     } else if (Arg == "--splits") {
-      Config.InputSplits = std::stoll(Next());
+      Config.InputSplits = numberArg<int64_t>(Arg, Next());
       SplitsGiven = true;
     } else if (Arg == "--schedule") {
       const std::string V = Next();
@@ -538,44 +498,44 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--deadline-ms") {
       const std::string V = Next();
       Config.Resilience.Enabled = true;
-      Config.Resilience.DeadlineSeconds = std::stod(V) / 1000.0;
+      Config.Resilience.DeadlineSeconds = numberArg<double>(Arg, V) / 1000.0;
       Forward({Arg, V});
     } else if (Arg == "--shards") {
-      Shards = std::stoll(Next());
+      Shards = numberArg<int64_t>(Arg, Next());
       if (Shards < 1)
         usage("--shards wants N >= 1");
     } else if (Arg == "--shard-worker") {
-      ShardWorker = std::stoll(Next());
+      ShardWorker = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-attempt") {
-      ShardAttempt = std::stoll(Next());
+      ShardAttempt = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-rung") {
-      ShardRungFlag = std::stoll(Next());
+      ShardRungFlag = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-retries") {
-      ShardRetries = std::stoll(Next());
+      ShardRetries = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-deadline-ms") {
-      ShardDeadlineMs = std::stod(Next());
+      ShardDeadlineMs = numberArg<double>(Arg, Next());
     } else if (Arg == "--shard-heartbeat-ms") {
       const std::string V = Next();
-      ShardHeartbeatMs = std::stod(V);
+      ShardHeartbeatMs = numberArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--inject-oom-layer") {
       const std::string V = Next();
-      Faults.OomAtLayer = std::stoll(V);
+      Faults.OomAtLayer = numberArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-oom-count") {
       const std::string V = Next();
-      Faults.OomFireCount = std::stoll(V);
+      Faults.OomFireCount = numberArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-nan-layer") {
       const std::string V = Next();
-      Faults.NanAtLayer = std::stoll(V);
+      Faults.NanAtLayer = numberArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--clock-skew-ms") {
       const std::string V = Next();
-      Faults.ClockSkewSecondsPerLayer = std::stod(V) / 1000.0;
+      Faults.ClockSkewSecondsPerLayer = numberArg<double>(Arg, V) / 1000.0;
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-worker-fault") {
@@ -698,7 +658,9 @@ int main(int Argc, char **Argv) {
   for (const Sequential &Net : Networks)
     Pipeline = concatViews(Pipeline, Net.view());
 
-  const Shape InputShape = parseShape(ShapeText);
+  Shape InputShape;
+  if (!parseShape(ShapeText, InputShape))
+    usage(("bad --input-shape '" + ShapeText + "'").c_str());
   std::vector<std::pair<Tensor, Tensor>> Segments;
   for (size_t I = 0; I < StartPaths.size(); ++I) {
     Tensor S = readVector(StartPaths[I]);
@@ -748,43 +710,31 @@ int main(int Argc, char **Argv) {
     Plan.Rung = static_cast<ShardRung>(
         std::clamp<int64_t>(ShardRungFlag, 0, 3));
 
-    ShardResult Result;
-    {
-      // Heartbeats flow for the whole propagation; the emitter interval
-      // stays well under the supervisor's kill timeout.
-      const double IntervalMs =
-          std::clamp(ShardHeartbeatMs / 4.0, 10.0, 250.0);
-      HeartbeatThread Beat(ShardWorker, IntervalMs);
+    // Heartbeats flow for the whole propagation; the emitter interval
+    // stays well under the supervisor's kill timeout. The result line
+    // carries the telemetry planes the coordinator asked for: the
+    // supervisor folds metrics into its registry (totals plus a shard=<id>
+    // dimension), splices trace events into the unified timeline under
+    // pid = shard+1, and splices log records verbatim.
+    const auto Telemetry = [&] {
+      ShardTelemetry Tel;
+      if (TelMetrics) {
+        Tel.HasMetrics = true;
+        Tel.Metrics = MetricsSnapshot::capture(MetricsRegistry::global());
+      }
+      if (TelTrace)
+        Tel.Trace = TraceSession::global().events();
+      if (TelLog)
+        Tel.Log = EventLog::global().records();
+      return Tel;
+    };
+    const auto Stall = [&] {
       if (SlowFault)
         maybeFireWorkerFault(WorkerFault, ShardWorker, ShardAttempt);
-      Result = runShardAttempt(Ctx, Plan);
-    }
-    if (Result.OutOfMemory) {
-      // No sound partial bounds to report; exit 3 tells the supervisor
-      // this attempt is retryable at a higher rung. (The attempt's
-      // telemetry dies with it — an accepted loss; the retry's survives.)
-      std::fprintf(stderr, "genprove_cli: shard %lld out of memory\n",
-                   static_cast<long long>(ShardWorker));
-      return 3;
-    }
-    // Attach the telemetry planes the coordinator asked for to the result
-    // line; the supervisor folds metrics into its registry (totals plus a
-    // shard=<id> dimension), splices trace events into the unified
-    // timeline under pid = shard+1, and splices log records verbatim.
-    ShardTelemetry Tel;
-    if (TelMetrics) {
-      Tel.HasMetrics = true;
-      Tel.Metrics = MetricsSnapshot::capture(MetricsRegistry::global());
-    }
-    if (TelTrace)
-      Tel.Trace = TraceSession::global().events();
-    if (TelLog)
-      Tel.Log = EventLog::global().records();
-    const std::string Line =
-        encodeShardResult(Result, Tel.empty() ? nullptr : &Tel);
-    std::fprintf(stdout, "%s\n", Line.c_str());
-    std::fflush(stdout);
-    return Result.Degraded ? 4 : 0;
+    };
+    return runWorkerAttempt(Ctx, Plan,
+                            std::clamp(ShardHeartbeatMs / 4.0, 10.0, 250.0),
+                            Telemetry, Stall);
   }
 
   //===--------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/obs/json.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
 #include <atomic>
@@ -78,6 +79,15 @@ namespace {
       "  --seed S             RNG seed (default 7)\n"
       "  --out PATH           JSON results file (default BENCH_serve.json)\n");
   std::exit(2);
+}
+
+/// A numeric flag value; a malformed number is a usage error (exit 2).
+template <typename T> T numberArg(const std::string &Flag,
+                                  const std::string &Text) {
+  T Value{};
+  if (!parseNumber(Text, Value))
+    usage((Flag + " wants a number, got '" + Text + "'").c_str());
+  return Value;
 }
 
 double nowSeconds() {
@@ -463,34 +473,34 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--net")
       Opt.Net = NextArg(I);
     else if (Arg == "--dims")
-      Opt.Dims = std::stoll(NextArg(I));
+      Opt.Dims = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--spec")
       Opt.Specs.push_back(NextArg(I));
     else if (Arg == "--clients")
-      Opt.Clients = std::stoll(NextArg(I));
+      Opt.Clients = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--requests")
-      Opt.Requests = std::stoll(NextArg(I));
+      Opt.Requests = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--deadline-ms")
-      Opt.DeadlineMs = std::stod(NextArg(I));
+      Opt.DeadlineMs = numberArg<double>(Arg, NextArg(I));
     else if (Arg == "--budget-mb")
-      Opt.BudgetMb = std::stoll(NextArg(I));
+      Opt.BudgetMb = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--p")
-      Opt.RelaxP = std::stod(NextArg(I));
+      Opt.RelaxP = numberArg<double>(Arg, NextArg(I));
     else if (Arg == "--k")
-      Opt.ClusterK = std::stod(NextArg(I));
+      Opt.ClusterK = numberArg<double>(Arg, NextArg(I));
     else if (Arg == "--inject-every")
-      Opt.InjectEvery = std::stoll(NextArg(I));
+      Opt.InjectEvery = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--wire-faults")
       Opt.WireFaults = true;
     else if (Arg == "--max-retries")
-      Opt.MaxRetries = std::stoll(NextArg(I));
+      Opt.MaxRetries = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--expect-contain") {
       Opt.HaveExpect = true;
-      Opt.ExpectContain = std::stod(NextArg(I));
+      Opt.ExpectContain = numberArg<double>(Arg, NextArg(I));
     } else if (Arg == "--repeat-mix")
-      Opt.RepeatMix = std::stoll(NextArg(I));
+      Opt.RepeatMix = numberArg<int64_t>(Arg, NextArg(I));
     else if (Arg == "--seed")
-      Opt.Seed = std::stoull(NextArg(I));
+      Opt.Seed = numberArg<uint64_t>(Arg, NextArg(I));
     else if (Arg == "--out")
       Opt.OutPath = NextArg(I);
     else if (Arg == "--help" || Arg == "-h")

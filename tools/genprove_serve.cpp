@@ -4,7 +4,7 @@
 /// Long-running verification daemon (docs/SERVING.md): loads the model
 /// zoo once, listens on a Unix-domain socket for newline-JSON verify
 /// requests, and serves them concurrently under admission control,
-/// per-request QoS degradation, and supervised fault containment.
+/// per-request QoS degradation, and fault containment.
 ///
 ///   genprove_serve --socket /tmp/genprove.sock \
 ///       --net tiny=decoder.gpn+classifier.gpn --budget-mb 512 \
@@ -15,9 +15,12 @@
 /// under --drain-deadline-ms, and every configured telemetry artifact is
 /// flushed before exit.
 ///
-/// With --isolate each propagation runs in a fork/exec'd worker process
-/// (this binary re-exec'd with --worker-request), so even a propagation
-/// that corrupts its own heap cannot take the daemon down.
+/// By default each request runs on its connection thread, where the
+/// resilient engine contains OOM, non-finite values and deadlines. With
+/// --isolate each propagation runs in a supervised fork/exec'd worker
+/// process (this binary re-exec'd with --worker-request), so even a
+/// propagation that crashes, hangs or corrupts its own heap cannot take
+/// the daemon down.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +31,9 @@
 #include "src/obs/trace.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/server.h"
-#include "src/shard/protocol.h"
-#include "src/shard/supervisor.h"
+#include "src/shard/process_launcher.h"
 #include "src/util/fp.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
 #include <atomic>
@@ -87,16 +90,22 @@ namespace {
       "  --default-run-ms T      engine deadline for requests that carry\n"
       "                          none (default 30000)\n"
       "\n"
-      "fault containment:\n"
-      "  --isolate             run each propagation in a fork/exec worker\n"
-      "                        process instead of an in-process thread\n"
-      "  --request-retries R   supervised retries per request before the\n"
-      "                        interval-box fallback (default 2)\n"
-      "  --heartbeat-ms T      kill a worker silent for T ms (default 2000)\n"
+      "fault containment (in process, the resilient engine contains\n"
+      "OOM, non-finite values and deadlines; crashes and hangs need\n"
+      "--isolate):\n"
+      "  --isolate             run each propagation in a supervised\n"
+      "                        fork/exec worker process instead of on the\n"
+      "                        connection thread\n"
+      "  --request-retries R   with --isolate: supervised retries per\n"
+      "                        request before the interval-box fallback\n"
+      "                        (default 2)\n"
+      "  --heartbeat-ms T      with --isolate: kill a worker silent for\n"
+      "                        T ms (default 2000)\n"
       "  --write-timeout-ms T  drop a client whose socket blocks a\n"
       "                        response for T ms (default 5000)\n"
       "  --allow-inject        honor the request \"inject\" field (CI\n"
-      "                        fault smoke only)\n"
+      "                        fault smoke only; crash, hang and oomkill\n"
+      "                        need --isolate)\n"
       "\n"
       "propagation cache (docs/SERVING.md):\n"
       "  --cache-mb N          propagation-cache budget: memoize per-layer\n"
@@ -116,6 +125,15 @@ namespace {
       "  --log-capacity N      in-memory log ring size (default 8192)\n"
       "  --run-id ID           run id stamped on every log line\n");
   std::exit(2);
+}
+
+/// A numeric flag value; a malformed number is a usage error (exit 2).
+template <typename T> T numberArg(const std::string &Flag,
+                                  const std::string &Text) {
+  T Value{};
+  if (!parseNumber(Text, Value))
+    usage((Flag + " wants a number, got '" + Text + "'").c_str());
+  return Value;
 }
 
 std::string makeRunId() {
@@ -154,41 +172,6 @@ void handleShutdownSignal(int) {
 // ProcessShardLauncher's classification applies unchanged.
 //===----------------------------------------------------------------------===//
 
-/// Heartbeat emitter: one protocol line every IntervalMs until stopped,
-/// carrying the liveness digest the propagation loop refreshes.
-class HeartbeatThread {
-public:
-  HeartbeatThread(int64_t Shard, double IntervalMs) {
-    Worker = std::thread([this, Shard, IntervalMs] {
-      int64_t Seq = 0;
-      while (!Stop.load(std::memory_order_acquire)) {
-        RunLiveness &Live = RunLiveness::global();
-        const std::string Line = encodeShardHeartbeat(
-            Shard, Seq++, Live.StateBytes.load(std::memory_order_relaxed),
-            Live.CurrentLayer.load(std::memory_order_relaxed));
-        std::fprintf(stdout, "%s\n", Line.c_str());
-        std::fflush(stdout);
-        double Left = IntervalMs;
-        while (Left > 0.0 && !Stop.load(std::memory_order_acquire)) {
-          const double Slice = std::min(Left, 10.0);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(Slice));
-          Left -= Slice;
-        }
-      }
-    });
-  }
-  ~HeartbeatThread() {
-    Stop.store(true, std::memory_order_release);
-    if (Worker.joinable())
-      Worker.join();
-  }
-
-private:
-  std::atomic<bool> Stop{false};
-  std::thread Worker;
-};
-
 int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   std::ifstream In(SpecPath);
   std::stringstream Text;
@@ -198,6 +181,12 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   if (!In || !decodeServeWorkerSpec(Text.str(), Spec, &Err)) {
     std::fprintf(stderr, "genprove_serve worker: bad spec %s: %s\n",
                  SpecPath.c_str(), Err.c_str());
+    return 2;
+  }
+  Shape InputShape;
+  if (!parseShape(Spec.InputShape, InputShape)) {
+    std::fprintf(stderr, "genprove_serve worker: bad input shape '%s'\n",
+                 Spec.InputShape.c_str());
     return 2;
   }
   if (Spec.Sound)
@@ -216,19 +205,7 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   ShardWorkContext Ctx;
   for (const Sequential &Net : Networks)
     Ctx.Pipeline = concatViews(Ctx.Pipeline, Net.view());
-
-  {
-    std::vector<int64_t> Dims;
-    std::istringstream ShapeIn(Spec.InputShape);
-    std::string Part;
-    while (std::getline(ShapeIn, Part, 'x'))
-      Dims.push_back(std::strtoll(Part.c_str(), nullptr, 10));
-    if (Dims.empty()) {
-      std::fprintf(stderr, "genprove_serve worker: bad input shape\n");
-      return 2;
-    }
-    Ctx.InputShape = Shape(Dims);
-  }
+  Ctx.InputShape = InputShape;
   const int64_t Latent = static_cast<int64_t>(Spec.Start.size());
   Ctx.Start = Tensor({1, Latent}, Spec.Start);
   Ctx.End = Tensor({1, Latent}, Spec.End);
@@ -270,20 +247,8 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
       std::this_thread::sleep_for(std::chrono::seconds(600));
   }
 
-  ShardResult Result;
-  {
-    const double IntervalMs = std::clamp(Spec.HeartbeatMs, 10.0, 250.0);
-    HeartbeatThread Beat(0, IntervalMs);
-    Result = runShardAttempt(Ctx, Plan);
-  }
-  if (Result.OutOfMemory) {
-    std::fprintf(stderr, "genprove_serve worker: out of memory\n");
-    return 3;
-  }
-  const std::string Line = encodeShardResult(Result, nullptr);
-  std::fprintf(stdout, "%s\n", Line.c_str());
-  std::fflush(stdout);
-  return Result.Degraded ? 4 : 0;
+  return runWorkerAttempt(Ctx, Plan,
+                          std::clamp(Spec.HeartbeatMs, 10.0, 250.0));
 }
 
 } // namespace
@@ -300,6 +265,15 @@ int main(int Argc, char **Argv) {
       usage("missing value for option");
     return Argv[++I];
   };
+  auto Int = [&](const std::string &Flag, int &I) {
+    return numberArg<int64_t>(Flag, NextArg(I));
+  };
+  auto Ms = [&](const std::string &Flag, int &I) {
+    return numberArg<double>(Flag, NextArg(I)) / 1000.0;
+  };
+  auto Mb = [&](const std::string &Flag, int &I) {
+    return static_cast<size_t>(numberArg<uint64_t>(Flag, NextArg(I))) << 20;
+  };
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
     if (Arg == "--socket") {
@@ -307,43 +281,41 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--net") {
       NetSpecs.push_back(NextArg(I));
     } else if (Arg == "--budget-mb") {
-      Cfg.Admission.BudgetBytes =
-          static_cast<size_t>(std::stoull(NextArg(I))) << 20;
+      Cfg.Admission.BudgetBytes = Mb(Arg, I);
     } else if (Arg == "--max-concurrent") {
-      Cfg.Admission.MaxConcurrent = std::stoll(NextArg(I));
+      Cfg.Admission.MaxConcurrent = Int(Arg, I);
     } else if (Arg == "--max-queue") {
-      Cfg.Admission.MaxQueue = std::stoll(NextArg(I));
+      Cfg.Admission.MaxQueue = Int(Arg, I);
     } else if (Arg == "--queue-wait-ms") {
-      Cfg.Admission.MaxQueueWaitSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Admission.MaxQueueWaitSeconds = Ms(Arg, I);
     } else if (Arg == "--max-connections") {
-      Cfg.MaxConnections = std::stoll(NextArg(I));
+      Cfg.MaxConnections = Int(Arg, I);
     } else if (Arg == "--max-line-bytes") {
-      Cfg.MaxLineBytes = static_cast<size_t>(std::stoull(NextArg(I)));
+      Cfg.MaxLineBytes = numberArg<uint64_t>(Arg, NextArg(I));
     } else if (Arg == "--resilient-floor-ms") {
-      Cfg.Qos.ResilientFloorSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.ResilientFloorSeconds = Ms(Arg, I);
     } else if (Arg == "--box-floor-ms") {
-      Cfg.Qos.BoxFloorSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.BoxFloorSeconds = Ms(Arg, I);
     } else if (Arg == "--default-run-ms") {
-      Cfg.Qos.DefaultRunSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.DefaultRunSeconds = Ms(Arg, I);
     } else if (Arg == "--isolate") {
       Cfg.Isolate = true;
     } else if (Arg == "--request-retries") {
-      Cfg.RequestRetries = std::stoll(NextArg(I));
+      Cfg.RequestRetries = Int(Arg, I);
     } else if (Arg == "--heartbeat-ms") {
-      Cfg.HeartbeatTimeoutSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.HeartbeatTimeoutSeconds = Ms(Arg, I);
     } else if (Arg == "--write-timeout-ms") {
-      Cfg.WriteTimeoutSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.WriteTimeoutSeconds = Ms(Arg, I);
     } else if (Arg == "--drain-deadline-ms") {
-      Cfg.DrainDeadlineSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.DrainDeadlineSeconds = Ms(Arg, I);
     } else if (Arg == "--cache-mb") {
-      PropagationCache::global().configure(
-          static_cast<size_t>(std::stoull(NextArg(I))) << 20);
+      PropagationCache::global().configure(Mb(Arg, I));
     } else if (Arg == "--allow-inject") {
       Cfg.AllowInject = true;
     } else if (Arg == "--sound") {
       Cfg.SoundMode = true;
     } else if (Arg == "--threads") {
-      ThreadPool::global().setThreads(std::stoll(NextArg(I)));
+      ThreadPool::global().setThreads(Int(Arg, I));
     } else if (Arg == "--metrics-out") {
       MetricsOutPath = NextArg(I);
     } else if (Arg == "--prom-out") {
@@ -353,7 +325,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--trace-out") {
       TraceOutPath = NextArg(I);
     } else if (Arg == "--log-capacity") {
-      LogCapacity = std::stoll(NextArg(I));
+      LogCapacity = Int(Arg, I);
     } else if (Arg == "--run-id") {
       RunId = NextArg(I);
     } else if (Arg == "--worker-request") {
@@ -361,9 +333,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--shard-worker") {
       NextArg(I); // always shard 0; consumed for launcher compatibility
     } else if (Arg == "--shard-attempt") {
-      WorkerAttempt = std::stoll(NextArg(I));
+      WorkerAttempt = Int(Arg, I);
     } else if (Arg == "--shard-rung") {
-      WorkerRung = std::stoll(NextArg(I));
+      WorkerRung = Int(Arg, I);
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
     } else {
