@@ -2,10 +2,10 @@
 //
 // google-benchmark microbenchmarks of the kernels the verifier spends its
 // time in: matmul (tiled vs the pre-optimization naive kernel, across
-// sizes and thread counts), im2col convolution, transposed convolution,
-// concurrent grid-cell style propagation, segment ReLU splitting,
-// relaxation, and degree-1 vs degree-2 propagation (the GenProveCurve
-// ablation from DESIGN.md).
+// sizes and thread counts), the conv tap kernel at the paper's conv and
+// transposed-conv layer shapes, concurrent grid-cell style propagation,
+// segment ReLU splitting, relaxation, and degree-1 vs degree-2
+// propagation (the GenProveCurve ablation from DESIGN.md).
 //
 // Emit the machine-readable record with:
 //   micro_kernels --benchmark_repetitions=5 --benchmark_out=BENCH_kernels.json
@@ -157,55 +157,79 @@ BENCHMARK(BM_MatmulTransB)
       threadRows(B, {{256, 1}, {256, 4}});
     });
 
-void BM_Conv2d(benchmark::State &State) {
-  const int64_t Batch = State.range(0);
-  PoolScope Scope(State.range(1));
+/// One of the paper's conv layers at 16x16 images (the batch-innermost
+/// tap kernel's hot shapes).
+struct ConvBenchLayer {
+  bool Transposed;
+  int64_t InC, OutC, Kernel, Stride, Padding, OutPadding, Size;
+};
+
+constexpr ConvBenchLayer ConvLargeConv = {false, 16, 16, 4, 2, 1, 0, 16};
+constexpr ConvBenchLayer DecoderConvT1 = {true, 32, 16, 3, 2, 1, 1, 8};
+constexpr ConvBenchLayer DecoderConvT2 = {true, 16, 3, 3, 1, 1, 0, 16};
+
+/// Multiply-adds per sample: every in-bounds tap, zero inputs included,
+/// as the kernel runs them.
+int64_t convMadds(const ConvBenchLayer &L, const ConvGeometry &G) {
+  // (input, output) position pairs one kernel axis links, squared for the
+  // square layers here.
+  const int64_t Out = L.Transposed ? G.convTransposeOutput(L.Size, L.Size).first
+                                   : G.convOutput(L.Size, L.Size).first;
+  int64_t Pairs = 0;
+  for (int64_t O = 0; O < Out; ++O)
+    for (int64_t I = 0; I < L.Size; ++I) {
+      const int64_t K = L.Transposed ? O + L.Padding - I * L.Stride
+                                     : I - O * L.Stride + L.Padding;
+      Pairs += K >= 0 && K < L.Kernel;
+    }
+  return Pairs * Pairs * L.InC * L.OutC;
+}
+
+/// A conv layer forward on Batch post-ReLU samples (the engine feeds ReLU
+/// outputs, 30-70% exact zeros) with Threads pool threads.
+/// items_per_second is multiply-adds per second.
+void runConvBench(benchmark::State &State, const ConvBenchLayer &L,
+                  int64_t Batch, int64_t Threads) {
+  PoolScope Scope(Threads);
   Rng R(2);
   ConvGeometry G;
-  G.InChannels = 16;
-  G.OutChannels = 32;
-  G.KernelH = G.KernelW = 4;
-  G.Stride = 2;
-  G.Padding = 1;
-  Tensor In = Tensor::randn({Batch, 16, 16, 16}, R);
-  Tensor W = Tensor::randn({32, 16, 4, 4}, R);
-  Tensor B = Tensor::randn({32}, R);
+  G.InChannels = L.InC;
+  G.OutChannels = L.OutC;
+  G.KernelH = G.KernelW = L.Kernel;
+  G.Stride = L.Stride;
+  G.Padding = L.Padding;
+  G.OutputPadding = L.OutPadding;
+  const Tensor In = relu(Tensor::randn({Batch, L.InC, L.Size, L.Size}, R));
+  const Tensor W =
+      L.Transposed ? Tensor::randn({L.InC, L.OutC, L.Kernel, L.Kernel}, R)
+                   : Tensor::randn({L.OutC, L.InC, L.Kernel, L.Kernel}, R);
+  const Tensor B = Tensor::randn({L.OutC}, R);
   for (auto _ : State) {
-    Tensor Out = conv2d(In, W, B, G);
+    Tensor Out = L.Transposed ? convTranspose2d(In, W, B, G)
+                              : conv2d(In, W, B, G);
     benchmark::DoNotOptimize(Out.data());
   }
-  State.SetItemsProcessed(State.iterations() * Batch);
+  State.SetItemsProcessed(State.iterations() * Batch * convMadds(L, G));
+}
+
+void BM_Conv2d(benchmark::State &State) {
+  runConvBench(State, ConvLargeConv, State.range(0), State.range(1));
 }
 BENCHMARK(BM_Conv2d)
     ->ArgNames({"batch", "threads"})
     ->Apply([](benchmark::internal::Benchmark *B) {
-      threadRows(B, {{1, 1}, {16, 1}, {64, 1}, {16, 4}, {64, 4}});
+      threadRows(B, {{1, 1}, {256, 1}, {256, 2}});
     });
 
 void BM_ConvTranspose2d(benchmark::State &State) {
-  const int64_t Batch = State.range(0);
-  PoolScope Scope(State.range(1));
-  Rng R(3);
-  ConvGeometry G;
-  G.InChannels = 32;
-  G.OutChannels = 16;
-  G.KernelH = G.KernelW = 3;
-  G.Stride = 2;
-  G.Padding = 1;
-  G.OutputPadding = 1;
-  Tensor In = Tensor::randn({Batch, 32, 8, 8}, R);
-  Tensor W = Tensor::randn({32, 16, 3, 3}, R);
-  Tensor B = Tensor::randn({16}, R);
-  for (auto _ : State) {
-    Tensor Out = convTranspose2d(In, W, B, G);
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.SetItemsProcessed(State.iterations() * Batch);
+  runConvBench(State, State.range(0) == 16 ? DecoderConvT1 : DecoderConvT2,
+               State.range(1), State.range(2));
 }
 BENCHMARK(BM_ConvTranspose2d)
-    ->ArgNames({"batch", "threads"})
+    ->ArgNames({"out", "batch", "threads"})
     ->Apply([](benchmark::internal::Benchmark *B) {
-      threadRows(B, {{1, 1}, {16, 1}, {16, 4}});
+      for (int64_t Out : {16, 3})
+        threadRows(B, {{Out, 1, 1}, {Out, 256, 1}, {Out, 256, 2}});
     });
 
 /// Grid-cell style concurrency: independent propagations through

@@ -40,7 +40,7 @@ Tensor Conv2d::applyLinear(const Tensor &Points) const {
 
 void Conv2d::applyToBox(Tensor &Center, Tensor &Radius) const {
   Center = conv2d(Center, Weight, Bias, Geom);
-  // |W| conv with no bias == conv2dAbs, minus the per-call clone+fabs.
+  // The radius image |W| * r: the same kernel on the memoized |W|.
   Radius = conv2d(Radius, AbsCache.get(Weight), Tensor(), Geom);
 }
 

@@ -42,8 +42,7 @@ Tensor ConvTranspose2d::applyLinear(const Tensor &Points) const {
 
 void ConvTranspose2d::applyToBox(Tensor &Center, Tensor &Radius) const {
   Center = convTranspose2d(Center, Weight, Bias, Geom);
-  // |W| scatter with no bias == convTranspose2dAbs, minus the per-call
-  // elementwise fabs of every weight use.
+  // The radius image |W| * r: the same kernel on the memoized |W|.
   Radius = convTranspose2d(Radius, AbsCache.get(Weight), Tensor(), Geom);
 }
 

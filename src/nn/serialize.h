@@ -20,9 +20,15 @@ namespace genprove {
 /// I/O failure.
 bool saveNetwork(const Sequential &Network, const std::string &Path);
 
-/// Read a network previously written by saveNetwork. Returns nullopt on
-/// missing file or format mismatch.
-std::optional<Sequential> loadNetwork(const std::string &Path);
+/// Read a network previously written by saveNetwork. Returns nullopt on a
+/// missing file or format mismatch, and on a file no layer could run
+/// safely: a channel, kernel, stride, feature count or Reshape dimension
+/// that is not positive, a weight or activation of 2^31 elements or more,
+/// negative padding, output padding not below the stride, a stored weight
+/// or bias shape other than the one the layer declares, or a non-finite
+/// parameter. \p Why, when given, receives the reason.
+std::optional<Sequential> loadNetwork(const std::string &Path,
+                                      std::string *Why = nullptr);
 
 } // namespace genprove
 

@@ -4,8 +4,6 @@
 
 #include "src/nn/serialize.h"
 
-#include <cmath>
-
 namespace genprove {
 
 namespace {
@@ -14,18 +12,6 @@ bool fail(std::string *Err, std::string Message) {
   if (Err)
     *Err = std::move(Message);
   return false;
-}
-
-/// Name of the first non-finite parameter tensor, or empty when clean.
-std::string findNonFiniteParam(Sequential &Net) {
-  for (const Param &P : Net.params()) {
-    if (!P.Value)
-      continue;
-    for (int64_t J = 0; J < P.Value->numel(); ++J)
-      if (!std::isfinite((*P.Value)[J]))
-        return P.Name;
-  }
-  return {};
 }
 
 } // namespace
@@ -54,13 +40,10 @@ bool ModelRegistry::registerModel(const std::string &Spec, std::string *Err) {
   }
 
   for (const std::string &Path : M.Paths) {
-    auto Net = loadNetwork(Path);
+    std::string Why;
+    auto Net = loadNetwork(Path, &Why);
     if (!Net)
-      return fail(Err, "cannot load network " + Path);
-    const std::string Bad = findNonFiniteParam(*Net);
-    if (!Bad.empty())
-      return fail(Err, "network " + Path + " has a non-finite weight in '" +
-                           Bad + "'; refusing to serve it");
+      return fail(Err, "cannot load network " + Path + ": " + Why);
     M.Networks.push_back(std::make_unique<Sequential>(std::move(*Net)));
   }
   for (const auto &Net : M.Networks)

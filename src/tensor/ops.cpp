@@ -541,44 +541,263 @@ void col2im(const double *Col, int64_t C, int64_t H, int64_t W,
   }
 }
 
-Tensor conv2dImpl(const Tensor &Input, const Tensor &Weight,
-                  const Tensor &Bias, const ConvGeometry &Geom, bool UseAbs) {
-  check(Input.rank() == 4, "conv2d expects NCHW input");
+/// Batch rows the conv tap kernel transposes together: every tap then
+/// streams TapRows contiguous doubles (four AVX-512 vectors) through the
+/// register block. Rows never interact, so this only trades the block's
+/// cache footprint against per-tap overhead.
+constexpr int64_t TapRows = 32;
+
+/// C[R*Rows + J] += Wr[R][Col[T]] * X[T][J] over the taps T in list order,
+/// for NR output channels whose weight rows are OcStride apart and whose
+/// accumulator rows lie back to back in C. The streaming structure of
+/// gemmRows4Body with the batch as the contiguous axis: per 4 taps each
+/// accumulator is loaded and stored once, and every accumulator keeps one
+/// add chain in tap order.
+template <int NR, int64_t FixedRows>
+__attribute__((always_inline)) inline void
+tapRowsBody(const double *const *X, const int64_t *Col, int64_t NumTaps,
+            const double *Wd, int64_t OcStride, double *__restrict__ C,
+            int64_t RowsArg) {
+  const int64_t Rows = FixedRows ? FixedRows : RowsArg;
+  int64_t T = 0;
+  for (; T + 4 <= NumTaps; T += 4) {
+    double Wv[NR][4];
+    for (int R = 0; R < NR; ++R)
+      for (int U = 0; U < 4; ++U)
+        Wv[R][U] = Wd[R * OcStride + Col[T + U]];
+    const double *__restrict__ X0 = X[T];
+    const double *__restrict__ X1 = X[T + 1];
+    const double *__restrict__ X2 = X[T + 2];
+    const double *__restrict__ X3 = X[T + 3];
+#pragma GCC ivdep
+    for (int64_t J = 0; J < Rows; ++J) {
+      const double B0 = X0[J], B1 = X1[J], B2 = X2[J], B3 = X3[J];
+      for (int R = 0; R < NR; ++R) {
+        double A = C[R * Rows + J];
+        A += Wv[R][0] * B0;
+        A += Wv[R][1] * B1;
+        A += Wv[R][2] * B2;
+        A += Wv[R][3] * B3;
+        C[R * Rows + J] = A;
+      }
+    }
+  }
+  for (; T < NumTaps; ++T) {
+    double Wv[NR];
+    for (int R = 0; R < NR; ++R)
+      Wv[R] = Wd[R * OcStride + Col[T]];
+    const double *__restrict__ X0 = X[T];
+#pragma GCC ivdep
+    for (int64_t J = 0; J < Rows; ++J)
+      for (int R = 0; R < NR; ++R)
+        C[R * Rows + J] += Wv[R] * X0[J];
+  }
+}
+
+/// All OC accumulator rows of one output pixel ([OC, Rows] at Acc) against
+/// its tap list, in 4-channel register blocks and one narrower tail block.
+template <int64_t FixedRows>
+__attribute__((always_inline)) inline void
+tapPixelRows(const double *const *X, const int64_t *Col, int64_t NumTaps,
+             const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
+             int64_t Rows) {
+  int64_t Oc = 0;
+  for (; Oc + 4 <= OC; Oc += 4)
+    tapRowsBody<4, FixedRows>(X, Col, NumTaps, Wd + Oc * OcStride, OcStride,
+                              Acc + Oc * Rows, Rows);
+  const double *WTail = Wd + Oc * OcStride;
+  double *AccTail = Acc + Oc * Rows;
+  switch (OC - Oc) {
+  case 3:
+    tapRowsBody<3, FixedRows>(X, Col, NumTaps, WTail, OcStride, AccTail, Rows);
+    break;
+  case 2:
+    tapRowsBody<2, FixedRows>(X, Col, NumTaps, WTail, OcStride, AccTail, Rows);
+    break;
+  case 1:
+    tapRowsBody<1, FixedRows>(X, Col, NumTaps, WTail, OcStride, AccTail, Rows);
+    break;
+  default:
+    break;
+  }
+}
+
+/// Full blocks and single rows (the convex domains' boxes) run with a
+/// compile-time width, which the vectorizer unrolls without remainder
+/// loops; other partial blocks take the runtime width.
+__attribute__((always_inline)) inline void
+tapPixelBody(const double *const *X, const int64_t *Col, int64_t NumTaps,
+             const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
+             int64_t Rows) {
+  if (Rows == TapRows)
+    tapPixelRows<TapRows>(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+  else if (Rows == 1)
+    tapPixelRows<1>(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+  else
+    tapPixelRows<0>(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+}
+
+// Compiled twice like the GEMM bodies, with fp-contract=off on both.
+__attribute__((optimize("fp-contract=off"))) void
+tapPixelPlain(const double *const *X, const int64_t *Col, int64_t NumTaps,
+              const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
+              int64_t Rows) {
+  tapPixelBody(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+}
+
+#if GENPROVE_GEMM_MULTIVERSION
+
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+tapPixelAvx512(const double *const *X, const int64_t *Col, int64_t NumTaps,
+               const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
+               int64_t Rows) {
+  tapPixelBody(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+}
+
+#endif // GENPROVE_GEMM_MULTIVERSION
+
+void tapPixel(const double *const *X, const int64_t *Col, int64_t NumTaps,
+              const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
+              int64_t Rows) {
+#if GENPROVE_GEMM_MULTIVERSION
+  if (useAvx512())
+    return tapPixelAvx512(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+#endif
+  tapPixelPlain(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
+}
+
+/// The receptive field of output position O along one spatial axis (In
+/// inputs, kernel size K): inputs [Lo, Hi) feed it, input Lo through
+/// kernel index K0, and each later input moves the kernel index by KStep.
+struct TapSpan {
+  int64_t Lo, Hi, K0, KStep;
+};
+
+TapSpan tapSpan(int64_t O, int64_t In, int64_t K, const ConvGeometry &G,
+                bool Transposed) {
+  if (!Transposed) {
+    // Conv2d reads input O*S - P + k. Inputs in the padding are left out:
+    // their ±0 terms cannot change a sum that starts at +0.0.
+    const int64_t Base = O * G.Stride - G.Padding;
+    const int64_t Lo = std::max<int64_t>(0, Base);
+    const int64_t Hi = std::max(Lo, std::min(In, Base + K));
+    return {Lo, Hi, Lo - Base, 1};
+  }
+  // ConvTranspose2d scatters input i to output i*S - P + k, so output O
+  // gathers kernel index k = O + P - i*S from each i with 0 <= k < K.
+  const int64_t Top = O + G.Padding;
+  const int64_t Lo = Top < K ? 0 : (Top - K + G.Stride) / G.Stride;
+  const int64_t Hi = std::max(Lo, std::min(In, Top / G.Stride + 1));
+  return {Lo, Hi, Top - Lo * G.Stride, -G.Stride};
+}
+
+/// The forward of both conv layers, batch-innermost. Blocks of TapRows
+/// input rows are transposed to [C*H*W, rows]; each output pixel then
+/// walks its valid (ic, ih, iw) taps in ascending order over those
+/// contiguous row vectors. Every output element therefore keeps the add
+/// chain of the direct loop, whatever the blocking and thread count:
+///  * Conv2d starts at +0.0, adds its in-bounds (ic, kh, kw) taps in
+///    ascending order, then the bias;
+///  * ConvTranspose2d starts at the bias (or +0.0) and adds its (ic, ih,
+///    iw) taps in ascending order. Zero inputs are added densely: with
+///    finite weights a ±0 term changes no sum, except that it may turn a
+///    -0.0 bias into +0.0 before the first nonzero tap.
+Tensor convTaps(const Tensor &Input, const Tensor &Weight, const Tensor &Bias,
+                const ConvGeometry &G, bool Transposed) {
+  check(Input.rank() == 4, "conv expects NCHW input");
   const int64_t N = Input.dim(0), C = Input.dim(1), H = Input.dim(2),
                 W = Input.dim(3);
-  check(C == Geom.InChannels, "conv2d channel mismatch");
-  const auto [OH, OW] = Geom.convOutput(H, W);
-  const int64_t OC = Geom.OutChannels;
-  const int64_t KSize = C * Geom.KernelH * Geom.KernelW;
-
-  Tensor WeightMat = Weight.reshaped({OC, KSize});
-  if (UseAbs) {
-    Tensor AbsW = WeightMat.clone();
-    for (int64_t I = 0; I < AbsW.numel(); ++I)
-      AbsW[I] = std::fabs(AbsW[I]);
-    WeightMat = AbsW;
-  }
-
-  // Samples are independent: parallelize over the batch with one im2col
-  // scratch buffer per chunk. For a single sample the per-sample GEMM
-  // fans out over its output-channel rows instead.
+  check(C == G.InChannels, "conv channel mismatch");
+  const auto [OH, OW] =
+      Transposed ? G.convTransposeOutput(H, W) : G.convOutput(H, W);
+  const int64_t OC = G.OutChannels, KH = G.KernelH, KW = G.KernelW;
+  check(Weight.numel() == OC * C * KH * KW, "conv weight size mismatch");
+  check(Bias.numel() == 0 || Bias.numel() == OC, "conv bias size mismatch");
+  // Conv2d weights are [OC, IC, KH, KW], ConvTranspose2d's [IC, OC, KH, KW].
+  const int64_t OcStride = Transposed ? KH * KW : C * KH * KW;
+  const int64_t IcStride = Transposed ? OC * KH * KW : KH * KW;
+  const int64_t CHW = C * H * W, P = OH * OW;
   Tensor Output({N, OC, OH, OW});
-  parallelFor(N, 1, [&](int64_t SBegin, int64_t SEnd) {
-    Tensor Col({KSize, OH * OW});
-    for (int64_t Sample = SBegin; Sample < SEnd; ++Sample) {
-      im2col(Input.data() + Sample * C * H * W, C, H, W, Geom, Col.data());
-      Tensor Out = matmul(WeightMat, Col); // [OC, OH*OW]
-      double *Dst = Output.data() + Sample * OC * OH * OW;
-      const double *Src = Out.data();
-      if (Bias.numel() == OC && !UseAbs) {
-        for (int64_t Oc = 0; Oc < OC; ++Oc) {
-          const double B = Bias[Oc];
-          for (int64_t P = 0; P < OH * OW; ++P)
-            Dst[Oc * OH * OW + P] = Src[Oc * OH * OW + P] + B;
+  if (N == 0 || P == 0)
+    return Output;
+  const double *In = Input.data();
+  const double *Wd = Weight.data();
+  const double *BiasD = Bias.numel() ? Bias.data() : nullptr;
+  double *Out = Output.data();
+  // At least 16 pixels a chunk, so each chunk writes whole cache lines of
+  // every output row.
+  const int64_t PixGrain = std::max<int64_t>(16, ThreadPool::defaultGrain(P));
+  const int64_t Chunks = (P + PixGrain - 1) / PixGrain;
+  // Row blocks run in parallel, each on its own transposed copy, so no
+  // thread reads lines another one wrote. A single block fans out over
+  // pixel chunks instead (the nested parallelFor runs inline otherwise).
+  parallelFor((N + TapRows - 1) / TapRows, 1, [&](int64_t BBegin,
+                                                  int64_t BEnd) {
+    std::vector<double> XT;
+    for (int64_t B = BBegin; B < BEnd; ++B) {
+      const int64_t Row0 = B * TapRows, Rows = std::min(TapRows, N - Row0);
+      // A partial block of 8 or more rows is padded with zero rows to whole
+      // 8-double vectors; their results are dropped.
+      const int64_t Lanes = Rows < 8 ? Rows : (Rows + 7) / 8 * 8;
+      // XT = the block's rows as [C*H*W, Lanes], in 64-column tiles.
+      XT.assign(static_cast<size_t>(CHW * Lanes), 0.0);
+      double *Dst = XT.data();
+      for (int64_t I0 = 0; I0 < CHW; I0 += 64) {
+        const int64_t I1 = std::min(CHW, I0 + 64);
+        for (int64_t R = 0; R < Rows; ++R) {
+          const double *Src = In + (Row0 + R) * CHW;
+          for (int64_t I = I0; I < I1; ++I)
+            Dst[I * Lanes + R] = Src[I];
         }
-      } else {
-        std::copy(Src, Src + OC * OH * OW, Dst);
       }
+      parallelFor(Chunks, 1, [&](int64_t Begin, int64_t End) {
+        std::vector<const double *> X;
+        std::vector<int64_t> Col;
+        std::vector<double> Acc;
+        X.reserve(static_cast<size_t>(C * KH * KW));
+        Col.reserve(static_cast<size_t>(C * KH * KW));
+        for (int64_t Chunk = Begin; Chunk < End; ++Chunk) {
+          const int64_t PBegin = Chunk * PixGrain;
+          const int64_t NumPix = std::min(PixGrain, P - PBegin);
+          // Acc is [NumPix, OC, Lanes]: one pixel's rows lie back to back.
+          Acc.resize(static_cast<size_t>(NumPix * OC * Lanes));
+          for (int64_t Px = 0; Px < NumPix; ++Px) {
+            const int64_t Oh = (PBegin + Px) / OW, Ow = (PBegin + Px) % OW;
+            const TapSpan Hs = tapSpan(Oh, H, KH, G, Transposed);
+            const TapSpan Ws = tapSpan(Ow, W, KW, G, Transposed);
+            X.clear();
+            Col.clear();
+            for (int64_t Ic = 0; Ic < C; ++Ic)
+              for (int64_t Ih = Hs.Lo; Ih < Hs.Hi; ++Ih) {
+                const int64_t Kh = Hs.K0 + Hs.KStep * (Ih - Hs.Lo);
+                for (int64_t Iw = Ws.Lo; Iw < Ws.Hi; ++Iw) {
+                  const int64_t Kw = Ws.K0 + Ws.KStep * (Iw - Ws.Lo);
+                  X.push_back(XT.data() + ((Ic * H + Ih) * W + Iw) * Lanes);
+                  Col.push_back(Ic * IcStride + Kh * KW + Kw);
+                }
+              }
+            double *PixAcc = Acc.data() + Px * OC * Lanes;
+            for (int64_t Oc = 0; Oc < OC; ++Oc)
+              std::fill_n(PixAcc + Oc * Lanes, Lanes,
+                          Transposed && BiasD ? BiasD[Oc] : 0.0);
+            tapPixel(X.data(), Col.data(), static_cast<int64_t>(X.size()), Wd,
+                     OcStride, OC, PixAcc, Lanes);
+          }
+          for (int64_t R = 0; R < Rows; ++R)
+            for (int64_t Oc = 0; Oc < OC; ++Oc) {
+              double *Dst = Out + ((Row0 + R) * OC + Oc) * P + PBegin;
+              const double *Src = Acc.data() + Oc * Lanes + R;
+              if (!Transposed && BiasD) {
+                const double Bv = BiasD[Oc];
+                for (int64_t Px = 0; Px < NumPix; ++Px)
+                  Dst[Px] = Src[Px * OC * Lanes] + Bv;
+              } else {
+                for (int64_t Px = 0; Px < NumPix; ++Px)
+                  Dst[Px] = Src[Px * OC * Lanes];
+              }
+            }
+        }
+      });
     }
   });
   return Output;
@@ -588,12 +807,7 @@ Tensor conv2dImpl(const Tensor &Input, const Tensor &Weight,
 
 Tensor conv2d(const Tensor &Input, const Tensor &Weight, const Tensor &Bias,
               const ConvGeometry &Geom) {
-  return conv2dImpl(Input, Weight, Bias, Geom, /*UseAbs=*/false);
-}
-
-Tensor conv2dAbs(const Tensor &Input, const Tensor &Weight,
-                 const ConvGeometry &Geom) {
-  return conv2dImpl(Input, Weight, Tensor(), Geom, /*UseAbs=*/true);
+  return convTaps(Input, Weight, Bias, Geom, /*Transposed=*/false);
 }
 
 Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
@@ -634,77 +848,9 @@ Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
   return GradInput;
 }
 
-namespace {
-
-Tensor convTranspose2dImpl(const Tensor &Input, const Tensor &Weight,
-                           const Tensor &Bias, const ConvGeometry &Geom,
-                           bool UseAbs) {
-  check(Input.rank() == 4, "convTranspose2d expects NCHW input");
-  const int64_t N = Input.dim(0), C = Input.dim(1), H = Input.dim(2),
-                W = Input.dim(3);
-  check(C == Geom.InChannels, "convTranspose2d channel mismatch");
-  const auto [OH, OW] = Geom.convTransposeOutput(H, W);
-  const int64_t OC = Geom.OutChannels;
-
-  Tensor Output({N, OC, OH, OW});
-  if (Bias.numel() == OC && !UseAbs) {
-    for (int64_t Sample = 0; Sample < N; ++Sample)
-      for (int64_t Oc = 0; Oc < OC; ++Oc)
-        for (int64_t P = 0; P < OH * OW; ++P)
-          Output.data()[(Sample * OC + Oc) * OH * OW + P] = Bias[Oc];
-  }
-
-  // Scatter per sample into disjoint output slices; samples parallelize.
-  // The zero-input skip stays: conv-transpose inputs are post-ReLU
-  // activations, which are genuinely sparse (unlike the dense GEMM paths,
-  // whose zero-skip branch was removed).
-  const double *Wd = Weight.data();
-  parallelFor(N, 1, [&](int64_t SBegin, int64_t SEnd) {
-  for (int64_t Sample = SBegin; Sample < SEnd; ++Sample) {
-    const double *In = Input.data() + Sample * C * H * W;
-    double *Out = Output.data() + Sample * OC * OH * OW;
-    for (int64_t Ic = 0; Ic < C; ++Ic) {
-      for (int64_t Ih = 0; Ih < H; ++Ih) {
-        for (int64_t Iw = 0; Iw < W; ++Iw) {
-          const double V = In[(Ic * H + Ih) * W + Iw];
-          if (V == 0.0)
-            continue;
-          for (int64_t Oc = 0; Oc < OC; ++Oc) {
-            const double *Kslice =
-                Wd + ((Ic * OC + Oc) * Geom.KernelH) * Geom.KernelW;
-            for (int64_t Kh = 0; Kh < Geom.KernelH; ++Kh) {
-              const int64_t Oh = Ih * Geom.Stride - Geom.Padding + Kh;
-              if (Oh < 0 || Oh >= OH)
-                continue;
-              for (int64_t Kw = 0; Kw < Geom.KernelW; ++Kw) {
-                const int64_t Ow = Iw * Geom.Stride - Geom.Padding + Kw;
-                if (Ow < 0 || Ow >= OW)
-                  continue;
-                double Wv = Kslice[Kh * Geom.KernelW + Kw];
-                if (UseAbs)
-                  Wv = std::fabs(Wv);
-                Out[(Oc * OH + Oh) * OW + Ow] += V * Wv;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  });
-  return Output;
-}
-
-} // namespace
-
 Tensor convTranspose2d(const Tensor &Input, const Tensor &Weight,
                        const Tensor &Bias, const ConvGeometry &Geom) {
-  return convTranspose2dImpl(Input, Weight, Bias, Geom, /*UseAbs=*/false);
-}
-
-Tensor convTranspose2dAbs(const Tensor &Input, const Tensor &Weight,
-                          const ConvGeometry &Geom) {
-  return convTranspose2dImpl(Input, Weight, Tensor(), Geom, /*UseAbs=*/true);
+  return convTaps(Input, Weight, Bias, Geom, /*Transposed=*/true);
 }
 
 Tensor convTranspose2dBackward(const Tensor &Input, const Tensor &Weight,

@@ -2,10 +2,11 @@
 ///
 /// \file
 /// The numeric kernels: matmul (plus transposed variants used by backprop),
-/// im2col-based 2-D convolution, transposed convolution, and the
-/// absolute-weight variants required by interval arithmetic (a box with
-/// center c and radius r maps through an affine layer as c' = W c + b,
-/// r' = |W| r).
+/// the fused interval affine map behind Linear, and 2-D convolution and
+/// transposed convolution. Both convolutions run on one batch-innermost
+/// tap kernel; interval radii go through the same kernel with |W| (a box
+/// with center c and radius r maps through an affine layer as
+/// c' = W c + b, r' = |W| r), which the layers memoize.
 ///
 /// Convolution weight layout follows PyTorch:
 ///   Conv2d:          [OutC, InC, KH, KW]
@@ -66,13 +67,11 @@ struct ConvGeometry {
 };
 
 /// Forward 2-D convolution of NCHW input with weight [OC, IC, KH, KW] and
-/// bias [OC] (pass an empty tensor to skip bias). Uses im2col + matmul.
+/// bias [OC] (pass an empty tensor to skip bias). Each output starts at
+/// +0.0, adds its in-bounds (ic, kh, kw) taps in ascending order, then the
+/// bias, bit-identical to the direct loop for any thread count and ISA.
 Tensor conv2d(const Tensor &Input, const Tensor &Weight, const Tensor &Bias,
               const ConvGeometry &Geom);
-
-/// conv2d with |Weight| and no bias: propagates interval radii.
-Tensor conv2dAbs(const Tensor &Input, const Tensor &Weight,
-                 const ConvGeometry &Geom);
 
 /// Gradients of conv2d. GradOutput is NCHW with the conv output shape.
 /// Returns gradient w.r.t. input; accumulates into GradWeight/GradBias.
@@ -80,13 +79,12 @@ Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
                       const Tensor &GradOutput, const ConvGeometry &Geom,
                       Tensor &GradWeight, Tensor &GradBias);
 
-/// Forward transposed convolution; weight [IC, OC, KH, KW], bias [OC].
+/// Forward transposed convolution; weight [IC, OC, KH, KW], bias [OC]
+/// (empty to skip). Each output starts at the bias (or +0.0) and adds its
+/// (ic, ih, iw) taps in ascending order, zero inputs included; the weights
+/// must be finite, since 0 * inf would poison the sum.
 Tensor convTranspose2d(const Tensor &Input, const Tensor &Weight,
                        const Tensor &Bias, const ConvGeometry &Geom);
-
-/// convTranspose2d with |Weight| and no bias.
-Tensor convTranspose2dAbs(const Tensor &Input, const Tensor &Weight,
-                          const ConvGeometry &Geom);
 
 /// Gradients of convTranspose2d.
 Tensor convTranspose2dBackward(const Tensor &Input, const Tensor &Weight,

@@ -224,18 +224,6 @@ Tensor readVector(const std::string &Path) {
   return Tensor({1, N}, std::move(Values));
 }
 
-/// Name of the first non-finite parameter tensor, or empty when clean.
-std::string findNonFiniteParam(Sequential &Net) {
-  for (const Param &P : Net.params()) {
-    if (!P.Value)
-      continue;
-    for (int64_t J = 0; J < P.Value->numel(); ++J)
-      if (!std::isfinite((*P.Value)[J]))
-        return P.Name;
-  }
-  return {};
-}
-
 /// A numeric flag value; a malformed number is a usage error (exit 2).
 template <typename T> T numberArg(const std::string &Flag,
                                   const std::string &Text) {
@@ -635,20 +623,13 @@ int main(int Argc, char **Argv) {
   {
     GENPROVE_SPAN("load_networks");
     for (const std::string &Path : NetPaths) {
-      auto Net = loadNetwork(Path);
+      // A malformed file or a NaN/Inf weight would poison every bound
+      // downstream; loadNetwork refuses both with the reason.
+      std::string Why;
+      auto Net = loadNetwork(Path, &Why);
       if (!Net) {
-        std::fprintf(stderr, "genprove_cli: cannot load network %s\n",
-                     Path.c_str());
-        return 2;
-      }
-      // A NaN/Inf weight would silently poison every bound downstream;
-      // refuse it here with a pointer to the offending tensor instead.
-      const std::string Bad = findNonFiniteParam(*Net);
-      if (!Bad.empty()) {
-        std::fprintf(stderr,
-                     "genprove_cli: network %s has a non-finite weight in "
-                     "parameter '%s'; refusing to certify\n",
-                     Path.c_str(), Bad.c_str());
+        std::fprintf(stderr, "genprove_cli: cannot load network %s: %s\n",
+                     Path.c_str(), Why.c_str());
         return 2;
       }
       Networks.push_back(std::move(*Net));

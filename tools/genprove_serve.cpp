@@ -194,10 +194,11 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
 
   std::vector<Sequential> Networks;
   for (const std::string &Path : Spec.NetPaths) {
-    auto Net = loadNetwork(Path);
+    std::string Why;
+    auto Net = loadNetwork(Path, &Why);
     if (!Net) {
-      std::fprintf(stderr, "genprove_serve worker: cannot load %s\n",
-                   Path.c_str());
+      std::fprintf(stderr, "genprove_serve worker: cannot load %s: %s\n",
+                   Path.c_str(), Why.c_str());
       return 2;
     }
     Networks.push_back(std::move(*Net));
