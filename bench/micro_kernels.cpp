@@ -25,9 +25,7 @@
 //                 --benchmark_repetitions=5
 //                 --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
-// BM_PropagateLayerPair / BM_TwoTier measure a deep Linear->ReLU chain
-// and the two-tier screened fast path; CI's fused-kernel-smoke job gates
-// the screen on real-time medians over the repetitions.
+// BM_PropagateLayerPair measures a deep Linear->ReLU chain.
 //
 // Every benchmark that pins the pool reports real time (main-thread CPU
 // time would hide the workers' share), and registers a threads:N row only
@@ -44,7 +42,6 @@
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
-#include "src/util/fp.h"
 #include "src/util/rng.h"
 
 #include <benchmark/benchmark.h>
@@ -480,7 +477,7 @@ void BM_CacheWarmStart(benchmark::State &State) {
 BENCHMARK(BM_CacheWarmStart)->ArgName("warm")->Arg(0)->Arg(1);
 
 //===----------------------------------------------------------------------===//
-// Deep Linear->ReLU chains and the two-tier screen (docs/PERFORMANCE.md).
+// Deep Linear->ReLU chains (docs/PERFORMANCE.md).
 // BM_PropagateLayerPair propagates a segment through a 64->512^4->10 MLP:
 // every Linear layer runs on the memoized W^T kernels.
 //===----------------------------------------------------------------------===//
@@ -519,44 +516,6 @@ BENCHMARK(BM_PropagateLayerPair)
     ->Apply([](benchmark::internal::Benchmark *B) {
       threadRows(B, {{1}, {4}});
     });
-
-/// The two-tier precision fast path on clearly-decidable traffic: the
-/// same analysis with the full sound double tier (screen:0) vs
-/// --fast-screen (screen:1), where the float32 screen proves every piece
-/// inside and the sound tier is never entered. Both runs report sound
-/// bounds; the ratio is the screening win on traffic whose specs hold
-/// with a margin (the common certification case).
-void BM_TwoTier(benchmark::State &State) {
-  const bool Screen = State.range(0) != 0;
-  SoundRoundingScope Sound(true);
-  Rng R(12);
-  Sequential Net;
-  const std::vector<int64_t> Dims{8, 96, 96, 10};
-  for (size_t I = 0; I + 1 < Dims.size(); ++I) {
-    auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.4);
-    L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.2);
-    Net.add(std::move(L));
-    if (I + 2 < Dims.size())
-      Net.add(std::make_unique<ReLU>());
-  }
-  const Tensor Start = Tensor::randn({1, 8}, R, 0.3);
-  const Tensor End = Tensor::randn({1, 8}, R, 0.3);
-  // A spec that holds with a wide margin over the whole output range:
-  // the screen certifies every piece, the full tier must still propagate.
-  Tensor Normal({1, 10});
-  Normal[0] = 1.0;
-  const OutputSpec Spec = OutputSpec::halfspace(Normal, 1e6);
-  GenProveConfig Config;
-  Config.FastScreen = Screen;
-  const GenProve Analyzer(Config);
-  for (auto _ : State) {
-    const AnalysisResult Result =
-        Analyzer.analyzeSegment(Net.view(), Shape({1, 8}), Start, End, Spec);
-    benchmark::DoNotOptimize(Result.Bounds.Lower);
-  }
-}
-BENCHMARK(BM_TwoTier)->ArgName("screen")->Arg(0)->Arg(1);
 
 void BM_RelaxHeuristic(benchmark::State &State) {
   const int64_t NumPieces = State.range(0);

@@ -4,7 +4,6 @@
 
 #include "src/core/genprove.h"
 #include "src/domains/hybrid_zonotope.h"
-#include "src/domains/screen.h"
 #include "src/domains/zonotope.h"
 #include "src/interval/interval.h"
 #include "src/nn/architectures.h"
@@ -185,27 +184,6 @@ bool nests(const ProbBounds &Inner, const ProbBounds &Outer) {
          Inner.Upper <= Outer.Upper + DifferentialTol;
 }
 
-/// Two sound intervals for the same probability must overlap.
-bool overlaps(const ProbBounds &A, const ProbBounds &B) {
-  return A.Lower <= B.Upper + DifferentialTol &&
-         B.Lower <= A.Upper + DifferentialTol;
-}
-
-/// Directed enclosure of one halfspace functional at a concrete output
-/// row: [FnLo, FnUp] contains the exact real g . y + c. Used to make the
-/// screened consistency check non-flaky: only a *certain* concrete
-/// contradiction counts as a violation.
-void concreteFunctionalBounds(const OutputSpec::Halfspace &H,
-                              const Tensor &Outputs, int64_t Row,
-                              double &FnLo, double &FnUp) {
-  FnLo = H.Offset;
-  FnUp = H.Offset;
-  for (int64_t J = 0; J < Outputs.dim(1); ++J) {
-    FnLo = fp::addDown(FnLo, fp::mulDown(H.Normal[J], Outputs.at(Row, J)));
-    FnUp = fp::addUp(FnUp, fp::mulUp(H.Normal[J], Outputs.at(Row, J)));
-  }
-}
-
 } // namespace
 
 ModelAudit auditSegment(const std::string &Name,
@@ -228,10 +206,8 @@ ModelAudit auditSegment(const std::string &Name,
   Rng Gen(Config.Seed ^
           std::hash<std::string>{}(Name)); // deterministic per model
   Tensor Points({K, N});
-  std::vector<double> Ts(static_cast<size_t>(K));
   for (int64_t I = 0; I < K; ++I) {
     const double T = I == 0 ? 0.0 : (I == 1 ? 1.0 : Gen.uniform());
-    Ts[static_cast<size_t>(I)] = T;
     for (int64_t J = 0; J < N; ++J)
       Points.at(I, J) = Start[J] + T * (End[J] - Start[J]);
   }
@@ -316,97 +292,6 @@ ModelAudit auditSegment(const std::string &Name,
     }
   }
 
-  // Two-tier screened audit: end-to-end analyzeSegmentScreened against a
-  // borderline-heavy adversarial spec — the halfspace boundary is placed
-  // at the median of the observed output functional, so roughly half the
-  // concrete samples sit on each side and the screen cannot trivially
-  // certify the whole range.
-  if (Config.Screened) {
-    const int64_t M = Outputs.dim(1);
-    std::vector<double> F0(static_cast<size_t>(K));
-    for (int64_t I = 0; I < K; ++I)
-      F0[static_cast<size_t>(I)] = Outputs.at(I, 0);
-    std::nth_element(F0.begin(), F0.begin() + K / 2, F0.end());
-    const double Median = F0[static_cast<size_t>(K / 2)];
-    Tensor Normal({1, M});
-    Normal[0] = 1.0;
-    const OutputSpec Adversarial = OutputSpec::halfspace(Normal, -Median);
-
-    GenProveConfig ScreenCfg;
-    ScreenCfg.FastScreen = true;
-    AnalysisResult Screened;
-    ProbBounds FullBounds;
-    {
-      SoundRoundingScope On(true);
-      Screened = GenProve(ScreenCfg).analyzeSegment(Layers, InputShape, Start,
-                                                    End, Adversarial);
-      FullBounds = GenProve(GenProveConfig{})
-                       .analyzeSegment(Layers, InputShape, Start, End,
-                                       Adversarial)
-                       .Bounds;
-    }
-    Audit.ScreenedInside = Screened.ScreenedInside;
-    Audit.ScreenedOutside = Screened.ScreenedOutside;
-    Audit.ScreenedBorderline = Screened.ScreenedBorderline;
-    // Both intervals are sound for the same probability: they must
-    // overlap (the screened one typically nests, but nesting is not part
-    // of the contract when the tiers split the range differently).
-    if (!overlaps(Screened.Bounds, FullBounds)) {
-      Audit.DifferentialOk = false;
-      Audit.DifferentialNote =
-          "screened bounds [" + std::to_string(Screened.Bounds.Lower) + ", " +
-          std::to_string(Screened.Bounds.Upper) +
-          "] disjoint from full sound bounds [" +
-          std::to_string(FullBounds.Lower) + ", " +
-          std::to_string(FullBounds.Upper) + "]";
-    }
-
-    // Per-piece classification consistency against the concrete oracle:
-    // an Inside piece must contain no sample that *certainly* violates
-    // the spec, an Outside piece none that certainly satisfies it
-    // (certainty via a directed enclosure of the concrete functional, so
-    // borderline concrete evaluations can never flake the audit).
-    DomainAudit Dom;
-    Dom.Domain = "screened";
-    Dom.Samples = K;
-    const ScreenPlan Plan = buildScreenPlan(Layers);
-    const int64_t Splits = std::max<int64_t>(ScreenCfg.ScreenSplits, 1);
-    std::vector<ScreenVerdict> Verdicts(
-        static_cast<size_t>(Splits), ScreenVerdict::Borderline);
-    Tensor PieceStart({1, N}), PieceEnd({1, N});
-    for (int64_t P = 0; P < Splits; ++P) {
-      const double P0 = static_cast<double>(P) / static_cast<double>(Splits);
-      const double P1 =
-          static_cast<double>(P + 1) / static_cast<double>(Splits);
-      for (int64_t J = 0; J < N; ++J) {
-        PieceStart[J] = Start[J] + P0 * (End[J] - Start[J]);
-        PieceEnd[J] = Start[J] + P1 * (End[J] - Start[J]);
-      }
-      Verdicts[static_cast<size_t>(P)] =
-          screenClassify(Plan, PieceStart, PieceEnd, Adversarial);
-    }
-    for (int64_t I = 0; I < K; ++I) {
-      const double T = Ts[static_cast<size_t>(I)];
-      const int64_t P = std::min<int64_t>(
-          static_cast<int64_t>(T * static_cast<double>(Splits)), Splits - 1);
-      const ScreenVerdict V = Verdicts[static_cast<size_t>(P)];
-      if (V == ScreenVerdict::Borderline)
-        continue;
-      bool CertainlySat = true, CertainlyViol = false;
-      for (const auto &H : Adversarial.halfspaces()) {
-        double FnLo = 0.0, FnUp = 0.0;
-        concreteFunctionalBounds(H, Outputs, I, FnLo, FnUp);
-        CertainlySat = CertainlySat && FnLo > 0.0;
-        CertainlyViol = CertainlyViol || FnUp <= 0.0;
-      }
-      if (V == ScreenVerdict::Inside && CertainlyViol)
-        ++Dom.Violations;
-      if (V == ScreenVerdict::Outside && CertainlySat)
-        ++Dom.Violations;
-    }
-    Audit.Domains.push_back(Dom);
-  }
-
   for (const DomainAudit &Dom : Audit.Domains) {
     SamplesCtr.add(Dom.Samples);
     ViolationsCtr.add(Dom.Violations);
@@ -487,9 +372,6 @@ std::string auditReportJson(const AuditReport &Report) {
     W.key("differential_ok").value(M.DifferentialOk);
     if (!M.DifferentialNote.empty())
       W.key("differential_note").value(M.DifferentialNote);
-    W.key("screened_inside").value(M.ScreenedInside);
-    W.key("screened_outside").value(M.ScreenedOutside);
-    W.key("screened_borderline").value(M.ScreenedBorderline);
     W.key("domains").beginArray();
     for (const DomainAudit &Dom : M.Domains) {
       W.beginObject();

@@ -31,13 +31,6 @@ struct AuditConfig {
   int64_t SamplesPerModel = 1000; ///< concrete latent points per model.
   uint64_t Seed = 0x5eed5eedull;  ///< deterministic across runs and threads.
   bool Differential = true;       ///< run the exact-vs-relaxed nesting check.
-  /// Audit the two-tier screened path end-to-end: run
-  /// analyzeSegmentScreened against a borderline-heavy adversarial spec
-  /// (the halfspace boundary slices through the middle of the observed
-  /// output range), check per-piece classification consistency against the
-  /// concrete oracle, and check the screened interval overlaps the full
-  /// sound tier's.
-  bool Screened = true;
 };
 
 /// Dilation of the sound box radii over the round-to-nearest radii after
@@ -64,12 +57,6 @@ struct ModelAudit {
   std::vector<LayerDilation> Layers;
   bool DifferentialOk = true;
   std::string DifferentialNote;
-  /// Two-tier screen telemetry for the adversarial-spec audit (pieces
-  /// classified by the float32 screen; all-borderline when the pipeline
-  /// contains layers the screen cannot compile).
-  int64_t ScreenedInside = 0;
-  int64_t ScreenedOutside = 0;
-  int64_t ScreenedBorderline = 0;
 };
 
 struct AuditReport {

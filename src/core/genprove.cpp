@@ -3,7 +3,6 @@
 #include "src/core/genprove.h"
 
 #include "src/domains/prop_cache.h"
-#include "src/domains/screen.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/ops.h"
@@ -255,144 +254,9 @@ AnalysisResult
 GenProve::analyzeSegment(const std::vector<const Layer *> &Layers,
                          const Shape &InputShape, const Tensor &Start,
                          const Tensor &End, const OutputSpec &Spec) const {
-  if (Config.FastScreen)
-    return analyzeSegmentScreened(Layers, InputShape, Start, End, Spec, 0.0,
-                                  1.0);
   const PropagatedState State =
       propagateSegment(Layers, InputShape, Start, End);
   return resultFromState(State, boundsFor(State, Spec));
-}
-
-AnalysisResult GenProve::analyzeSegmentScreened(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const Tensor &Start, const Tensor &End, const OutputSpec &Spec,
-    double T0, double T1) const {
-  GENPROVE_SPAN("analyze_screened");
-  static Counter &InsideCtr =
-      MetricsRegistry::global().counter("screen.inside_pieces");
-  static Counter &OutsideCtr =
-      MetricsRegistry::global().counter("screen.outside_pieces");
-  static Counter &BorderCtr =
-      MetricsRegistry::global().counter("screen.borderline_pieces");
-  Timer Clock;
-
-  const Tensor A = Start.reshaped({1, Start.numel()});
-  const Tensor B = End.reshaped({1, End.numel()});
-  const ParamCdf Cdf = makeCdf(Config.Distribution);
-  const int64_t Splits = std::max<int64_t>(Config.ScreenSplits, 1);
-  const ScreenPlan Plan = buildScreenPlan(Layers);
-  const bool Sound = soundRoundingEnabled();
-
-  AnalysisResult Result;
-  Result.Screened = true;
-
-  // Screening tier: classify each piece of [T0, T1]. Inside pieces donate
-  // their CDF mass to both bounds directly (directed accumulation when
-  // sound rounding is on); outside pieces donate nothing to either;
-  // borderline pieces collect into ONE batched sound propagation, whose
-  // regions keep their global parameter sub-ranges so the double tier's
-  // exact curve-mass machinery applies unchanged.
-  double InsideDown = 0.0, InsideUp = 0.0;
-  double BorderMassUp = 0.0;
-  std::vector<Region> Border;
-  for (int64_t I = 0; I < Splits; ++I) {
-    const double P0 =
-        T0 + (T1 - T0) * (static_cast<double>(I) /
-                          static_cast<double>(Splits));
-    const double P1 =
-        T0 + (T1 - T0) * (static_cast<double>(I + 1) /
-                          static_cast<double>(Splits));
-    Tensor PartStart({1, A.numel()});
-    Tensor PartEnd({1, A.numel()});
-    for (int64_t J = 0; J < A.numel(); ++J) {
-      PartStart[J] = A[J] + P0 * (B[J] - A[J]);
-      PartEnd[J] = A[J] + P1 * (B[J] - A[J]);
-    }
-    const double Weight =
-        Sound ? fp::subUp(Cdf(P1), Cdf(P0)) : Cdf(P1) - Cdf(P0);
-    const ScreenVerdict V =
-        screenClassify(Plan, PartStart, PartEnd, Spec);
-    switch (V) {
-    case ScreenVerdict::Inside:
-      ++Result.ScreenedInside;
-      // The inside mass enters the lower bound, so its weight must be
-      // rounded *down* for the lower accumulation; Weight above rounds up
-      // (safe for the upper bound), so recompute downward here.
-      InsideDown = Sound ? fp::addDown(InsideDown,
-                                       fp::subDown(Cdf(P1), Cdf(P0)))
-                         : InsideDown + Weight;
-      InsideUp = Sound ? fp::addUp(InsideUp, Weight) : InsideUp + Weight;
-      break;
-    case ScreenVerdict::Outside:
-      ++Result.ScreenedOutside;
-      break;
-    case ScreenVerdict::Borderline:
-      ++Result.ScreenedBorderline;
-      BorderMassUp =
-          Sound ? fp::addUp(BorderMassUp, Weight) : BorderMassUp + Weight;
-      Border.push_back(makeSegmentRegion(PartStart, PartEnd, Weight, P0,
-                                         P1));
-      break;
-    }
-  }
-  InsideCtr.add(Result.ScreenedInside);
-  OutsideCtr.add(Result.ScreenedOutside);
-  BorderCtr.add(Result.ScreenedBorderline);
-
-  // Sound tier: one batched propagation of every borderline piece.
-  ProbBounds Bounds;
-  double BorderLower = 0.0, BorderUpper = 0.0;
-  if (!Border.empty()) {
-    PropagatedState State =
-        propagateWithSchedule(Layers, InputShape, Border);
-    Result.PeakBytes = State.PeakBytes;
-    Result.OutOfMemory = State.OutOfMemory;
-    Result.MaxRegions = State.Stats.MaxRegions;
-    Result.MaxNodes = State.Stats.MaxNodes;
-    Result.Retries = State.Retries;
-    Result.UsedRelaxPercent = State.UsedRelaxPercent;
-    Result.UsedClusterK = State.UsedClusterK;
-    Result.Degraded = State.Degraded;
-    Result.Rung = State.Stats.Rung;
-    Result.Rollbacks = State.Stats.Rollbacks;
-    Result.FallbackBoxLayers = State.Stats.FallbackBoxLayers;
-    Result.DeadlineHit = State.Stats.DeadlineHit;
-    Result.QuarantinedMass = State.Stats.QuarantinedMass;
-    Result.Layers = State.Stats.Layers;
-    if (State.OutOfMemory) {
-      // The borderline set could not be analyzed: its mass stays fully
-      // uncertain, but the screened inside mass is still a sound floor.
-      BorderLower = 0.0;
-      BorderUpper = BorderMassUp;
-      Bounds.Degraded = true;
-    } else {
-      ProbBounds BB = computeProbBounds(State.Regions, Spec, State.Cdf);
-      if (State.Stats.QuarantinedMass > 0.0) {
-        const double Raised =
-            Sound ? fp::addUp(BB.Upper, State.Stats.QuarantinedMass)
-                  : BB.Upper + State.Stats.QuarantinedMass;
-        BB.Upper = std::min(1.0, Raised);
-      }
-      BorderLower = BB.Lower;
-      BorderUpper = BB.Upper;
-      Bounds.Degraded = State.Degraded;
-    }
-  }
-
-  Bounds.Lower = Sound ? fp::addDown(InsideDown, BorderLower)
-                       : InsideDown + BorderLower;
-  Bounds.Upper =
-      Sound ? fp::addUp(InsideUp, BorderUpper) : InsideUp + BorderUpper;
-  Bounds.Lower = std::min(std::max(Bounds.Lower, 0.0), 1.0);
-  Bounds.Upper = std::min(std::max(Bounds.Upper, Bounds.Lower), 1.0);
-  Bounds.OutOfMemory = false; // the assembled interval is always sound
-  if (Config.Mode == AnalysisMode::Deterministic)
-    Bounds = Bounds.deterministic();
-
-  Result.Bounds = Bounds;
-  Result.Degraded |= Bounds.Degraded;
-  Result.Seconds = Clock.seconds();
-  return Result;
 }
 
 AnalysisResult

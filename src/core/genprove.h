@@ -61,15 +61,6 @@ struct GenProveConfig {
   /// states only until its first rung or quarantine; warm-started bounds
   /// are bit-identical to cold ones.
   bool UseCache = true;
-  /// Two-tier precision fast path for analyzeSegment: a float32 screening
-  /// propagation classifies each parameter-range piece as clearly-inside /
-  /// clearly-outside / borderline using a sound error-margin cushion
-  /// (fp::accumulationBound's float analogue); only borderline pieces
-  /// re-run under the double-precision directed-rounding tier, so every
-  /// reported bound comes from the sound tier.
-  bool FastScreen = false;
-  /// Pieces the screen splits the parameter range into.
-  int64_t ScreenSplits = 32;
 };
 
 /// The final abstract state plus telemetry; bounds for any number of
@@ -110,12 +101,6 @@ struct AnalysisResult {
   bool DeadlineHit = false;
   double QuarantinedMass = 0.0;
   std::vector<LayerRecord> Layers;
-  // Two-tier screening telemetry (analyzeSegmentScreened); Screened is
-  // false on the full-tier path.
-  bool Screened = false;
-  int64_t ScreenedInside = 0;     ///< pieces decided inside by the screen
-  int64_t ScreenedOutside = 0;    ///< pieces decided outside by the screen
-  int64_t ScreenedBorderline = 0; ///< pieces escalated to the sound tier
 };
 
 /// The verifier.
@@ -157,30 +142,11 @@ public:
   ProbBounds boundsFor(const PropagatedState &State,
                        const OutputSpec &Spec) const;
 
-  /// One-shot convenience: propagate a segment and bound one spec. When
-  /// Config.FastScreen is set this routes through the two-tier screened
-  /// path below (over the full range [0, 1]).
+  /// One-shot convenience: propagate a segment and bound one spec.
   AnalysisResult analyzeSegment(const std::vector<const Layer *> &Layers,
                                 const Shape &InputShape, const Tensor &Start,
                                 const Tensor &End,
                                 const OutputSpec &Spec) const;
-
-  /// Two-tier candidate-then-certify analysis of the parameter sub-range
-  /// [T0, T1] of the segment Start->End: split it into Config.ScreenSplits
-  /// pieces, classify each with a float32 screening propagation carrying
-  /// a sound error cushion, take the inside pieces' probability mass from
-  /// the input CDF directly, and re-run only the borderline pieces under
-  /// the sound double tier. The reported bounds therefore come exclusively
-  /// from sound arithmetic: the CDF mass of pieces the screen *proved*
-  /// inside (the float interval enclosure plus cushion encloses the true
-  /// double enclosure) and the sound bounds of the borderline set. Pieces
-  /// the screen cannot handle (unsupported layer kinds) are classified
-  /// borderline, collapsing to the full sound path.
-  AnalysisResult
-  analyzeSegmentScreened(const std::vector<const Layer *> &Layers,
-                         const Shape &InputShape, const Tensor &Start,
-                         const Tensor &End, const OutputSpec &Spec,
-                         double T0, double T1) const;
 
   /// One-shot convenience for quadratic curves.
   AnalysisResult analyzeQuadratic(const std::vector<const Layer *> &Layers,

@@ -34,12 +34,4 @@ QosDecision qosDecisionFor(double RemainingSeconds, bool HasDeadline,
   return D;
 }
 
-QosDecision qosDecisionFor(double RemainingSeconds, bool HasDeadline,
-                           const QosPolicy &Policy, bool FastScreen) {
-  QosDecision D = qosDecisionFor(RemainingSeconds, HasDeadline, Policy);
-  if (FastScreen && D.Rung == ShardRung::Configured)
-    D.Rung = ShardRung::Screening;
-  return D;
-}
-
 } // namespace genprove

@@ -11,11 +11,6 @@
 ///   remaining > ResilientFloor   Configured  — the user's full domain,
 ///                                under a deadline equal to the remaining
 ///                                time so the PR-3 ladder bounds the tail;
-///                                with the request's fast-screen opt-in
-///                                this becomes Screening, the rung above
-///                                Configured: a float32 screen decides the
-///                                clear regions and only borderline ones
-///                                pay the sound double tier;
 ///   BoxFloor < remaining <= RF   Resilient   — degradation ladder armed
 ///                                from layer 0 (local boxing bites early);
 ///   remaining <= BoxFloor        IntervalBox — StartAtFullBox: the whole
@@ -66,16 +61,6 @@ struct QosDecision {
 /// exactly BoxFloor remaining runs IntervalBox.
 QosDecision qosDecisionFor(double RemainingSeconds, bool HasDeadline,
                            const QosPolicy &Policy);
-
-/// As above, with the request's two-tier fast-screen opt-in: when
-/// \p FastScreen and the ladder would start at Configured, start at the
-/// Screening rung instead. Screening never overrides a deadline-driven
-/// coarsening — a late request has no time for a screen-then-certify
-/// round trip — and escalated retries leave the rung through the normal
-/// floor machinery (Screening < Configured numerically, so a floor raise
-/// abandons the screen first).
-QosDecision qosDecisionFor(double RemainingSeconds, bool HasDeadline,
-                           const QosPolicy &Policy, bool FastScreen);
 
 } // namespace genprove
 

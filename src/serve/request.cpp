@@ -130,7 +130,6 @@ bool decodeServeRequest(const std::string &Line, ServeRequest &Out,
   Out.Deterministic = Flag("deterministic", false);
   Out.Sound = Flag("sound", false);
   Out.Arcsine = Flag("arcsine", false);
-  Out.FastScreen = Flag("fast_screen", false);
   if (const JsonValue *Inject = V.find("inject"))
     Out.Inject = Inject->stringOr("");
   if (!Out.Inject.empty() && Out.Inject != "crash" && Out.Inject != "hang" &&
@@ -236,7 +235,6 @@ std::string encodeServeWorkerSpec(const ServeWorkerSpec &S) {
   W.key("threshold").value(S.NodeThreshold);
   W.key("arcsine").value(S.Arcsine);
   W.key("sound").value(S.Sound);
-  W.key("fast_screen").value(S.FastScreen);
   W.key("heartbeat_ms").value(S.HeartbeatMs);
   W.key("inject").value(S.Inject);
   W.endObject();
@@ -315,8 +313,6 @@ bool decodeServeWorkerSpec(const std::string &Text, ServeWorkerSpec &Out,
       V.find("threshold") ? V.find("threshold")->intOr(250) : 250;
   Out.Arcsine = V.find("arcsine") ? V.find("arcsine")->boolOr(false) : false;
   Out.Sound = V.find("sound") ? V.find("sound")->boolOr(false) : false;
-  Out.FastScreen =
-      V.find("fast_screen") ? V.find("fast_screen")->boolOr(false) : false;
   Out.HeartbeatMs = Num("heartbeat_ms", 100.0);
   if (const JsonValue *Inject = V.find("inject"))
     Out.Inject = Inject->stringOr("");

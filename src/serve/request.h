@@ -9,7 +9,6 @@
 ///    "start":[...],"end":[...],"specs":["argmax:0:3"],
 ///    "deadline_ms":500,"budget_mb":64,"p":0.02,"k":100,"threshold":250,
 ///    "deterministic":false,"sound":true,"arcsine":false,
-///    "fast_screen":false,
 ///    "inject":"crash","inject_ms":200}
 ///   {"type":"stats"}   live counters + Prometheus exposition
 ///   {"type":"ping"}    liveness probe
@@ -17,7 +16,7 @@
 /// Responses (status semantics in docs/SERVING.md):
 ///
 ///   {"type":"result","id":...,"status":"ok|degraded|overloaded|error",
-///    "rung":"screening|configured|resilient|interval-box",
+///    "rung":"configured|resilient|interval-box",
 ///    "specs":[{"lower":l,"upper":u,"degraded":b,"verdict":"..."}],
 ///    "queue_ms":...,"run_ms":...,"retry_after_ms":...,"error":"..."}
 ///   {"type":"stats","inflight":N,"queued":N,"draining":b,
@@ -63,10 +62,6 @@ struct ServeRequest {
   bool Deterministic = false;
   bool Sound = false;
   bool Arcsine = false;
-  /// Two-tier precision fast path (wire field "fast_screen"): float32
-  /// screening decides clear regions, borderline regions re-run under the
-  /// sound double tier. Reported bounds always come from the sound tier.
-  bool FastScreen = false;
   /// Fault injection for the CI smoke job ("crash"|"hang"|"oomkill"|
   /// "slow"; empty = none). Honored only when the server runs with
   /// --allow-inject.
@@ -152,9 +147,6 @@ struct ServeWorkerSpec {
   int64_t NodeThreshold = 250;
   bool Arcsine = false;
   bool Sound = false; ///< enable directed rounding in the worker process
-  /// Two-tier screening requested; applied only when the worker's plan
-  /// rung is Screening (escalated retries run the full sound path).
-  bool FastScreen = false;
   double HeartbeatMs = 100.0;
   /// Worker-side fault fired on attempt 0 only ("crash"|"hang"|"oomkill";
   /// empty = none), so the supervised retry demonstrably recovers.

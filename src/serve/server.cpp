@@ -186,8 +186,7 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   const bool HasDeadline = DeadlineSeconds > 0.0;
   const double Remaining =
       HasDeadline ? DeadlineSeconds - Ticket.queueSeconds() : 0.0;
-  const QosDecision Qos =
-      qosDecisionFor(Remaining, HasDeadline, Cfg.Qos, Req.FastScreen);
+  const QosDecision Qos = qosDecisionFor(Remaining, HasDeadline, Cfg.Qos);
   R.Rung = Qos.Rung;
 
   // Injected "slow": hold the admission slot before propagating, creating
@@ -217,9 +216,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Req.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
   Conf.MemoryBudgetBytes = Ticket.budgetBytes();
   Conf.Resilience = Qos.Resilience;
-  // The screen runs only on its own rung: a deadline-coarsened request
-  // has no time for a screen-then-certify round trip.
-  Conf.FastScreen = Qos.Rung == ShardRung::Screening;
 
   const double RunStart = nowSeconds();
   std::vector<ShardResult> Results;
@@ -260,7 +256,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
     Spec.NodeThreshold = Req.NodeThreshold;
     Spec.Arcsine = Req.Arcsine;
     Spec.Sound = Cfg.SoundMode;
-    Spec.FastScreen = Conf.FastScreen;
     Spec.HeartbeatMs =
         std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
     if (Req.Inject != "slow")
@@ -293,7 +288,7 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   int64_t FinalRung = static_cast<int64_t>(Qos.Rung);
   for (const ShardResult &Res : Results)
     FinalRung = std::max(FinalRung, Res.Rung);
-  R.Rung = static_cast<ShardRung>(std::clamp<int64_t>(FinalRung, 0, 3));
+  R.Rung = shardRungFromInt(FinalRung);
 
   for (size_t I = 0; I < Ctx.Specs.size(); ++I) {
     ProbBounds Bounds = Merged.Specs[I];

@@ -2,6 +2,7 @@
 
 #include "src/shard/shard.h"
 
+#include "src/shard/supervisor.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -96,7 +97,7 @@ MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
     // shard that ran (or fell back) at the interval-box rung reached
     // FullBox; a resilient retry reached at least LocalBox only if its
     // own stats say so, which R.Rung does not imply.
-    if (R.Rung >= 2 || R.FromFallback)
+    if (shardRungFromInt(R.Rung) == ShardRung::IntervalBox || R.FromFallback)
       Merged.Rung = DegradeRung::FullBox;
   }
   // Fold in the worst in-process rung reported by any shard.

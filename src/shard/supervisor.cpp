@@ -29,8 +29,6 @@ ShardRung rungForAttempt(int64_t Attempt) {
 
 const char *shardRungName(ShardRung R) {
   switch (R) {
-  case ShardRung::Screening:
-    return "screening";
   case ShardRung::Configured:
     return "configured";
   case ShardRung::Resilient:
@@ -39,6 +37,11 @@ const char *shardRungName(ShardRung R) {
     return "interval-box";
   }
   return "?";
+}
+
+ShardRung shardRungFromInt(int64_t Value) {
+  constexpr int64_t Coarsest = static_cast<int64_t>(ShardRung::IntervalBox);
+  return static_cast<ShardRung>(std::clamp<int64_t>(Value, 0, Coarsest));
 }
 
 const char *attemptOutcomeName(AttemptOutcome O) {
@@ -120,8 +123,7 @@ void ShardScheduler::recordFailure(int64_t Shard, AttemptOutcome Outcome,
 
 void ShardScheduler::escalate(int64_t Shard) {
   Slot &Sl = Slots[static_cast<size_t>(Shard)];
-  if (Sl.RungFloor != ShardRung::IntervalBox)
-    Sl.RungFloor = static_cast<ShardRung>(static_cast<uint8_t>(Sl.RungFloor) + 1);
+  Sl.RungFloor = shardRungFromInt(static_cast<int64_t>(Sl.RungFloor) + 1);
   // The popped attempt was never launched; hand the shard straight back.
   Sl.S = State::Pending;
 }
@@ -453,22 +455,9 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   // and the coordinator collapses after mergeShardResults.
   Cfg.Mode = AnalysisMode::Probabilistic;
   Cfg.InputSplits = 1;
-  // The scheduler never plans Screening (rungForAttempt never returns
-  // it), but an in-process served request passes its QoS rung straight
-  // in: Screening runs the Configured rung, and the FastScreen config
-  // decides below.
-  ShardRung Rung = Plan.Rung == ShardRung::Screening ? ShardRung::Configured
-                                                     : Plan.Rung;
-  if (Rung != ShardRung::Configured)
+  if (Plan.Rung != ShardRung::Configured)
     Cfg.Resilience.Enabled = true;
-  Cfg.Resilience.StartAtFullBox = Rung == ShardRung::IntervalBox;
-  // The two-tier screen applies only to the first, un-escalated attempt:
-  // a retry or an escalated rung means the fast path already failed this
-  // request once, so it runs the full sound tier directly.
-  const bool Screen =
-      Cfg.FastScreen && Rung == ShardRung::Configured && !Ctx.Specs.empty();
-  if (!Screen)
-    Cfg.FastScreen = false;
+  Cfg.Resilience.StartAtFullBox = Plan.Rung == ShardRung::IntervalBox;
 
   const std::vector<ShardRange> Ranges = planShards(Ctx.NumShards);
   const size_t Index =
@@ -479,41 +468,6 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   const Tensor A = Ctx.Start.reshaped({1, Ctx.Start.numel()});
   const Tensor B = Ctx.End.reshaped({1, Ctx.End.numel()});
 
-  if (Screen) {
-    // Two-tier path: per spec, the float32 screen classifies the shard's
-    // parameter range piecewise and only borderline pieces re-run under
-    // the sound double tier (GenProve::analyzeSegmentScreened). Every
-    // reported bound comes from the sound tier; the screen only decides
-    // which pieces need it.
-    const GenProve GP(Cfg);
-    ShardResult Out;
-    Out.Shard = Plan.Shard;
-    Out.Attempt = Plan.Attempt;
-    Out.Rung = static_cast<int64_t>(ShardRung::Screening);
-    Out.Specs.reserve(Ctx.Specs.size());
-    for (const OutputSpec &Spec : Ctx.Specs) {
-      const AnalysisResult R = GP.analyzeSegmentScreened(
-          Ctx.Pipeline, Ctx.InputShape, A, B, Spec, Range.T0, Range.T1);
-      Out.Seconds += R.Seconds;
-      Out.PeakBytes = std::max(Out.PeakBytes,
-                               static_cast<int64_t>(R.PeakBytes));
-      Out.MaxRegions = std::max(Out.MaxRegions, R.MaxRegions);
-      Out.MaxNodes = std::max(Out.MaxNodes, R.MaxNodes);
-      Out.Retries += R.Retries;
-      Out.Rollbacks += R.Rollbacks;
-      Out.FallbackBoxLayers += R.FallbackBoxLayers;
-      Out.QuarantinedMass += R.QuarantinedMass;
-      Out.Degraded = Out.Degraded || R.Degraded;
-      Out.DeadlineHit = Out.DeadlineHit || R.DeadlineHit;
-      Out.OutOfMemory = Out.OutOfMemory || R.OutOfMemory;
-      ShardSpecBounds SB;
-      SB.Lower = R.Bounds.Lower;
-      SB.Upper = R.Bounds.Upper;
-      SB.Degraded = R.Bounds.Degraded;
-      Out.Specs.push_back(SB);
-    }
-    return Out;
-  }
   Tensor PartStart({1, A.numel()});
   Tensor PartEnd({1, A.numel()});
   for (int64_t J = 0; J < A.numel(); ++J) {
@@ -534,7 +488,7 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   ShardResult Out;
   Out.Shard = Plan.Shard;
   Out.Attempt = Plan.Attempt;
-  Out.Rung = static_cast<int64_t>(Rung);
+  Out.Rung = static_cast<int64_t>(Plan.Rung);
   Out.Seconds = State.Seconds;
   Out.PeakBytes = static_cast<int64_t>(State.PeakBytes);
   Out.MaxRegions = State.Stats.MaxRegions;

@@ -38,26 +38,24 @@ namespace genprove {
 
 /// The supervision rung a worker attempt runs at (distinct from the
 /// in-process DegradeRung, which can still climb *within* an attempt).
-/// Ordered by increasing coarseness: Screening sits ABOVE Configured in
-/// the QoS ladder (a float32 screen decides clear regions, only the
-/// borderline set pays the sound double tier) and therefore BELOW it
-/// numerically, so the scheduler's rung-floor maximum and the escalation
-/// increment abandon the screen before anything else.
+/// Ordered by increasing coarseness, so the scheduler's rung-floor maximum
+/// and the escalation increment both move toward IntervalBox.
 enum class ShardRung : uint8_t {
-  Screening = 0,
-  Configured = 1,
-  Resilient = 2,
-  IntervalBox = 3,
+  Configured = 0,
+  Resilient = 1,
+  IntervalBox = 2,
 };
 
 /// Rung for the Nth attempt at a shard (0-based): 0 → Configured,
-/// 1 → Resilient, 2+ → IntervalBox. Screening is never scheduled by
-/// attempt number — it is a QoS opt-in applied inside the first
-/// Configured attempt (runShardAttempt), so retries always escape it.
+/// 1 → Resilient, 2+ → IntervalBox.
 ShardRung rungForAttempt(int64_t Attempt);
 
-/// Display name ("screening", "configured", "resilient", "interval-box").
+/// Display name ("configured", "resilient", "interval-box").
 const char *shardRungName(ShardRung R);
+
+/// The rung with numeric value \p Value (a ShardResult::Rung or a
+/// --shard-rung argument), clamped to [Configured, IntervalBox].
+ShardRung shardRungFromInt(int64_t Value);
 
 /// How a worker attempt ended, as classified by the launcher.
 enum class AttemptOutcome : uint8_t {

@@ -27,7 +27,6 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -84,85 +83,6 @@ inline double divDown(double A, double B) { return down(A / B); }
 /// audit compares against.
 inline double accumulationBound(int64_t Terms) {
   return 4.0 * static_cast<double>(Terms + 4) * DBL_EPSILON;
-}
-
-//===--------------------------------------------------------------------===//
-// Single-precision directed helpers for the two-tier screening pass
-// (core/genprove.h FastScreen). The screen runs float32 round-to-nearest
-// kernels and widens with a sound cushion; these helpers build that
-// cushion and the float input enclosure with the same nextafter idiom as
-// the double helpers above.
-//===--------------------------------------------------------------------===//
-
-/// One float ULP toward +inf. Bitwise equal to nextafterf(X, +inf) for
-/// every input (NaN propagates, +inf is a fixed point, +-0 steps to the
-/// smallest positive subnormal, -inf steps to -FLT_MAX), but inlined as a
-/// sign-magnitude integer step: the screen nudges every cushion term, and
-/// the libm call is a measurable fraction of an entire piece
-/// classification.
-inline float upF(float X) {
-  if (std::isnan(X) || X == std::numeric_limits<float>::infinity())
-    return X;
-  uint32_t Bits;
-  std::memcpy(&Bits, &X, sizeof(Bits));
-  if ((Bits << 1) == 0) // +0.0f or -0.0f
-    Bits = 1;           // smallest positive subnormal
-  else if (Bits >> 31)
-    --Bits; // negative: toward zero is toward +inf
-  else
-    ++Bits; // positive: away from zero
-  std::memcpy(&X, &Bits, sizeof(Bits));
-  return X;
-}
-
-/// One float ULP toward -inf; the mirror of upF (bitwise equal to
-/// nextafterf(X, -inf)).
-inline float downF(float X) {
-  if (std::isnan(X) || X == -std::numeric_limits<float>::infinity())
-    return X;
-  uint32_t Bits;
-  std::memcpy(&Bits, &X, sizeof(Bits));
-  if ((Bits << 1) == 0)    // +0.0f or -0.0f
-    Bits = 0x80000001u;    // smallest negative subnormal
-  else if (Bits >> 31)
-    ++Bits; // negative: away from zero is toward -inf
-  else
-    --Bits; // positive: toward zero
-  std::memcpy(&X, &Bits, sizeof(Bits));
-  return X;
-}
-
-inline float addUpF(float A, float B) { return upF(A + B); }
-inline float addDownF(float A, float B) { return downF(A + B); }
-inline float subUpF(float A, float B) { return upF(A - B); }
-inline float subDownF(float A, float B) { return downF(A - B); }
-inline float mulUpF(float A, float B) { return upF(A * B); }
-inline float mulDownF(float A, float B) { return downF(A * B); }
-
-/// Directed double->float conversion: the smallest float >= X. The cast
-/// rounds to nearest; one nudge covers the half-ULP it can undershoot by
-/// (including into/out of the subnormal range, where nextafterf steps by
-/// the subnormal spacing).
-inline float floatUp(double X) {
-  const float F = static_cast<float>(X);
-  return static_cast<double>(F) >= X ? F : upF(F);
-}
-
-/// Directed double->float conversion: the largest float <= X.
-inline float floatDown(double X) {
-  const float F = static_cast<float>(X);
-  return static_cast<double>(F) <= X ? F : downF(F);
-}
-
-/// Float analogue of accumulationBound: relative-error cushion for a
-/// K-term float32 round-to-nearest accumulation, with extra headroom for
-/// the round-to-nearest weight/input conversions (each a half-ULP
-/// relative error in the normal range) and the float evaluation of the
-/// magnitude term the cushion multiplies. The absolute error of
-/// subnormal-range conversions is NOT covered here — the screen adds a
-/// separate absolute floor for those.
-inline float accumulationBoundF(int64_t Terms) {
-  return 4.0f * static_cast<float>(Terms + 8) * FLT_EPSILON;
 }
 
 /// Neumaier-compensated sum rounded toward +inf. The compensated sum

@@ -56,42 +56,6 @@ TEST(Audit, DilationStaysFarBelowOnePercent) {
   }
 }
 
-/// The two-tier path rides the same >= 1000-sample oracle: the screened
-/// consistency check must cover every zoo model with its piece
-/// classification recorded.
-TEST(Audit, ScreenedPathCovered) {
-  const AuditReport Report = auditBuiltinZoo(fuzzConfig());
-  for (const ModelAudit &M : Report.Models) {
-    bool SawScreened = false;
-    for (const DomainAudit &Dom : M.Domains) {
-      if (Dom.Domain == "screened") {
-        SawScreened = true;
-        EXPECT_EQ(Dom.Violations, 0) << M.Model;
-        EXPECT_GE(Dom.Samples, 1000) << M.Model;
-      }
-    }
-    EXPECT_TRUE(SawScreened) << M.Model;
-    // Piece classification totals cover the whole screened range.
-    EXPECT_EQ(M.ScreenedInside + M.ScreenedOutside + M.ScreenedBorderline, 32)
-        << M.Model;
-    // The screened-vs-full differential folds into DifferentialOk.
-    EXPECT_TRUE(M.DifferentialOk) << M.Model << ": " << M.DifferentialNote;
-  }
-  // The adversarial spec slices through the output range, so the MLP
-  // (whose pipeline the screen compiles) must produce borderline pieces —
-  // the screen cannot certify the boundary region.
-  ASSERT_FALSE(Report.Models.empty());
-  EXPECT_GT(Report.Models[0].ScreenedBorderline, 0);
-  // Conv pipelines are uncompilable: every piece must be borderline,
-  // never a false certificate.
-  for (const ModelAudit &M : Report.Models)
-    if (M.Model != "mlp") {
-      EXPECT_EQ(M.ScreenedInside, 0) << M.Model;
-      EXPECT_EQ(M.ScreenedOutside, 0) << M.Model;
-      EXPECT_EQ(M.ScreenedBorderline, 32) << M.Model;
-    }
-}
-
 TEST(Audit, DifferentialNestingHolds) {
   const AuditReport Report = auditBuiltinZoo(fuzzConfig());
   for (const ModelAudit &M : Report.Models)

@@ -669,5 +669,52 @@ TEST_F(ObsTest, OomTimelineMarksTheFailingLayer) {
   EXPECT_STREQ(Stats.Layers.back().Kind, "ReLU");
 }
 
+TEST(QuantileFromBucketsTest, EdgeCases) {
+  const int NB = Histogram::NumBuckets;
+  std::vector<int64_t> Buckets(static_cast<size_t>(NB), 0);
+
+  // Empty histogram: no answer to give.
+  EXPECT_TRUE(std::isnan(
+      quantileFromBuckets(Buckets.data(), NB, 0, 1.0, 2.0, 0.5)));
+
+  // Torn concurrent snapshot (bucket totals short of Count): the largest
+  // observed sample, not a crash or a fabricated bucket edge.
+  EXPECT_EQ(quantileFromBuckets(Buckets.data(), NB, 10, 1.0, 7.0, 0.5), 7.0);
+  EXPECT_TRUE(std::isnan(quantileFromBuckets(
+      Buckets.data(), NB, 10, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity(), 0.5)));
+
+  // All mass in the +inf overflow bucket with genuinely infinite samples:
+  // the honest quantile is the infinity itself.
+  Buckets.assign(static_cast<size_t>(NB), 0);
+  Buckets[static_cast<size_t>(NB - 1)] = 5;
+  EXPECT_TRUE(std::isinf(quantileFromBuckets(
+      Buckets.data(), NB, 5, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity(), 0.5)));
+
+  // Finite samples whose mass sits in the underflow bucket (-inf, 0]:
+  // the sample-range clamp keeps the estimate finite and in-range.
+  Buckets.assign(static_cast<size_t>(NB), 0);
+  Buckets[0] = 4;
+  const double Q0 = quantileFromBuckets(Buckets.data(), NB, 4, -3.0, 0.0, 0.5);
+  EXPECT_TRUE(std::isfinite(Q0));
+  EXPECT_GE(Q0, -3.0);
+  EXPECT_LE(Q0, 0.0);
+
+  // Out-of-range Q clamps instead of indexing past the data, and the
+  // in-range answer stays within the observed sample range.
+  Buckets.assign(static_cast<size_t>(NB), 0);
+  Buckets[static_cast<size_t>(Histogram::bucketIndex(1.0))] += 1;
+  Buckets[static_cast<size_t>(Histogram::bucketIndex(2.0))] += 1;
+  Buckets[static_cast<size_t>(Histogram::bucketIndex(4.0))] += 1;
+  EXPECT_EQ(quantileFromBuckets(Buckets.data(), NB, 3, 1.0, 4.0, 2.0),
+            quantileFromBuckets(Buckets.data(), NB, 3, 1.0, 4.0, 1.0));
+  EXPECT_EQ(quantileFromBuckets(Buckets.data(), NB, 3, 1.0, 4.0, -1.0),
+            quantileFromBuckets(Buckets.data(), NB, 3, 1.0, 4.0, 0.0));
+  const double Med = quantileFromBuckets(Buckets.data(), NB, 3, 1.0, 4.0, 0.5);
+  EXPECT_GE(Med, 1.0);
+  EXPECT_LE(Med, 4.0);
+}
+
 } // namespace
 } // namespace genprove

@@ -460,5 +460,38 @@ TEST(PropagationCacheTest, ConfigureZeroDisablesAndDrops) {
   EXPECT_EQ(PropagationCache::global().bytes(), 0u);
 }
 
+/// Overwriting a resident cache key must release the old entry's bytes
+/// (and LRU node) before charging the replacement: repeated stores of one
+/// key cannot drift CurBytes past the budget or strand stale accounting.
+TEST(PropCacheOverwriteTest, RepeatedStoreOfSameKeyKeepsBytesFlat) {
+  PropagationCache &C = PropagationCache::global();
+  C.configure(1u << 20);
+  Rng R(103);
+
+  std::vector<Region> Small;
+  Small.push_back(makeSegmentRegion(Tensor::randn({1, 4}, R),
+                                    Tensor::randn({1, 4}, R)));
+  std::vector<Region> Big;
+  Big.push_back(makeSegmentRegion(Tensor::randn({1, 64}, R),
+                                  Tensor::randn({1, 64}, R)));
+
+  C.store(0xfeedu, Small, Shape({1, 4}), 0);
+  const size_t AfterSmall = C.bytes();
+  ASSERT_GT(AfterSmall, 0u);
+  for (int I = 0; I < 10; ++I)
+    C.store(0xfeedu, Small, Shape({1, 4}), 0);
+  EXPECT_EQ(C.bytes(), AfterSmall) << "overwrite leaked accounting";
+
+  // Grow then shrink the same key: bytes must track the resident entry.
+  C.store(0xfeedu, Big, Shape({1, 64}), 0);
+  const size_t AfterBig = C.bytes();
+  EXPECT_GT(AfterBig, AfterSmall);
+  C.store(0xfeedu, Small, Shape({1, 4}), 0);
+  EXPECT_EQ(C.bytes(), AfterSmall);
+
+  EXPECT_LE(C.bytes(), C.budgetBytes());
+  C.configure(0);
+}
+
 } // namespace
 } // namespace genprove

@@ -621,30 +621,33 @@ TEST_F(ServeEndToEnd, InjectionRefusedWithoutAllowInject) {
   }
 }
 
-/// Screening never overrides a deadline-driven coarsening: a fast_screen
-/// request whose deadline lands in the Resilient band runs unscreened.
-TEST_F(ServeEndToEnd, FastScreenInResilientBandIsNotScreened) {
+/// Old clients may still send "fast_screen": the daemon ignores the key,
+/// so the request runs at the configured rung with the same bounds, bit
+/// for bit, as one without it.
+TEST_F(ServeEndToEnd, FastScreenKeyIsIgnored) {
   ServeConfig Cfg;
-  Cfg.Qos.ResilientFloorSeconds = 30.0; // any real deadline is Resilient
-  Cfg.Qos.BoxFloorSeconds = 0.001;
   startServer(Cfg);
   const int Fd = connectSocket();
   ASSERT_GE(Fd, 0);
 
-  MetricsRegistry &Reg = MetricsRegistry::global();
-  const auto Pieces = [&Reg] {
-    return Reg.counter("screen.inside_pieces").value() +
-           Reg.counter("screen.outside_pieces").value() +
-           Reg.counter("screen.borderline_pieces").value();
-  };
-  const int64_t Before = Pieces();
-  std::string Line = verifyLine("screen", 5000.0);
-  Line.insert(Line.size() - 1, ",\"fast_screen\":true");
-  JsonValue Reply;
-  ASSERT_TRUE(roundTrip(Fd, Line, Reply));
-  EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
-  EXPECT_EQ(Reply.find("rung")->stringOr(""), "resilient");
-  EXPECT_EQ(Pieces(), Before);
+  std::string WithKey = verifyLine("with-key", -1.0);
+  WithKey.insert(WithKey.size() - 1, ",\"fast_screen\":true");
+  const std::string Lines[2] = {verifyLine("without-key", -1.0), WithKey};
+  std::string Bounds[2];
+  for (int I = 0; I < 2; ++I) {
+    JsonValue Reply;
+    ASSERT_TRUE(roundTrip(Fd, Lines[I], Reply));
+    EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
+    EXPECT_EQ(Reply.find("rung")->stringOr(""), "configured");
+    const JsonValue *Specs = Reply.find("specs");
+    ASSERT_TRUE(Specs && Specs->Items.size() == 1);
+    char Text[64];
+    std::snprintf(Text, sizeof(Text), "%.17g %.17g",
+                  Specs->Items[0].find("lower")->numberOr(-1.0),
+                  Specs->Items[0].find("upper")->numberOr(-1.0));
+    Bounds[I] = Text;
+  }
+  EXPECT_EQ(Bounds[0], Bounds[1]);
   ::close(Fd);
 }
 

@@ -597,6 +597,19 @@ TEST(ShardMerge, MissingSpecSlotsAreConservative) {
   EXPECT_TRUE(Merged.Degraded);
 }
 
+/// The supervision rung maps onto the in-process ladder by name: a clean
+/// Resilient attempt (no rollbacks, no fallback-box layers) stays at
+/// None, and only an IntervalBox attempt reaches FullBox.
+TEST(ShardMerge, OnlyTheIntervalBoxRungMergesToFullBox) {
+  std::vector<ShardResult> Results(1);
+  Results[0].Rung = static_cast<int64_t>(ShardRung::Resilient);
+  Results[0].Specs.push_back(ShardSpecBounds{});
+  EXPECT_EQ(mergeShardResults(Results, 1).Rung, DegradeRung::None);
+
+  Results[0].Rung = static_cast<int64_t>(ShardRung::IntervalBox);
+  EXPECT_EQ(mergeShardResults(Results, 1).Rung, DegradeRung::FullBox);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: real propagation, one runShardAttempt per planned shard.
 // ---------------------------------------------------------------------------

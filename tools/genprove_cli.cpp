@@ -94,7 +94,6 @@ namespace {
       "                    [--cache-mb N]\n"
       "                    [--p P] [--k K] [--threshold T] [--budget-mb M]\n"
       "                    [--deterministic] [--arcsine] [--sound]\n"
-      "                    [--fast-screen] [--screen-splits N]\n"
       "                    [--splits N]\n"
       "                    [--schedule A|B] [--threads N]\n"
       "                    [--resilient] [--deadline-ms D]\n"
@@ -114,16 +113,6 @@ namespace {
       "  --sound             directed (outward) rounding on every bound\n"
       "                      computation; floating-point-sound intervals at\n"
       "                      a sub-percent width cost (docs/SOUNDNESS.md)\n"
-      "\n"
-      "two-tier screen (docs/PERFORMANCE.md):\n"
-      "  --fast-screen       two-tier precision fast path: a float32\n"
-      "                      screen with a sound error cushion classifies\n"
-      "                      parameter pieces as inside/outside/borderline\n"
-      "                      and only borderline pieces re-run under the\n"
-      "                      double-precision sound tier; every reported\n"
-      "                      bound comes from sound arithmetic\n"
-      "  --screen-splits N   pieces the screen splits the range into\n"
-      "                      (default 32)\n"
       "\n"
       "several segments (docs/PERFORMANCE.md):\n"
       "  --start/--end ...   repeated pairs define several latent segments,\n"
@@ -460,15 +449,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--sound") {
       setSoundRounding(true);
       Forward({Arg});
-    } else if (Arg == "--fast-screen") {
-      Config.FastScreen = true;
-      Forward({Arg});
-    } else if (Arg == "--screen-splits") {
-      const std::string V = Next();
-      Config.ScreenSplits = numberArg<int64_t>(Arg, V);
-      if (Config.ScreenSplits < 1)
-        usage("--screen-splits wants N >= 1");
-      Forward({Arg, V});
     } else if (Arg == "--arcsine") {
       Config.Distribution = ParamDistribution::Arcsine;
       Forward({Arg});
@@ -688,8 +668,7 @@ int main(int Argc, char **Argv) {
     AttemptPlan Plan;
     Plan.Shard = ShardWorker;
     Plan.Attempt = ShardAttempt;
-    Plan.Rung = static_cast<ShardRung>(
-        std::clamp<int64_t>(ShardRungFlag, 0, 3));
+    Plan.Rung = shardRungFromInt(ShardRungFlag);
 
     // Heartbeats flow for the whole propagation; the emitter interval
     // stays well under the supervisor's kill timeout. The result line
@@ -870,67 +849,6 @@ int main(int Argc, char **Argv) {
   // matches the serial run.
   //===--------------------------------------------------------------------===//
   const GenProve Analyzer(Config);
-
-  if (Config.FastScreen) {
-    // Two-tier screened path: classification is per (segment, spec) — the
-    // screen's verdicts depend on the constraint functionals — so each
-    // pair x spec runs its own screened analysis (the float tier is
-    // cheap; borderline pieces share one sound propagation per call).
-    GENPROVE_SPAN("analyze_screened");
-    bool Degraded = false;
-    double Seconds = 0.0;
-    size_t PeakBytes = 0;
-    int64_t MaxRegions = 0, MaxNodes = 0, Retries = 0;
-    int64_t NumInside = 0, NumOutside = 0, NumBorderline = 0;
-    for (size_t Pair = 0; Pair < Segments.size(); ++Pair) {
-      if (Segments.size() > 1)
-        std::printf("segment: %s -> %s\n", StartPaths[Pair].c_str(),
-                    EndPaths[Pair].c_str());
-      for (size_t I = 0; I < Specs.size(); ++I) {
-        const AnalysisResult R = Analyzer.analyzeSegment(
-            Pipeline, InputShape, Segments[Pair].first,
-            Segments[Pair].second, Specs[I]);
-        Seconds += R.Seconds;
-        PeakBytes = std::max(PeakBytes, R.PeakBytes);
-        MaxRegions = std::max(MaxRegions, R.MaxRegions);
-        MaxNodes = std::max(MaxNodes, R.MaxNodes);
-        Retries = std::max(Retries, R.Retries);
-        NumInside += R.ScreenedInside;
-        NumOutside += R.ScreenedOutside;
-        NumBorderline += R.ScreenedBorderline;
-        Degraded = Degraded || R.Degraded || R.Bounds.Degraded;
-        if (Specs.size() > 1)
-          std::printf("spec:    %s\n", SpecTexts[I].c_str());
-        std::printf("bounds:  [%.6f, %.6f]  width %s\n", R.Bounds.Lower,
-                    R.Bounds.Upper, formatBound(R.Bounds.width()).c_str());
-        if (Config.Mode == AnalysisMode::Deterministic) {
-          const char *Verdict = R.Bounds.Lower >= 1.0   ? "HOLDS"
-                                : R.Bounds.Upper <= 0.0 ? "NEVER HOLDS"
-                                                        : "UNKNOWN";
-          std::printf("verdict: %s%s\n", Verdict,
-                      R.Bounds.Degraded ? " (DEGRADED)" : "");
-        } else if (R.Bounds.Degraded) {
-          std::printf("verdict: DEGRADED; holds with probability in "
-                      "[%.6f, %.6f]\n",
-                      R.Bounds.Lower, R.Bounds.Upper);
-        } else {
-          std::printf("verdict: holds with probability in [%.6f, %.6f]\n",
-                      R.Bounds.Lower, R.Bounds.Upper);
-        }
-      }
-    }
-    std::printf("screen:  %lld inside, %lld outside, %lld borderline\n",
-                static_cast<long long>(NumInside),
-                static_cast<long long>(NumOutside),
-                static_cast<long long>(NumBorderline));
-    std::printf("stats:   %.2fs, %lld regions peak, %lld nodes peak, %s "
-                "device memory, %lld retries\n",
-                Seconds, static_cast<long long>(MaxRegions),
-                static_cast<long long>(MaxNodes),
-                formatBytes(PeakBytes).c_str(),
-                static_cast<long long>(Retries));
-    return Degraded ? 4 : 0;
-  }
 
   std::vector<PropagatedState> States;
   {

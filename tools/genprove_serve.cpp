@@ -229,12 +229,11 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   Conf.MemoryBudgetBytes = Spec.BudgetBytes;
   Conf.Resilience.Enabled = true;
   Conf.Resilience.DeadlineSeconds = Spec.DeadlineSeconds;
-  Conf.FastScreen = Spec.FastScreen;
 
   AttemptPlan Plan;
   Plan.Shard = 0;
   Plan.Attempt = Attempt;
-  Plan.Rung = static_cast<ShardRung>(std::clamp<int64_t>(Rung, 0, 3));
+  Plan.Rung = shardRungFromInt(Rung);
 
   // Injected faults fire on attempt 0 only, so the supervised retry
   // demonstrably recovers. Hang sleeps silently *before* the heartbeat
