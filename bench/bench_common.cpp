@@ -3,8 +3,6 @@
 #include "bench/bench_common.h"
 
 #include "src/domains/box_domain.h"
-#include "src/domains/hybrid_zonotope.h"
-#include "src/domains/prop_cache.h"
 #include "src/domains/zonotope.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -54,9 +52,6 @@ BenchEnv::BenchEnv(BenchConfig InitConfig) : Config(std::move(InitConfig)) {
   // The bench harness always records engine metrics; they feed the run
   // report. Tracing stays off unless a binary opts in.
   setMetricsEnabled(true);
-  // The propagation cache is process-wide; its hit/miss/eviction counters
-  // land in the run report through the metrics snapshot below.
-  PropagationCache::global().configure(Config.CacheBudgetBytes);
   std::error_code Ec;
   std::filesystem::create_directories(Config.ResultsDir, Ec);
   loadCache();
@@ -74,9 +69,7 @@ std::string BenchEnv::configFingerprint() const {
   Knobs << Config.PairsPerCell << '|' << Config.ZonoPairsPerCell << '|'
         << Config.SamplesPerPair << '|' << Config.SamplingAlpha << '|'
         << Config.RelaxPercent << '|' << Config.ClusterK << '|'
-        << Config.NodeThreshold << '|' << Config.MemoryBudgetBytes << '|'
-        << Config.Resilient << '|' << Config.DeadlineSeconds << '|'
-        << Config.Shards << '|' << Config.CacheBudgetBytes;
+        << Config.NodeThreshold << '|' << Config.MemoryBudgetBytes;
   const std::string Text = Knobs.str();
   uint64_t Hash = 1469598103934665603ull; // FNV-1a 64
   for (unsigned char C : Text) {
@@ -205,10 +198,6 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
   GpConfig.ClusterK = Config.ClusterK;
   GpConfig.NodeThreshold = Config.NodeThreshold;
   GpConfig.MemoryBudgetBytes = Config.MemoryBudgetBytes;
-  GpConfig.Resilience.Enabled = Config.Resilient;
-  GpConfig.Resilience.DeadlineSeconds =
-      Config.Resilient ? Config.DeadlineSeconds : 0.0;
-  GpConfig.InputSplits = std::max<int64_t>(Config.Shards, 1);
   switch (Which) {
   case Method::Baseline:
     GpConfig.Mode = AnalysisMode::Deterministic;
@@ -234,7 +223,6 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
   double SumWidth = 0.0, SumLower = 0.0, SumUpper = 0.0, SumSeconds = 0.0;
   int64_t NumBounds = 0, NumNonTrivial = 0, NumOom = 0;
   int64_t MaxRegions = 0, MaxNodes = 0, MaxRetries = 0;
-  int64_t NumDegraded = 0;
   size_t PeakBytes = 0;
   Rng SampleRng(0x5eed5eedu);
 
@@ -284,24 +272,16 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
       Timer PairTimer;
       DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
       std::vector<ConvexResult> Results;
-      switch (Which) {
-      case Method::Box:
+      if (Which == Method::Box)
         Results =
             analyzeBoxMulti(Pipeline, LatentShape, E1, E2, Specs, Memory);
-        break;
-      case Method::HybridZono:
-        Results = analyzeHybridZonotopeMulti(Pipeline, LatentShape, E1, E2,
-                                             Specs, Memory);
-        break;
-      case Method::Zonotope:
-        Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2, Specs,
-                                       ZonotopeKind::Zonotope, Memory);
-        break;
-      default:
-        Results = analyzeZonotopeMulti(Pipeline, LatentShape, E1, E2, Specs,
-                                       ZonotopeKind::DeepZono, Memory);
-        break;
-      }
+      else
+        Results = analyzeZonotopeMulti(
+            Pipeline, LatentShape, E1, E2, Specs,
+            Which == Method::Zonotope   ? ZonotopeKind::Zonotope
+            : Which == Method::DeepZono ? ZonotopeKind::DeepZono
+                                        : ZonotopeKind::HybridZono,
+            Memory);
       std::vector<ProbBounds> AllBounds;
       bool PairOom = false;
       for (const ConvexResult &Result : Results) {
@@ -367,14 +347,6 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
       MaxRegions = std::max(MaxRegions, State.Stats.MaxRegions);
       MaxNodes = std::max(MaxNodes, State.Stats.MaxNodes);
       MaxRetries = std::max(MaxRetries, State.Retries);
-      if (State.Degraded)
-        ++NumDegraded;
-      Cell.MaxRung =
-          std::max(Cell.MaxRung, static_cast<int64_t>(State.Stats.Rung));
-      Cell.Rollbacks += State.Stats.Rollbacks;
-      Cell.FallbackBoxLayers += State.Stats.FallbackBoxLayers;
-      if (State.Stats.DeadlineHit)
-        ++Cell.DeadlineHits;
       std::vector<ProbBounds> AllBounds;
       for (const OutputSpec &Spec : PairSpecs[PairIdx])
         AllBounds.push_back(Analyzer.boundsFor(State, Spec));
@@ -393,8 +365,6 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
   if (!Pairs.empty()) {
     Cell.FractionOom =
         static_cast<double>(NumOom) / static_cast<double>(Pairs.size());
-    Cell.FractionDegraded =
-        static_cast<double>(NumDegraded) / static_cast<double>(Pairs.size());
     Cell.MeanSeconds = SumSeconds / static_cast<double>(Pairs.size());
   }
   Cell.NumBounds = NumBounds;
@@ -408,8 +378,7 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
 namespace {
 const char *GridHeader =
     "key,dataset,network,method,neurons,pairs,bounds,width,lower,upper,"
-    "nontrivial,oom,seconds,peakgb,maxregions,maxnodes,retries,"
-    "degraded,maxrung,rollbacks,fallbackbox,deadlinehits";
+    "nontrivial,oom,seconds,peakgb,maxregions,maxnodes,retries";
 const char *ConfigLinePrefix = "#config ";
 } // namespace
 
@@ -428,10 +397,7 @@ void BenchEnv::saveCache() {
         << ',' << Cell.MeanLower << ',' << Cell.MeanUpper << ','
         << Cell.FractionNonTrivial << ',' << Cell.FractionOom << ','
         << Cell.MeanSeconds << ',' << Cell.PeakGb << ',' << Cell.MaxRegions
-        << ',' << Cell.MaxNodes << ',' << Cell.Retries << ','
-        << Cell.FractionDegraded << ',' << Cell.MaxRung << ','
-        << Cell.Rollbacks << ',' << Cell.FallbackBoxLayers << ','
-        << Cell.DeadlineHits << '\n';
+        << ',' << Cell.MaxNodes << ',' << Cell.Retries << '\n';
   }
   Dirty = false;
 }
@@ -491,11 +457,6 @@ void BenchEnv::loadCache() {
     Cell.MaxRegions = std::stoll(Next());
     Cell.MaxNodes = std::stoll(Next());
     Cell.Retries = std::stoll(Next());
-    Cell.FractionDegraded = std::stod(Next());
-    Cell.MaxRung = std::stoll(Next());
-    Cell.Rollbacks = std::stoll(Next());
-    Cell.FallbackBoxLayers = std::stoll(Next());
-    Cell.DeadlineHits = std::stoll(Next());
     for (int M = 0; M < static_cast<int>(Method::NumMethods); ++M)
       if (MethodStr == methodName(static_cast<Method>(M)))
         Cell.Which = static_cast<Method>(M);
@@ -522,11 +483,6 @@ void BenchEnv::writeRunReport() {
   W.key("node_threshold").value(Config.NodeThreshold);
   W.key("memory_budget_bytes")
       .value(static_cast<int64_t>(Config.MemoryBudgetBytes));
-  W.key("resilient").value(Config.Resilient);
-  W.key("deadline_seconds").value(Config.DeadlineSeconds);
-  W.key("shards").value(Config.Shards);
-  W.key("cache_budget_bytes")
-      .value(static_cast<int64_t>(Config.CacheBudgetBytes));
   W.endObject();
 
   W.key("cells");
@@ -551,16 +507,7 @@ void BenchEnv::writeRunReport() {
     W.key("max_regions").value(Cell.MaxRegions);
     W.key("max_nodes").value(Cell.MaxNodes);
     W.key("retries").value(Cell.Retries);
-    // Degradation events, so trajectory plots can separate exact /
-    // relaxed / degraded cells (see docs/ROBUSTNESS.md).
     W.key("mode").value(std::string(Cell.modeName()));
-    W.key("fraction_degraded").value(Cell.FractionDegraded);
-    W.key("max_rung")
-        .value(std::string(degradeRungName(
-            static_cast<DegradeRung>(Cell.MaxRung))));
-    W.key("rollbacks").value(Cell.Rollbacks);
-    W.key("fallback_box_layers").value(Cell.FallbackBoxLayers);
-    W.key("deadline_hits").value(Cell.DeadlineHits);
     W.endObject();
   }
   W.endArray();

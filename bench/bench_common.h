@@ -65,21 +65,10 @@ struct GridCell {
   int64_t MaxRegions = 0;
   int64_t MaxNodes = 0;
   int64_t Retries = 0;
-  // Resilience telemetry (non-zero only when BenchConfig::Resilient):
-  // lets trajectory plots distinguish cells that ran exact, relaxed or
-  // degraded instead of lumping every completed cell together.
-  double FractionDegraded = 0.0; ///< pairs that finished on a degraded rung.
-  int64_t MaxRung = 0;           ///< worst DegradeRung over the cell's pairs.
-  int64_t Rollbacks = 0;         ///< checkpoint rollbacks, summed.
-  int64_t FallbackBoxLayers = 0; ///< layers run at the interval fallback.
-  int64_t DeadlineHits = 0;      ///< pairs whose deadline expired.
 
-  /// "exact" / "relaxed" / "degraded": the coarsest thing that happened to
-  /// any pair in this cell (degraded > relaxed > exact). A cell is relaxed
-  /// when its method boxes by configuration or a refinement retry fired.
+  /// "exact" / "relaxed": a cell is relaxed when its method boxes by
+  /// configuration or a refinement retry fired.
   const char *modeName() const {
-    if (FractionDegraded > 0.0)
-      return "degraded";
     if (Retries > 0 || Which == Method::GenProveRelax ||
         Which == Method::GenProveDet)
       return "relaxed";
@@ -97,22 +86,6 @@ struct BenchConfig {
   double ClusterK = 100.0;
   int64_t NodeThreshold = 250; ///< paper: 1000 at 4x our scale.
   size_t MemoryBudgetBytes = 240ull << 20; ///< 24 GB scaled 1:100.
-  /// Run the GenProve-family methods with the resilience layer on: OOM
-  /// degrades in place instead of counting into FractionOom, and the
-  /// degradation telemetry below lands in the grid and run report. Off by
-  /// default so the cached tables keep the paper's abort-on-OOM semantics.
-  bool Resilient = false;
-  /// Per-pair propagation deadline in seconds when Resilient; 0 = none.
-  double DeadlineSeconds = 0.0;
-  /// Shard the input range N ways (realized as InputSplits in-process; the
-  /// CLI's --shards path runs the same partition in worker processes).
-  /// Part of the cache fingerprint: shard-count changes re-associate the
-  /// bound sums, so cells computed under a different count are recomputed.
-  int64_t Shards = 1;
-  /// Byte budget handed to the process-wide PropagationCache; 0 keeps the
-  /// cache off. Warm starts change per-cell wall-clock (MeanSeconds), so
-  /// this too is part of the cache fingerprint.
-  size_t CacheBudgetBytes = 0;
   std::string ResultsDir = "results";
 };
 

@@ -3,9 +3,9 @@
 #include "src/audit/audit.h"
 
 #include "src/core/genprove.h"
-#include "src/domains/hybrid_zonotope.h"
+#include "src/domains/box_domain.h"
+#include "src/domains/propagate.h"
 #include "src/domains/zonotope.h"
-#include "src/interval/interval.h"
 #include "src/nn/architectures.h"
 #include "src/nn/init.h"
 #include "src/obs/json.h"
@@ -21,62 +21,10 @@ namespace genprove {
 
 namespace {
 
-Tensor reshapeActs(const Tensor &Flat, const Shape &SampleShape) {
-  return Flat.reshaped(SampleShape);
-}
-
-Tensor flattenActs(const Tensor &Acts) {
-  return Acts.reshaped({1, Acts.numel()});
-}
-
-/// Interval ReLU on a center/radius box, honouring the current rounding
-/// mode (mirrors the engine's reluBox).
-void reluBoxInPlace(Tensor &Center, Tensor &Radius) {
-  const int64_t N = Center.numel();
-  if (soundRoundingEnabled()) {
-    for (int64_t J = 0; J < N; ++J) {
-      const Interval Clamped =
-          Interval{fp::subDown(Center[J], Radius[J]),
-                   fp::addUp(Center[J], Radius[J])}
-              .relu();
-      Clamped.toCenterRadius(Center[J], Radius[J]);
-    }
-    return;
-  }
-  for (int64_t J = 0; J < N; ++J) {
-    const double Lo = std::max(Center[J] - Radius[J], 0.0);
-    const double Hi = std::max(Center[J] + Radius[J], 0.0);
-    Center[J] = 0.5 * (Lo + Hi);
-    Radius[J] = 0.5 * (Hi - Lo);
-  }
-}
-
-/// Initial center/radius box of the segment, honouring the rounding mode
-/// (mirrors the box domain's initial set).
-void initialBox(const Tensor &Start, const Tensor &End, Tensor &Center,
-                Tensor &Radius) {
-  const int64_t N = Start.numel();
-  Center = Tensor({1, N});
-  Radius = Tensor({1, N});
-  for (int64_t J = 0; J < N; ++J) {
-    if (soundRoundingEnabled()) {
-      const Interval Hull{std::min(Start[J], End[J]),
-                          std::max(Start[J], End[J])};
-      Hull.toCenterRadius(Center[J], Radius[J]);
-      const double Pad = fp::mulUp(
-          8.0 * DBL_EPSILON,
-          fp::addUp(std::fabs(Start[J]), std::fabs(End[J])));
-      Radius[J] = fp::addUp(Radius[J], Pad);
-    } else {
-      Center[J] = 0.5 * (Start[J] + End[J]);
-      Radius[J] = 0.5 * std::fabs(End[J] - Start[J]);
-    }
-  }
-}
-
-/// Box propagation in lockstep: the sound directed run next to the
-/// round-to-nearest run, recording per-layer radius dilation. Returns the
-/// sound output bounds.
+/// Box propagation in lockstep on the production engine: the Box domain's
+/// initial box, stepped one layer per propagateRegions call, once under
+/// sound rounding and once in round-to-nearest, recording the per-layer
+/// dilation of the sound radii. Returns the sound output bounds.
 void propagateBoxAudit(const std::vector<const Layer *> &Layers,
                        const Shape &InputShape, const Tensor &Start,
                        const Tensor &End,
@@ -87,51 +35,42 @@ void propagateBoxAudit(const std::vector<const Layer *> &Layers,
   static Gauge &MaxDilation =
       MetricsRegistry::global().gauge("audit.max_dilation_rel");
 
-  Tensor Cs, Rs, Cr, Rr;
+  PropagateConfig Config;
+  Config.EnableRelax = false;
+  const auto Step = [&](bool Sound, const Layer *L, const Shape &InShape,
+                        Region &Box) {
+    SoundRoundingScope Rounding(Sound);
+    DeviceMemoryModel Memory(0);
+    PropagateStats Stats;
+    std::vector<Region> State;
+    State.push_back(std::move(Box));
+    State = propagateRegions({L}, InShape, std::move(State), Config, Memory,
+                             Stats);
+    Box = std::move(State.front());
+  };
+
+  Region Sound, Nearest;
   {
     SoundRoundingScope On(true);
-    initialBox(Start, End, Cs, Rs);
+    Sound = segmentBox(Start, End);
   }
   {
     SoundRoundingScope Off(false);
-    initialBox(Start, End, Cr, Rr);
+    Nearest = segmentBox(Start, End);
   }
 
   Shape CurShape = InputShape;
   int64_t Index = 0;
   for (const Layer *L : Layers) {
-    if (L->isAffine()) {
-      {
-        SoundRoundingScope On(true);
-        Tensor CenterActs = reshapeActs(Cs, CurShape);
-        Tensor RadiusActs = reshapeActs(Rs, CurShape);
-        L->applyToBoxSound(CenterActs, RadiusActs);
-        Cs = flattenActs(CenterActs);
-        Rs = flattenActs(RadiusActs);
-      }
-      {
-        SoundRoundingScope Off(false);
-        Tensor CenterActs = reshapeActs(Cr, CurShape);
-        Tensor RadiusActs = reshapeActs(Rr, CurShape);
-        L->applyToBox(CenterActs, RadiusActs);
-        Cr = flattenActs(CenterActs);
-        Rr = flattenActs(RadiusActs);
-      }
-      CurShape = L->outputShape(CurShape);
-    } else {
-      {
-        SoundRoundingScope On(true);
-        reluBoxInPlace(Cs, Rs);
-      }
-      {
-        SoundRoundingScope Off(false);
-        reluBoxInPlace(Cr, Rr);
-      }
-    }
+    Step(true, L, CurShape, Sound);
+    Step(false, L, CurShape, Nearest);
+    CurShape = L->outputShape(CurShape);
 
     LayerDilation Dil;
     Dil.Index = Index++;
     Dil.Kind = layerKindName(L->kind());
+    const Tensor &Rs = Sound.Radius;
+    const Tensor &Rr = Nearest.Radius;
     double Sum = 0.0;
     int64_t Counted = 0;
     for (int64_t J = 0; J < Rs.numel(); ++J) {
@@ -148,12 +87,12 @@ void propagateBoxAudit(const std::vector<const Layer *> &Layers,
     Dilations.push_back(Dil);
   }
 
-  const int64_t N = Cs.numel();
+  const int64_t N = Sound.dim();
   OutLo = Tensor({1, N});
   OutHi = Tensor({1, N});
   for (int64_t J = 0; J < N; ++J) {
-    OutLo[J] = fp::subDown(Cs[J], Rs[J]);
-    OutHi[J] = fp::addUp(Cs[J], Rs[J]);
+    OutLo[J] = fp::subDown(Sound.Center[J], Sound.Radius[J]);
+    OutHi[J] = fp::addUp(Sound.Center[J], Sound.Radius[J]);
   }
 }
 
@@ -231,8 +170,13 @@ ModelAudit auditSegment(const std::string &Name,
   // Zonotope family bounds, all computed with directed rounding.
   {
     SoundRoundingScope On(true);
-    auto auditHull = [&](const char *DomName,
-                         const ZonotopeOutputBounds &Bounds) {
+    for (const auto &[DomName, Kind] :
+         {std::pair{"zonotope", ZonotopeKind::Zonotope},
+          std::pair{"deepzono", ZonotopeKind::DeepZono},
+          std::pair{"hybrid", ZonotopeKind::HybridZono}}) {
+      DeviceMemoryModel Memory(0);
+      const ZonotopeOutputBounds Bounds = zonotopeOutputBounds(
+          Layers, InputShape, Start, End, Kind, Memory);
       DomainAudit Dom;
       Dom.Domain = DomName;
       Dom.OutOfMemory = Bounds.OutOfMemory;
@@ -241,23 +185,6 @@ ModelAudit auditSegment(const std::string &Name,
         Dom.Violations = countViolations(Outputs, Bounds.Lo, Bounds.Hi);
       }
       Audit.Domains.push_back(Dom);
-    };
-    {
-      DeviceMemoryModel Memory(0);
-      auditHull("zonotope",
-                zonotopeOutputBounds(Layers, InputShape, Start, End,
-                                     ZonotopeKind::Zonotope, Memory));
-    }
-    {
-      DeviceMemoryModel Memory(0);
-      auditHull("deepzono",
-                zonotopeOutputBounds(Layers, InputShape, Start, End,
-                                     ZonotopeKind::DeepZono, Memory));
-    }
-    {
-      DeviceMemoryModel Memory(0);
-      auditHull("hybrid", hybridZonotopeOutputBounds(Layers, InputShape,
-                                                     Start, End, Memory));
     }
   }
 

@@ -8,12 +8,14 @@
 /// SoundRounding enabled — for the box, zonotope, DeepZono and hybrid
 /// zonotope domains over a small zoo of untrained fixed-seed networks.
 ///
-/// The audit also measures the *cost* of soundness: per-layer dilation of
-/// the directed box radii relative to the round-to-nearest radii (exported
-/// through the obs metrics registry as audit.layer_dilation_rel /
-/// audit.max_dilation_rel, so it lands in run_report.json), and a
-/// differential mode that checks exact-segment probability bounds nest
-/// inside relaxed ones.
+/// The box bounds come from the production Box path (the Box domain's
+/// initial box stepped through propagateRegions), so the audit checks the
+/// code that answers Box requests. The audit also measures the *cost* of
+/// soundness: per-layer dilation of the directed box radii relative to
+/// the round-to-nearest radii (exported through the obs metrics registry
+/// as audit.layer_dilation_rel / audit.max_dilation_rel, so it lands in
+/// run_report.json), and a differential mode that checks exact-segment
+/// probability bounds nest inside relaxed ones.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,11 +4,10 @@
 
 #include "src/util/error.h"
 #include "src/util/fp.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 namespace genprove {
 
@@ -289,31 +288,6 @@ ProbBounds computeProbBounds(const std::vector<Region> &Regions,
 
 namespace {
 
-/// strtoll/strtod with full-token validation; false on anything but a
-/// complete numeric token.
-bool parseInt(const std::string &Text, int64_t &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  const long long V = std::strtoll(Text.c_str(), &End, 10);
-  if (End != Text.c_str() + Text.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseReal(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  const double V = std::strtod(Text.c_str(), &End);
-  if (End != Text.c_str() + Text.size() || !std::isfinite(V))
-    return false;
-  Out = V;
-  return true;
-}
-
 bool specError(std::string *Err, const char *Message) {
   if (Err)
     *Err = Message;
@@ -338,8 +312,8 @@ bool parseOutputSpecText(const std::string &Text, OutputSpec &Out,
   const std::string &Kind = Parts[0];
   if (Kind == "argmax") {
     int64_t Target = 0, Classes = 0;
-    if (Parts.size() != 3 || !parseInt(Parts[1], Target) ||
-        !parseInt(Parts[2], Classes))
+    if (Parts.size() != 3 || !parseNumber(Parts[1], Target) ||
+        !parseNumber(Parts[2], Classes))
       return specError(Err, "argmax spec wants argmax:T:N");
     if (Classes < 2 || Target < 0 || Target >= Classes)
       return specError(Err, "argmax spec target out of range");
@@ -348,8 +322,9 @@ bool parseOutputSpecText(const std::string &Text, OutputSpec &Out,
   }
   if (Kind == "sign") {
     int64_t Attr = 0, Outputs = 0;
-    if (Parts.size() != 4 || !parseInt(Parts[1], Attr) ||
-        (Parts[2] != "+" && Parts[2] != "-") || !parseInt(Parts[3], Outputs))
+    if (Parts.size() != 4 || !parseNumber(Parts[1], Attr) ||
+        (Parts[2] != "+" && Parts[2] != "-") ||
+        !parseNumber(Parts[3], Outputs))
       return specError(Err, "sign spec wants sign:I:+|-:N");
     if (Outputs < 1 || Attr < 0 || Attr >= Outputs)
       return specError(Err, "sign spec attribute out of range");
@@ -358,7 +333,7 @@ bool parseOutputSpecText(const std::string &Text, OutputSpec &Out,
   }
   if (Kind == "halfspace") {
     double Offset = 0.0;
-    if (Parts.size() != 3 || !parseReal(Parts[1], Offset))
+    if (Parts.size() != 3 || !parseNumber(Parts[1], Offset))
       return specError(Err, "halfspace spec wants halfspace:C:g0,g1,...");
     std::vector<double> G;
     size_t P = 0;
@@ -369,14 +344,17 @@ bool parseOutputSpecText(const std::string &Text, OutputSpec &Out,
                                     ? Coeffs.substr(P)
                                     : Coeffs.substr(P, Comma - P);
       double V = 0.0;
-      if (!parseReal(Token, V))
+      if (!parseNumber(Token, V))
         return specError(Err, "halfspace spec has a non-numeric coefficient");
       G.push_back(V);
       if (Comma == std::string::npos)
         break;
       P = Comma + 1;
     }
-    Tensor Normal({1, static_cast<int64_t>(G.size())}, std::move(G));
+    // Read the size before the move: argument evaluation order is
+    // unspecified, and GCC moves G out first.
+    const int64_t Dim = static_cast<int64_t>(G.size());
+    Tensor Normal({1, Dim}, std::move(G));
     Out = OutputSpec::halfspace(std::move(Normal), Offset);
     return true;
   }

@@ -10,16 +10,11 @@
 
 namespace genprove {
 
-namespace {
-
-/// The segment's bounding box, padded in sound mode so it also covers any
-/// round-to-nearest evaluation of a point on the segment (s + t*(e-s)
-/// computed in doubles can overshoot the endpoint hull by a few ULPs).
-void segmentBox(const Tensor &Start, const Tensor &End, Tensor &Center,
-                Tensor &Radius) {
+Region segmentBox(const Tensor &Start, const Tensor &End) {
+  // s + t*(e-s) computed in doubles can overshoot the endpoint hull by a
+  // few ULPs; the sound pad covers that.
   const int64_t N = Start.numel();
-  Center = Tensor({1, N});
-  Radius = Tensor({1, N});
+  Tensor Center({1, N}), Radius({1, N});
   const bool Sound = soundRoundingEnabled();
   for (int64_t J = 0; J < N; ++J) {
     if (Sound) {
@@ -35,19 +30,16 @@ void segmentBox(const Tensor &Start, const Tensor &End, Tensor &Center,
       Radius[J] = 0.5 * std::fabs(End[J] - Start[J]);
     }
   }
+  return makeBoxRegion(Center, Radius, 1.0);
 }
-
-} // namespace
 
 std::vector<ConvexResult>
 analyzeBoxMulti(const std::vector<const Layer *> &Layers,
                 const Shape &InputShape, const Tensor &Start,
                 const Tensor &End, const std::vector<OutputSpec> &Specs,
                 DeviceMemoryModel &Memory) {
-  Tensor Center, Radius;
-  segmentBox(Start, End, Center, Radius);
   std::vector<Region> Init;
-  Init.push_back(makeBoxRegion(Center, Radius, 1.0));
+  Init.push_back(segmentBox(Start, End));
 
   PropagateConfig Config;
   Config.EnableRelax = false;
@@ -72,14 +64,6 @@ analyzeBoxMulti(const std::vector<const Layer *> &Layers,
     Results.push_back(std::move(PerSpec));
   }
   return Results;
-}
-
-ConvexResult analyzeBox(const std::vector<const Layer *> &Layers,
-                        const Shape &InputShape, const Tensor &Start,
-                        const Tensor &End, const OutputSpec &Spec,
-                        DeviceMemoryModel &Memory) {
-  return analyzeBoxMulti(Layers, InputShape, Start, End, {Spec}, Memory)
-      .front();
 }
 
 } // namespace genprove

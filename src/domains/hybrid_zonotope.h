@@ -1,11 +1,9 @@
-//===- domains/hybrid_zonotope.h - HybridZono baseline ---------*- C++ -*-===//
+//===- domains/hybrid_zonotope.h - HybridZono entry point ------*- C++ -*-===//
 ///
 /// \file
-/// HybridZono (Mirman et al. 2018, DiffAI): a zonotope with a fixed set of
-/// generators plus a per-dimension box slack. ReLU relaxation error is
-/// folded into the box term instead of fresh generators, so memory stays
-/// constant (the domain scales — Table 8 shows 0% OOM) at the cost of
-/// precision (widths near 1 on generative specifications).
+/// HybridZono (Mirman et al. 2018, DiffAI) runs on the affine-form engine
+/// of zonotope.h as ZonotopeKind::HybridZono; analyzeHybridZonotopeMulti
+/// is its named entry point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,25 +14,14 @@
 
 namespace genprove {
 
-/// Analyze the segment e1->e2 with the hybrid zonotope domain.
-ConvexResult analyzeHybridZonotope(const std::vector<const Layer *> &Layers,
-                                   const Shape &InputShape,
-                                   const Tensor &Start, const Tensor &End,
-                                   const OutputSpec &Spec,
-                                   DeviceMemoryModel &Memory);
-
-/// One propagation, many specs (see analyzeZonotopeMulti).
-std::vector<ConvexResult> analyzeHybridZonotopeMulti(
+/// analyzeZonotopeMulti with ZonotopeKind::HybridZono.
+inline std::vector<ConvexResult> analyzeHybridZonotopeMulti(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const Tensor &Start, const Tensor &End,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory);
-
-/// Per-dimension interval hull of the final hybrid state, rounded outward
-/// (see zonotopeOutputBounds). Used by the soundness audit (src/audit).
-ZonotopeOutputBounds
-hybridZonotopeOutputBounds(const std::vector<const Layer *> &Layers,
-                           const Shape &InputShape, const Tensor &Start,
-                           const Tensor &End, DeviceMemoryModel &Memory);
+    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory) {
+  return analyzeZonotopeMulti(Layers, InputShape, Start, End, Specs,
+                              ZonotopeKind::HybridZono, Memory);
+}
 
 } // namespace genprove
 

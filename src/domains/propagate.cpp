@@ -57,20 +57,6 @@ constexpr int64_t MaxLayerRetries = 6;
 
 double evalCdf(const ParamCdf &Cdf, double T) { return Cdf ? Cdf(T) : T; }
 
-/// Reshape a flat [K, N] row batch to the layer activation shape
-/// [K, ...SampleShape[1:]].
-Tensor rowsToActivations(const Tensor &Rows, const Shape &SampleShape) {
-  std::vector<int64_t> Dims = SampleShape.dims();
-  Dims[0] = Rows.dim(0);
-  return Rows.reshaped(Shape(Dims));
-}
-
-/// Flatten an activation batch back to [K, N].
-Tensor activationsToRows(const Tensor &Acts) {
-  const int64_t K = Acts.dim(0);
-  return Acts.reshaped({K, Acts.numel() / std::max<int64_t>(K, 1)});
-}
-
 /// Apply one affine layer to every region in place (exact for curves,
 /// interval arithmetic for boxes), batching all rows of a kind into a
 /// single layer application.

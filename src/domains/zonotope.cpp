@@ -11,22 +11,11 @@ namespace genprove {
 
 namespace {
 
-Tensor reshapeRows(const Tensor &Rows, const Shape &SampleShape) {
-  std::vector<int64_t> Dims = SampleShape.dims();
-  Dims[0] = Rows.dim(0);
-  return Rows.reshaped(Shape(Dims));
-}
-
-Tensor flattenRows(const Tensor &Acts) {
-  const int64_t K = Acts.dim(0);
-  return Acts.reshaped({K, Acts.numel() / std::max<int64_t>(K, 1)});
-}
-
-/// Mutable zonotope state. Slack is a per-dimension interval error term
-/// that is identically zero in the default round-to-nearest mode and
-/// absorbs every rounding error of the affine/ReLU transformers when
-/// sound rounding is on (the generator count the memory model sees is
-/// unchanged).
+/// Mutable affine-form state. Slack is a per-dimension interval term.
+/// HybridZono folds its ReLU relaxation error into it; for Zonotope and
+/// DeepZono it is identically zero in the default round-to-nearest mode.
+/// Under sound rounding it also absorbs every rounding error of the
+/// affine and ReLU transformers, for all three kinds.
 struct ZonoState {
   Tensor Center; ///< [1, N]
   Tensor Gens;   ///< [G, N]
@@ -50,72 +39,64 @@ ZonoState initState(const Tensor &Start, const Tensor &End) {
   return St;
 }
 
-/// Directed-up column sums of |Gens| (plain accumulation when sound
-/// rounding is off).
-Tensor absColumnSums(const Tensor &Gens) {
-  const int64_t G = Gens.dim(0);
-  const int64_t N = Gens.dim(1);
-  const bool Sound = soundRoundingEnabled();
-  Tensor Sums({1, N});
-  for (int64_t J = 0; J < N; ++J) {
-    double Acc = 0.0;
-    for (int64_t Row = 0; Row < G; ++Row) {
-      const double A = std::fabs(Gens.at(Row, J));
-      Acc = Sound ? fp::addUp(Acc, A) : Acc + A;
-    }
-    Sums[J] = Acc;
-  }
-  return Sums;
-}
-
-/// One affine layer on the state. The center and generator kernels are
-/// the round-to-nearest paths; in sound mode the slack additionally
-/// absorbs a rigorous bound on all of their rounding errors.
+/// One affine layer on the state: the slack propagates like a box radius
+/// next to the center, the generators through the linear part. In sound
+/// mode the slack additionally absorbs a rigorous bound on the rounding
+/// errors of every round-to-nearest kernel involved.
 void applyAffineToState(const Layer *L, const Shape &CurShape,
-                        ZonoState &St) {
-  const bool Sound = soundRoundingEnabled();
-  if (Sound) {
+                        ZonotopeKind Kind, ZonoState &St) {
+  Tensor Center = rowsToActivations(St.Center, CurShape);
+  Tensor Slack = rowsToActivations(St.Slack, CurShape);
+  if (soundRoundingEnabled()) {
     // Magnitude bound on any represented (or concretely forwarded) point:
-    // |x| <= |c| + sum_g |g| + slack. One three-plane box map carries the
-    // center through the affine map and the slack and magnitude through
-    // |A|, and yields the bias image of a zero input.
+    // |x| <= |c| + slack + sum_g |g|, summed with directed rounding.
+    // HybridZono starts the sum from |c| + slack, the other kinds add it
+    // last; each order is its kind's pinned sound result.
     const int64_t N = St.Center.numel();
-    Tensor Mags = absColumnSums(St.Gens);
-    for (int64_t J = 0; J < N; ++J)
-      Mags[J] =
-          fp::addUp(Mags[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
-    Tensor Center = reshapeRows(St.Center, CurShape);
-    Tensor Slack = reshapeRows(St.Slack, CurShape);
-    Tensor Mag = reshapeRows(Mags, CurShape);
+    const bool Hybrid = Kind == ZonotopeKind::HybridZono;
+    Tensor Mags({1, N});
+    for (int64_t J = 0; J < N; ++J) {
+      const double Own = fp::addUp(std::fabs(St.Center[J]), St.Slack[J]);
+      double Acc = Hybrid ? Own : 0.0;
+      for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row)
+        Acc = fp::addUp(Acc, std::fabs(St.Gens.at(Row, J)));
+      Mags[J] = Hybrid ? Acc : fp::addUp(Acc, Own);
+    }
+    // One three-plane box map carries the center through the affine map
+    // and the slack and magnitude through |A|, and yields the bias image
+    // of a zero input.
+    Tensor Mag = rowsToActivations(Mags, CurShape);
     Tensor BiasImage;
     L->applyToBoxPlanes(Center, Slack, Mag, BiasImage);
     // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
     // rounding errors of the center map, every generator row, the slack
     // propagation and a concrete forward pass of a represented point.
     const double Gamma = fp::accumulationBound(L->accumulationDepth());
-    St.Center = flattenRows(Center);
-    St.Slack = flattenRows(Slack);
-    for (int64_t J = 0; J < St.Slack.numel(); ++J)
-      St.Slack[J] = fp::addUp(
-          St.Slack[J],
+    for (int64_t J = 0; J < Slack.numel(); ++J)
+      Slack[J] = fp::addUp(
+          Slack[J],
           fp::mulUp(Gamma, fp::addUp(Mag[J], std::fabs(BiasImage[J]))));
   } else {
-    St.Center = flattenRows(L->applyAffine(reshapeRows(St.Center, CurShape)));
-    St.Slack = Tensor({1, St.Center.numel()}); // identically zero in RN mode
+    // A zero slack maps to a zero slack, and the center plane is the
+    // affine map's own kernel.
+    L->applyToBox(Center, Slack);
   }
-  St.Gens = flattenRows(L->applyLinear(reshapeRows(St.Gens, CurShape)));
+  St.Center = activationsToRows(Center);
+  St.Slack = activationsToRows(Slack);
+  St.Gens =
+      activationsToRows(L->applyLinear(rowsToActivations(St.Gens, CurShape)));
 }
 
-/// ReLU transformer on the state (both kinds). In sound mode the
-/// pre-activation range is rounded outward and the lambda/mu rounding
-/// error is folded into the slack.
+/// ReLU transformer on the state. In sound mode the pre-activation range
+/// is rounded outward and the lambda/mu rounding error is folded into the
+/// slack.
 void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
   const bool Sound = soundRoundingEnabled();
   const int64_t Dim = St.Center.numel();
   const int64_t G = St.Gens.dim(0);
   std::vector<std::pair<int64_t, double>> Fresh; // (dim, coefficient)
   for (int64_t J = 0; J < Dim; ++J) {
-    double Spread = Sound ? St.Slack[J] : 0.0;
+    double Spread = St.Slack[J];
     for (int64_t Row = 0; Row < G; ++Row) {
       const double A = std::fabs(St.Gens.at(Row, J));
       Spread = Sound ? fp::addUp(Spread, A) : Spread + A;
@@ -129,43 +110,49 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
       St.Slack[J] = 0.0;
       for (int64_t Row = 0; Row < G; ++Row)
         St.Gens.at(Row, J) = 0.0;
+    } else if (Lo < 0.0 && Kind == ZonotopeKind::Zonotope) {
+      // AI2-style: forget the affine form, use [0, Hi]. In sound mode
+      // the fresh coefficient rounds up so [c - f, c + f] = [0, 2f]
+      // still covers [0, Hi]; the slack is consumed by Hi.
+      const double Half = Sound ? fp::mulUp(0.5, Hi) : Hi / 2.0;
+      St.Center[J] = Half;
+      St.Slack[J] = 0.0;
+      for (int64_t Row = 0; Row < G; ++Row)
+        St.Gens.at(Row, J) = 0.0;
+      Fresh.emplace_back(J, Half);
     } else if (Lo < 0.0) {
-      if (Kind == ZonotopeKind::DeepZono) {
-        // Minimal-area parallelogram: y = lambda*x + mu +- mu.
-        const double Lambda = Hi / (Hi - Lo);
-        const double Mu = -Lambda * Lo / 2.0;
-        if (Sound) {
-          // The parallelogram with the exact lambda*/mu* of this outward
-          // [Lo, Hi] is sound; the computed lambda/mu deviate by a few
-          // ULPs, as do the rescaled center/generators. All of it lands
-          // in the slack.
-          const double M = std::max(std::fabs(Lo), Hi);
-          const double SumG = fp::subUp(Spread, St.Slack[J]);
-          const double Inner = fp::addUp(
-              std::fabs(Mu),
-              fp::mulUp(Lambda,
-                        fp::addUp(M, fp::addUp(std::fabs(St.Center[J]),
-                                               SumG))));
-          const double LambdaUp =
-              fp::mulUp(Lambda, 1.0 + 8.0 * DBL_EPSILON);
-          St.Slack[J] = fp::addUp(fp::mulUp(LambdaUp, St.Slack[J]),
-                                  fp::mulUp(16.0 * DBL_EPSILON, Inner));
-        }
-        St.Center[J] = Lambda * St.Center[J] + Mu;
-        for (int64_t Row = 0; Row < G; ++Row)
-          St.Gens.at(Row, J) *= Lambda;
-        Fresh.emplace_back(J, Mu);
-      } else {
-        // AI2-style: forget the affine form, use [0, Hi]. In sound mode
-        // the fresh coefficient rounds up so [c - f, c + f] = [0, 2f]
-        // still covers [0, Hi]; the slack is consumed by Hi.
-        const double Half = Sound ? fp::mulUp(0.5, Hi) : Hi / 2.0;
-        St.Center[J] = Half;
-        St.Slack[J] = 0.0;
-        for (int64_t Row = 0; Row < G; ++Row)
-          St.Gens.at(Row, J) = 0.0;
-        Fresh.emplace_back(J, Half);
+      // Minimal-area parallelogram: y = lambda*x + mu +- mu. DeepZono
+      // gives the +- mu a fresh generator; HybridZono puts it in the
+      // slack, which keeps the generator rows fixed.
+      const bool Hybrid = Kind == ZonotopeKind::HybridZono;
+      const double Lambda = Hi / (Hi - Lo);
+      const double Mu = -Lambda * Lo / 2.0;
+      if (Sound) {
+        // The parallelogram with the exact lambda*/mu* of this outward
+        // [Lo, Hi] is sound; the computed lambda/mu deviate by a few
+        // ULPs, as do the rescaled center/generators. All of it lands
+        // in the slack.
+        const double M = std::max(std::fabs(Lo), Hi);
+        const double SumG = fp::subUp(Spread, St.Slack[J]);
+        const double Inner = fp::addUp(
+            std::fabs(Mu),
+            fp::mulUp(Lambda,
+                      fp::addUp(M, fp::addUp(std::fabs(St.Center[J]),
+                                             SumG))));
+        const double LambdaUp =
+            fp::mulUp(Lambda, 1.0 + 8.0 * DBL_EPSILON);
+        const double Scaled = fp::mulUp(LambdaUp, St.Slack[J]);
+        St.Slack[J] =
+            fp::addUp(Hybrid ? fp::addUp(Scaled, fp::up(Mu)) : Scaled,
+                      fp::mulUp(16.0 * DBL_EPSILON, Inner));
+      } else if (Hybrid) {
+        St.Slack[J] = Lambda * St.Slack[J] + Mu;
       }
+      St.Center[J] = Lambda * St.Center[J] + Mu;
+      for (int64_t Row = 0; Row < G; ++Row)
+        St.Gens.at(Row, J) *= Lambda;
+      if (!Hybrid)
+        Fresh.emplace_back(J, Mu);
     }
     // Lo >= 0: identity (exact; slack carries over unchanged).
   }
@@ -189,9 +176,14 @@ bool propagateZonotope(const std::vector<const Layer *> &Layers,
                        ConvexResult &Result) {
   St = initState(Start, End);
   Shape CurShape = InputShape;
+  // HybridZono's box term is part of its domain and is charged as a node
+  // next to the center; the other kinds' slack only carries rounding
+  // error and is not.
+  const int64_t ExtraNodes = Kind == ZonotopeKind::HybridZono ? 2 : 1;
   auto Charge = [&]() {
     Result.MaxGenerators = std::max(Result.MaxGenerators, St.Gens.dim(0));
-    const bool Ok = Memory.chargeState(St.Gens.dim(0) + 1, CurShape.numel());
+    const bool Ok =
+        Memory.chargeState(St.Gens.dim(0) + ExtraNodes, CurShape.numel());
     Result.PeakBytes = Memory.peakBytes();
     return Ok;
   };
@@ -199,7 +191,7 @@ bool propagateZonotope(const std::vector<const Layer *> &Layers,
     return false;
   for (const Layer *L : Layers) {
     if (L->isAffine()) {
-      applyAffineToState(L, CurShape, St);
+      applyAffineToState(L, CurShape, Kind, St);
       CurShape = L->outputShape(CurShape);
     } else {
       applyReluToState(Kind, St);
@@ -210,8 +202,9 @@ bool propagateZonotope(const std::vector<const Layer *> &Layers,
   return true;
 }
 
-/// Spec tests on a zonotope: min/max of each halfspace functional, with
-/// directed rounding (and the slack term) when sound rounding is on.
+/// Spec tests on a final state: min/max of each halfspace functional over
+/// the generators and the slack, with directed rounding when sound
+/// rounding is on.
 ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
   const bool Sound = soundRoundingEnabled();
   bool Contained = true;
@@ -219,13 +212,15 @@ ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
   for (const auto &H : Spec.halfspaces()) {
     if (!Sound) {
       double Mid = H.Offset;
-      for (int64_t J = 0; J < H.Normal.numel(); ++J)
-        Mid += H.Normal[J] * St.Center[J];
       double Spread = 0.0;
-      for (int64_t G = 0; G < St.Gens.dim(0); ++G) {
+      for (int64_t J = 0; J < H.Normal.numel(); ++J) {
+        Mid += H.Normal[J] * St.Center[J];
+        Spread += std::fabs(H.Normal[J]) * St.Slack[J];
+      }
+      for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row) {
         double Dot = 0.0;
         for (int64_t J = 0; J < St.Gens.dim(1); ++J)
-          Dot += H.Normal[J] * St.Gens.at(G, J);
+          Dot += H.Normal[J] * St.Gens.at(Row, J);
         Spread += std::fabs(Dot);
       }
       if (Mid - Spread <= 0.0)
@@ -235,7 +230,7 @@ ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
       continue;
     }
     // Directed enclosure [MidLo, MidHi] of the center functional, plus an
-    // upper bound on the spread (per-row dot enclosures and the slack).
+    // upper bound on the spread (the slack and per-row dot enclosures).
     double MidLo = H.Offset, MidHi = H.Offset;
     double SpreadUp = 0.0;
     for (int64_t J = 0; J < H.Normal.numel(); ++J) {
@@ -244,14 +239,15 @@ ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
       SpreadUp = fp::addUp(SpreadUp,
                            fp::mulUp(std::fabs(H.Normal[J]), St.Slack[J]));
     }
-    for (int64_t G = 0; G < St.Gens.dim(0); ++G) {
+    for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row) {
       double DotLo = 0.0, DotHi = 0.0;
       for (int64_t J = 0; J < St.Gens.dim(1); ++J) {
-        DotLo = fp::addDown(DotLo, fp::mulDown(H.Normal[J], St.Gens.at(G, J)));
-        DotHi = fp::addUp(DotHi, fp::mulUp(H.Normal[J], St.Gens.at(G, J)));
+        DotLo =
+            fp::addDown(DotLo, fp::mulDown(H.Normal[J], St.Gens.at(Row, J)));
+        DotHi = fp::addUp(DotHi, fp::mulUp(H.Normal[J], St.Gens.at(Row, J)));
       }
-      SpreadUp = fp::addUp(SpreadUp, std::max(std::fabs(DotLo),
-                                              std::fabs(DotHi)));
+      SpreadUp = fp::addUp(SpreadUp,
+                           std::max(std::fabs(DotLo), std::fabs(DotHi)));
     }
     if (fp::subDown(MidLo, SpreadUp) <= 0.0)
       Contained = false;
@@ -287,15 +283,6 @@ analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
     Results.push_back(std::move(PerSpec));
   }
   return Results;
-}
-
-ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
-                             const Shape &InputShape, const Tensor &Start,
-                             const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory) {
-  return analyzeZonotopeMulti(Layers, InputShape, Start, End, {Spec}, Kind,
-                              Memory)
-      .front();
 }
 
 ZonotopeOutputBounds

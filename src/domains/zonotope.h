@@ -1,21 +1,28 @@
-//===- domains/zonotope.h - Zonotope / DeepZono baselines ------*- C++ -*-===//
+//===- domains/zonotope.h - Affine-form baselines --------------*- C++ -*-===//
 ///
 /// \file
-/// The convex baseline domains of the paper's Tables 2 and 8: affine forms
-/// c + sum_g eps_g * G_g with eps in [-1, 1]^G. Two ReLU transformers are
-/// provided:
+/// The affine-form baseline domains of the paper's Tables 2 and 8: a
+/// center plus generators, c + sum_g eps_g * G_g with eps in [-1, 1]^G,
+/// plus a per-dimension interval slack. The three kinds share the state,
+/// the initial segment, the affine transformer, the lifted spec test and
+/// the output hull, and differ only in their ReLU transformer:
 ///
 ///  * Zonotope [Gehr et al. 2018, AI2]: a crossing neuron is replaced by
 ///    the interval [0, hi] introduced as a fresh error term (looser, the
 ///    historical formulation);
 ///  * DeepZono [Singh et al. 2018]: the minimal-area parallelogram
-///    y = lambda*x + mu +- mu with lambda = hi/(hi-lo), mu = -lambda*lo/2.
+///    y = lambda*x + mu +- mu with lambda = hi/(hi-lo), mu = -lambda*lo/2,
+///    whose mu becomes a fresh error term;
+///  * HybridZono [Mirman et al. 2018, DiffAI]: the same parallelogram, but
+///    mu is folded into the slack instead of a fresh generator, so the
+///    generator count stays fixed (Table 8 shows 0% OOM) at the cost of
+///    precision (widths near 1 on generative specifications).
 ///
-/// Both add one error term per crossing neuron, so the generator matrix
-/// grows without bound — this is exactly why the paper reports 100% OOM
-/// for these domains on every network (Table 8). The initial line segment
-/// is represented exactly (center = midpoint, one generator = half
-/// difference), so no precision is lost at the input.
+/// Zonotope and DeepZono add one error term per crossing neuron, so the
+/// generator matrix grows without bound — this is exactly why the paper
+/// reports 100% OOM for these domains on every network (Table 8). The
+/// initial line segment is represented exactly (center = midpoint, one
+/// generator = half difference), so no precision is lost at the input.
 ///
 /// Lifted probabilistically (Section 4, "Lifting"), a convex domain can
 /// only ever certify l = 1 (fully contained) or u = 0 (fully disjoint);
@@ -32,8 +39,8 @@
 
 namespace genprove {
 
-/// Which ReLU transformer the zonotope analysis uses.
-enum class ZonotopeKind : uint8_t { Zonotope, DeepZono };
+/// Which ReLU transformer the affine-form analysis uses.
+enum class ZonotopeKind : uint8_t { Zonotope, DeepZono, HybridZono };
 
 /// Result of a convex-domain analysis, lifted probabilistically.
 struct ConvexResult {
@@ -42,23 +49,17 @@ struct ConvexResult {
   int64_t MaxGenerators = 0;
 };
 
-/// Analyze the segment e1->e2 (flat [1, N] endpoints) through the layers
-/// against the spec.
-ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
-                             const Shape &InputShape, const Tensor &Start,
-                             const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory);
-
+/// Analyze the segment e1->e2 (flat [1, N] endpoints) through the layers.
 /// Propagation is specification-independent: analyze once and evaluate
-/// every spec on the final zonotope. Returns one ConvexResult per spec
-/// (all sharing the same memory/telemetry).
+/// every spec on the final state. Returns one ConvexResult per spec (all
+/// sharing the same memory/telemetry).
 std::vector<ConvexResult>
 analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, const std::vector<OutputSpec> &Specs,
                      ZonotopeKind Kind, DeviceMemoryModel &Memory);
 
-/// Per-dimension interval hull of the final zonotope, rounded outward.
+/// Per-dimension interval hull of the final state, rounded outward.
 /// Used by the soundness audit (src/audit) to check containment of
 /// concrete forward passes.
 struct ZonotopeOutputBounds {

@@ -6,9 +6,21 @@
 #include "src/util/fp.h"
 #include "src/util/hash.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace genprove {
+
+Tensor rowsToActivations(const Tensor &Rows, const Shape &SampleShape) {
+  std::vector<int64_t> Dims = SampleShape.dims();
+  Dims[0] = Rows.dim(0);
+  return Rows.reshaped(Shape(Dims));
+}
+
+Tensor activationsToRows(const Tensor &Acts) {
+  const int64_t K = Acts.dim(0);
+  return Acts.reshaped({K, Acts.numel() / std::max<int64_t>(K, 1)});
+}
 
 uint64_t Layer::fingerprint() const {
   // Parameterless layers (ReLU/Flatten/Reshape) are fully described by

@@ -133,6 +133,13 @@ private:
 
 using LayerPtr = std::unique_ptr<Layer>;
 
+/// Reshape a flat [K, N] row batch to the layer activation shape
+/// [K, ...SampleShape[1:]] of the single-sample shape \p SampleShape.
+Tensor rowsToActivations(const Tensor &Rows, const Shape &SampleShape);
+
+/// Flatten an activation batch [K, ...] back to rows [K, N].
+Tensor activationsToRows(const Tensor &Acts);
+
 } // namespace genprove
 
 #endif // GENPROVE_NN_LAYER_H

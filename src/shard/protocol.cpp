@@ -13,18 +13,6 @@ namespace genprove {
 // LineFramer
 //===----------------------------------------------------------------------===//
 
-const char *wireErrorName(WireError E) {
-  switch (E) {
-  case WireError::None:
-    return "none";
-  case WireError::Oversized:
-    return "oversized";
-  case WireError::Truncated:
-    return "truncated";
-  }
-  return "none";
-}
-
 LineFramer::LineFramer(size_t MaxLineBytes)
     : MaxLine(MaxLineBytes ? MaxLineBytes : 1) {}
 

@@ -49,9 +49,6 @@ enum class WireError : uint8_t {
   Truncated,  ///< the stream ended mid-line (partial frame at EOF)
 };
 
-/// Stable lowercase name ("none", "oversized", "truncated").
-const char *wireErrorName(WireError E);
-
 /// Incremental newline framer with an oversized-line cap.
 ///
 /// Feed raw bytes as they arrive from read(); pull complete frames with

@@ -47,25 +47,6 @@ static bool pollFor(int Fd, short Events, int TimeoutMs) {
   }
 }
 
-ssize_t readFull(int Fd, void *Buf, size_t Len) {
-  char *P = static_cast<char *>(Buf);
-  size_t Done = 0;
-  while (Done < Len) {
-    ssize_t N = readChunk(Fd, P + Done, Len - Done);
-    if (N == 0)
-      break; // EOF.
-    if (N < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollFor(Fd, POLLIN, -1);
-        continue;
-      }
-      return -1;
-    }
-    Done += static_cast<size_t>(N);
-  }
-  return static_cast<ssize_t>(Done);
-}
-
 bool writeFull(int Fd, const void *Buf, size_t Len) {
   const char *P = static_cast<const char *>(Buf);
   size_t Done = 0;

@@ -37,11 +37,6 @@ bool setNonBlocking(int Fd, bool NonBlocking);
 /// on a drained non-blocking fd).
 ssize_t readChunk(int Fd, void *Buf, size_t Len);
 
-/// Read until \p Len bytes, EOF, or a real error, retrying EINTR and —
-/// on a non-blocking fd — polling for readability. Returns the number of
-/// bytes read (< Len only at EOF), or -1 on error.
-ssize_t readFull(int Fd, void *Buf, size_t Len);
-
 /// Write all \p Len bytes, retrying EINTR and short writes; on a
 /// non-blocking fd, polls for writability. False on any real error
 /// (including EPIPE from a vanished peer).

@@ -35,7 +35,8 @@ TEST_P(BoxSoundness, CertificationAgreesWithSamples) {
     const OutputSpec Spec = OutputSpec::halfspace(Normal, R.normal(0.0, 3.0));
     DeviceMemoryModel Memory;
     const ConvexResult Result =
-        analyzeBox(Net.view(), Shape({1, 4}), E1, E2, Spec, Memory);
+        analyzeBoxMulti(Net.view(), Shape({1, 4}), E1, E2, {Spec}, Memory)
+            .front();
     for (int Trial = 0; Trial < 30; ++Trial) {
       const double T = R.uniform();
       Tensor X({1, 4});
@@ -63,7 +64,8 @@ TEST(BoxDomain, DegenerateSegmentIsAPoint) {
       Y[0] > Y[1] ? 0 : 1, 2);
   DeviceMemoryModel Memory;
   const ConvexResult Result =
-      analyzeBox(Net.view(), Shape({1, 2}), E, E, Spec, Memory);
+      analyzeBoxMulti(Net.view(), Shape({1, 2}), E, E, {Spec}, Memory)
+          .front();
   // A point input stays exact under interval arithmetic (no crossing
   // uncertainty unless a pre-activation is exactly zero).
   EXPECT_DOUBLE_EQ(Result.Bounds.Lower, 1.0);
@@ -79,7 +81,8 @@ TEST(BoxDomain, IsCoarserThanNothingButStillSound) {
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   DeviceMemoryModel Memory;
   const ConvexResult Result =
-      analyzeBox(Net.view(), Shape({1, 3}), E1, E2, Spec, Memory);
+      analyzeBoxMulti(Net.view(), Shape({1, 3}), E1, E2, {Spec}, Memory)
+          .front();
   if (Result.Bounds.Lower >= 1.0) {
     for (int Trial = 0; Trial < 200; ++Trial) {
       const double T = R.uniform();

@@ -303,8 +303,10 @@ TEST_P(FusedBitIdentity, ConvexDomainsMatchUnfused) {
                            ZonotopeKind::Zonotope, Unlimited),
       "zonotope hull");
   ExpectSameHull(
-      hybridZonotopeOutputBounds(Net.view(), In, Start, End, Unlimited),
-      hybridZonotopeOutputBounds(Twin.Layers, In, Start, End, Unlimited),
+      zonotopeOutputBounds(Net.view(), In, Start, End,
+                           ZonotopeKind::HybridZono, Unlimited),
+      zonotopeOutputBounds(Twin.Layers, In, Start, End,
+                           ZonotopeKind::HybridZono, Unlimited),
       "hybrid hull");
 }
 
@@ -328,17 +330,23 @@ TEST_P(FusedBitIdentity, ZonotopeOomPointMatchesUnfused) {
   // Probe the unlimited peak, then pin the budget just under it so the
   // propagation fails partway through the chain.
   DeviceMemoryModel Probe(0);
-  const ConvexResult Full = analyzeZonotope(Net.view(), In, Start, End, Spec,
-                                            ZonotopeKind::Zonotope, Probe);
+  const ConvexResult Full =
+      analyzeZonotopeMulti(Net.view(), In, Start, End, {Spec},
+                           ZonotopeKind::Zonotope, Probe)
+          .front();
   ASSERT_FALSE(Full.Bounds.OutOfMemory);
   ASSERT_GT(Full.PeakBytes, 0u);
 
   DeviceMemoryModel TightA(Full.PeakBytes - 1);
   DeviceMemoryModel TightB(Full.PeakBytes - 1);
-  const ConvexResult Plain = analyzeZonotope(
-      Twin.Layers, In, Start, End, Spec, ZonotopeKind::Zonotope, TightA);
-  const ConvexResult Fused = analyzeZonotope(
-      Net.view(), In, Start, End, Spec, ZonotopeKind::Zonotope, TightB);
+  const ConvexResult Plain =
+      analyzeZonotopeMulti(Twin.Layers, In, Start, End, {Spec},
+                           ZonotopeKind::Zonotope, TightA)
+          .front();
+  const ConvexResult Fused =
+      analyzeZonotopeMulti(Net.view(), In, Start, End, {Spec},
+                           ZonotopeKind::Zonotope, TightB)
+          .front();
   EXPECT_TRUE(Fused.Bounds.OutOfMemory);
   EXPECT_EQ(Plain.Bounds.OutOfMemory, Fused.Bounds.OutOfMemory);
   EXPECT_EQ(Plain.PeakBytes, Fused.PeakBytes);

@@ -3,11 +3,12 @@
 /// \file
 /// Golden outputs of every certification path on fixed pipelines. Each
 /// (pipeline, analysis, rounding mode) cell hashes the bit patterns of its
-/// bounds, output hulls, PeakBytes and MaxNodes into one FNV digest
-/// (util/hash.h) and compares it with a stored value, at 1 and 4 pool
-/// threads, in round-to-nearest and under sound rounding. Any kernel or
-/// engine change that moves a single bit of a certified result fails
-/// here, and the failure prints the raw values behind the digest.
+/// bounds, output hulls, PeakBytes and MaxNodes (for the convex domains'
+/// `*.lifted` rows: every spec's bounds, MaxGenerators and PeakBytes) into
+/// one FNV digest (util/hash.h) and compares it with a stored value, at 1
+/// and 4 pool threads, in round-to-nearest and under sound rounding. Any
+/// kernel or engine change that moves a single bit of a certified result
+/// fails here, and the failure prints the raw values behind the digest.
 ///
 /// Weights and segments come from Rng::uniform only: Tensor::randn goes
 /// through libm log/cos, which would tie the digests to the libm version.
@@ -20,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/genprove.h"
+#include "src/domains/box_domain.h"
 #include "src/domains/hybrid_zonotope.h"
 #include "src/domains/zonotope.h"
 #include "src/nn/architectures.h"
@@ -199,6 +201,34 @@ void recordConvex(Record &Rec, const ZonotopeOutputBounds &Out,
   Rec.row("hull.hi", Out.Hi);
 }
 
+/// Every spec's lifted result from one convex-domain *Multi call.
+void recordLifted(Record &Rec, const std::vector<ConvexResult> &Results) {
+  for (size_t S = 0; S < Results.size(); ++S) {
+    const ConvexResult &R = Results[S];
+    const std::string Name = "spec" + std::to_string(S);
+    Rec.value(Name + ".lower", R.Bounds.Lower);
+    Rec.value(Name + ".upper", R.Bounds.Upper);
+    Rec.count(Name + ".oom", R.Bounds.OutOfMemory ? 1 : 0);
+    Rec.count(Name + ".max_generators",
+              static_cast<uint64_t>(R.MaxGenerators));
+    Rec.count(Name + ".peak_bytes", R.PeakBytes);
+  }
+}
+
+/// The pipeline's specs plus two halfspaces far on either side of every
+/// output, so the lifted spec tests also reach their contained ({1, 1})
+/// and disjoint ({0, 0}) answers.
+std::vector<OutputSpec> liftedSpecs(const Pipeline &P) {
+  std::vector<OutputSpec> Specs = P.Specs;
+  const int64_t NumOut = P.Specs.front().dim();
+  for (const double Sign : {1.0, -1.0}) {
+    Tensor Normal({1, NumOut});
+    Normal[0] = Sign;
+    Specs.push_back(OutputSpec::halfspace(std::move(Normal), 1e6 * Sign));
+  }
+  return Specs;
+}
+
 /// Run every analysis on \p P and return (name, record) pairs in a fixed
 /// order.
 std::vector<std::pair<std::string, Record>> runAnalyses(const Pipeline &P) {
@@ -251,24 +281,38 @@ std::vector<std::pair<std::string, Record>> runAnalyses(const Pipeline &P) {
     }
   }
 
-  for (const ZonotopeKind Kind :
-       {ZonotopeKind::Zonotope, ZonotopeKind::DeepZono}) {
+  for (const auto &[Name, Kind] :
+       {std::pair{"zonotope", ZonotopeKind::Zonotope},
+        std::pair{"deepzono", ZonotopeKind::DeepZono},
+        std::pair{"hybridzono", ZonotopeKind::HybridZono}}) {
     DeviceMemoryModel Memory(0);
-    recordConvex(Out.emplace_back(Kind == ZonotopeKind::Zonotope
-                                      ? "zonotope"
-                                      : "deepzono",
-                                  Record())
-                     .second,
+    recordConvex(Out.emplace_back(Name, Record()).second,
                  zonotopeOutputBounds(P.Layers, P.InputShape, P.Start, P.End,
                                       Kind, Memory),
                  Memory);
   }
+
+  const std::vector<OutputSpec> Lifted = liftedSpecs(P);
   {
     DeviceMemoryModel Memory(0);
-    recordConvex(Out.emplace_back("hybridzono", Record()).second,
-                 hybridZonotopeOutputBounds(P.Layers, P.InputShape, P.Start,
-                                            P.End, Memory),
-                 Memory);
+    recordLifted(Out.emplace_back("box.lifted", Record()).second,
+                 analyzeBoxMulti(P.Layers, P.InputShape, P.Start, P.End,
+                                 Lifted, Memory));
+  }
+  for (const auto &[Name, Kind] :
+       {std::pair{"zonotope.lifted", ZonotopeKind::Zonotope},
+        std::pair{"deepzono.lifted", ZonotopeKind::DeepZono}}) {
+    DeviceMemoryModel Memory(0);
+    recordLifted(Out.emplace_back(Name, Record()).second,
+                 analyzeZonotopeMulti(P.Layers, P.InputShape, P.Start, P.End,
+                                      Lifted, Kind, Memory));
+  }
+  {
+    // Through the HybridZono entry point the end-to-end benchmark calls.
+    DeviceMemoryModel Memory(0);
+    recordLifted(Out.emplace_back("hybridzono.lifted", Record()).second,
+                 analyzeHybridZonotopeMulti(P.Layers, P.InputShape, P.Start,
+                                            P.End, Lifted, Memory));
   }
 
   // One byte below the unlimited peak: the exact analysis must run out of
@@ -332,6 +376,14 @@ TEST_P(GoldenOutputs, DecoderConvSmall) {
                    0xd6fb3c5eee1b1508ull},
                   {"hybridzono", 0xd3228990244d752full,
                    0xee744a23ad4e8d62ull},
+                  {"box.lifted", 0xb269a2c6ef6e17faull,
+                   0x896f599c258a8503ull},
+                  {"zonotope.lifted", 0x98f0f0844220fbe7ull,
+                   0x98f0f0844220fbe7ull},
+                  {"deepzono.lifted", 0x4eac493c742e8ac1ull,
+                   0x4eac493c742e8ac1ull},
+                  {"hybridzono.lifted", 0xa3e259ae5130d62bull,
+                   0xa3e259ae5130d62bull},
                   {"oom_budget", 0xfa2f51def52c3baull,
                    0xfa2f51def52c3baull},
               },
@@ -355,6 +407,14 @@ TEST_P(GoldenOutputs, DecoderConvMed) {
                    0x8eec11dd438c4e18ull},
                   {"hybridzono", 0x922e4b30c4025682ull,
                    0x9a6ef77815431637ull},
+                  {"box.lifted", 0x8d826a46fbb271aeull,
+                   0x41c19d5e20d1a3efull},
+                  {"zonotope.lifted", 0xcafa9539d657d773ull,
+                   0xcafa9539d657d773ull},
+                  {"deepzono.lifted", 0x9eed9fdad54fe7ebull,
+                   0x9eed9fdad54fe7ebull},
+                  {"hybridzono.lifted", 0xb7ff9c3cce28eab2ull,
+                   0xb7ff9c3cce28eab2ull},
                   {"oom_budget", 0x1757db9bc98294a5ull,
                    0x1757db9bc98294a5ull},
               },
@@ -378,6 +438,14 @@ TEST_P(GoldenOutputs, DecoderConvLarge) {
                    0xd39998d55d3a2b46ull},
                   {"hybridzono", 0x4eaae9a83700e76aull,
                    0x810c40be4c4a91cfull},
+                  {"box.lifted", 0xb542c61fe1c31c9aull,
+                   0x2117f90253a28e63ull},
+                  {"zonotope.lifted", 0x4b600551b4fb34c8ull,
+                   0x4b600551b4fb34c8ull},
+                  {"deepzono.lifted", 0x5fc47ce0b913ea10ull,
+                   0x5fc47ce0b913ea10ull},
+                  {"hybridzono.lifted", 0x881eaefaaefab5bull,
+                   0x881eaefaaefab5bull},
                   {"oom_budget", 0xc79d7f86da391ac5ull,
                    0xc79d7f86da391ac5ull},
               },
@@ -401,6 +469,14 @@ TEST_P(GoldenOutputs, DeepMlp) {
                    0x354012c922d9d070ull},
                   {"hybridzono", 0x24879022b1e46f6aull,
                    0x8effaefa4dee454full},
+                  {"box.lifted", 0xcfaabdf828025663ull,
+                   0x18177b661836799aull},
+                  {"zonotope.lifted", 0xbf28c25ae2b5d9afull,
+                   0xbf28c25ae2b5d9afull},
+                  {"deepzono.lifted", 0x321ce84eafd1966full,
+                   0x321ce84eafd1966full},
+                  {"hybridzono.lifted", 0x5b8a1a9a34a3ca1bull,
+                   0x5b8a1a9a34a3ca1bull},
                   {"oom_budget", 0x3a04594964b30d01ull,
                    0x3a04594964b30d01ull},
               },

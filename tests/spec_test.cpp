@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace genprove {
 namespace {
 
@@ -114,6 +118,80 @@ TEST(Spec, SegmentWeightScalesPartialMass) {
   // values 1 -> -1 over [0.2, 0.6], so zero at t = 0.4 (its middle).
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   EXPECT_NEAR(curveMassInside(Seg, Spec), 0.25, 1e-9);
+}
+
+TEST(Spec, ParsesOutputSpecText) {
+  // Valid forms: each parses into the same halfspaces as its constructor.
+  const auto ExpectSame = [](const OutputSpec &Got, const OutputSpec &Want,
+                             const std::string &Text) {
+    ASSERT_EQ(Got.halfspaces().size(), Want.halfspaces().size()) << Text;
+    for (size_t I = 0; I < Want.halfspaces().size(); ++I) {
+      const auto &G = Got.halfspaces()[I];
+      const auto &W = Want.halfspaces()[I];
+      EXPECT_EQ(G.Offset, W.Offset) << Text << " halfspace " << I;
+      ASSERT_EQ(G.Normal.numel(), W.Normal.numel()) << Text;
+      for (int64_t J = 0; J < W.Normal.numel(); ++J)
+        EXPECT_EQ(G.Normal[J], W.Normal[J]) << Text << " halfspace " << I;
+    }
+  };
+  const std::vector<std::pair<std::string, OutputSpec>> Valid = {
+      {"argmax:2:3", OutputSpec::argmaxWins(2, 3)},
+      {"argmax:0:2", OutputSpec::argmaxWins(0, 2)},
+      {"sign:1:+:4", OutputSpec::attributeSign(1, true, 4)},
+      {"sign:0:-:1", OutputSpec::attributeSign(0, false, 1)},
+      {"halfspace:-0.5:1,-2.5e1,3",
+       OutputSpec::halfspace(Tensor({1, 3}, {1.0, -25.0, 3.0}), -0.5)},
+      {"halfspace:2:.25", OutputSpec::halfspace(Tensor({1, 1}, {0.25}), 2.0)},
+  };
+  for (const auto &[Text, Want] : Valid) {
+    OutputSpec Got;
+    std::string Err;
+    EXPECT_TRUE(parseOutputSpecText(Text, Got, &Err)) << Text << ": " << Err;
+    ExpectSame(Got, Want, Text);
+  }
+
+  // Malformed forms: each is rejected with its kind's message.
+  const std::string Argmax = "argmax spec wants argmax:T:N";
+  const std::string Sign = "sign spec wants sign:I:+|-:N";
+  const std::string Halfspace = "halfspace spec wants halfspace:C:g0,g1,...";
+  const std::string Coefficient =
+      "halfspace spec has a non-numeric coefficient";
+  const std::vector<std::pair<std::string, std::string>> Invalid = {
+      {"argmax:1", Argmax},
+      {"argmax:1:3:4", Argmax},
+      {"argmax:0:3x", Argmax},
+      {"argmax:+1:3", Argmax},
+      {"argmax: 1:3", Argmax},
+      {"argmax:0x1:3", Argmax},
+      {"argmax:99999999999999999999:3", Argmax},
+      {"argmax:3:3", "argmax spec target out of range"},
+      {"argmax:-1:3", "argmax spec target out of range"},
+      {"argmax:0:1", "argmax spec target out of range"},
+      {"sign:0:+", Sign},
+      {"sign:0:*:2", Sign},
+      {"sign:a:+:2", Sign},
+      {"sign:2:+:2", "sign spec attribute out of range"},
+      {"sign:0:-:0", "sign spec attribute out of range"},
+      {"halfspace:1", Halfspace},
+      {"halfspace:nan:1", Halfspace},
+      {"halfspace:inf:1", Halfspace},
+      {"halfspace:+1:1", Halfspace},
+      {"halfspace:0x1p0:1", Halfspace},
+      {"halfspace:1:1,x", Coefficient},
+      {"halfspace:1:1,,2", Coefficient},
+      {"halfspace:1:", Coefficient},
+      {"halfspace:1:1e999", Coefficient},
+      {"", "unknown spec kind (use argmax / sign / halfspace)"},
+      {"margin:0:3", "unknown spec kind (use argmax / sign / halfspace)"},
+  };
+  for (const auto &[Text, Message] : Invalid) {
+    OutputSpec Got;
+    std::string Err;
+    EXPECT_FALSE(parseOutputSpecText(Text, Got, &Err)) << Text;
+    EXPECT_EQ(Err, Message) << Text;
+    OutputSpec Quiet;
+    EXPECT_FALSE(parseOutputSpecText(Text, Quiet)) << Text << " (no Err)";
+  }
 }
 
 } // namespace

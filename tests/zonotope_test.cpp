@@ -49,8 +49,10 @@ TEST_P(ZonotopeSoundness, CertifiedContainmentIsSound) {
     const OutputSpec Spec = OutputSpec::halfspace(Normal, Offset);
 
     DeviceMemoryModel Memory;
-    const ConvexResult Result = analyzeZonotope(
-        Net.view(), Shape({1, 3}), E1, E2, Spec, GetParam().Kind, Memory);
+    const ConvexResult Result =
+        analyzeZonotopeMulti(Net.view(), Shape({1, 3}), E1, E2, {Spec},
+                             GetParam().Kind, Memory)
+            .front();
     ASSERT_FALSE(Result.Bounds.OutOfMemory);
 
     for (int Trial = 0; Trial < 40; ++Trial) {
@@ -95,8 +97,9 @@ TEST(Zonotope, ExactThroughPureAffine) {
   const OutputSpec Spec = OutputSpec::halfspace(Normal, 0.0);
   DeviceMemoryModel Memory;
   const ConvexResult Result =
-      analyzeZonotope(Net.view(), Shape({1, 2}), E1, E2, Spec,
-                      ZonotopeKind::DeepZono, Memory);
+      analyzeZonotopeMulti(Net.view(), Shape({1, 2}), E1, E2, {Spec},
+                           ZonotopeKind::DeepZono, Memory)
+          .front();
   EXPECT_DOUBLE_EQ(Result.Bounds.Lower, 1.0);
 }
 
@@ -107,8 +110,10 @@ TEST(Zonotope, GeneratorCountGrowsThroughRelu) {
   Tensor E2 = Tensor::randn({1, 3}, R, 2.0);
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   DeviceMemoryModel Memory;
-  const ConvexResult Result = analyzeZonotope(
-      Net.view(), Shape({1, 3}), E1, E2, Spec, ZonotopeKind::DeepZono, Memory);
+  const ConvexResult Result =
+      analyzeZonotopeMulti(Net.view(), Shape({1, 3}), E1, E2, {Spec},
+                           ZonotopeKind::DeepZono, Memory)
+          .front();
   EXPECT_GT(Result.MaxGenerators, 1);
 }
 
@@ -119,8 +124,10 @@ TEST(Zonotope, SmallBudgetTriggersOom) {
   Tensor E2 = Tensor::randn({1, 3}, R, 2.0);
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   DeviceMemoryModel Memory(256);
-  const ConvexResult Result = analyzeZonotope(
-      Net.view(), Shape({1, 3}), E1, E2, Spec, ZonotopeKind::Zonotope, Memory);
+  const ConvexResult Result =
+      analyzeZonotopeMulti(Net.view(), Shape({1, 3}), E1, E2, {Spec},
+                           ZonotopeKind::Zonotope, Memory)
+          .front();
   EXPECT_TRUE(Result.Bounds.OutOfMemory);
 }
 
@@ -136,8 +143,10 @@ TEST_P(HybridSoundness, CertifiedContainmentIsSound) {
     const double Offset = R.normal(0.0, 2.0);
     const OutputSpec Spec = OutputSpec::halfspace(Normal, Offset);
     DeviceMemoryModel Memory;
-    const ConvexResult Result = analyzeHybridZonotope(
-        Net.view(), Shape({1, 3}), E1, E2, Spec, Memory);
+    const ConvexResult Result =
+        analyzeHybridZonotopeMulti(Net.view(), Shape({1, 3}), E1, E2, {Spec},
+                                   Memory)
+            .front();
     // Hybrid keeps a constant generator count.
     EXPECT_EQ(Result.MaxGenerators, 1);
     for (int Trial = 0; Trial < 40; ++Trial) {
