@@ -25,7 +25,8 @@
 //                 --benchmark_repetitions=5
 //                 --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
-// BM_PropagateLayerPair measures a deep Linear->ReLU chain.
+// BM_PropagateLayerPair measures a deep Linear->ReLU chain, and
+// BM_ReluSplit the exact ReLU split alone on the decoder's widest layer.
 //
 // Every benchmark that pins the pool reports real time (main-thread CPU
 // time would hide the workers' share), and registers a threads:N row only
@@ -38,6 +39,8 @@
 #include "src/domains/prop_cache.h"
 #include "src/domains/propagate.h"
 #include "src/nn/activations.h"
+#include "src/nn/architectures.h"
+#include "src/nn/init.h"
 #include "src/nn/linear.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
@@ -46,6 +49,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -515,6 +519,59 @@ BENCHMARK(BM_PropagateLayerPair)
     ->ArgName("threads")
     ->Apply([](benchmark::internal::Benchmark *B) {
       threadRows(B, {{1}, {4}});
+    });
+
+/// The exact ReLU split alone, on the paper decoder's 4096-wide ReLU
+/// (16x16x16, after the first transposed conv) at the zoo's shapes
+/// (latent 8, 3x16x16 images): a segment between two latent points is
+/// propagated through the layers before it once, and every iteration
+/// splits that state. Copying the state into the engine is not timed.
+/// The regions and pieces counters give the state's shape.
+void BM_ReluSplit(benchmark::State &State) {
+  PoolScope Scope(State.range(0));
+  Rng R(12);
+  Sequential Decoder = makeDecoder(/*Latent=*/8, /*ImgChannels=*/3,
+                                   /*ImgSize=*/16);
+  kaimingInit(Decoder, R);
+  const std::vector<const Layer *> Layers = Decoder.view();
+  const auto ReluAt = std::find_if(
+      Layers.begin() + 4, Layers.end(),
+      [](const Layer *L) { return L->kind() == Layer::Kind::ReLU; });
+  const std::vector<const Layer *> Prefix(Layers.begin(), ReluAt);
+  const Tensor Start = Tensor::randn({1, 8}, R);
+  Tensor End = Start.clone();
+  for (int64_t J = 0; J < 8; ++J)
+    End[J] += R.normal(0.0, 0.06);
+  PropagateConfig Config;
+  Config.EnableRelax = false;
+  DeviceMemoryModel PrefixMemory;
+  PropagateStats PrefixStats;
+  const std::vector<Region> Split = propagateRegions(
+      Prefix, Shape({1, 8}), {makeSegmentRegion(Start, End)}, Config,
+      PrefixMemory, PrefixStats);
+  Shape ReluShape({1, 8});
+  for (const Layer *L : Prefix)
+    ReluShape = L->outputShape(ReluShape);
+  size_t Pieces = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::vector<Region> In = Split;
+    DeviceMemoryModel Memory;
+    PropagateStats Stats;
+    State.ResumeTiming();
+    const std::vector<Region> Out = propagateRegions(
+        {*ReluAt}, ReluShape, std::move(In), Config, Memory, Stats);
+    Pieces = Out.size();
+    benchmark::DoNotOptimize(Out.data());
+  }
+  State.counters["width"] = static_cast<double>(ReluShape.numel());
+  State.counters["regions"] = static_cast<double>(Split.size());
+  State.counters["pieces"] = static_cast<double>(Pieces);
+}
+BENCHMARK(BM_ReluSplit)
+    ->ArgName("threads")
+    ->Apply([](benchmark::internal::Benchmark *B) {
+      threadRows(B, {{1}, {2}});
     });
 
 void BM_RelaxHeuristic(benchmark::State &State) {

@@ -271,9 +271,7 @@ GenProve::analyzeQuadratic(const std::vector<const Layer *> &Layers,
 
 Tensor forwardConcretePoints(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Points) {
-  std::vector<int64_t> Dims = InputShape.dims();
-  Dims[0] = Points.dim(0);
-  Tensor Acts = Points.reshaped(Shape(Dims));
+  Tensor Acts = rowsToActivations(Points, InputShape);
   for (const Layer *L : Layers) {
     if (L->isAffine()) {
       Acts = L->applyAffine(Acts);
@@ -281,8 +279,28 @@ Tensor forwardConcretePoints(const std::vector<const Layer *> &Layers,
       Acts = relu(Acts);
     }
   }
-  const int64_t B = Acts.dim(0);
-  return Acts.reshaped({B, Acts.numel() / std::max<int64_t>(B, 1)});
+  return activationsToRows(std::move(Acts));
+}
+
+std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
+                               const Shape &InputShape,
+                               const std::vector<OutputSpec> &Specs) {
+  if (InputShape.rank() < 2 || InputShape.dim(0) != 1)
+    return "input shape " + InputShape.toString() +
+           " is not one sample (1xN or 1xCxHxW)";
+  Shape Cur = InputShape;
+  for (size_t I = 0; I < Layers.size(); ++I) {
+    if (!Layers[I]->acceptsInputShape(Cur))
+      return "layer " + std::to_string(I) + " (" + Layers[I]->describe() +
+             ") does not accept input shape " + Cur.toString();
+    Cur = Layers[I]->outputShape(Cur);
+  }
+  for (size_t I = 0; I < Specs.size(); ++I)
+    if (Specs[I].dim() != Cur.numel())
+      return "spec " + std::to_string(I) + " reads " +
+             std::to_string(Specs[I].dim()) + " outputs, the pipeline has " +
+             std::to_string(Cur.numel());
+  return "";
 }
 
 } // namespace genprove

@@ -169,6 +169,16 @@ private:
 Tensor forwardConcretePoints(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Points);
 
+/// Why \p Layers cannot certify \p Specs from inputs of shape
+/// \p InputShape, or empty when they can: the shape must be one sample
+/// (leading dimension 1), every layer must accept the shape it receives,
+/// and every spec must read as many values as the pipeline outputs. The
+/// tools check this before propagating, so a mismatched request is
+/// refused with the reason instead of aborting inside a kernel.
+std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
+                               const Shape &InputShape,
+                               const std::vector<OutputSpec> &Specs);
+
 } // namespace genprove
 
 #endif // GENPROVE_CORE_GENPROVE_H

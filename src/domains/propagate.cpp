@@ -59,9 +59,13 @@ double evalCdf(const ParamCdf &Cdf, double T) { return Cdf ? Cdf(T) : T; }
 
 /// Apply one affine layer to every region in place (exact for curves,
 /// interval arithmetic for boxes), batching all rows of a kind into a
-/// single layer application.
+/// single layer application. Each region is copied once into a batch
+/// allocated in the layer's activation shape, and once out of the
+/// kernel's output.
 void applyAffineLayer(const Layer &L, const Shape &InShape,
                       std::vector<Region> &Regions) {
+  if (Regions.empty())
+    return;
   // Count rows of each kind and precompute every region's destination
   // offset, so the gather/scatter copy loops below can run
   // region-parallel with disjoint writes.
@@ -80,26 +84,26 @@ void applyAffineLayer(const Layer &L, const Shape &InShape,
       BoxAt[static_cast<size_t>(I)] = NumBoxes++;
     }
   }
-  const int64_t N =
-      Regions.empty() ? 0 : Regions.front().dim();
-  if (Regions.empty())
-    return;
-
-  Tensor A0Rows({std::max<int64_t>(NumA0, 1), N});
-  Tensor HiRows({std::max<int64_t>(NumHi, 1), N});
-  Tensor Centers({std::max<int64_t>(NumBoxes, 1), N});
-  Tensor Radii({std::max<int64_t>(NumBoxes, 1), N});
+  const int64_t N = Regions.front().dim();
+  const auto Batch = [&](int64_t Rows) {
+    if (Rows == 0)
+      return Tensor();
+    std::vector<int64_t> Dims = InShape.dims();
+    Dims[0] = Rows;
+    return Tensor(Shape(std::move(Dims)));
+  };
+  Tensor A0Rows = Batch(NumA0), HiRows = Batch(NumHi);
+  Tensor Centers = Batch(NumBoxes), Radii = Batch(NumBoxes);
 
   parallelFor(NumRegions, [&](int64_t Begin, int64_t End) {
     for (int64_t I = Begin; I < End; ++I) {
       const auto &R = Regions[static_cast<size_t>(I)];
       if (R.Kind == RegionKind::Curve) {
-        std::copy(R.Coeffs.data(), R.Coeffs.data() + N,
+        const double *Src = R.Coeffs.data();
+        std::copy(Src, Src + N,
                   A0Rows.data() + A0At[static_cast<size_t>(I)] * N);
-        for (int64_t D = 1; D <= R.degree(); ++D)
-          std::copy(R.Coeffs.data() + D * N, R.Coeffs.data() + (D + 1) * N,
-                    HiRows.data() +
-                        (HiAt[static_cast<size_t>(I)] + D - 1) * N);
+        std::copy(Src + N, Src + (R.degree() + 1) * N,
+                  HiRows.data() + HiAt[static_cast<size_t>(I)] * N);
       } else {
         std::copy(R.Center.data(), R.Center.data() + N,
                   Centers.data() + BoxAt[static_cast<size_t>(I)] * N);
@@ -109,51 +113,43 @@ void applyAffineLayer(const Layer &L, const Shape &InShape,
     }
   });
 
-  Tensor NewA0, NewHi, NewCenters, NewRadii;
+  // The kernels' outputs are read in place: row K of a [K, ...] batch is
+  // the flat slice [K * OutN, (K + 1) * OutN).
+  Tensor NewA0, NewHi;
   if (NumA0 > 0)
-    NewA0 =
-        activationsToRows(L.applyAffine(rowsToActivations(A0Rows, InShape)));
+    NewA0 = L.applyAffine(A0Rows);
   if (NumHi > 0)
-    NewHi =
-        activationsToRows(L.applyLinear(rowsToActivations(HiRows, InShape)));
+    NewHi = L.applyLinear(HiRows);
   if (NumBoxes > 0) {
-    Tensor C = rowsToActivations(Centers, InShape);
-    Tensor Rr = rowsToActivations(Radii, InShape);
     if (soundRoundingEnabled())
-      L.applyToBoxSound(C, Rr);
+      L.applyToBoxSound(Centers, Radii);
     else
-      L.applyToBox(C, Rr);
-    NewCenters = activationsToRows(C);
-    NewRadii = activationsToRows(Rr);
+      L.applyToBox(Centers, Radii);
   }
 
-  const int64_t OutN = NumA0 > 0   ? NewA0.dim(1)
-                       : NumBoxes > 0 ? NewCenters.dim(1)
-                                      : N;
+  const int64_t OutN = NumA0 > 0 ? NewA0.numel() / NumA0
+                                 : Centers.numel() / NumBoxes;
   parallelFor(NumRegions, [&](int64_t Begin, int64_t End) {
     for (int64_t I = Begin; I < End; ++I) {
       auto &R = Regions[static_cast<size_t>(I)];
       if (R.Kind == RegionKind::Curve) {
         const int64_t Degree = R.degree();
-        const int64_t IA0 = A0At[static_cast<size_t>(I)];
-        const int64_t IHi = HiAt[static_cast<size_t>(I)];
-        Tensor Coeffs({Degree + 1, OutN});
-        std::copy(NewA0.data() + IA0 * OutN, NewA0.data() + (IA0 + 1) * OutN,
-                  Coeffs.data());
-        for (int64_t D = 1; D <= Degree; ++D)
-          std::copy(NewHi.data() + (IHi + D - 1) * OutN,
-                    NewHi.data() + (IHi + D) * OutN,
-                    Coeffs.data() + D * OutN);
-        R.Coeffs = std::move(Coeffs);
+        const double *A0 = NewA0.data() + A0At[static_cast<size_t>(I)] * OutN;
+        const double *Hi =
+            NewHi.data() + HiAt[static_cast<size_t>(I)] * OutN;
+        std::vector<double> Coeffs;
+        Coeffs.reserve(static_cast<size_t>((Degree + 1) * OutN));
+        Coeffs.insert(Coeffs.end(), A0, A0 + OutN);
+        Coeffs.insert(Coeffs.end(), Hi, Hi + Degree * OutN);
+        R.Coeffs = Tensor({Degree + 1, OutN}, std::move(Coeffs));
       } else {
-        const int64_t IBox = BoxAt[static_cast<size_t>(I)];
-        Tensor C({1, OutN}), Rr({1, OutN});
-        std::copy(NewCenters.data() + IBox * OutN,
-                  NewCenters.data() + (IBox + 1) * OutN, C.data());
-        std::copy(NewRadii.data() + IBox * OutN,
-                  NewRadii.data() + (IBox + 1) * OutN, Rr.data());
-        R.Center = std::move(C);
-        R.Radius = std::move(Rr);
+        const int64_t At = BoxAt[static_cast<size_t>(I)] * OutN;
+        R.Center = Tensor({1, OutN},
+                          std::vector<double>(Centers.data() + At,
+                                              Centers.data() + At + OutN));
+        R.Radius = Tensor({1, OutN},
+                          std::vector<double>(Radii.data() + At,
+                                              Radii.data() + At + OutN));
       }
     }
   });
@@ -183,18 +179,34 @@ void reluBox(Region &Box) {
 }
 
 /// Exact ReLU on a curve region: split at every component zero crossing,
-/// then mask each piece by the per-component sign at its midpoint.
+/// then mask each piece by the per-component sign at its midpoint. The
+/// curve is consumed: its last piece is masked in place in the curve's own
+/// coefficient storage, so an unsplit curve allocates and copies nothing.
 /// NumSplits is a plain per-call counter so the function can run on pool
 /// workers; the caller folds it into PropagateStats in region order.
-void reluCurve(const Region &Curve, const PropagateConfig &Config,
+///
+/// Row loops over the raw coefficient rows, bit for bit the per-component
+/// form: cuts are pushed component by component in polyRoots' order (so
+/// the sort and the SplitEps merge see the same sequence), and each
+/// midpoint value is evalCurveComponent's chain (0 + a0*1) + a1*t +
+/// a2*(t*t) + ..., summed row by row.
+void reluCurve(Region &Curve, const PropagateConfig &Config,
                std::vector<Region> &Out, int64_t &NumSplits) {
   GENPROVE_SPAN("relu_split");
   const int64_t N = Curve.dim();
+  const int64_t Degree = Curve.degree();
+  const double *Rows = Curve.Coeffs.data();
+  const double Lo = Curve.T0, Hi = Curve.T1;
   std::vector<double> Cuts;
-  Cuts.push_back(Curve.T0);
-  Cuts.push_back(Curve.T1);
-  for (int64_t J = 0; J < N; ++J)
-    curveComponentRoots(Curve, J, Cuts);
+  Cuts.push_back(Lo);
+  Cuts.push_back(Hi);
+  // A constant component (degree 0) has no root.
+  if (Degree == 1)
+    for (int64_t J = 0; J < N; ++J)
+      polyRoots(Rows[J], Rows[N + J], 0.0, Lo, Hi, Cuts);
+  else if (Degree >= 2)
+    for (int64_t J = 0; J < N; ++J)
+      polyRoots(Rows[J], Rows[N + J], Rows[2 * N + J], Lo, Hi, Cuts);
   std::sort(Cuts.begin(), Cuts.end());
   Cuts.erase(std::unique(Cuts.begin(), Cuts.end(),
                          [&](double A, double B) {
@@ -207,24 +219,38 @@ void reluCurve(const Region &Curve, const PropagateConfig &Config,
   Cuts.front() = Curve.T0;
   Cuts.back() = Curve.T1;
 
-  const int64_t Degree = Curve.degree();
+  std::vector<double> Mid(static_cast<size_t>(N));
+  double F0 = evalCdf(Config.Cdf, Cuts.front());
   for (size_t I = 0; I + 1 < Cuts.size(); ++I) {
     const double T0 = Cuts[I];
     const double T1 = Cuts[I + 1];
     const double Tm = 0.5 * (T0 + T1);
+    const double F1 = evalCdf(Config.Cdf, T1);
+    for (int64_t J = 0; J < N; ++J)
+      Mid[static_cast<size_t>(J)] = 0.0 + Rows[J] * 1.0;
+    double Tp = Tm;
+    for (int64_t D = 1; D <= Degree; ++D, Tp *= Tm)
+      for (int64_t J = 0; J < N; ++J)
+        Mid[static_cast<size_t>(J)] += Rows[D * N + J] * Tp;
     Region Piece;
     Piece.Kind = RegionKind::Curve;
     Piece.T0 = T0;
     Piece.T1 = T1;
-    Piece.Weight = evalCdf(Config.Cdf, T1) - evalCdf(Config.Cdf, T0);
-    Piece.Coeffs = Tensor({Degree + 1, N});
-    for (int64_t J = 0; J < N; ++J) {
-      if (evalCurveComponent(Curve, Tm, J) > 0.0)
-        for (int64_t D = 0; D <= Degree; ++D)
-          Piece.Coeffs.at(D, J) = Curve.Coeffs.at(D, J);
-      // else: all coefficients stay zero — the component is clamped.
+    Piece.Weight = F1 - F0;
+    // Every earlier piece has read the curve's rows by the last one.
+    Piece.Coeffs = I + 2 < Cuts.size() ? Tensor({Degree + 1, N})
+                                       : std::move(Curve.Coeffs);
+    // A component not positive at the midpoint is clamped to zero.
+    for (int64_t D = 0; D <= Degree; ++D) {
+      const double *Src = Rows + D * N;
+      double *Dst = Piece.Coeffs.data() + D * N;
+      for (int64_t J = 0; J < N; ++J) {
+        const double A = Src[J];
+        Dst[J] = Mid[static_cast<size_t>(J)] > 0.0 ? A : 0.0;
+      }
     }
     Out.push_back(std::move(Piece));
+    F0 = F1;
   }
   NumSplits += static_cast<int64_t>(Cuts.size()) - 2;
 }
@@ -512,7 +538,11 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
       Shape NextShape = CurShape;
       bool ChargeFailed = false;
       if (L->isAffine()) {
-        applyAffineLayer(*L, CurShape, Regions);
+        // Regions are stored flat, so Flatten and Reshape move no data:
+        // they change only the shape the next layer reads.
+        if (L->kind() != Layer::Kind::Flatten &&
+            L->kind() != Layer::Kind::Reshape)
+          applyAffineLayer(*L, CurShape, Regions);
         NextShape = L->outputShape(CurShape);
       } else {
         // Exact ReLU splitting is independent per region, so the split

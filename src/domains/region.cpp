@@ -175,35 +175,6 @@ double curveChordLength(const Region &Curve) {
   return std::sqrt(Acc);
 }
 
-namespace {
-
-/// Append X to Out if strictly inside (Lo, Hi).
-void pushIfInside(double X, double Lo, double Hi, std::vector<double> &Out) {
-  if (X > Lo && X < Hi && std::isfinite(X))
-    Out.push_back(X);
-}
-
-/// Roots of A2 t^2 + A1 t + A0 = 0 strictly inside (Lo, Hi).
-void polyRoots(double A0, double A1, double A2, double Lo, double Hi,
-               std::vector<double> &Out) {
-  if (A2 == 0.0) {
-    if (A1 != 0.0)
-      pushIfInside(-A0 / A1, Lo, Hi, Out);
-    return;
-  }
-  const double Disc = A1 * A1 - 4.0 * A2 * A0;
-  if (Disc < 0.0)
-    return;
-  const double SqrtDisc = std::sqrt(Disc);
-  // Numerically stable quadratic roots.
-  const double Q = -0.5 * (A1 + (A1 >= 0.0 ? SqrtDisc : -SqrtDisc));
-  if (Q != 0.0)
-    pushIfInside(A0 / Q, Lo, Hi, Out);
-  pushIfInside(Q / A2, Lo, Hi, Out);
-}
-
-} // namespace
-
 void curveComponentRoots(const Region &Curve, int64_t J,
                          std::vector<double> &Out) {
   const double A0 = Curve.Coeffs.at(0, J);

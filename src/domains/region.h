@@ -30,6 +30,7 @@
 #include "src/interval/interval.h"
 #include "src/tensor/tensor.h"
 
+#include <cmath>
 #include <vector>
 
 namespace genprove {
@@ -107,7 +108,32 @@ Region mergeBoxes(const Region &A, const Region &B);
 /// used by the relaxation heuristic's percentile test.
 double curveChordLength(const Region &Curve);
 
-/// Roots of gamma(t)_j = 0 strictly inside (T0, T1), in increasing order.
+/// Append the finite roots of A2 t^2 + A1 t + A0 = 0 strictly inside
+/// (Lo, Hi): a linear root when A2 == 0, else the numerically stable pair
+/// A0/Q, Q/A2, in that order. Inline so the ReLU split can run it over a
+/// coefficient row.
+inline void polyRoots(double A0, double A1, double A2, double Lo, double Hi,
+                      std::vector<double> &Out) {
+  const auto PushIfInside = [&](double X) {
+    if (X > Lo && X < Hi && std::isfinite(X))
+      Out.push_back(X);
+  };
+  if (A2 == 0.0) {
+    if (A1 != 0.0)
+      PushIfInside(-A0 / A1);
+    return;
+  }
+  const double Disc = A1 * A1 - 4.0 * A2 * A0;
+  if (Disc < 0.0)
+    return;
+  const double SqrtDisc = std::sqrt(Disc);
+  const double Q = -0.5 * (A1 + (A1 >= 0.0 ? SqrtDisc : -SqrtDisc));
+  if (Q != 0.0)
+    PushIfInside(A0 / Q);
+  PushIfInside(Q / A2);
+}
+
+/// Roots of gamma(t)_j = 0 strictly inside (T0, T1), in polyRoots' order.
 /// Handles degree 1 and 2 (with degenerate cases).
 void curveComponentRoots(const Region &Curve, int64_t J,
                          std::vector<double> &Out);

@@ -45,18 +45,18 @@ ZonoState initState(const Tensor &Start, const Tensor &End) {
 /// errors of every round-to-nearest kernel involved.
 void applyAffineToState(const Layer *L, const Shape &CurShape,
                         ZonotopeKind Kind, ZonoState &St) {
-  Tensor Center = rowsToActivations(St.Center, CurShape);
-  Tensor Slack = rowsToActivations(St.Slack, CurShape);
+  Tensor Center = rowsToActivations(std::move(St.Center), CurShape);
+  Tensor Slack = rowsToActivations(std::move(St.Slack), CurShape);
   if (soundRoundingEnabled()) {
     // Magnitude bound on any represented (or concretely forwarded) point:
     // |x| <= |c| + slack + sum_g |g|, summed with directed rounding.
     // HybridZono starts the sum from |c| + slack, the other kinds add it
     // last; each order is its kind's pinned sound result.
-    const int64_t N = St.Center.numel();
+    const int64_t N = Center.numel();
     const bool Hybrid = Kind == ZonotopeKind::HybridZono;
     Tensor Mags({1, N});
     for (int64_t J = 0; J < N; ++J) {
-      const double Own = fp::addUp(std::fabs(St.Center[J]), St.Slack[J]);
+      const double Own = fp::addUp(std::fabs(Center[J]), Slack[J]);
       double Acc = Hybrid ? Own : 0.0;
       for (int64_t Row = 0; Row < St.Gens.dim(0); ++Row)
         Acc = fp::addUp(Acc, std::fabs(St.Gens.at(Row, J)));
@@ -65,7 +65,7 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
     // One three-plane box map carries the center through the affine map
     // and the slack and magnitude through |A|, and yields the bias image
     // of a zero input.
-    Tensor Mag = rowsToActivations(Mags, CurShape);
+    Tensor Mag = rowsToActivations(std::move(Mags), CurShape);
     Tensor BiasImage;
     L->applyToBoxPlanes(Center, Slack, Mag, BiasImage);
     // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
@@ -81,10 +81,10 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
     // affine map's own kernel.
     L->applyToBox(Center, Slack);
   }
-  St.Center = activationsToRows(Center);
-  St.Slack = activationsToRows(Slack);
-  St.Gens =
-      activationsToRows(L->applyLinear(rowsToActivations(St.Gens, CurShape)));
+  St.Center = activationsToRows(std::move(Center));
+  St.Slack = activationsToRows(std::move(Slack));
+  St.Gens = activationsToRows(
+      L->applyLinear(rowsToActivations(std::move(St.Gens), CurShape)));
 }
 
 /// ReLU transformer on the state. In sound mode the pre-activation range

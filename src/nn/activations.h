@@ -16,6 +16,7 @@ public:
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
+  bool acceptsInputShape(const Shape &) const override { return true; }
   Shape outputShape(const Shape &InputShape) const override {
     return InputShape;
   }

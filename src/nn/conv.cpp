@@ -49,9 +49,15 @@ std::vector<Param> Conv2d::params() {
   return {{&Weight, &GradWeight, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
+bool Conv2d::acceptsInputShape(const Shape &InputShape) const {
+  // The kernel must fit inside the padded image.
+  return InputShape.rank() == 4 && InputShape.dim(1) == Geom.InChannels &&
+         InputShape.dim(2) + 2 * Geom.Padding >= Geom.KernelH &&
+         InputShape.dim(3) + 2 * Geom.Padding >= Geom.KernelW;
+}
+
 Shape Conv2d::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 4 && InputShape.dim(1) == Geom.InChannels,
-        "Conv2d input shape mismatch");
+  check(acceptsInputShape(InputShape), "Conv2d input shape mismatch");
   const auto [OH, OW] = Geom.convOutput(InputShape.dim(2), InputShape.dim(3));
   return Shape({InputShape.dim(0), Geom.OutChannels, OH, OW});
 }

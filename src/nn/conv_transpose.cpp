@@ -51,8 +51,16 @@ std::vector<Param> ConvTranspose2d::params() {
   return {{&Weight, &GradWeight, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
+bool ConvTranspose2d::acceptsInputShape(const Shape &InputShape) const {
+  if (InputShape.rank() != 4 || InputShape.dim(1) != Geom.InChannels)
+    return false;
+  const auto [OH, OW] =
+      Geom.convTransposeOutput(InputShape.dim(2), InputShape.dim(3));
+  return OH > 0 && OW > 0;
+}
+
 Shape ConvTranspose2d::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 4 && InputShape.dim(1) == Geom.InChannels,
+  check(acceptsInputShape(InputShape),
         "ConvTranspose2d input shape mismatch");
   const auto [OH, OW] =
       Geom.convTransposeOutput(InputShape.dim(2), InputShape.dim(3));

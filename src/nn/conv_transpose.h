@@ -27,6 +27,7 @@ public:
     return Geom.InChannels * Geom.KernelH * Geom.KernelW + 1;
   }
   std::vector<Param> params() override;
+  bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {

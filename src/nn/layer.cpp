@@ -11,15 +11,16 @@
 
 namespace genprove {
 
-Tensor rowsToActivations(const Tensor &Rows, const Shape &SampleShape) {
+Tensor rowsToActivations(Tensor Rows, const Shape &SampleShape) {
   std::vector<int64_t> Dims = SampleShape.dims();
   Dims[0] = Rows.dim(0);
-  return Rows.reshaped(Shape(Dims));
+  return std::move(Rows).reshaped(Shape(std::move(Dims)));
 }
 
-Tensor activationsToRows(const Tensor &Acts) {
+Tensor activationsToRows(Tensor Acts) {
   const int64_t K = Acts.dim(0);
-  return Acts.reshaped({K, Acts.numel() / std::max<int64_t>(K, 1)});
+  const int64_t N = Acts.numel() / std::max<int64_t>(K, 1);
+  return std::move(Acts).reshaped({K, N});
 }
 
 uint64_t Layer::fingerprint() const {

@@ -121,7 +121,13 @@ public:
   /// mutable accessor is guaranteed to change the fingerprint.
   virtual uint64_t fingerprint() const;
 
-  /// Output activation shape (including batch dim) for a given input shape.
+  /// Whether outputShape() accepts \p InputShape (the layer's input
+  /// precondition), so callers can refuse a mismatched pipeline instead of
+  /// aborting inside it.
+  virtual bool acceptsInputShape(const Shape &InputShape) const = 0;
+
+  /// Output activation shape (including batch dim) for a given input
+  /// shape; requires acceptsInputShape(InputShape).
   virtual Shape outputShape(const Shape &InputShape) const = 0;
 
   /// Human-readable description, e.g. "Conv2d(3->16, k4, s2, p1)".
@@ -135,10 +141,12 @@ using LayerPtr = std::unique_ptr<Layer>;
 
 /// Reshape a flat [K, N] row batch to the layer activation shape
 /// [K, ...SampleShape[1:]] of the single-sample shape \p SampleShape.
-Tensor rowsToActivations(const Tensor &Rows, const Shape &SampleShape);
+/// Both helpers take their tensor by value: pass an rvalue to move its
+/// storage instead of copying it.
+Tensor rowsToActivations(Tensor Rows, const Shape &SampleShape);
 
 /// Flatten an activation batch [K, ...] back to rows [K, N].
-Tensor activationsToRows(const Tensor &Acts);
+Tensor activationsToRows(Tensor Acts);
 
 } // namespace genprove
 

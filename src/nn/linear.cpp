@@ -88,9 +88,12 @@ std::vector<Param> Linear::params() {
   return {{&Weight, &GradWeight, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
+bool Linear::acceptsInputShape(const Shape &InputShape) const {
+  return InputShape.rank() == 2 && InputShape.dim(1) == InFeatures;
+}
+
 Shape Linear::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 2 && InputShape.dim(1) == InFeatures,
-        "Linear input shape mismatch");
+  check(acceptsInputShape(InputShape), "Linear input shape mismatch");
   return Shape({InputShape.dim(0), OutFeatures});
 }
 

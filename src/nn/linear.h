@@ -30,6 +30,7 @@ public:
                         Tensor &BiasImage) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
+  bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {

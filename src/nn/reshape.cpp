@@ -29,7 +29,12 @@ void Flatten::applyToBox(Tensor &Center, Tensor &Radius) const {
   Radius = applyAffine(Radius);
 }
 
+bool Flatten::acceptsInputShape(const Shape &InputShape) const {
+  return InputShape.rank() >= 1;
+}
+
 Shape Flatten::outputShape(const Shape &InputShape) const {
+  check(acceptsInputShape(InputShape), "Flatten input shape mismatch");
   int64_t Features = 1;
   for (size_t I = 1; I < InputShape.rank(); ++I)
     Features *= InputShape.dim(static_cast<int>(I));
@@ -62,10 +67,13 @@ void Reshape::applyToBox(Tensor &Center, Tensor &Radius) const {
   Radius = applyAffine(Radius);
 }
 
+bool Reshape::acceptsInputShape(const Shape &InputShape) const {
+  return InputShape.rank() == 2 &&
+         InputShape.dim(1) == Channels * Height * Width;
+}
+
 Shape Reshape::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 2 &&
-            InputShape.dim(1) == Channels * Height * Width,
-        "Reshape input shape mismatch");
+  check(acceptsInputShape(InputShape), "Reshape input shape mismatch");
   return Shape({InputShape.dim(0), Channels, Height, Width});
 }
 

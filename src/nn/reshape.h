@@ -18,6 +18,7 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override { return "Flatten"; }
 
@@ -35,6 +36,7 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;
 

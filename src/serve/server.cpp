@@ -148,6 +148,15 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   const int64_t Latent = static_cast<int64_t>(Req.Start.size());
   if (InShape.numel() != Latent)
     return Reject("start/end length does not match input_shape");
+  std::vector<OutputSpec> Specs;
+  for (const std::string &Text : Req.Specs) {
+    OutputSpec Spec;
+    parseOutputSpecText(Text, Spec, nullptr); // validated at decode
+    Specs.push_back(std::move(Spec));
+  }
+  if (std::string Why = pipelineShapeError(Model->Pipeline, InShape, Specs);
+      !Why.empty())
+    return Reject(std::move(Why));
   if (Req.Sound && !Cfg.SoundMode)
     return Reject("sound bounds need a server started with --sound "
                   "(directed rounding is process-wide)");
@@ -202,11 +211,7 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   Ctx.InputShape = InShape;
   Ctx.Start = Tensor({1, Latent}, Req.Start);
   Ctx.End = Tensor({1, Latent}, Req.End);
-  for (const std::string &Text : Req.Specs) {
-    OutputSpec Spec;
-    parseOutputSpecText(Text, Spec, nullptr); // validated at decode
-    Ctx.Specs.push_back(Spec);
-  }
+  Ctx.Specs = std::move(Specs);
   Ctx.NumShards = 1;
   GenProveConfig &Conf = Ctx.Config;
   Conf.RelaxPercent = Req.RelaxPercent;

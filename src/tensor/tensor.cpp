@@ -38,11 +38,14 @@ Tensor Tensor::rand(Shape TensorShape, Rng &Generator, double Lo, double Hi) {
   return T;
 }
 
-Tensor Tensor::reshaped(Shape NewShape) const {
+Tensor Tensor::reshaped(Shape NewShape) const & {
+  return Tensor(*this).reshaped(std::move(NewShape));
+}
+
+Tensor Tensor::reshaped(Shape NewShape) && {
   check(NewShape.numel() == Dims.numel(), "reshape changes element count");
-  Tensor T = *this;
-  T.Dims = std::move(NewShape);
-  return T;
+  Dims = std::move(NewShape);
+  return std::move(*this);
 }
 
 void Tensor::fill(double Value) {

@@ -73,8 +73,10 @@ public:
     return Data[static_cast<size_t>(((N * Ch + C) * Hh + H) * Wh + W)];
   }
 
-  /// Same data, different shape; numel must be preserved.
-  Tensor reshaped(Shape NewShape) const;
+  /// Same data, different shape; numel must be preserved. The lvalue form
+  /// copies the data, the rvalue form moves it.
+  Tensor reshaped(Shape NewShape) const &;
+  Tensor reshaped(Shape NewShape) &&;
 
   /// Deep copy.
   Tensor clone() const { return *this; }

@@ -497,6 +497,39 @@ TEST_F(ServeEndToEnd, PingVerifyAndStats) {
   ::close(Fd);
 }
 
+/// A request whose input shape the net refuses, or whose spec reads a
+/// different number of outputs than the net has, gets a typed error with
+/// the reason, and the daemon keeps serving: a good request on the same
+/// connection still certifies.
+TEST_F(ServeEndToEnd, MismatchedShapeOrSpecIsRefused) {
+  ServeConfig Cfg;
+  startServer(Cfg);
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+
+  const std::string BadShape =
+      "{\"type\":\"verify\",\"id\":\"shape\",\"net\":\"tiny\","
+      "\"input_shape\":\"1x3\",\"start\":[1.0,0.0,0.0],"
+      "\"end\":[2.0,0.5,0.0],\"specs\":[\"argmax:0:2\"]}";
+  std::string BadSpec = verifyLine("spec", -1.0);
+  const std::string Argmax2 = "argmax:0:2";
+  BadSpec.replace(BadSpec.find(Argmax2), Argmax2.size(), "argmax:0:3");
+
+  const std::pair<std::string, const char *> Cases[] = {
+      {BadShape, "error"}, {BadSpec, "error"}, {verifyLine("good", -1.0), "ok"}};
+  for (const auto &[Line, Status] : Cases) {
+    JsonValue Reply;
+    ASSERT_TRUE(roundTrip(Fd, Line, Reply)) << Line;
+    EXPECT_EQ(Reply.find("status")->stringOr(""), Status) << Line;
+    if (std::string(Status) == "error") {
+      const JsonValue *Why = Reply.find("error");
+      ASSERT_NE(Why, nullptr) << Line;
+      EXPECT_FALSE(Why->stringOr("").empty()) << Line;
+    }
+  }
+  ::close(Fd);
+}
+
 /// Served requests run resilient, and a clean resilient run is
 /// cache-eligible: the repeat of a request is a warm start whose bounds
 /// match the first answer digit for digit.

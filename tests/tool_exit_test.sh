@@ -4,9 +4,11 @@
 #
 #   tool_exit_test.sh CASE CLI SERVE LOADGEN MKNET WORKDIR
 #
-# CASE: cli-number | cli-shape | serve-number | serve-worker-shape |
-#       loadgen-number. The shape cases use a real network (written by
-#       genprove_mknet), so only the shape itself is wrong.
+# CASE: cli-number | cli-shape | cli-input-width | cli-spec-width |
+#       serve-number | serve-worker-shape | loadgen-number. The shape cases
+#       use a real network (written by genprove_mknet, 4 inputs and 3
+#       outputs), so only the shape or the spec is wrong: cli-input-width
+#       feeds it 5-wide endpoints, cli-spec-width a 4-class spec.
 set -u
 name=$1 cli=$2 serve=$3 loadgen=$4 mknet=$5 work=$6/$1
 mkdir -p "$work"
@@ -20,6 +22,16 @@ cli-number | cli-shape)
   [ "$name" = cli-shape ] && shape=1xa
   "$cli" --net "$net/tiny_net.bin" --input-shape "$shape" \
     --start "$net/start.txt" --end "$net/end.txt" --spec argmax:0:3 --p "$p"
+  ;;
+cli-input-width)
+  echo "0 0 0 0 0" > "$work/start5.txt"
+  echo "1 1 1 1 1" > "$work/end5.txt"
+  "$cli" --net "$net/tiny_net.bin" --input-shape 1x5 \
+    --start "$work/start5.txt" --end "$work/end5.txt" --spec argmax:0:3
+  ;;
+cli-spec-width)
+  "$cli" --net "$net/tiny_net.bin" --input-shape 1x4 \
+    --start "$net/start.txt" --end "$net/end.txt" --spec argmax:0:4
   ;;
 serve-number)
   "$serve" --socket "$work/serve.sock" --net "tiny=$net/tiny_net.bin" \

@@ -33,6 +33,17 @@ struct ZonoCase {
   ZonotopeKind Kind;
 };
 
+/// gtest_discover_tests names each case by its printed parameter, so
+/// print seed1_Zonotope rather than the struct's bytes, padding included.
+/// (A name generator would not do: the discovered name would keep the
+/// printed bytes after it.)
+void PrintTo(const ZonoCase &C, std::ostream *Out) {
+  *Out << "seed" << C.Seed << "_"
+       << (C.Kind == ZonotopeKind::Zonotope   ? "Zonotope"
+           : C.Kind == ZonotopeKind::DeepZono ? "DeepZono"
+                                              : "HybridZono");
+}
+
 class ZonotopeSoundness : public ::testing::TestWithParam<ZonoCase> {};
 
 TEST_P(ZonotopeSoundness, CertifiedContainmentIsSound) {

@@ -643,6 +643,11 @@ int main(int Argc, char **Argv) {
   std::vector<OutputSpec> Specs;
   for (const std::string &Text : SpecTexts)
     Specs.push_back(parseSpec(Text));
+  if (const std::string Why = pipelineShapeError(Pipeline, InputShape, Specs);
+      !Why.empty()) {
+    std::fprintf(stderr, "genprove_cli: %s\n", Why.c_str());
+    return 2;
+  }
 
   //===--------------------------------------------------------------------===//
   // Worker mode: certify one shard, speak the wire protocol on stdout.

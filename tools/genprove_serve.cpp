@@ -208,6 +208,12 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
     Ctx.Pipeline = concatViews(Ctx.Pipeline, Net.view());
   Ctx.InputShape = InputShape;
   const int64_t Latent = static_cast<int64_t>(Spec.Start.size());
+  if (InputShape.numel() != Latent) {
+    std::fprintf(stderr, "genprove_serve worker: start/end length does not "
+                         "match input shape '%s'\n",
+                 Spec.InputShape.c_str());
+    return 2;
+  }
   Ctx.Start = Tensor({1, Latent}, Spec.Start);
   Ctx.End = Tensor({1, Latent}, Spec.End);
   for (const std::string &SpecText : Spec.Specs) {
@@ -218,6 +224,12 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
       return 2;
     }
     Ctx.Specs.push_back(Parsed);
+  }
+  if (const std::string Why =
+          pipelineShapeError(Ctx.Pipeline, InputShape, Ctx.Specs);
+      !Why.empty()) {
+    std::fprintf(stderr, "genprove_serve worker: %s\n", Why.c_str());
+    return 2;
   }
   Ctx.NumShards = 1;
   GenProveConfig &Conf = Ctx.Config;
