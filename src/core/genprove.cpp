@@ -35,15 +35,14 @@ PropagatedState GenProve::propagateWithSchedule(
     PropConfig.EnableRelax = P > 0.0;
     PropConfig.Cdf = makeCdf(Config.Distribution);
     PropConfig.Resilience = Config.Resilience;
-    if (Config.UseCache) {
-      PropConfig.Cache = &PropagationCache::global();
-      // Caller tag: the abstract-domain identity plus the distribution
-      // behind the (unhashable) Cdf closure.
-      uint64_t Tag =
-          hashing::hashString(hashing::FnvOffset, "genprove.union");
-      Tag = hashing::hashU64(Tag, static_cast<uint64_t>(Config.Distribution));
-      PropConfig.CacheSalt = cacheSaltForConfig(PropConfig, Tag);
-    }
+    // Every run consults the process-wide PropagationCache, which does
+    // nothing until PropagationCache::global().configure() gives it a
+    // byte budget. Caller tag: the abstract-domain identity plus the
+    // distribution behind the (unhashable) Cdf closure.
+    PropConfig.Cache = &PropagationCache::global();
+    uint64_t Tag = hashing::hashString(hashing::FnvOffset, "genprove.union");
+    Tag = hashing::hashU64(Tag, static_cast<uint64_t>(Config.Distribution));
+    PropConfig.CacheSalt = cacheSaltForConfig(PropConfig, Tag);
 
     PropagateStats Stats;
     std::vector<Region> Final = propagateRegions(
@@ -95,18 +94,8 @@ GenProve::propagateSegment(const std::vector<const Layer *> &Layers,
   const ParamCdf Cdf = makeCdf(Config.Distribution);
   Merged.Cdf = Cdf;
   for (int64_t I = 0; I < Splits; ++I) {
-    const double T0 = static_cast<double>(I) / static_cast<double>(Splits);
-    const double T1 =
-        static_cast<double>(I + 1) / static_cast<double>(Splits);
-    Tensor PartStart({1, A.numel()});
-    Tensor PartEnd({1, A.numel()});
-    for (int64_t J = 0; J < A.numel(); ++J) {
-      PartStart[J] = A[J] + T0 * (B[J] - A[J]);
-      PartEnd[J] = A[J] + T1 * (B[J] - A[J]);
-    }
     std::vector<Region> Initial;
-    Initial.push_back(makeSegmentRegion(PartStart, PartEnd,
-                                        Cdf(T1) - Cdf(T0), T0, T1));
+    Initial.push_back(segmentPiece(A, B, I, Splits, Cdf));
     PropagatedState Part = propagateWithSchedule(Layers, InputShape, Initial);
     Merged.Seconds += Part.Seconds;
     Merged.PeakBytes = std::max(Merged.PeakBytes, Part.PeakBytes);
@@ -162,6 +151,22 @@ GenProve::propagateSegment(const std::vector<const Layer *> &Layers,
       Merged.Regions.push_back(std::move(R));
   }
   return Merged;
+}
+
+Region segmentPiece(const Tensor &Start, const Tensor &End, int64_t Index,
+                    int64_t Pieces, const ParamCdf &Cdf) {
+  const double N = static_cast<double>(Pieces);
+  const double T0 = static_cast<double>(Index) / N;
+  const double T1 =
+      Index + 1 == Pieces ? 1.0 : static_cast<double>(Index + 1) / N;
+  const int64_t Latent = Start.numel();
+  Tensor PartStart({1, Latent});
+  Tensor PartEnd({1, Latent});
+  for (int64_t J = 0; J < Latent; ++J) {
+    PartStart[J] = Start[J] + T0 * (End[J] - Start[J]);
+    PartEnd[J] = Start[J] + T1 * (End[J] - Start[J]);
+  }
+  return makeSegmentRegion(PartStart, PartEnd, Cdf(T1) - Cdf(T0), T0, T1);
 }
 
 PropagatedState

@@ -53,14 +53,6 @@ struct GenProveConfig {
   /// Appendix C schedule above becomes a dead letter (coarsening happens
   /// locally at the failing layer, not by restarting from layer 0).
   ResilienceConfig Resilience;
-  /// Consult the process-wide PropagationCache (domains/prop_cache.h) for
-  /// mid-network warm starts. A no-op until the cache is given a byte
-  /// budget via PropagationCache::global().configure(), and never active
-  /// on fault-injected or full-box-start runs. A resilient run warm-starts
-  /// only when its budget holds the cached prefix's peak, and stores
-  /// states only until its first rung or quarantine; warm-started bounds
-  /// are bit-identical to cold ones.
-  bool UseCache = true;
 };
 
 /// The final abstract state plus telemetry; bounds for any number of
@@ -162,6 +154,16 @@ private:
 
   GenProveConfig Config;
 };
+
+/// Piece \p Index of \p Pieces of Section 5.2's partition of the segment
+/// from \p Start to \p End (flat latent points): the curve region over
+/// the parameter range [T0, T1] = [k/n, (k+1)/n], with endpoints
+/// A + T·(B − A) and weight Cdf(T1) − Cdf(T0). The last piece ends at
+/// exactly 1, and neighbouring pieces share the same double cut point, so
+/// no mass falls between pieces or is counted twice. GenProveConfig's
+/// InputSplits and the shard workers certify these pieces.
+Region segmentPiece(const Tensor &Start, const Tensor &End, int64_t Index,
+                    int64_t Pieces, const ParamCdf &Cdf);
 
 /// Concrete forward pass through a layer view (affine layers via
 /// applyAffine, ReLU elementwise); used by the sampling baseline and the

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace genprove {
 
@@ -238,6 +239,19 @@ double curveMassInside(const Region &Curve, const OutputSpec &Spec,
       Inside += Eval(T1) - Eval(T0);
   }
   return Curve.Weight * Inside / TotalMass;
+}
+
+std::string verdictText(const ProbBounds &B, bool Deterministic) {
+  if (Deterministic) {
+    const char *V = B.Lower >= 1.0   ? "HOLDS"
+                    : B.Upper <= 0.0 ? "NEVER HOLDS"
+                                     : "UNKNOWN";
+    return B.Degraded ? std::string(V) + " (DEGRADED)" : std::string(V);
+  }
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf), "holds with probability in [%.6f, %.6f]",
+                B.Lower, B.Upper);
+  return B.Degraded ? "DEGRADED; " + std::string(Buf) : std::string(Buf);
 }
 
 ProbBounds computeProbBounds(const std::vector<Region> &Regions,

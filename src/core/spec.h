@@ -100,6 +100,12 @@ struct ProbBounds {
   bool nonTrivial() const { return Lower > 0.0 || Upper < 1.0; }
 };
 
+/// The verdict the tools print for \p B: "HOLDS", "NEVER HOLDS" or
+/// "UNKNOWN" for a deterministic analysis (whose bounds are already
+/// collapsed), else "holds with probability in [l, u]" to six places. A
+/// degraded bound reads "<verdict> (DEGRADED)" or "DEGRADED; holds ...".
+std::string verdictText(const ProbBounds &B, bool Deterministic);
+
 /// The Section 4.1 bound computation over a final abstract state. \p Cdf
 /// is the input-parameter CDF (empty = uniform), used to split curve mass
 /// exactly at the constraint boundaries.

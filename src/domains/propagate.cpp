@@ -318,25 +318,17 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
   if (Res.Faults)
     Res.Faults->arm(Memory);
 
-  // Stats may arrive pre-populated (merged analyses); count only the
-  // deltas produced by this call.
-  const int64_t Splits0 = Stats.NumSplits;
-  const int64_t Boxed0 = Stats.NumBoxed;
-  const int64_t Rollbacks0 = Stats.Rollbacks;
-  const int64_t Fallback0 = Stats.FallbackBoxLayers;
-  const int64_t Quarantined0 = Stats.QuarantinedRegions;
-  const bool DeadlineHit0 = Stats.DeadlineHit;
-  const int64_t CacheWarm0 = Stats.CacheWarmLayers;
+  Stats = PropagateStats{};
   const auto FlushCounters = [&] {
-    CacheWarmCtr.add(Stats.CacheWarmLayers - CacheWarm0);
-    SplitsCtr.add(Stats.NumSplits - Splits0);
-    BoxedCtr.add(Stats.NumBoxed - Boxed0);
+    CacheWarmCtr.add(Stats.CacheWarmLayers);
+    SplitsCtr.add(Stats.NumSplits);
+    BoxedCtr.add(Stats.NumBoxed);
     OomCtr.add(Stats.OutOfMemory ? 1 : 0);
     DegradedCtr.add(Stats.Degraded ? 1 : 0);
-    RollbackCtr.add(Stats.Rollbacks - Rollbacks0);
-    FallbackCtr.add(Stats.FallbackBoxLayers - Fallback0);
-    QuarantineCtr.add(Stats.QuarantinedRegions - Quarantined0);
-    DeadlineCtr.add(Stats.DeadlineHit && !DeadlineHit0 ? 1 : 0);
+    RollbackCtr.add(Stats.Rollbacks);
+    FallbackCtr.add(Stats.FallbackBoxLayers);
+    QuarantineCtr.add(Stats.QuarantinedRegions);
+    DeadlineCtr.add(Stats.DeadlineHit ? 1 : 0);
   };
 
   // Deadline clock: injected test clock if provided, wall clock otherwise.
@@ -407,8 +399,7 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
   // runs share entries. Runs with fault injection armed or lifted to the
   // full box up front never touch the cache.
   const auto Clean = [&] {
-    return RunRung == DegradeRung::None &&
-           Stats.QuarantinedRegions == Quarantined0;
+    return RunRung == DegradeRung::None && Stats.QuarantinedRegions == 0;
   };
   const bool CacheActive =
       Config.Cache && !Res.Faults && Clean() && Config.Cache->enabled();

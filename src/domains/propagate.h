@@ -177,8 +177,9 @@ struct PropagateStats {
 };
 
 /// Push \p Regions through \p Layers. \p InputShape is the single-sample
-/// activation shape of the first layer (e.g. {1, Latent}). On OOM the
-/// result is empty and Stats.OutOfMemory is set — unless
+/// activation shape of the first layer (e.g. {1, Latent}). \p Stats is
+/// reset on entry and describes this call alone. On OOM the result is
+/// empty and Stats.OutOfMemory is set — unless
 /// Config.Resilience.Enabled, in which case the engine degrades in place
 /// and always returns a sound (possibly boxed) state.
 std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,

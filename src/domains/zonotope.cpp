@@ -47,7 +47,12 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
                         ZonotopeKind Kind, ZonoState &St) {
   Tensor Center = rowsToActivations(std::move(St.Center), CurShape);
   Tensor Slack = rowsToActivations(std::move(St.Slack), CurShape);
-  if (soundRoundingEnabled()) {
+  if (!soundRoundingEnabled() && Kind != ZonotopeKind::HybridZono) {
+    // Zonotope and DeepZono keep an all-zero slack in round-to-nearest,
+    // and |A|·0 = 0: the affine kernel alone maps the center.
+    Center = L->applyAffine(Center);
+    Slack = Tensor({1, Center.numel()});
+  } else if (soundRoundingEnabled()) {
     // Magnitude bound on any represented (or concretely forwarded) point:
     // |x| <= |c| + slack + sum_g |g|, summed with directed rounding.
     // HybridZono starts the sum from |c| + slack, the other kinds add it
@@ -77,8 +82,7 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
           Slack[J],
           fp::mulUp(Gamma, fp::addUp(Mag[J], std::fabs(BiasImage[J]))));
   } else {
-    // A zero slack maps to a zero slack, and the center plane is the
-    // affine map's own kernel.
+    // HybridZono's slack holds its ReLU relaxation error.
     L->applyToBox(Center, Slack);
   }
   St.Center = activationsToRows(std::move(Center));

@@ -208,115 +208,4 @@ std::string encodeServeStats(const ServeStatsInfo &S) {
   return W.str();
 }
 
-std::string encodeServeWorkerSpec(const ServeWorkerSpec &S) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("nets").beginArray();
-  for (const std::string &P : S.NetPaths)
-    W.value(P);
-  W.endArray();
-  W.key("input_shape").value(S.InputShape);
-  W.key("start").beginArray();
-  for (double V : S.Start)
-    W.value(V);
-  W.endArray();
-  W.key("end").beginArray();
-  for (double V : S.End)
-    W.value(V);
-  W.endArray();
-  W.key("specs").beginArray();
-  for (const std::string &T : S.Specs)
-    W.value(T);
-  W.endArray();
-  W.key("budget_bytes").value(static_cast<int64_t>(S.BudgetBytes));
-  W.key("deadline_s").value(S.DeadlineSeconds);
-  W.key("p").value(S.RelaxPercent);
-  W.key("k").value(S.ClusterK);
-  W.key("threshold").value(S.NodeThreshold);
-  W.key("arcsine").value(S.Arcsine);
-  W.key("sound").value(S.Sound);
-  W.key("heartbeat_ms").value(S.HeartbeatMs);
-  W.key("inject").value(S.Inject);
-  W.endObject();
-  return W.str();
-}
-
-bool decodeServeWorkerSpec(const std::string &Text, ServeWorkerSpec &Out,
-                           std::string *Err) {
-  Out = ServeWorkerSpec{};
-  JsonValue V;
-  std::string ParseErr;
-  if (!parseJson(Text, V, &ParseErr)) {
-    if (Err)
-      *Err = ParseErr;
-    return false;
-  }
-  auto Fail = [&](const char *What) {
-    if (Err)
-      *Err = What;
-    return false;
-  };
-  if (V.K != JsonValue::Kind::Object)
-    return Fail("worker spec is not an object");
-
-  const JsonValue *Nets = V.find("nets");
-  if (!Nets || Nets->K != JsonValue::Kind::Array || Nets->Items.empty())
-    return Fail("worker spec needs a non-empty nets array");
-  for (const JsonValue &N : Nets->Items) {
-    if (N.K != JsonValue::Kind::String || N.Str.empty())
-      return Fail("worker spec net paths must be strings");
-    Out.NetPaths.push_back(N.Str);
-  }
-  const JsonValue *Shape = V.find("input_shape");
-  if (!Shape || Shape->K != JsonValue::Kind::String)
-    return Fail("worker spec needs input_shape");
-  Out.InputShape = Shape->Str;
-
-  auto ReadNums = [&](const char *Key, std::vector<double> &Dst) {
-    const JsonValue *Arr = V.find(Key);
-    if (!Arr || Arr->K != JsonValue::Kind::Array || Arr->Items.empty())
-      return false;
-    for (const JsonValue &E : Arr->Items) {
-      if (E.K != JsonValue::Kind::Number || !std::isfinite(E.Num))
-        return false;
-      Dst.push_back(E.Num);
-    }
-    return true;
-  };
-  if (!ReadNums("start", Out.Start) || !ReadNums("end", Out.End) ||
-      Out.Start.size() != Out.End.size())
-    return Fail("worker spec needs matching start/end arrays");
-
-  const JsonValue *Specs = V.find("specs");
-  if (!Specs || Specs->K != JsonValue::Kind::Array || Specs->Items.empty())
-    return Fail("worker spec needs a specs array");
-  for (const JsonValue &S : Specs->Items) {
-    OutputSpec Parsed;
-    if (S.K != JsonValue::Kind::String ||
-        !parseOutputSpecText(S.Str, Parsed, nullptr))
-      return Fail("worker spec has an invalid spec entry");
-    Out.Specs.push_back(S.Str);
-  }
-
-  const int64_t Budget = V.find("budget_bytes")
-                             ? V.find("budget_bytes")->intOr(0)
-                             : 0;
-  Out.BudgetBytes = Budget > 0 ? static_cast<size_t>(Budget) : 0;
-  auto Num = [&](const char *Key, double Fallback) {
-    const JsonValue *F = V.find(Key);
-    return F ? F->numberOr(Fallback) : Fallback;
-  };
-  Out.DeadlineSeconds = Num("deadline_s", 0.0);
-  Out.RelaxPercent = Num("p", 0.0);
-  Out.ClusterK = Num("k", 100.0);
-  Out.NodeThreshold =
-      V.find("threshold") ? V.find("threshold")->intOr(250) : 250;
-  Out.Arcsine = V.find("arcsine") ? V.find("arcsine")->boolOr(false) : false;
-  Out.Sound = V.find("sound") ? V.find("sound")->boolOr(false) : false;
-  Out.HeartbeatMs = Num("heartbeat_ms", 100.0);
-  if (const JsonValue *Inject = V.find("inject"))
-    Out.Inject = Inject->stringOr("");
-  return true;
-}
-
 } // namespace genprove

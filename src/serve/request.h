@@ -128,37 +128,6 @@ struct ServeStatsInfo {
 /// registry.
 std::string encodeServeStats(const ServeStatsInfo &S);
 
-/// Everything an --isolate worker process needs to run one request's
-/// shard attempt: the server writes this to a per-request temp file and
-/// re-execs itself with `--worker-request FILE` (plus the launcher's
-/// `--shard-worker/--shard-attempt/--shard-rung` flags). The worker
-/// reloads the model from the original paths — a crashed propagation
-/// must not be able to corrupt the daemon's resident copy.
-struct ServeWorkerSpec {
-  std::vector<std::string> NetPaths;
-  std::string InputShape;
-  std::vector<double> Start;
-  std::vector<double> End;
-  std::vector<std::string> Specs;
-  size_t BudgetBytes = 0;      ///< the request's admission slice
-  double DeadlineSeconds = 0.0; ///< engine resilience deadline; 0 = none
-  double RelaxPercent = 0.0;
-  double ClusterK = 100.0;
-  int64_t NodeThreshold = 250;
-  bool Arcsine = false;
-  bool Sound = false; ///< enable directed rounding in the worker process
-  double HeartbeatMs = 100.0;
-  /// Worker-side fault fired on attempt 0 only ("crash"|"hang"|"oomkill";
-  /// empty = none), so the supervised retry demonstrably recovers.
-  std::string Inject;
-};
-
-std::string encodeServeWorkerSpec(const ServeWorkerSpec &S);
-
-/// Decode a worker spec file's contents; false with \p Err on damage.
-bool decodeServeWorkerSpec(const std::string &Text, ServeWorkerSpec &Out,
-                           std::string *Err);
-
 } // namespace genprove
 
 #endif // GENPROVE_SERVE_REQUEST_H

@@ -17,7 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <thread>
 
 #include <poll.h>
@@ -35,50 +35,11 @@ double nowSeconds() {
       .count();
 }
 
-std::string verdictFor(const ProbBounds &B, bool Deterministic) {
-  if (Deterministic) {
-    const char *V = B.Lower >= 1.0   ? "HOLDS"
-                    : B.Upper <= 0.0 ? "NEVER HOLDS"
-                                     : "UNKNOWN";
-    return B.Degraded ? std::string(V) + " (DEGRADED)" : std::string(V);
-  }
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "holds with probability in [%.6f, %.6f]",
-                B.Lower, B.Upper);
-  return B.Degraded ? "DEGRADED; " + std::string(Buf) : std::string(Buf);
-}
-
 void countResponse(const std::string &Status) {
   MetricsRegistry::global()
       .counter(labeledMetricName("serve.responses", "status", Status))
       .add(1);
 }
-
-/// Per-request worker spec file for --isolate (unlinked after the run).
-class WorkerSpecFile {
-public:
-  explicit WorkerSpecFile(const std::string &Contents) {
-    static std::atomic<uint64_t> Seq{0};
-    char Buf[128];
-    std::snprintf(Buf, sizeof(Buf), "/tmp/genprove-serve-%ld-%llu.json",
-                  static_cast<long>(::getpid()),
-                  static_cast<unsigned long long>(
-                      Seq.fetch_add(1, std::memory_order_relaxed)));
-    FilePath = Buf;
-    std::ofstream Out(FilePath, std::ios::trunc);
-    Ok = static_cast<bool>(Out << Contents);
-  }
-  ~WorkerSpecFile() {
-    if (!FilePath.empty())
-      ::unlink(FilePath.c_str());
-  }
-  const std::string &path() const { return FilePath; }
-  bool ok() const { return Ok; }
-
-private:
-  std::string FilePath;
-  bool Ok = false;
-};
 
 } // namespace
 
@@ -142,19 +103,17 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
   const RegisteredModel *Model = Registry.find(Req.Net);
   if (!Model)
     return Reject("unknown net '" + Req.Net + "'");
-  Shape InShape;
-  if (!parseShape(Req.InputShape, InShape))
-    return Reject("bad input_shape '" + Req.InputShape + "'");
-  const int64_t Latent = static_cast<int64_t>(Req.Start.size());
-  if (InShape.numel() != Latent)
-    return Reject("start/end length does not match input_shape");
-  std::vector<OutputSpec> Specs;
-  for (const std::string &Text : Req.Specs) {
-    OutputSpec Spec;
-    parseOutputSpecText(Text, Spec, nullptr); // validated at decode
-    Specs.push_back(std::move(Spec));
-  }
-  if (std::string Why = pipelineShapeError(Model->Pipeline, InShape, Specs);
+  // The request is a one-shard job: an in-process attempt runs the context
+  // an --isolate worker builds from it. Its engine knobs are set below,
+  // once admission and QoS have decided the budget and the rung.
+  ShardJob Job;
+  Job.NetPaths = Model->Paths;
+  Job.InputShape = Req.InputShape;
+  Job.Start = Req.Start;
+  Job.End = Req.End;
+  Job.Specs = Req.Specs;
+  ShardWorkContext Ctx;
+  if (std::string Why = shardJobContext(Job, Model->Pipeline, Ctx);
       !Why.empty())
     return Reject(std::move(Why));
   if (Req.Sound && !Cfg.SoundMode)
@@ -206,13 +165,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         std::clamp(Req.InjectMs, 0.0, 10000.0)));
 
-  ShardWorkContext Ctx;
-  Ctx.Pipeline = Model->Pipeline;
-  Ctx.InputShape = InShape;
-  Ctx.Start = Tensor({1, Latent}, Req.Start);
-  Ctx.End = Tensor({1, Latent}, Req.End);
-  Ctx.Specs = std::move(Specs);
-  Ctx.NumShards = 1;
   GenProveConfig &Conf = Ctx.Config;
   Conf.RelaxPercent = Req.RelaxPercent;
   Conf.ClusterK = Req.ClusterK;
@@ -231,7 +183,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
     // child, is retried up the rung ladder, and ends at the sound
     // interval-box fallback at worst.
     ShardPolicy Policy;
-    Policy.NumShards = 1;
     Policy.MaxRetries = Cfg.RequestRetries;
     Policy.BackoffInitialSeconds = Cfg.BackoffInitialSeconds;
     Policy.BackoffMaxSeconds = Cfg.BackoffMaxSeconds;
@@ -241,37 +192,17 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
                      : Cfg.Qos.DefaultRunSeconds) * 1.5 + 0.25;
     Policy.PollIntervalSeconds = 0.005;
 
-    const auto Fallback = [&Ctx](int64_t Shard) {
-      AttemptPlan Plan;
-      Plan.Shard = Shard;
-      Plan.Rung = ShardRung::IntervalBox;
-      return runShardAttempt(Ctx, Plan);
-    };
-
-    ServeWorkerSpec Spec;
-    Spec.NetPaths = Model->Paths;
-    Spec.InputShape = Req.InputShape;
-    Spec.Start = Req.Start;
-    Spec.End = Req.End;
-    Spec.Specs = Req.Specs;
-    Spec.BudgetBytes = Ticket.budgetBytes();
-    Spec.DeadlineSeconds = Qos.Resilience.DeadlineSeconds;
-    Spec.RelaxPercent = Req.RelaxPercent;
-    Spec.ClusterK = Req.ClusterK;
-    Spec.NodeThreshold = Req.NodeThreshold;
-    Spec.Arcsine = Req.Arcsine;
-    Spec.Sound = Cfg.SoundMode;
-    Spec.HeartbeatMs =
-        std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
+    Job.Config = Conf;
+    // The worker's first attempt fails, so the supervised retry
+    // demonstrably recovers; slow was served above.
     if (Req.Inject != "slow")
-      Spec.Inject = Req.Inject; // slow is handled server-side above
-    WorkerSpecFile File(encodeServeWorkerSpec(Spec));
-    if (!File.ok())
+      Job.Fault.Mode = Req.Inject;
+    std::optional<ShardRunSummary> Run =
+        superviseShardJob(std::move(Job), Model->Pipeline, Policy,
+                          Cfg.ExePath);
+    if (!Run)
       return Reject("cannot stage worker spec file");
-    ProcessShardLauncher Launcher(Cfg.ExePath,
-                                  {"--worker-request", File.path()});
-    ShardSupervisor Supervisor(Policy, Launcher, Fallback);
-    Summary = Supervisor.run();
+    Summary = std::move(*Run);
     Results = Summary.Results;
   } else {
     // In process, the request is one attempt on this connection thread at
@@ -304,7 +235,7 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
     B.Lower = Bounds.Lower;
     B.Upper = Bounds.Upper;
     B.Degraded = Bounds.Degraded;
-    B.Verdict = verdictFor(Bounds, Req.Deterministic);
+    B.Verdict = verdictText(Bounds, Req.Deterministic);
     R.Specs.push_back(std::move(B));
   }
   R.Status = Degraded ? "degraded" : "ok";

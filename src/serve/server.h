@@ -15,10 +15,11 @@
 ///               the resilient engine armed, which turns OOM, non-finite
 ///               values and the deadline into a sound, possibly widened
 ///               bound. Only --isolate contains crashes and hangs: the
-///               attempt runs in a fork/exec'd worker under a
-///               ShardSupervisor with retry/backoff and a sound
-///               interval-box fallback. Slow clients are bounded by
-///               write deadlines in both modes;
+///               request becomes a one-shard ShardJob, and
+///               superviseShardJob (the supervised run genprove_cli
+///               --shards uses) runs it in a fork/exec'd worker with
+///               retry/backoff and a sound interval-box fallback. Slow
+///               clients are bounded by write deadlines in both modes;
 ///   lifecycle   requestStop() (the SIGTERM handler's one call) stops the
 ///               accept loop, sheds the queue, drains in-flight work
 ///               under a deadline and flushes all ObsFlushGuard artifacts.

@@ -2,16 +2,24 @@
 
 #include "src/shard/process_launcher.h"
 
+#include "src/nn/serialize.h"
 #include "src/obs/log.h"
-#include "src/shard/protocol.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
+#include "src/parallel/thread_pool.h"
+#include "src/util/fp.h"
 #include "src/util/io.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include <fcntl.h>
@@ -43,6 +51,60 @@ void untrackChild(pid_t Pid) {
       return;
   }
 }
+
+/// The same for live job files: fixed path slots, each published through
+/// its state (free → being written → live) so the handler only reads a
+/// completely written path.
+enum JobSlotState : int { SlotFree, SlotWriting, SlotLive };
+struct JobFileSlot {
+  std::atomic<int> State{SlotFree};
+  char Path[128] = {};
+};
+constexpr size_t MaxTrackedJobFiles = 64;
+JobFileSlot TrackedJobFiles[MaxTrackedJobFiles];
+
+/// One job file, removed (and untracked) when the supervised run ends.
+class JobFile {
+public:
+  explicit JobFile(const std::string &Contents) {
+    static std::atomic<uint64_t> Seq{0};
+    char Buf[sizeof(JobFileSlot::Path)];
+    std::snprintf(Buf, sizeof(Buf), "/tmp/genprove-job-%ld-%llu.json",
+                  static_cast<long>(::getpid()),
+                  static_cast<unsigned long long>(
+                      Seq.fetch_add(1, std::memory_order_relaxed)));
+    FilePath = Buf;
+    // Tracked before it exists, so an interrupt mid-write removes it too.
+    for (JobFileSlot &S : TrackedJobFiles) {
+      int Expected = SlotFree;
+      if (S.State.compare_exchange_strong(Expected, SlotWriting)) {
+        std::memcpy(S.Path, Buf, sizeof(Buf));
+        S.State.store(SlotLive, std::memory_order_release);
+        Slot = &S;
+        break;
+      }
+    }
+    std::ofstream Out(FilePath, std::ios::trunc);
+    Out << Contents;
+    Out.close();
+    Ok = !Out.fail();
+  }
+  ~JobFile() {
+    ::unlink(FilePath.c_str());
+    if (Slot)
+      Slot->State.store(SlotFree, std::memory_order_release);
+  }
+  JobFile(const JobFile &) = delete;
+  JobFile &operator=(const JobFile &) = delete;
+
+  const std::string &path() const { return FilePath; }
+  bool ok() const { return Ok; }
+
+private:
+  std::string FilePath;
+  JobFileSlot *Slot = nullptr;
+  bool Ok = false;
+};
 
 /// Heartbeat emitter: one protocol line every IntervalMs until destroyed.
 /// Each beat carries the liveness digest (charged state bytes, current
@@ -93,6 +155,12 @@ void killAllShardChildren(int Signal) {
     if (Pid > 0)
       ::kill(Pid, Signal);
   }
+}
+
+void removeShardJobFiles() {
+  for (JobFileSlot &S : TrackedJobFiles)
+    if (S.State.load(std::memory_order_acquire) == SlotLive)
+      ::unlink(S.Path);
 }
 
 ProcessShardLauncher::ProcessShardLauncher(std::string ExePath,
@@ -292,14 +360,123 @@ void ProcessShardLauncher::kill(int64_t Shard) {
   Children.erase(It);
 }
 
-int runWorkerAttempt(const ShardWorkContext &Ctx, const AttemptPlan &Plan,
-                     double HeartbeatMs,
-                     const std::function<ShardTelemetry()> &Telemetry,
-                     const std::function<void()> &Stall) {
+std::optional<ShardRunSummary>
+superviseShardJob(ShardJob Job, const std::vector<const Layer *> &Pipeline,
+                  ShardPolicy Policy, const std::string &ExePath,
+                  ShardSupervisor::AdmitFn Admit) {
+  Policy.NumShards = Job.Shards;
+  Job.Sound = soundRoundingEnabled();
+  // Four heartbeats per timeout, within [10, 250] ms.
+  Job.HeartbeatMs =
+      std::clamp(Policy.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
+  FaultInjector Injector(Job.Faults.value_or(FaultPlan{}));
+  ShardWorkContext Ctx;
+  const std::string Why = shardJobContext(Job, Pipeline, Ctx, &Injector);
+  check(Why.empty(), "a supervised job must fit the coordinator's pipeline");
+
+  const JobFile File(encodeShardJob(Job));
+  if (!File.ok())
+    return std::nullopt;
+  ProcessShardLauncher Launcher(ExePath, {"--worker-request", File.path()});
+  // Last resort for an exhausted shard: the sound interval-box bound,
+  // computed in process (the IntervalBox rung cannot OOM or crash).
+  const auto Fallback = [&](int64_t Shard) {
+    return runShardAttempt(
+        Ctx, {Shard, Policy.MaxRetries + 1, ShardRung::IntervalBox});
+  };
+  ShardSupervisor Supervisor(Policy, Launcher, Fallback, std::move(Admit));
+  return Supervisor.run();
+}
+
+std::optional<int> runShardWorker(int Argc, char **Argv) {
+  if (Argc < 2 || std::strcmp(Argv[1], "--worker-request") != 0)
+    return std::nullopt;
+  const auto Fail = [](const std::string &Why) {
+    std::fprintf(stderr, "shard worker: %s\n", Why.c_str());
+    return 2;
+  };
+  if (Argc < 3)
+    return Fail("--worker-request needs a job file");
+  int64_t Shard = 0, Attempt = 0, Rung = 0;
+  for (int I = 3; I < Argc; I += 2) {
+    const std::string Flag = Argv[I];
+    int64_t *Into = Flag == "--shard-worker"    ? &Shard
+                    : Flag == "--shard-attempt" ? &Attempt
+                    : Flag == "--shard-rung"    ? &Rung
+                                                : nullptr;
+    if (!Into || I + 1 >= Argc || !parseNumber(Argv[I + 1], *Into))
+      return Fail("bad worker argument '" + Flag + "'");
+  }
+
+  std::ifstream In(Argv[2]);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  ShardJob Job;
+  std::string Err;
+  if (!In || !decodeShardJob(Text.str(), Job, &Err))
+    return Fail(std::string("bad job ") + Argv[2] + ": " + Err);
+  if (Shard < 0 || Shard >= Job.Shards)
+    return Fail("shard " + std::to_string(Shard) + " is out of range");
+  if (Job.Sound)
+    setSoundRounding(true);
+  if (Job.Threads > 0)
+    ThreadPool::global().setThreads(Job.Threads);
+  // The planes the coordinator asked for are recorded here and shipped on
+  // the result line, never written to files.
+  if (Job.ShipTrace)
+    setTraceEnabled(true);
+  if (Job.ShipMetrics)
+    setMetricsEnabled(true);
+  if (Job.ShipLog) {
+    setLogEnabled(true);
+    EventLog::global().setRunId(Job.RunId);
+    EventLog::global().setShard(Shard);
+  }
+
+  std::vector<Sequential> Networks;
+  {
+    GENPROVE_SPAN("load_networks");
+    for (const std::string &Path : Job.NetPaths) {
+      std::string Why;
+      std::optional<Sequential> Net = loadNetwork(Path, &Why);
+      if (!Net)
+        return Fail("cannot load network " + Path + ": " + Why);
+      Networks.push_back(std::move(*Net));
+    }
+  }
+  std::vector<const Layer *> Pipeline;
+  for (const Sequential &Net : Networks)
+    Pipeline = concatViews(Pipeline, Net.view());
+  FaultInjector Injector(Job.Faults.value_or(FaultPlan{}));
+  ShardWorkContext Ctx;
+  if (const std::string Why = shardJobContext(Job, Pipeline, Ctx, &Injector);
+      !Why.empty())
+    return Fail(Why);
+
+  const AttemptPlan Plan{Shard, Attempt, shardRungFromInt(Rung)};
+
+  // crash, oomkill and hang fire before heartbeats start (a hang must be
+  // silent for the supervisor's timeout to be what catches it); slow
+  // fires inside the heartbeat scope, so the worker stays visibly alive
+  // through its stall: the external-kill window CI uses.
+  const WorkerFault &Fault = Job.Fault;
+  const bool Fires = !Fault.Mode.empty() && Fault.Shard == Shard &&
+                     Attempt < Fault.Attempts;
+  const auto Stall = [&] {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(Fault.Millis));
+  };
+  if (Fires && Fault.Mode == "crash")
+    std::abort();
+  if (Fires && Fault.Mode == "oomkill")
+    raise(SIGKILL);
+  if (Fires && Fault.Mode == "hang")
+    Stall();
+
   ShardResult Result;
   {
-    HeartbeatThread Beat(Plan.Shard, HeartbeatMs);
-    if (Stall)
+    HeartbeatThread Beat(Shard, std::clamp(Job.HeartbeatMs, 10.0, 250.0));
+    if (Fires && Fault.Mode == "slow")
       Stall();
     Result = runShardAttempt(Ctx, Plan);
   }
@@ -308,10 +485,21 @@ int runWorkerAttempt(const ShardWorkContext &Ctx, const AttemptPlan &Plan,
     // attempt is retryable at a higher rung. (The attempt's telemetry dies
     // with it — an accepted loss; the retry's survives.)
     std::fprintf(stderr, "shard %lld: out of memory\n",
-                 static_cast<long long>(Plan.Shard));
+                 static_cast<long long>(Shard));
     return 3;
   }
-  const ShardTelemetry Tel = Telemetry ? Telemetry() : ShardTelemetry();
+  // The supervisor folds the metrics into its registry (totals plus a
+  // shard=<id> dimension), splices the trace events into the unified
+  // timeline under pid = shard+1, and the log records verbatim.
+  ShardTelemetry Tel;
+  if (Job.ShipMetrics) {
+    Tel.HasMetrics = true;
+    Tel.Metrics = MetricsSnapshot::capture(MetricsRegistry::global());
+  }
+  if (Job.ShipTrace)
+    Tel.Trace = TraceSession::global().events();
+  if (Job.ShipLog)
+    Tel.Log = EventLog::global().records();
   const std::string Line =
       encodeShardResult(Result, Tel.empty() ? nullptr : &Tel);
   std::fprintf(stdout, "%s\n", Line.c_str());

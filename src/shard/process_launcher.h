@@ -1,10 +1,13 @@
-//===- shard/process_launcher.h - fork/exec worker launcher ----*- C++ -*-===//
+//===- shard/process_launcher.h - fork/exec shard workers ------*- C++ -*-===//
 ///
 /// \file
-/// The production ShardWorkerLauncher: each attempt forks and re-execs
-/// this binary (`/proc/self/exe`) with `--shard-worker K` plus the
-/// attempt's rung/attempt flags, captures the worker's stdout through a
-/// non-blocking pipe, and classifies the exit status:
+/// Process-isolated shard workers, both sides. The coordinator side is
+/// superviseShardJob: it writes one ShardJob file and supervises one
+/// worker process per shard through ProcessShardLauncher, which forks and
+/// re-execs this binary (`/proc/self/exe`) with `--worker-request FILE
+/// --shard-worker K --shard-attempt A --shard-rung R`, captures the
+/// worker's stdout through a non-blocking pipe, and classifies the exit
+/// status:
 ///
 ///   exit 0/4 + a valid result line  → Ok
 ///   exit 3 (simulated-device OOM)   → Oom       (retryable)
@@ -17,11 +20,11 @@
 /// live thread pool, and a forked child inheriting its locked state would
 /// deadlock in malloc. Re-exec gives every worker a pristine process.
 ///
-/// Live worker pids are mirrored into an async-signal-safe registry so the
-/// CLI's SIGINT/SIGTERM handler can kill the whole brood before exiting.
-///
-/// runWorkerAttempt is the worker side of the same contract, shared by
-/// `genprove_cli --shard-worker` and `genprove_serve --worker-request`.
+/// The worker side is runShardWorker, the first call in the main of
+/// `genprove_cli` and `genprove_serve`. Live worker pids and job files are
+/// mirrored into an async-signal-safe registry so the CLI's
+/// SIGINT/SIGTERM handler can kill the whole brood and remove the job
+/// file before exiting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +34,8 @@
 #include "src/shard/protocol.h"
 #include "src/shard/supervisor.h"
 
-#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,12 +47,15 @@ namespace genprove {
 /// from the coordinator's SIGINT/SIGTERM handler.
 void killAllShardChildren(int Signal);
 
+/// Remove every live job file of a supervised run. Async-signal-safe, for
+/// the same handler.
+void removeShardJobFiles();
+
 /// Fork/exec launcher over this very binary.
 class ProcessShardLauncher : public ShardWorkerLauncher {
 public:
   /// \p BaseArgs is the worker argv *without* argv[0] and without the
-  /// shard-attempt flags (the coordinator's own args minus the
-  /// coordinator-only ones); launch() appends
+  /// shard-attempt flags (`--worker-request FILE`); launch() appends
   /// `--shard-worker K --shard-attempt A --shard-rung R`.
   /// \p ExePath is the binary to exec (normally /proc/self/exe).
   ProcessShardLauncher(std::string ExePath, std::vector<std::string> BaseArgs);
@@ -87,18 +93,30 @@ private:
   std::map<int64_t, Child> Children;
 };
 
-/// Worker side: run \p Plan on \p Ctx while a heartbeat thread prints one
-/// heartbeat line (with the RunLiveness digest) every \p HeartbeatMs, then
-/// end the attempt the way ProcessShardLauncher classifies it. Returns the
-/// exit code: 3 with no result line on simulated-device OOM; otherwise one
-/// result line on stdout, carrying \p Telemetry's capture when non-empty,
-/// and 4 when the result is degraded, else 0. \p Stall, when set, runs
-/// inside the heartbeat scope before the attempt (an injected slow fault:
-/// the worker stays visibly alive through it).
-int runWorkerAttempt(const ShardWorkContext &Ctx, const AttemptPlan &Plan,
-                     double HeartbeatMs,
-                     const std::function<ShardTelemetry()> &Telemetry = {},
-                     const std::function<void()> &Stall = {});
+/// Coordinator side: certify \p Job's shards in supervised worker
+/// processes. Writes the job to `/tmp/genprove-job-<pid>-<seq>.json`, runs
+/// a ShardSupervisor (with \p Policy, its NumShards taken from the job,
+/// and \p Admit) over a ProcessShardLauncher re-execing \p ExePath, bounds
+/// exhausted shards with the in-process interval-box runShardAttempt over
+/// \p Pipeline, and removes the file. The job's sound flag and heartbeat
+/// interval are set here from the process's rounding mode and the
+/// policy's heartbeat timeout. nullopt when the job file cannot be
+/// written.
+std::optional<ShardRunSummary>
+superviseShardJob(ShardJob Job, const std::vector<const Layer *> &Pipeline,
+                  ShardPolicy Policy, const std::string &ExePath,
+                  ShardSupervisor::AdmitFn Admit = {});
+
+/// Worker side. When \p Argv is `--worker-request FILE` plus the
+/// launcher's `--shard-worker K --shard-attempt A --shard-rung R`, run
+/// that attempt and return the process exit code; nullopt for any other
+/// command line. The worker validates the job (exit 2 on a damaged job,
+/// an unloadable network or a shape that does not fit), fires the job's
+/// injected fault, heartbeats while runShardAttempt propagates, and ends
+/// the way ProcessShardLauncher classifies: exit 3 with no result line on
+/// simulated-device OOM, otherwise one result line carrying the requested
+/// telemetry, with exit 4 when the result is degraded and 0 when not.
+std::optional<int> runShardWorker(int Argc, char **Argv);
 
 } // namespace genprove
 

@@ -4,6 +4,7 @@
 
 #include "src/obs/json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -377,6 +378,175 @@ bool decodeShardResult(const std::string &Line, ShardResult &Out,
         }
     }
   }
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// ShardJob
+//===----------------------------------------------------------------------===//
+
+std::string encodeShardJob(const ShardJob &Job) {
+  const GenProveConfig &C = Job.Config;
+  JsonWriter W;
+  const auto Array = [&](const char *Key, const auto &Items) {
+    W.key(Key).beginArray();
+    for (const auto &Item : Items)
+      W.value(Item);
+    W.endArray();
+  };
+  W.beginObject();
+  Array("nets", Job.NetPaths);
+  W.key("input_shape").value(Job.InputShape);
+  Array("start", Job.Start);
+  Array("end", Job.End);
+  Array("specs", Job.Specs);
+  W.key("shards").value(Job.Shards);
+  W.key("budget_bytes").value(static_cast<int64_t>(C.MemoryBudgetBytes));
+  W.key("deadline_s").value(C.Resilience.DeadlineSeconds);
+  W.key("p").value(C.RelaxPercent);
+  W.key("k").value(C.ClusterK);
+  W.key("threshold").value(C.NodeThreshold);
+  W.key("arcsine").value(C.Distribution == ParamDistribution::Arcsine);
+  W.key("schedule").value(static_cast<int64_t>(C.Schedule));
+  W.key("resilient").value(C.Resilience.Enabled);
+  if (Job.Faults) {
+    W.key("faults").beginObject();
+    W.key("oom_layer").value(Job.Faults->OomAtLayer);
+    W.key("oom_count").value(Job.Faults->OomFireCount);
+    W.key("nan_layer").value(Job.Faults->NanAtLayer);
+    W.key("clock_skew_s").value(Job.Faults->ClockSkewSecondsPerLayer);
+    W.key("clock_start_s").value(Job.Faults->ClockStartSeconds);
+    W.endObject();
+  }
+  W.key("sound").value(Job.Sound);
+  W.key("heartbeat_ms").value(Job.HeartbeatMs);
+  W.key("inject").value(Job.Fault.Mode);
+  W.key("inject_shard").value(Job.Fault.Shard);
+  W.key("inject_attempts").value(Job.Fault.Attempts);
+  W.key("inject_ms").value(Job.Fault.Millis);
+  W.key("threads").value(Job.Threads);
+  W.key("ship_metrics").value(Job.ShipMetrics);
+  W.key("ship_trace").value(Job.ShipTrace);
+  W.key("ship_log").value(Job.ShipLog);
+  W.key("run_id").value(Job.RunId);
+  W.endObject();
+  return W.str();
+}
+
+bool decodeShardJob(const std::string &Text, ShardJob &Out, std::string *Err) {
+  Out = ShardJob{};
+  const auto Fail = [&](std::string What) {
+    if (Err)
+      *Err = std::move(What);
+    return false;
+  };
+  JsonValue V;
+  std::string ParseErr;
+  if (!parseJson(Text, V, &ParseErr))
+    return Fail(ParseErr);
+  if (V.K != JsonValue::Kind::Object)
+    return Fail("job is not an object");
+
+  // Absent optional keys keep the default-constructed job's values.
+  const auto Num = [](const JsonValue &O, const char *Key, double &Into) {
+    if (const JsonValue *F = O.find(Key))
+      Into = F->numberOr(Into);
+  };
+  const auto Int = [](const JsonValue &O, const char *Key, int64_t &Into) {
+    if (const JsonValue *F = O.find(Key))
+      Into = F->intOr(Into);
+  };
+  const auto Flag = [&](const char *Key, bool &Into) {
+    if (const JsonValue *F = V.find(Key))
+      Into = F->boolOr(Into);
+  };
+  const auto Str = [&](const char *Key, std::string &Into) {
+    if (const JsonValue *F = V.find(Key))
+      Into = F->stringOr("");
+  };
+  const auto Texts = [&](const char *Key, std::vector<std::string> &Into) {
+    const JsonValue *A = V.find(Key);
+    if (!A || A->K != JsonValue::Kind::Array || A->Items.empty())
+      return false;
+    for (const JsonValue &E : A->Items) {
+      if (E.K != JsonValue::Kind::String || E.Str.empty())
+        return false;
+      Into.push_back(E.Str);
+    }
+    return true;
+  };
+  const auto Finite = [&](const char *Key, std::vector<double> &Into) {
+    const JsonValue *A = V.find(Key);
+    if (!A || A->K != JsonValue::Kind::Array || A->Items.empty())
+      return false;
+    for (const JsonValue &E : A->Items) {
+      if (E.K != JsonValue::Kind::Number || !std::isfinite(E.Num))
+        return false;
+      Into.push_back(E.Num);
+    }
+    return true;
+  };
+  if (!Texts("nets", Out.NetPaths))
+    return Fail("job needs a non-empty array of network paths");
+  Str("input_shape", Out.InputShape);
+  if (!Finite("start", Out.Start) || !Finite("end", Out.End))
+    return Fail("job start and end must be non-empty arrays of finite "
+                "numbers");
+  if (Out.Start.size() != Out.End.size())
+    return Fail("job start and end have different lengths");
+  if (!Texts("specs", Out.Specs))
+    return Fail("job needs a non-empty array of specs");
+  for (const std::string &Spec : Out.Specs) {
+    OutputSpec Parsed;
+    std::string Why;
+    if (!parseOutputSpecText(Spec, Parsed, &Why))
+      return Fail("job spec '" + Spec + "': " + Why);
+  }
+  Int(V, "shards", Out.Shards);
+  if (Out.Shards < 1)
+    return Fail("job needs shards >= 1");
+
+  GenProveConfig &C = Out.Config;
+  int64_t Budget = 0, Schedule = 0;
+  Int(V, "budget_bytes", Budget);
+  C.MemoryBudgetBytes = static_cast<size_t>(std::max<int64_t>(Budget, 0));
+  Num(V, "deadline_s", C.Resilience.DeadlineSeconds);
+  Num(V, "p", C.RelaxPercent);
+  Num(V, "k", C.ClusterK);
+  Int(V, "threshold", C.NodeThreshold);
+  bool Arcsine = false;
+  Flag("arcsine", Arcsine);
+  if (Arcsine)
+    C.Distribution = ParamDistribution::Arcsine;
+  Int(V, "schedule", Schedule);
+  C.Schedule = static_cast<RefinementSchedule>(std::clamp<int64_t>(
+      Schedule, 0, static_cast<int64_t>(RefinementSchedule::B)));
+  Flag("resilient", C.Resilience.Enabled);
+  if (const JsonValue *F = V.find("faults");
+      F && F->K == JsonValue::Kind::Object) {
+    FaultPlan &Plan = Out.Faults.emplace();
+    Int(*F, "oom_layer", Plan.OomAtLayer);
+    Int(*F, "oom_count", Plan.OomFireCount);
+    Int(*F, "nan_layer", Plan.NanAtLayer);
+    Num(*F, "clock_skew_s", Plan.ClockSkewSecondsPerLayer);
+    Num(*F, "clock_start_s", Plan.ClockStartSeconds);
+  }
+  Flag("sound", Out.Sound);
+  Num(V, "heartbeat_ms", Out.HeartbeatMs);
+  WorkerFault &Fault = Out.Fault;
+  Str("inject", Fault.Mode);
+  if (!Fault.Mode.empty() && Fault.Mode != "crash" && Fault.Mode != "hang" &&
+      Fault.Mode != "oomkill" && Fault.Mode != "slow")
+    return Fail("job has an unknown fault mode '" + Fault.Mode +
+                "' (crash|hang|oomkill|slow)");
+  Int(V, "inject_shard", Fault.Shard);
+  Int(V, "inject_attempts", Fault.Attempts);
+  Num(V, "inject_ms", Fault.Millis);
+  Int(V, "threads", Out.Threads);
+  Flag("ship_metrics", Out.ShipMetrics);
+  Flag("ship_trace", Out.ShipTrace);
+  Flag("ship_log", Out.ShipLog);
+  Str("run_id", Out.RunId);
   return true;
 }
 

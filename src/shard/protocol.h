@@ -1,9 +1,10 @@
 //===- shard/protocol.h - Coordinator/worker wire protocol -----*- C++ -*-===//
 ///
 /// \file
-/// The pipe protocol between the shard coordinator and its worker
-/// processes: newline-delimited JSON messages on the worker's stdout,
-/// written with the src/obs/json JsonWriter and read back with its
+/// The protocol between the shard coordinator and its worker processes.
+/// The coordinator hands every worker the same job (ShardJob, one JSON
+/// file); workers answer with newline-delimited JSON messages on their
+/// stdout, written with the src/obs/json JsonWriter and read back with its
 /// parser. Two message types:
 ///
 ///  * heartbeat — `{"type":"heartbeat","shard":K,"seq":N,
@@ -28,16 +29,75 @@
 #ifndef GENPROVE_SHARD_PROTOCOL_H
 #define GENPROVE_SHARD_PROTOCOL_H
 
+#include "src/core/genprove.h"
+#include "src/domains/fault_injection.h"
 #include "src/obs/log.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/shard/shard.h"
 
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace genprove {
+
+/// A worker-process fault injected for the CI smoke jobs: shard Shard's
+/// attempts fail while their index is below Attempts. crash aborts,
+/// oomkill raises SIGKILL, hang sleeps Millis without heartbeats (the
+/// supervisor's heartbeat timeout must catch it), slow sleeps Millis while
+/// heartbeating.
+struct WorkerFault {
+  std::string Mode; ///< empty (none) | crash | hang | oomkill | slow
+  int64_t Shard = 0;
+  int64_t Attempts = 1;
+  double Millis = 600000.0;
+};
+
+/// The coordinator→worker job, shared by `genprove_cli --shards` and
+/// `genprove_serve --isolate`: everything a worker process needs to
+/// certify one shard of one latent segment. The coordinator writes it to
+/// one file and re-execs itself once per attempt with `--worker-request
+/// FILE --shard-worker K --shard-attempt A --shard-rung R`. Workers load
+/// the networks from NetPaths themselves, so a crashed propagation cannot
+/// corrupt the coordinator's resident copy.
+struct ShardJob {
+  std::vector<std::string> NetPaths;
+  std::string InputShape;
+  std::vector<double> Start;
+  std::vector<double> End;
+  std::vector<std::string> Specs; ///< OutputSpec texts
+  int64_t Shards = 1;
+  /// The engine configuration. The job carries the per-shard memory
+  /// budget, p, k, the node threshold, the distribution, the refinement
+  /// schedule and the resilience switch and deadline; a worker runs every
+  /// other field at its default (runShardAttempt fixes the analysis mode
+  /// and the input splits itself).
+  GenProveConfig Config;
+  /// The engine fault plan, when the coordinator armed one.
+  std::optional<FaultPlan> Faults;
+  bool Sound = false; ///< enable directed rounding in the worker process
+  WorkerFault Fault;
+  int64_t Threads = 0; ///< worker pool size; 0 = the default
+  double HeartbeatMs = 100.0;
+  /// Telemetry planes the worker records and ships on its result line.
+  bool ShipMetrics = false;
+  bool ShipTrace = false;
+  bool ShipLog = false;
+  std::string RunId; ///< stamped on shipped log records
+};
+
+/// The job as one JSON object. Doubles are %.17g, so a worker certifies
+/// bit for bit the segment the coordinator holds.
+std::string encodeShardJob(const ShardJob &Job);
+
+/// Decode a job file's contents; false with the reason in \p Err on
+/// damage (no networks, start/end arrays that are empty, non-finite or of
+/// different lengths, an invalid spec text, fewer than one shard or an
+/// unknown fault mode). Whether the job fits its networks is the
+/// worker's check.
+bool decodeShardJob(const std::string &Text, ShardJob &Out, std::string *Err);
 
 /// Typed wire-level failure for the newline-JSON framing shared by the
 /// shard pipe and the genprove_serve sockets. Distinct from message-level

@@ -12,17 +12,15 @@ namespace genprove {
 
 std::vector<ShardRange> planShards(int64_t NumShards) {
   const int64_t N = std::max<int64_t>(NumShards, 1);
+  // The parameter ranges of the pieces the workers certify, read off a
+  // one-value segment.
+  const Tensor Point({1, 1});
+  const ParamCdf Uniform = makeCdf(ParamDistribution::Uniform);
   std::vector<ShardRange> Plan;
   Plan.reserve(static_cast<size_t>(N));
   for (int64_t I = 0; I < N; ++I) {
-    ShardRange R;
-    R.Index = I;
-    // Shared boundaries are computed once per cut point (k/N evaluated
-    // identically for shard k-1's T1 and shard k's T0), so the partition
-    // is exactly disjoint and covering in floating point.
-    R.T0 = static_cast<double>(I) / static_cast<double>(N);
-    R.T1 = I + 1 == N ? 1.0 : static_cast<double>(I + 1) / static_cast<double>(N);
-    Plan.push_back(R);
+    const Region Piece = segmentPiece(Point, Point, I, N, Uniform);
+    Plan.push_back(ShardRange{I, Piece.T0, Piece.T1});
   }
   return Plan;
 }

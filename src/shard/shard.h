@@ -35,9 +35,10 @@ struct ShardRange {
   double T1 = 1.0;
 };
 
-/// Cut [0, 1] into \p NumShards equal, disjoint, covering sub-ranges
-/// (shard k owns [k/N, (k+1)/N]; the boundaries are exact at the shared
-/// endpoints, so no parameter mass is dropped or double-counted).
+/// Cut [0, 1] into \p NumShards equal, disjoint, covering sub-ranges: the
+/// parameter ranges of segmentPiece's pieces (shard k owns [k/N,
+/// (k+1)/N]; the boundaries are exact at the shared endpoints, so no
+/// parameter mass is dropped or double-counted).
 std::vector<ShardRange> planShards(int64_t NumShards);
 
 /// Per-spec partial bounds contributed by one shard: the probability mass

@@ -447,6 +447,41 @@ ShardRunSummary ShardSupervisor::run() {
 // runShardAttempt — the worker's actual job
 //===----------------------------------------------------------------------===//
 
+std::string shardJobContext(const ShardJob &Job,
+                            const std::vector<const Layer *> &Pipeline,
+                            ShardWorkContext &Ctx, FaultInjector *Injector) {
+  Ctx.Pipeline = Pipeline;
+  if (!parseShape(Job.InputShape, Ctx.InputShape))
+    return "bad input_shape '" + Job.InputShape + "'";
+  const int64_t Latent = static_cast<int64_t>(Job.Start.size());
+  if (Ctx.InputShape.numel() != Latent)
+    return "start/end length does not match input_shape";
+  Ctx.Start = Tensor({1, Latent}, Job.Start);
+  Ctx.End = Tensor({1, Latent}, Job.End);
+  for (const std::string &Text : Job.Specs) {
+    OutputSpec Spec;
+    std::string Err;
+    if (!parseOutputSpecText(Text, Spec, &Err))
+      return "spec '" + Text + "': " + Err;
+    Ctx.Specs.push_back(std::move(Spec));
+  }
+  if (std::string Why =
+          pipelineShapeError(Pipeline, Ctx.InputShape, Ctx.Specs);
+      !Why.empty())
+    return Why;
+  Ctx.NumShards = Job.Shards;
+  Ctx.Config = Job.Config;
+  ResilienceConfig &Res = Ctx.Config.Resilience;
+  check(!Job.Faults || Injector, "a job's fault plan needs an injector");
+  Res.Faults = Job.Faults ? Injector : nullptr;
+  Res.Clock = nullptr;
+  // A skewed injected clock replaces the wall clock, so deadline runs are
+  // deterministic.
+  if (Job.Faults && Job.Faults->ClockSkewSecondsPerLayer > 0.0)
+    Res.Clock = Injector->clock();
+  return {};
+}
+
 ShardResult runShardAttempt(const ShardWorkContext &Ctx,
                             const AttemptPlan &Plan) {
   GenProveConfig Cfg = Ctx.Config;
@@ -459,27 +494,11 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
     Cfg.Resilience.Enabled = true;
   Cfg.Resilience.StartAtFullBox = Plan.Rung == ShardRung::IntervalBox;
 
-  const std::vector<ShardRange> Ranges = planShards(Ctx.NumShards);
-  const size_t Index =
-      static_cast<size_t>(std::clamp<int64_t>(Plan.Shard, 0,
-                                              static_cast<int64_t>(Ranges.size()) - 1));
-  const ShardRange Range = Ranges[Index];
-
-  const Tensor A = Ctx.Start.reshaped({1, Ctx.Start.numel()});
-  const Tensor B = Ctx.End.reshaped({1, Ctx.End.numel()});
-
-  Tensor PartStart({1, A.numel()});
-  Tensor PartEnd({1, A.numel()});
-  for (int64_t J = 0; J < A.numel(); ++J) {
-    PartStart[J] = A[J] + Range.T0 * (B[J] - A[J]);
-    PartEnd[J] = A[J] + Range.T1 * (B[J] - A[J]);
-  }
-  const ParamCdf Cdf = makeCdf(Cfg.Distribution);
-  const double Weight = Cdf(Range.T1) - Cdf(Range.T0);
-
+  const int64_t Pieces = std::max<int64_t>(Ctx.NumShards, 1);
   std::vector<Region> Initial;
-  Initial.push_back(
-      makeSegmentRegion(PartStart, PartEnd, Weight, Range.T0, Range.T1));
+  Initial.push_back(segmentPiece(Ctx.Start, Ctx.End,
+                                 std::clamp<int64_t>(Plan.Shard, 0, Pieces - 1),
+                                 Pieces, makeCdf(Cfg.Distribution)));
 
   const GenProve GP(Cfg);
   const PropagatedState State =

@@ -1,12 +1,14 @@
 //===- shard/supervisor.h - Shard supervision and retry ladder -*- C++ -*-===//
 ///
 /// \file
-/// The supervision layer of the sharded certification path (ROADMAP item
-/// 4): a coordinator partitions the input-parameter range with planShards,
-/// hands each shard to a worker through an abstract ShardWorkerLauncher,
-/// and babysits the workers with heartbeats, per-shard deadlines and
-/// exit-status classification. A failed attempt is retried with
-/// exponential backoff, each retry escalating the *supervision rung*:
+/// The supervision layer of the sharded certification path, run by
+/// `genprove_cli --shards` and `genprove_serve --isolate` alike through
+/// superviseShardJob (shard/process_launcher.h): shard k certifies piece k
+/// of the input-parameter range (segmentPiece), each attempt runs through
+/// an abstract ShardWorkerLauncher, and the supervisor babysits the
+/// workers with heartbeats, per-shard deadlines and exit-status
+/// classification. A failed attempt is retried with exponential backoff,
+/// each retry escalating the *supervision rung*:
 ///
 ///   attempt 0  Configured   — the user's exact configuration;
 ///   attempt 1  Resilient    — the PR-3 degradation ladder switched on, so
@@ -174,7 +176,7 @@ struct WorkerPoll {
 };
 
 /// Abstraction over "run one shard attempt somewhere". The production
-/// implementation forks a genprove_cli --shard-worker process
+/// implementation fork/execs a worker process on the run's job file
 /// (shard/process_launcher.h); tests use scripted launchers.
 /// At most one live attempt per shard at a time, keyed by shard index.
 class ShardWorkerLauncher {
@@ -265,8 +267,20 @@ struct ShardWorkContext {
   int64_t NumShards = 1;
 };
 
+/// The work \p Job describes over its loaded networks \p Pipeline: what a
+/// worker runs, what its coordinator's fallback runs, and what an
+/// in-process served request runs. When the job carries a fault plan,
+/// \p Injector (the caller's, built from that plan) drives the engine.
+/// Empty on success, else why the job does not fit the pipeline (a
+/// malformed shape, endpoints of another length, an invalid spec, a layer
+/// or spec width the shape does not reach).
+std::string shardJobContext(const ShardJob &Job,
+                            const std::vector<const Layer *> &Pipeline,
+                            ShardWorkContext &Ctx,
+                            FaultInjector *Injector = nullptr);
+
 /// Run one attempt: restrict the segment to the shard's parameter
-/// sub-range (same Section 5.2 partition as GenProveConfig::InputSplits),
+/// sub-range (segmentPiece, the partition GenProveConfig::InputSplits uses),
 /// apply the supervision rung, propagate, and project per-spec partial
 /// bounds. Always probabilistic — the deterministic collapse is only
 /// meaningful on the *merged* bounds, so the coordinator applies it after

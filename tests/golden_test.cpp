@@ -23,6 +23,7 @@
 #include "src/core/genprove.h"
 #include "src/domains/box_domain.h"
 #include "src/domains/hybrid_zonotope.h"
+#include "src/domains/prop_cache.h"
 #include "src/domains/zonotope.h"
 #include "src/nn/architectures.h"
 #include "src/parallel/thread_pool.h"
@@ -234,8 +235,10 @@ std::vector<OutputSpec> liftedSpecs(const Pipeline &P) {
 std::vector<std::pair<std::string, Record>> runAnalyses(const Pipeline &P) {
   std::vector<std::pair<std::string, Record>> Out;
 
+  // Goldens are cold runs: nothing in this suite leaves the process-wide
+  // propagation cache configured.
+  EXPECT_FALSE(PropagationCache::global().enabled());
   GenProveConfig Exact; // GenProve^0: exact probabilistic
-  Exact.UseCache = false;
   const GenProve ExactAnalyzer(Exact);
   const PropagatedState ExactState =
       ExactAnalyzer.propagateSegment(P.Layers, P.InputShape, P.Start, P.End);

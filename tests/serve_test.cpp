@@ -4,7 +4,8 @@
 /// (including the zero-time interval-box band), admission control
 /// (budget slicing, bounded queue, FIFO order, shed reasons, drain),
 /// the wire codec (verify round-trip, typed malformed/bad_request
-/// errors, worker-spec round-trip), and an end-to-end Unix-socket test:
+/// errors, the worker job round-trip and its damaged-job refusals), and
+/// an end-to-end Unix-socket test:
 /// a live Server answering ping/verify/stats, shedding under load,
 /// surviving injected faults in --isolate worker processes, refusing them
 /// in process, and draining on requestStop.
@@ -19,6 +20,7 @@
 #include "src/serve/registry.h"
 #include "src/serve/request.h"
 #include "src/serve/server.h"
+#include "src/shard/protocol.h"
 #include "src/util/rng.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,40 +273,125 @@ TEST(ServeCodec, ResponseEncodingCarriesStatusFields) {
   EXPECT_EQ(Ok.find("retry_after_ms"), std::string::npos);
 }
 
-TEST(ServeCodec, WorkerSpecRoundTrips) {
-  ServeWorkerSpec S;
-  S.NetPaths = {"/tmp/a.gpn", "/tmp/b.gpn"};
-  S.InputShape = "1x4";
-  S.Start = {0.0, 0.25, -1.5, 3.0};
-  S.End = {1.0, 0.5, 1.5, -3.0};
-  S.Specs = {"argmax:0:3", "sign:1:+:4"};
-  S.BudgetBytes = 1u << 20;
-  S.DeadlineSeconds = 1.5;
-  S.RelaxPercent = 0.02;
-  S.ClusterK = 42.0;
-  S.NodeThreshold = 99;
-  S.Arcsine = true;
-  S.Sound = true;
-  S.HeartbeatMs = 25.0;
-  S.Inject = "crash";
+/// The bits of a double, so -0.0 and 0.0 (and every payload) compare
+/// apart.
+uint64_t bitsOf(double V) {
+  uint64_t Bits = 0;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
 
-  ServeWorkerSpec Out;
+std::vector<uint64_t> bitsOf(const std::vector<double> &Vs) {
+  std::vector<uint64_t> Out;
+  for (double V : Vs)
+    Out.push_back(bitsOf(V));
+  return Out;
+}
+
+/// A job with every field set away from its default, and doubles that only
+/// a %.17g round trip keeps.
+ShardJob fullJob() {
+  ShardJob J;
+  J.NetPaths = {"/tmp/a.gpn", "/tmp/b.gpn"};
+  J.InputShape = "1x4";
+  J.Start = {0.1, -0.0, 5e-324, 1.7976931348623157e308};
+  J.End = {1.0, 0.5, -5e-324, -1.7976931348623157e308};
+  J.Specs = {"argmax:0:3", "sign:1:+:4"};
+  J.Shards = 3;
+  J.Config.MemoryBudgetBytes = (1u << 20) + 7;
+  J.Config.Resilience.DeadlineSeconds = 0.1;
+  J.Config.RelaxPercent = 0.1;
+  J.Config.ClusterK = 42.5;
+  J.Config.NodeThreshold = 99;
+  J.Config.Distribution = ParamDistribution::Arcsine;
+  J.Config.Schedule = RefinementSchedule::B;
+  J.Config.Resilience.Enabled = true;
+  FaultPlan Faults;
+  Faults.OomAtLayer = 2;
+  Faults.OomFireCount = 3;
+  Faults.NanAtLayer = 4;
+  Faults.ClockSkewSecondsPerLayer = 0.1;
+  Faults.ClockStartSeconds = 5e-324;
+  J.Faults = Faults;
+  J.Sound = true;
+  J.Fault.Mode = "slow";
+  J.Fault.Shard = 2;
+  J.Fault.Attempts = 3;
+  J.Fault.Millis = 0.1;
+  J.Threads = 2;
+  J.HeartbeatMs = 25.0;
+  J.ShipMetrics = true;
+  J.ShipTrace = true;
+  J.ShipLog = true;
+  J.RunId = "run-7";
+  return J;
+}
+
+TEST(ServeCodec, WorkerSpecRoundTrips) {
+  const ShardJob S = fullJob();
+  ShardJob Out;
   std::string Err;
-  ASSERT_TRUE(decodeServeWorkerSpec(encodeServeWorkerSpec(S), Out, &Err))
-      << Err;
+  ASSERT_TRUE(decodeShardJob(encodeShardJob(S), Out, &Err)) << Err;
   EXPECT_EQ(Out.NetPaths, S.NetPaths);
   EXPECT_EQ(Out.InputShape, S.InputShape);
-  EXPECT_EQ(Out.Start, S.Start);
-  EXPECT_EQ(Out.End, S.End);
+  EXPECT_EQ(bitsOf(Out.Start), bitsOf(S.Start));
+  EXPECT_EQ(bitsOf(Out.End), bitsOf(S.End));
   EXPECT_EQ(Out.Specs, S.Specs);
-  EXPECT_EQ(Out.BudgetBytes, S.BudgetBytes);
-  EXPECT_DOUBLE_EQ(Out.DeadlineSeconds, S.DeadlineSeconds);
-  EXPECT_DOUBLE_EQ(Out.RelaxPercent, S.RelaxPercent);
-  EXPECT_DOUBLE_EQ(Out.ClusterK, S.ClusterK);
-  EXPECT_EQ(Out.NodeThreshold, S.NodeThreshold);
-  EXPECT_TRUE(Out.Arcsine);
+  EXPECT_EQ(Out.Shards, S.Shards);
+  EXPECT_EQ(Out.Config.MemoryBudgetBytes, S.Config.MemoryBudgetBytes);
+  EXPECT_EQ(bitsOf(Out.Config.Resilience.DeadlineSeconds),
+            bitsOf(S.Config.Resilience.DeadlineSeconds));
+  EXPECT_EQ(bitsOf(Out.Config.RelaxPercent), bitsOf(S.Config.RelaxPercent));
+  EXPECT_EQ(bitsOf(Out.Config.ClusterK), bitsOf(S.Config.ClusterK));
+  EXPECT_EQ(Out.Config.NodeThreshold, S.Config.NodeThreshold);
+  EXPECT_EQ(Out.Config.Distribution, ParamDistribution::Arcsine);
+  EXPECT_EQ(Out.Config.Schedule, RefinementSchedule::B);
+  EXPECT_TRUE(Out.Config.Resilience.Enabled);
+  ASSERT_TRUE(Out.Faults.has_value());
+  EXPECT_EQ(Out.Faults->OomAtLayer, 2);
+  EXPECT_EQ(Out.Faults->OomFireCount, 3);
+  EXPECT_EQ(Out.Faults->NanAtLayer, 4);
+  EXPECT_EQ(bitsOf(Out.Faults->ClockSkewSecondsPerLayer), bitsOf(0.1));
+  EXPECT_EQ(bitsOf(Out.Faults->ClockStartSeconds), bitsOf(5e-324));
   EXPECT_TRUE(Out.Sound);
-  EXPECT_EQ(Out.Inject, "crash");
+  EXPECT_EQ(Out.Fault.Mode, "slow");
+  EXPECT_EQ(Out.Fault.Shard, 2);
+  EXPECT_EQ(Out.Fault.Attempts, 3);
+  EXPECT_EQ(bitsOf(Out.Fault.Millis), bitsOf(0.1));
+  EXPECT_EQ(Out.Threads, 2);
+  EXPECT_EQ(bitsOf(Out.HeartbeatMs), bitsOf(25.0));
+  EXPECT_TRUE(Out.ShipMetrics);
+  EXPECT_TRUE(Out.ShipTrace);
+  EXPECT_TRUE(Out.ShipLog);
+  EXPECT_EQ(Out.RunId, "run-7");
+  // An unarmed fault plan stays unarmed.
+  ShardJob Plain = S;
+  Plain.Faults.reset();
+  ASSERT_TRUE(decodeShardJob(encodeShardJob(Plain), Out, &Err)) << Err;
+  EXPECT_FALSE(Out.Faults.has_value());
+
+  // Damaged jobs fail to decode, each with a reason.
+  struct Damage {
+    const char *Name;
+    void (*Apply)(ShardJob &);
+  };
+  const Damage Cases[] = {
+      {"no nets", [](ShardJob &J) { J.NetPaths.clear(); }},
+      {"start/end length mismatch", [](ShardJob &J) { J.End.pop_back(); }},
+      {"NaN endpoint",
+       [](ShardJob &J) {
+         J.Start[1] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"invalid spec", [](ShardJob &J) { J.Specs.push_back("argmax:zero"); }},
+      {"unknown fault mode", [](ShardJob &J) { J.Fault.Mode = "explode"; }},
+  };
+  for (const Damage &D : Cases) {
+    ShardJob Bad = S;
+    D.Apply(Bad);
+    std::string Why;
+    EXPECT_FALSE(decodeShardJob(encodeShardJob(Bad), Out, &Why)) << D.Name;
+    EXPECT_FALSE(Why.empty()) << D.Name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@
 #   tool_exit_test.sh CASE CLI SERVE LOADGEN MKNET WORKDIR
 #
 # CASE: cli-number | cli-shape | cli-input-width | cli-spec-width |
-#       serve-number | serve-worker-shape | loadgen-number. The shape cases
-#       use a real network (written by genprove_mknet, 4 inputs and 3
-#       outputs), so only the shape or the spec is wrong: cli-input-width
-#       feeds it 5-wide endpoints, cli-spec-width a 4-class spec.
+#       serve-number | serve-worker-shape | cli-worker-shape |
+#       loadgen-number. The shape cases use a real network (written by
+#       genprove_mknet, 4 inputs and 3 outputs), so only the shape or the
+#       spec is wrong: cli-input-width feeds it 5-wide endpoints,
+#       cli-spec-width a 4-class spec, and the worker cases hand either
+#       binary's worker entry a job whose input shape does not parse.
 set -u
 name=$1 cli=$2 serve=$3 loadgen=$4 mknet=$5 work=$6/$1
 mkdir -p "$work"
@@ -37,11 +39,13 @@ serve-number)
   "$serve" --socket "$work/serve.sock" --net "tiny=$net/tiny_net.bin" \
     --max-concurrent abc
   ;;
-serve-worker-shape)
+serve-worker-shape | cli-worker-shape)
   printf '{"nets":["%s"],"input_shape":"1xa","start":[0,0,0,0],%s}\n' \
     "$net/tiny_net.bin" '"end":[1,1,1,1],"specs":["argmax:0:3"]' \
     > "$work/spec.json"
-  "$serve" --worker-request "$work/spec.json"
+  tool=$serve
+  [ "$name" = cli-worker-shape ] && tool=$cli
+  "$tool" --worker-request "$work/spec.json"
   ;;
 loadgen-number)
   "$loadgen" --socket "$work/serve.sock" --net tiny --dims 4 \

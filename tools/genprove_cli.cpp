@@ -29,11 +29,15 @@
 // README.md and docs/ROBUSTNESS.md document the contract.
 //
 // With --shards N the region set is partitioned into N disjoint parameter
-// sub-ranges, each certified by a supervised worker process (this binary
-// re-exec'd with --shard-worker); crashes, hangs and OOM-kills are retried
-// with backoff up an escalation ladder and, as a last resort, bounded by a
-// sound interval-box fallback — the merged certificate is then DEGRADED
-// but never wrong. docs/ROBUSTNESS.md describes the supervision ladder.
+// sub-ranges, each certified by a supervised worker process. The run is
+// one ShardJob file handed to superviseShardJob; each worker is this
+// binary re-exec'd with --worker-request JOB --shard-worker K, and its
+// first act is runShardWorker (src/shard/process_launcher.h), the worker
+// entry genprove_serve --isolate shares. Crashes, hangs and OOM-kills are
+// retried with backoff up an escalation ladder and, as a last resort,
+// bounded by a sound interval-box fallback — the merged certificate is
+// then DEGRADED but never wrong. docs/ROBUSTNESS.md describes the
+// supervision ladder.
 //
 // Fault-injection flags (--inject-oom-layer, --inject-oom-count,
 // --inject-nan-layer, --clock-skew-ms, --inject-worker-fault) drive the
@@ -51,7 +55,6 @@
 #include "src/util/parse.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/parallel/thread_pool.h"
 #include "src/shard/process_launcher.h"
@@ -68,9 +71,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -275,10 +278,11 @@ void printLayerReport(const std::vector<LayerRecord> &Layers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Graceful shutdown: SIGINT/SIGTERM kill the worker brood, flush whatever
-// telemetry exists (trace, metrics, Prometheus, JSONL log — one shared
-// flush point, ObsFlushGuard), and exit with the dedicated code 5 so
-// scripts can tell an interrupted run from a failed one.
+// Graceful shutdown: SIGINT/SIGTERM kill the worker brood, remove the job
+// file, flush whatever telemetry exists (trace, metrics, Prometheus, JSONL
+// log — one shared flush point, ObsFlushGuard), and exit with the
+// dedicated code 5 so scripts can tell an interrupted run from a failed
+// one.
 //===----------------------------------------------------------------------===//
 
 std::atomic<bool> ShuttingDown{false};
@@ -288,6 +292,7 @@ void handleShutdownSignal(int) {
   if (ShuttingDown.exchange(true))
     _exit(5);
   killAllShardChildren(SIGKILL);
+  removeShardJobFiles();
   ObsFlushGuard::flushNow();
   _exit(5);
 }
@@ -305,20 +310,9 @@ std::string makeRunId() {
   return Buf;
 }
 
-//===----------------------------------------------------------------------===//
-// Worker-side fault injection (--inject-worker-fault MODE:SHARD[:A[:MS]])
-//===----------------------------------------------------------------------===//
-
-struct WorkerFaultPlan {
-  std::string Mode;      ///< crash | hang | oomkill | slow
-  int64_t Shard = -1;
-  int64_t Attempts = 1;  ///< fires while Attempt < Attempts
-  double Millis = 600000; ///< hang/slow duration
-  bool Active = false;
-};
-
-WorkerFaultPlan parseWorkerFault(const std::string &Text) {
-  WorkerFaultPlan Plan;
+/// --inject-worker-fault MODE:SHARD[:ATTEMPTS[:MS]].
+WorkerFault parseWorkerFault(const std::string &Text) {
+  WorkerFault Plan;
   std::istringstream In(Text);
   std::string Part;
   if (!std::getline(In, Part, ':'))
@@ -336,36 +330,22 @@ WorkerFaultPlan parseWorkerFault(const std::string &Text) {
     Plan.Millis = numberArg<double>("--inject-worker-fault ms", Part);
   if (Plan.Mode == "slow" && Plan.Millis >= 600000)
     Plan.Millis = 2000; // a kill -9 window, not an eternity
-  Plan.Active = true;
   return Plan;
-}
-
-/// Fire the injected fault in a worker, if it applies to this attempt.
-/// crash/oomkill never return; hang sleeps silently (no heartbeats — the
-/// supervisor's timeout must detect it); slow sleeps while the heartbeat
-/// thread keeps beating (CI uses the window to kill -9 from outside).
-void maybeFireWorkerFault(const WorkerFaultPlan &Plan, int64_t Shard,
-                          int64_t Attempt) {
-  if (!Plan.Active || Plan.Shard != Shard || Attempt >= Plan.Attempts)
-    return;
-  if (Plan.Mode == "crash")
-    std::abort();
-  if (Plan.Mode == "oomkill")
-    raise(SIGKILL);
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(Plan.Millis));
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // A --shards worker process: run its shard attempt and exit.
+  if (const std::optional<int> Exit = runShardWorker(Argc, Argv))
+    return *Exit;
+
   std::vector<std::string> NetPaths;
   std::vector<std::string> SpecTexts;
   std::vector<std::string> StartPaths, EndPaths;
   std::string ShapeText;
   std::string TraceOutPath, MetricsOutPath, LogOutPath, PromOutPath;
   std::string RunId;
-  std::string ShardTelemetrySpec; ///< internal: coordinator -> worker
   bool Report = false;
   GenProveConfig Config;
   Config.NodeThreshold = 250;
@@ -373,25 +353,13 @@ int main(int Argc, char **Argv) {
   bool HaveFaults = false;
 
   // Sharding state.
-  int64_t Shards = 0;          ///< 0 = unsharded single-process path
-  int64_t ShardWorker = -1;    ///< >= 0: this process IS worker K
-  int64_t ShardAttempt = 0;
-  int64_t ShardRungFlag = 0;
+  int64_t Shards = 0; ///< 0 = unsharded single-process path
   int64_t ShardRetries = 3;
   double ShardDeadlineMs = 0.0;
   double ShardHeartbeatMs = 2000.0;
   bool SplitsGiven = false;
   int64_t ThreadsGiven = 0;
-  WorkerFaultPlan WorkerFault;
-
-  // Args forwarded verbatim to worker processes. Coordinator-only flags
-  // (--shards is re-added explicitly; telemetry, --deterministic, budget
-  // and threads are recomputed per worker) stay out.
-  std::vector<std::string> WorkerArgs;
-  const auto Forward = [&](std::initializer_list<std::string> Parts) {
-    for (const std::string &P : Parts)
-      WorkerArgs.push_back(P);
-  };
+  WorkerFault InjectedWorkerFault;
 
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
@@ -401,115 +369,73 @@ int main(int Argc, char **Argv) {
       return Argv[++I];
     };
     if (Arg == "--net") {
-      const std::string V = Next();
-      NetPaths.push_back(V);
-      Forward({Arg, V});
+      NetPaths.push_back(Next());
     } else if (Arg == "--input-shape") {
       ShapeText = Next();
-      Forward({Arg, ShapeText});
     } else if (Arg == "--start") {
       StartPaths.push_back(Next());
-      Forward({Arg, StartPaths.back()});
     } else if (Arg == "--end") {
       EndPaths.push_back(Next());
-      Forward({Arg, EndPaths.back()});
     } else if (Arg == "--cache-mb") {
       // Coordinator/local-only: the cache is per-process.
       PropagationCache::global().configure(
           static_cast<size_t>(numberArg<uint64_t>(Arg, Next())) << 20);
     } else if (Arg == "--spec") {
-      const std::string V = Next();
-      SpecTexts.push_back(V);
-      Forward({Arg, V});
+      SpecTexts.push_back(Next());
     } else if (Arg == "--threads") {
       ThreadsGiven = numberArg<int64_t>(Arg, Next());
       ThreadPool::global().setThreads(ThreadsGiven);
     } else if (Arg == "--p") {
-      const std::string V = Next();
-      Config.RelaxPercent = numberArg<double>(Arg, V);
-      Forward({Arg, V});
+      Config.RelaxPercent = numberArg<double>(Arg, Next());
     } else if (Arg == "--k") {
-      const std::string V = Next();
-      Config.ClusterK = numberArg<double>(Arg, V);
-      Forward({Arg, V});
+      Config.ClusterK = numberArg<double>(Arg, Next());
     } else if (Arg == "--threshold") {
-      const std::string V = Next();
-      Config.NodeThreshold = numberArg<int64_t>(Arg, V);
-      Forward({Arg, V});
+      Config.NodeThreshold = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--budget-mb") {
       Config.MemoryBudgetBytes =
           static_cast<size_t>(numberArg<uint64_t>(Arg, Next())) << 20;
-    } else if (Arg == "--budget-bytes") {
-      // Byte-granular budget, used when the coordinator forwards each
-      // worker its exact per-shard slice.
-      Config.MemoryBudgetBytes =
-          static_cast<size_t>(numberArg<uint64_t>(Arg, Next()));
     } else if (Arg == "--deterministic") {
       Config.Mode = AnalysisMode::Deterministic;
     } else if (Arg == "--sound") {
       setSoundRounding(true);
-      Forward({Arg});
     } else if (Arg == "--arcsine") {
       Config.Distribution = ParamDistribution::Arcsine;
-      Forward({Arg});
     } else if (Arg == "--splits") {
       Config.InputSplits = numberArg<int64_t>(Arg, Next());
       SplitsGiven = true;
     } else if (Arg == "--schedule") {
-      const std::string V = Next();
       Config.Schedule =
-          V == "B" ? RefinementSchedule::B : RefinementSchedule::A;
-      Forward({Arg, V});
+          Next() == "B" ? RefinementSchedule::B : RefinementSchedule::A;
     } else if (Arg == "--resilient") {
       Config.Resilience.Enabled = true;
-      Forward({Arg});
     } else if (Arg == "--deadline-ms") {
-      const std::string V = Next();
       Config.Resilience.Enabled = true;
-      Config.Resilience.DeadlineSeconds = numberArg<double>(Arg, V) / 1000.0;
-      Forward({Arg, V});
+      Config.Resilience.DeadlineSeconds =
+          numberArg<double>(Arg, Next()) / 1000.0;
     } else if (Arg == "--shards") {
       Shards = numberArg<int64_t>(Arg, Next());
       if (Shards < 1)
         usage("--shards wants N >= 1");
-    } else if (Arg == "--shard-worker") {
-      ShardWorker = numberArg<int64_t>(Arg, Next());
-    } else if (Arg == "--shard-attempt") {
-      ShardAttempt = numberArg<int64_t>(Arg, Next());
-    } else if (Arg == "--shard-rung") {
-      ShardRungFlag = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-retries") {
       ShardRetries = numberArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-deadline-ms") {
       ShardDeadlineMs = numberArg<double>(Arg, Next());
     } else if (Arg == "--shard-heartbeat-ms") {
-      const std::string V = Next();
-      ShardHeartbeatMs = numberArg<double>(Arg, V);
-      Forward({Arg, V});
+      ShardHeartbeatMs = numberArg<double>(Arg, Next());
     } else if (Arg == "--inject-oom-layer") {
-      const std::string V = Next();
-      Faults.OomAtLayer = numberArg<int64_t>(Arg, V);
+      Faults.OomAtLayer = numberArg<int64_t>(Arg, Next());
       HaveFaults = true;
-      Forward({Arg, V});
     } else if (Arg == "--inject-oom-count") {
-      const std::string V = Next();
-      Faults.OomFireCount = numberArg<int64_t>(Arg, V);
+      Faults.OomFireCount = numberArg<int64_t>(Arg, Next());
       HaveFaults = true;
-      Forward({Arg, V});
     } else if (Arg == "--inject-nan-layer") {
-      const std::string V = Next();
-      Faults.NanAtLayer = numberArg<int64_t>(Arg, V);
+      Faults.NanAtLayer = numberArg<int64_t>(Arg, Next());
       HaveFaults = true;
-      Forward({Arg, V});
     } else if (Arg == "--clock-skew-ms") {
-      const std::string V = Next();
-      Faults.ClockSkewSecondsPerLayer = numberArg<double>(Arg, V) / 1000.0;
+      Faults.ClockSkewSecondsPerLayer = numberArg<double>(Arg, Next()) / 1000.0;
       HaveFaults = true;
-      Forward({Arg, V});
     } else if (Arg == "--inject-worker-fault") {
-      const std::string V = Next();
-      WorkerFault = parseWorkerFault(V);
-      Forward({Arg, V});
+      InjectedWorkerFault = parseWorkerFault(Next());
     } else if (Arg == "--report") {
       Report = true;
     } else if (Arg == "--trace-out") {
@@ -522,11 +448,6 @@ int main(int Argc, char **Argv) {
       PromOutPath = Next();
     } else if (Arg == "--run-id") {
       RunId = Next();
-    } else if (Arg == "--shard-telemetry") {
-      // Internal coordinator->worker flag: which telemetry planes the
-      // worker should record and attach to its result message
-      // (comma-separated subset of metrics,trace,log).
-      ShardTelemetrySpec = Next();
     } else {
       usage(("unknown option: " + Arg).c_str());
     }
@@ -543,13 +464,6 @@ int main(int Argc, char **Argv) {
   if (Shards > 0 && SplitsGiven)
     usage("--shards and --splits are mutually exclusive (a shard is an "
           "input split that runs in its own process)");
-  if (ShardWorker >= 0 && Shards < 1)
-    usage("--shard-worker needs --shards N");
-  if (ShardWorker >= 0 && ShardWorker >= Shards)
-    usage("--shard-worker index out of range");
-
-  const bool IsWorker = ShardWorker >= 0;
-  const bool IsCoordinator = !IsWorker && Shards > 0;
 
   // The fault-injection harness lives for the whole analysis; a skewed
   // clock replaces the wall clock so deadline runs are deterministic.
@@ -560,33 +474,25 @@ int main(int Argc, char **Argv) {
       Config.Resilience.Clock = Injector.clock();
   }
 
-  // Observability is opt-in: every plane defaults off. Workers enable
-  // planes from the coordinator's --shard-telemetry spec instead of from
-  // output paths (they ship data over the result message, never to files).
-  const bool TelMetrics =
-      ShardTelemetrySpec.find("metrics") != std::string::npos;
-  const bool TelTrace = ShardTelemetrySpec.find("trace") != std::string::npos;
-  const bool TelLog = ShardTelemetrySpec.find("log") != std::string::npos;
-  if (!TraceOutPath.empty() || TelTrace)
+  // Observability is opt-in: every plane defaults off. A sharded run's
+  // workers record the same planes and ship them back on their results.
+  if (!TraceOutPath.empty())
     setTraceEnabled(true);
-  if (!MetricsOutPath.empty() || !PromOutPath.empty() || Report || TelMetrics)
+  if (!MetricsOutPath.empty() || !PromOutPath.empty() || Report)
     setMetricsEnabled(true);
-  if (!LogOutPath.empty() || TelLog)
+  if (!LogOutPath.empty())
     setLogEnabled(true);
   if (logEnabled()) {
     if (RunId.empty())
       RunId = makeRunId();
     EventLog::global().setRunId(RunId);
-    if (IsWorker)
-      EventLog::global().setShard(ShardWorker);
   }
 
-  // Graceful shutdown (not in workers: the supervisor owns their
-  // lifecycle, and a worker's SIGKILL/SIGTERM semantics must stay raw so
-  // exit-status classification works). All exit paths — normal returns,
-  // DEGRADED exit 4, SIGINT/SIGTERM exit 5 — flush through the one
-  // ObsFlushGuard below; workers configure no paths so the guard is inert.
-  if (!IsWorker) {
+  // Graceful shutdown. All exit paths — normal returns, DEGRADED exit 4,
+  // SIGINT/SIGTERM exit 5 — flush through the one ObsFlushGuard below.
+  // (Workers never get here: runShardWorker keeps their default signal
+  // dispositions, so exit-status classification works.)
+  {
     ObsFlushGuard::Paths FlushTo;
     FlushTo.Trace = TraceOutPath;
     FlushTo.Metrics = MetricsOutPath;
@@ -650,112 +556,40 @@ int main(int Argc, char **Argv) {
   }
 
   //===--------------------------------------------------------------------===//
-  // Worker mode: certify one shard, speak the wire protocol on stdout.
+  // Sharded: supervise one worker process per shard and merge.
   //===--------------------------------------------------------------------===//
-  if (IsWorker) {
-    // crash/oomkill/hang fire before heartbeats start (a hang must be
-    // silent for the supervisor's timeout to be what catches it); slow
-    // fires inside the heartbeat scope so the worker stays visibly alive
-    // through its stall — that is the external-kill window CI uses.
-    const bool SlowFault = WorkerFault.Active && WorkerFault.Mode == "slow";
-    if (!SlowFault)
-      maybeFireWorkerFault(WorkerFault, ShardWorker, ShardAttempt);
-
-    ShardWorkContext Ctx;
-    Ctx.Pipeline = Pipeline;
-    Ctx.InputShape = InputShape;
-    Ctx.Start = Start;
-    Ctx.End = End;
-    Ctx.Specs = Specs;
-    Ctx.Config = Config; // budget already the per-shard slice
-    Ctx.NumShards = Shards;
-
-    AttemptPlan Plan;
-    Plan.Shard = ShardWorker;
-    Plan.Attempt = ShardAttempt;
-    Plan.Rung = shardRungFromInt(ShardRungFlag);
-
-    // Heartbeats flow for the whole propagation; the emitter interval
-    // stays well under the supervisor's kill timeout. The result line
-    // carries the telemetry planes the coordinator asked for: the
-    // supervisor folds metrics into its registry (totals plus a shard=<id>
-    // dimension), splices trace events into the unified timeline under
-    // pid = shard+1, and splices log records verbatim.
-    const auto Telemetry = [&] {
-      ShardTelemetry Tel;
-      if (TelMetrics) {
-        Tel.HasMetrics = true;
-        Tel.Metrics = MetricsSnapshot::capture(MetricsRegistry::global());
-      }
-      if (TelTrace)
-        Tel.Trace = TraceSession::global().events();
-      if (TelLog)
-        Tel.Log = EventLog::global().records();
-      return Tel;
-    };
-    const auto Stall = [&] {
-      if (SlowFault)
-        maybeFireWorkerFault(WorkerFault, ShardWorker, ShardAttempt);
-    };
-    return runWorkerAttempt(Ctx, Plan,
-                            std::clamp(ShardHeartbeatMs / 4.0, 10.0, 250.0),
-                            Telemetry, Stall);
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Coordinator mode: supervise one worker process per shard and merge.
-  //===--------------------------------------------------------------------===//
-  if (IsCoordinator) {
+  if (Shards > 0) {
+    ShardJob Job;
+    Job.NetPaths = NetPaths;
+    Job.InputShape = ShapeText;
+    Job.Start = Start.values();
+    Job.End = End.values();
+    Job.Specs = SpecTexts;
+    Job.Shards = Shards;
+    Job.Config = Config;
+    // Each worker gets its exact per-shard slice of the budget.
     const size_t PerShardBudget =
         Config.MemoryBudgetBytes == 0
             ? 0
             : std::max<size_t>(Config.MemoryBudgetBytes /
                                    static_cast<size_t>(Shards),
                                1);
-    Forward({"--shards", std::to_string(Shards)});
-    if (PerShardBudget > 0)
-      Forward({"--budget-bytes", std::to_string(PerShardBudget)});
+    Job.Config.MemoryBudgetBytes = PerShardBudget;
+    if (HaveFaults)
+      Job.Faults = Faults;
+    Job.Fault = InjectedWorkerFault;
     if (ThreadsGiven > 0)
-      Forward({"--threads",
-               std::to_string(std::max<int64_t>(ThreadsGiven / Shards, 1))});
-    // Workers record the same telemetry planes the coordinator has
-    // enabled and ship them back on the result message.
-    {
-      std::string Spec;
-      const auto Want = [&](bool On, const char *Name) {
-        if (!On)
-          return;
-        if (!Spec.empty())
-          Spec.push_back(',');
-        Spec.append(Name);
-      };
-      Want(metricsEnabled(), "metrics");
-      Want(traceEnabled(), "trace");
-      Want(logEnabled(), "log");
-      if (!Spec.empty())
-        Forward({"--shard-telemetry", Spec});
-      if (logEnabled())
-        Forward({"--run-id", RunId});
-    }
-
-    GenProveConfig ShardConfig = Config;
-    ShardConfig.MemoryBudgetBytes = PerShardBudget;
-    ShardWorkContext Ctx;
-    Ctx.Pipeline = Pipeline;
-    Ctx.InputShape = InputShape;
-    Ctx.Start = Start;
-    Ctx.End = End;
-    Ctx.Specs = Specs;
-    Ctx.Config = ShardConfig;
-    Ctx.NumShards = Shards;
+      Job.Threads = std::max<int64_t>(ThreadsGiven / Shards, 1);
+    Job.ShipMetrics = metricsEnabled();
+    Job.ShipTrace = traceEnabled();
+    Job.ShipLog = logEnabled();
+    Job.RunId = RunId;
 
     ShardPolicy Policy;
-    Policy.NumShards = Shards;
     Policy.MaxRetries = ShardRetries;
     Policy.ShardDeadlineSeconds = ShardDeadlineMs / 1000.0;
     Policy.HeartbeatTimeoutSeconds = ShardHeartbeatMs / 1000.0;
 
-    ProcessShardLauncher Launcher("/proc/self/exe", WorkerArgs);
     // Coordinator-side admission: a Configured-rung worker whose *input*
     // state already busts the per-shard budget is doomed — skip straight
     // to the resilient rung. Uses the same tryCharge the engine uses, so
@@ -765,22 +599,18 @@ int main(int Argc, char **Argv) {
     const auto Admit = [&](const AttemptPlan &) {
       return Admission.tryChargeState(2, Latent);
     };
-    // Last resort for an exhausted shard: the sound interval-box bound,
-    // computed in-process (the IntervalBox rung cannot OOM or crash).
-    const auto Fallback = [&](int64_t Shard) {
-      AttemptPlan Plan;
-      Plan.Shard = Shard;
-      Plan.Attempt = ShardRetries + 1;
-      Plan.Rung = ShardRung::IntervalBox;
-      return runShardAttempt(Ctx, Plan);
-    };
 
-    ShardSupervisor Supervisor(Policy, Launcher, Fallback, Admit);
     if (logEnabled())
       EventLog::global().emit(LogLevel::Info, "run.start",
                               {{"shards", Shards},
                                {"retries", ShardRetries}});
-    const ShardRunSummary Summary = Supervisor.run();
+    const std::optional<ShardRunSummary> Run = superviseShardJob(
+        std::move(Job), Pipeline, Policy, "/proc/self/exe", Admit);
+    if (!Run) {
+      std::fprintf(stderr, "genprove_cli: cannot write the shard job file\n");
+      return 2;
+    }
+    const ShardRunSummary &Summary = *Run;
     const int64_t NumSpecs = static_cast<int64_t>(Specs.size());
     MergedCertificate Merged = mergeShardResults(Summary.Results, NumSpecs);
     const bool Degraded = Merged.Degraded || Summary.Degraded;
@@ -791,32 +621,21 @@ int main(int Argc, char **Argv) {
                                {"restarts", Summary.Restarts},
                                {"fallbacks", Summary.Fallbacks}});
 
+    const bool Deterministic = Config.Mode == AnalysisMode::Deterministic;
     for (size_t I = 0; I < Specs.size(); ++I) {
       ProbBounds Bounds = Merged.Specs[I];
       Bounds.Degraded = Bounds.Degraded || Degraded;
       // The deterministic collapse happens on the *merged* bounds; a
       // per-shard collapse would destroy the partial masses the merge
       // sums.
-      if (Config.Mode == AnalysisMode::Deterministic)
+      if (Deterministic)
         Bounds = Bounds.deterministic();
       if (Specs.size() > 1)
         std::printf("spec:    %s\n", SpecTexts[I].c_str());
       std::printf("bounds:  [%.6f, %.6f]  width %s\n", Bounds.Lower,
                   Bounds.Upper, formatBound(Bounds.width()).c_str());
-      if (Config.Mode == AnalysisMode::Deterministic) {
-        const char *Verdict = Bounds.Lower >= 1.0   ? "HOLDS"
-                              : Bounds.Upper <= 0.0 ? "NEVER HOLDS"
-                                                    : "UNKNOWN";
-        std::printf("verdict: %s%s\n", Verdict,
-                    Bounds.Degraded ? " (DEGRADED)" : "");
-      } else if (Bounds.Degraded) {
-        std::printf("verdict: DEGRADED; holds with probability in "
-                    "[%.6f, %.6f]\n",
-                    Bounds.Lower, Bounds.Upper);
-      } else {
-        std::printf("verdict: holds with probability in [%.6f, %.6f]\n",
-                    Bounds.Lower, Bounds.Upper);
-      }
+      std::printf("verdict: %s\n",
+                  verdictText(Bounds, Deterministic).c_str());
     }
     std::printf("stats:   %.2fs, %lld regions peak, %lld nodes peak, %s "
                 "device memory, %lld retries\n",
@@ -911,20 +730,12 @@ int main(int Argc, char **Argv) {
         std::printf("spec:    %s\n", SpecTexts[I].c_str());
       std::printf("bounds:  [%.6f, %.6f]  width %s\n", Bounds.Lower,
                   Bounds.Upper, formatBound(Bounds.width()).c_str());
-      if (Config.Mode == AnalysisMode::Deterministic) {
-        const char *Verdict = Bounds.Lower >= 1.0   ? "HOLDS"
-                              : Bounds.Upper <= 0.0 ? "NEVER HOLDS"
-                                                    : "UNKNOWN";
-        std::printf("verdict: %s%s\n", Verdict,
-                    Bounds.Degraded || State.Degraded ? " (DEGRADED)" : "");
-      } else if (Bounds.Degraded || State.Degraded) {
-        std::printf("verdict: DEGRADED; holds with probability in "
-                    "[%.6f, %.6f]\n",
-                    Bounds.Lower, Bounds.Upper);
-      } else {
-        std::printf("verdict: holds with probability in [%.6f, %.6f]\n",
-                    Bounds.Lower, Bounds.Upper);
-      }
+      ProbBounds Shown = Bounds;
+      Shown.Degraded = Bounds.Degraded || State.Degraded;
+      std::printf("verdict: %s\n",
+                  verdictText(Shown, Config.Mode ==
+                                         AnalysisMode::Deterministic)
+                      .c_str());
     }
   }
   // One summary over every pair: times add up, peaks are maxed.

@@ -13,19 +13,20 @@
 /// SIGTERM/SIGINT drain gracefully: the listener closes, queued requests
 /// are shed with explicit OVERLOADED responses, in-flight requests finish
 /// under --drain-deadline-ms, and every configured telemetry artifact is
-/// flushed before exit.
+/// flushed before exit. A second signal exits at once (code 5), killing
+/// the --isolate workers and removing their job files first.
 ///
 /// By default each request runs on its connection thread, where the
 /// resilient engine contains OOM, non-finite values and deadlines. With
 /// --isolate each propagation runs in a supervised fork/exec'd worker
-/// process (this binary re-exec'd with --worker-request), so even a
-/// propagation that crashes, hangs or corrupts its own heap cannot take
-/// the daemon down.
+/// process: this binary re-exec'd with `--worker-request JOB`, whose first
+/// act is runShardWorker (shard/process_launcher.h), the same worker
+/// entry `genprove_cli --shards` uses. So even a propagation that crashes,
+/// hangs or corrupts its own heap cannot take the daemon down.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "src/domains/prop_cache.h"
-#include "src/nn/serialize.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -41,11 +42,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -157,8 +155,11 @@ std::atomic<int> ForcedExits{0};
 
 void handleShutdownSignal(int) {
   // First signal: graceful drain. A second signal while draining means
-  // the operator wants out *now* — flush what we have and exit hard.
+  // the operator wants out *now* — kill the --isolate workers, remove
+  // their job files, flush what we have and exit hard.
   if (ForcedExits.fetch_add(1) > 0) {
+    killAllShardChildren(SIGKILL);
+    removeShardJobFiles();
     ObsFlushGuard::flushNow();
     _exit(5);
   }
@@ -166,111 +167,17 @@ void handleShutdownSignal(int) {
     S->requestStop();
 }
 
-//===----------------------------------------------------------------------===//
-// Worker mode (--isolate): run one request's shard attempt in a pristine
-// process. Protocol and exit codes match genprove_cli --shard-worker so
-// ProcessShardLauncher's classification applies unchanged.
-//===----------------------------------------------------------------------===//
-
-int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
-  std::ifstream In(SpecPath);
-  std::stringstream Text;
-  Text << In.rdbuf();
-  ServeWorkerSpec Spec;
-  std::string Err;
-  if (!In || !decodeServeWorkerSpec(Text.str(), Spec, &Err)) {
-    std::fprintf(stderr, "genprove_serve worker: bad spec %s: %s\n",
-                 SpecPath.c_str(), Err.c_str());
-    return 2;
-  }
-  Shape InputShape;
-  if (!parseShape(Spec.InputShape, InputShape)) {
-    std::fprintf(stderr, "genprove_serve worker: bad input shape '%s'\n",
-                 Spec.InputShape.c_str());
-    return 2;
-  }
-  if (Spec.Sound)
-    setSoundRounding(true);
-
-  std::vector<Sequential> Networks;
-  for (const std::string &Path : Spec.NetPaths) {
-    std::string Why;
-    auto Net = loadNetwork(Path, &Why);
-    if (!Net) {
-      std::fprintf(stderr, "genprove_serve worker: cannot load %s: %s\n",
-                   Path.c_str(), Why.c_str());
-      return 2;
-    }
-    Networks.push_back(std::move(*Net));
-  }
-  ShardWorkContext Ctx;
-  for (const Sequential &Net : Networks)
-    Ctx.Pipeline = concatViews(Ctx.Pipeline, Net.view());
-  Ctx.InputShape = InputShape;
-  const int64_t Latent = static_cast<int64_t>(Spec.Start.size());
-  if (InputShape.numel() != Latent) {
-    std::fprintf(stderr, "genprove_serve worker: start/end length does not "
-                         "match input shape '%s'\n",
-                 Spec.InputShape.c_str());
-    return 2;
-  }
-  Ctx.Start = Tensor({1, Latent}, Spec.Start);
-  Ctx.End = Tensor({1, Latent}, Spec.End);
-  for (const std::string &SpecText : Spec.Specs) {
-    OutputSpec Parsed;
-    if (!parseOutputSpecText(SpecText, Parsed, &Err)) {
-      std::fprintf(stderr, "genprove_serve worker: bad spec '%s': %s\n",
-                   SpecText.c_str(), Err.c_str());
-      return 2;
-    }
-    Ctx.Specs.push_back(Parsed);
-  }
-  if (const std::string Why =
-          pipelineShapeError(Ctx.Pipeline, InputShape, Ctx.Specs);
-      !Why.empty()) {
-    std::fprintf(stderr, "genprove_serve worker: %s\n", Why.c_str());
-    return 2;
-  }
-  Ctx.NumShards = 1;
-  GenProveConfig &Conf = Ctx.Config;
-  Conf.RelaxPercent = Spec.RelaxPercent;
-  Conf.ClusterK = Spec.ClusterK;
-  Conf.NodeThreshold = Spec.NodeThreshold;
-  Conf.Distribution =
-      Spec.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
-  Conf.MemoryBudgetBytes = Spec.BudgetBytes;
-  Conf.Resilience.Enabled = true;
-  Conf.Resilience.DeadlineSeconds = Spec.DeadlineSeconds;
-
-  AttemptPlan Plan;
-  Plan.Shard = 0;
-  Plan.Attempt = Attempt;
-  Plan.Rung = shardRungFromInt(Rung);
-
-  // Injected faults fire on attempt 0 only, so the supervised retry
-  // demonstrably recovers. Hang sleeps silently *before* the heartbeat
-  // thread exists — the supervisor's heartbeat timeout must catch it.
-  if (Attempt == 0 && !Spec.Inject.empty()) {
-    if (Spec.Inject == "crash")
-      std::abort();
-    if (Spec.Inject == "oomkill")
-      raise(SIGKILL);
-    if (Spec.Inject == "hang")
-      std::this_thread::sleep_for(std::chrono::seconds(600));
-  }
-
-  return runWorkerAttempt(Ctx, Plan,
-                          std::clamp(Spec.HeartbeatMs, 10.0, 250.0));
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // An --isolate worker process: run its shard attempt and exit.
+  if (const std::optional<int> Exit = runShardWorker(Argc, Argv))
+    return *Exit;
+
   ServeConfig Cfg;
   std::vector<std::string> NetSpecs;
   std::string MetricsOutPath, PromOutPath, LogOutPath, TraceOutPath, RunId;
-  std::string WorkerSpecPath;
-  int64_t WorkerAttempt = 0, WorkerRung = 0, LogCapacity = 8192;
+  int64_t LogCapacity = 8192;
 
   auto NextArg = [&](int &I) -> std::string {
     if (I + 1 >= Argc)
@@ -340,23 +247,12 @@ int main(int Argc, char **Argv) {
       LogCapacity = Int(Arg, I);
     } else if (Arg == "--run-id") {
       RunId = NextArg(I);
-    } else if (Arg == "--worker-request") {
-      WorkerSpecPath = NextArg(I);
-    } else if (Arg == "--shard-worker") {
-      NextArg(I); // always shard 0; consumed for launcher compatibility
-    } else if (Arg == "--shard-attempt") {
-      WorkerAttempt = Int(Arg, I);
-    } else if (Arg == "--shard-rung") {
-      WorkerRung = Int(Arg, I);
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
     } else {
       usage(("unknown option: " + Arg).c_str());
     }
   }
-
-  if (!WorkerSpecPath.empty())
-    return workerMain(WorkerSpecPath, WorkerAttempt, WorkerRung);
 
   if (Cfg.SocketPath.empty() || NetSpecs.empty())
     usage("--socket and at least one --net are required");
