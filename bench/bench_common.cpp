@@ -2,13 +2,9 @@
 
 #include "bench/bench_common.h"
 
-#include "src/domains/box_domain.h"
-#include "src/domains/zonotope.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
-#include "src/util/stats.h"
-#include "src/util/timer.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -16,31 +12,6 @@
 #include <sstream>
 
 namespace genprove {
-
-const char *methodName(Method M) {
-  switch (M) {
-  case Method::Box:
-    return "Box";
-  case Method::HybridZono:
-    return "HybridZono";
-  case Method::Zonotope:
-    return "Zonotope";
-  case Method::DeepZono:
-    return "DeepZono";
-  case Method::Baseline:
-    return "BASELINE";
-  case Method::GenProveDet:
-    return "GenProveDet";
-  case Method::GenProveExact:
-    return "GenProve0";
-  case Method::GenProveRelax:
-    return "GenProveRelax";
-  case Method::Sampling:
-    return "Sampling";
-  default:
-    return "?";
-  }
-}
 
 double toScaledGb(size_t Bytes, size_t BudgetBytes) {
   if (BudgetBytes == 0)
@@ -167,23 +138,13 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
   Vae &Model = Zoo.vae(Data);
   Sequential &Target = targetNetwork(Data, Network);
   const Shape ImgShape({1, Set.Channels, Set.Size, Set.Size});
-  const Shape LatentShape({1, Model.latentDim()});
-  const std::vector<const Layer *> Pipeline =
-      concatViews(Model.decoder().view(), Target.view());
   const int64_t NumOutputs = Target.outputShape(ImgShape).dim(1);
-
-  GridCell Cell;
-  Cell.DatasetName = datasetDisplayName(Data);
-  Cell.NetworkName = Network;
-  Cell.Which = Which;
-  Cell.Neurons = Target.countNeurons(ImgShape);
 
   const bool IsConvex = Which == Method::Box || Which == Method::HybridZono ||
                         Which == Method::Zonotope ||
                         Which == Method::DeepZono;
   const int64_t NumPairs =
       IsConvex ? Config.ZonoPairsPerCell : Config.PairsPerCell;
-  Cell.NumPairs = NumPairs;
 
   // The paper evaluates every architecture on the same |P| pairs; seed by
   // dataset only so ConvSmall/Med/Large see identical segments.
@@ -193,185 +154,40 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
           ? sameAttributePairs(Set, NumPairs, PairRng)
           : sameClassPairs(Set, NumPairs, PairRng);
 
-  // GenProve configuration shared by the GenProve-family methods.
-  GenProveConfig GpConfig;
-  GpConfig.ClusterK = Config.ClusterK;
-  GpConfig.NodeThreshold = Config.NodeThreshold;
-  GpConfig.MemoryBudgetBytes = Config.MemoryBudgetBytes;
-  switch (Which) {
-  case Method::Baseline:
-    GpConfig.Mode = AnalysisMode::Deterministic;
-    GpConfig.RelaxPercent = 0.0;
-    break;
-  case Method::GenProveDet:
-    GpConfig.Mode = AnalysisMode::Deterministic;
-    GpConfig.RelaxPercent = Config.RelaxPercent;
-    GpConfig.Schedule = RefinementSchedule::A;
-    break;
-  case Method::GenProveExact:
-    GpConfig.RelaxPercent = 0.0;
-    break;
-  case Method::GenProveRelax:
-    GpConfig.RelaxPercent = Config.RelaxPercent;
-    GpConfig.Schedule = RefinementSchedule::A;
-    break;
-  default:
-    break;
-  }
-  const GenProve Analyzer(GpConfig);
-
-  double SumWidth = 0.0, SumLower = 0.0, SumUpper = 0.0, SumSeconds = 0.0;
-  int64_t NumBounds = 0, NumNonTrivial = 0, NumOom = 0;
-  int64_t MaxRegions = 0, MaxNodes = 0, MaxRetries = 0;
-  size_t PeakBytes = 0;
-  Rng SampleRng(0x5eed5eedu);
-
-  // Phase 1: encode every pair's endpoints (the encoder caches per-layer
-  // activations, so concurrent cells must take turns) and materialize its
-  // specs: class argmax, or one sign spec per attribute. Everything after
-  // the encodes reads shared models through const views only.
-  std::vector<std::pair<Tensor, Tensor>> Latents;
-  std::vector<std::vector<OutputSpec>> PairSpecs;
+  // The encoder caches per-layer activations, so concurrent cells take
+  // turns; everything after the encodes reads shared models through const
+  // views only.
+  std::vector<ConsistencyPair> Encoded;
   for (const SpecPair &Pair : Pairs) {
+    ConsistencyPair &P = Encoded.emplace_back();
     {
       std::lock_guard<std::mutex> Lock(EncodeMu);
-      Latents.emplace_back(Model.encode(Set.image(Pair.First)),
-                           Model.encode(Set.image(Pair.Second)));
+      P.Start = Model.encode(Set.image(Pair.First));
+      P.End = Model.encode(Set.image(Pair.Second));
     }
-    std::vector<OutputSpec> Specs;
-    if (Data == DatasetId::Faces) {
-      for (int64_t J = 0; J < NumOutputs; ++J)
-        Specs.push_back(OutputSpec::attributeSign(
-            J, Set.Attributes.at(Pair.First, J) > 0.5, NumOutputs));
-    } else {
-      Specs.push_back(OutputSpec::argmaxWins(
-          Set.Labels[static_cast<size_t>(Pair.First)], NumOutputs));
-    }
-    PairSpecs.push_back(std::move(Specs));
+    P.Specs = consistencySpecs(Set, Pair.First, NumOutputs);
   }
+  const ConsistencyReport Report = evaluateConsistency(
+      concatViews(Model.decoder().view(), Target.view()),
+      Shape({1, Model.latentDim()}), Encoded, Which, Config);
 
-  const auto Accumulate = [&](const std::vector<ProbBounds> &AllBounds,
-                              bool PairOom) {
-    if (PairOom)
-      ++NumOom;
-    for (const ProbBounds &Bounds : AllBounds) {
-      SumWidth += Bounds.width();
-      SumLower += Bounds.Lower;
-      SumUpper += Bounds.Upper;
-      if (Bounds.nonTrivial())
-        ++NumNonTrivial;
-      ++NumBounds;
-    }
-  };
-
-  // Phase 2: certify.
-  if (IsConvex) {
-    for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
-      const auto &[E1, E2] = Latents[PairIdx];
-      const std::vector<OutputSpec> &Specs = PairSpecs[PairIdx];
-      Timer PairTimer;
-      DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
-      std::vector<ConvexResult> Results;
-      if (Which == Method::Box)
-        Results =
-            analyzeBoxMulti(Pipeline, LatentShape, E1, E2, Specs, Memory);
-      else
-        Results = analyzeZonotopeMulti(
-            Pipeline, LatentShape, E1, E2, Specs,
-            Which == Method::Zonotope   ? ZonotopeKind::Zonotope
-            : Which == Method::DeepZono ? ZonotopeKind::DeepZono
-                                        : ZonotopeKind::HybridZono,
-            Memory);
-      std::vector<ProbBounds> AllBounds;
-      bool PairOom = false;
-      for (const ConvexResult &Result : Results) {
-        AllBounds.push_back(Result.Bounds);
-        PairOom |= Result.Bounds.OutOfMemory;
-        PeakBytes = std::max(PeakBytes, Result.PeakBytes);
-      }
-      Accumulate(AllBounds, PairOom);
-      SumSeconds += PairTimer.seconds();
-    }
-  } else if (Which == Method::Sampling) {
-    for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
-      const Tensor &E1 = Latents[PairIdx].first;
-      const Tensor &E2 = Latents[PairIdx].second;
-      const std::vector<OutputSpec> &Specs = PairSpecs[PairIdx];
-      Timer PairTimer;
-      std::vector<ProbBounds> AllBounds;
-      // Sample once per pair and score every spec on the shared outputs.
-      const int64_t Latent = Model.latentDim();
-      std::vector<int64_t> Satisfied(Specs.size(), 0);
-      int64_t Done = 0;
-      while (Done < Config.SamplesPerPair) {
-        const int64_t B =
-            std::min<int64_t>(256, Config.SamplesPerPair - Done);
-        Tensor Points({B, Latent});
-        for (int64_t I = 0; I < B; ++I) {
-          const double T = SampleRng.uniform();
-          for (int64_t J = 0; J < Latent; ++J)
-            Points.at(I, J) = E1[J] + T * (E2[J] - E1[J]);
-        }
-        const Tensor Out =
-            forwardConcretePoints(Pipeline, LatentShape, Points);
-        for (int64_t I = 0; I < B; ++I) {
-          Tensor Row({1, Out.dim(1)});
-          std::copy(Out.data() + I * Out.dim(1),
-                    Out.data() + (I + 1) * Out.dim(1), Row.data());
-          for (size_t SpecIdx = 0; SpecIdx < Specs.size(); ++SpecIdx)
-            if (Specs[SpecIdx].satisfied(Row))
-              ++Satisfied[SpecIdx];
-        }
-        Done += B;
-      }
-      for (size_t SpecIdx = 0; SpecIdx < Specs.size(); ++SpecIdx) {
-        const auto [Lo, Hi] = clopperPearson(
-            static_cast<size_t>(Satisfied[SpecIdx]),
-            static_cast<size_t>(Config.SamplesPerPair), Config.SamplingAlpha);
-        AllBounds.push_back({Lo, Hi, false});
-      }
-      // Sampling keeps only one batch of activations resident.
-      PeakBytes = std::max(
-          PeakBytes, static_cast<size_t>(256 * 4096 * sizeof(double)));
-      SumSeconds += PairTimer.seconds();
-      Accumulate(AllBounds, /*PairOom=*/false);
-    }
-  } else {
-    // The GenProve-family methods.
-    for (size_t PairIdx = 0; PairIdx < Pairs.size(); ++PairIdx) {
-      Timer PairTimer;
-      const PropagatedState State = Analyzer.propagateSegment(
-          Pipeline, LatentShape, Latents[PairIdx].first,
-          Latents[PairIdx].second);
-      PeakBytes = std::max(PeakBytes, State.PeakBytes);
-      MaxRegions = std::max(MaxRegions, State.Stats.MaxRegions);
-      MaxNodes = std::max(MaxNodes, State.Stats.MaxNodes);
-      MaxRetries = std::max(MaxRetries, State.Retries);
-      std::vector<ProbBounds> AllBounds;
-      for (const OutputSpec &Spec : PairSpecs[PairIdx])
-        AllBounds.push_back(Analyzer.boundsFor(State, Spec));
-      Accumulate(AllBounds, State.OutOfMemory);
-      SumSeconds += PairTimer.seconds();
-    }
-  }
-
-  if (NumBounds > 0) {
-    Cell.MeanWidth = SumWidth / static_cast<double>(NumBounds);
-    Cell.MeanLower = SumLower / static_cast<double>(NumBounds);
-    Cell.MeanUpper = SumUpper / static_cast<double>(NumBounds);
-    Cell.FractionNonTrivial =
-        static_cast<double>(NumNonTrivial) / static_cast<double>(NumBounds);
-  }
-  if (!Pairs.empty()) {
-    Cell.FractionOom =
-        static_cast<double>(NumOom) / static_cast<double>(Pairs.size());
-    Cell.MeanSeconds = SumSeconds / static_cast<double>(Pairs.size());
-  }
-  Cell.NumBounds = NumBounds;
-  Cell.PeakGb = toScaledGb(PeakBytes, Config.MemoryBudgetBytes);
-  Cell.MaxRegions = MaxRegions;
-  Cell.MaxNodes = MaxNodes;
-  Cell.Retries = MaxRetries;
+  GridCell Cell;
+  Cell.DatasetName = datasetDisplayName(Data);
+  Cell.NetworkName = Network;
+  Cell.Which = Which;
+  Cell.Neurons = Target.countNeurons(ImgShape);
+  Cell.NumPairs = NumPairs;
+  Cell.NumBounds = Report.NumBounds;
+  Cell.MeanWidth = Report.MeanWidth;
+  Cell.MeanLower = Report.MeanLower;
+  Cell.MeanUpper = Report.MeanUpper;
+  Cell.FractionNonTrivial = Report.FractionNonTrivial;
+  Cell.FractionOom = Report.FractionOom;
+  Cell.MeanSeconds = Report.MeanSeconds;
+  Cell.PeakGb = toScaledGb(Report.PeakBytes, Config.MemoryBudgetBytes);
+  Cell.MaxRegions = Report.MaxRegions;
+  Cell.MaxNodes = Report.MaxNodes;
+  Cell.Retries = Report.Retries;
   return Cell;
 }
 

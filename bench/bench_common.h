@@ -20,7 +20,6 @@
 
 #include "src/core/consistency.h"
 #include "src/core/model_zoo.h"
-#include "src/sampling/sampler.h"
 
 #include <mutex>
 #include <set>
@@ -28,22 +27,6 @@
 #include <vector>
 
 namespace genprove {
-
-/// The verification methods compared across the tables.
-enum class Method : int {
-  Box = 0,
-  HybridZono,
-  Zonotope,
-  DeepZono,
-  Baseline,       ///< exact deterministic (Sotoudeh & Thakur, GPU version)
-  GenProveDet,    ///< relaxed deterministic
-  GenProveExact,  ///< GenProve^0 (exact probabilistic)
-  GenProveRelax,  ///< GenProve^p_k (relaxed probabilistic)
-  Sampling,       ///< Clopper-Pearson at 99.999%
-  NumMethods,
-};
-
-const char *methodName(Method M);
 
 /// One cell of the experiment grid, aggregated over |P| pairs.
 struct GridCell {
@@ -76,16 +59,11 @@ struct GridCell {
   }
 };
 
-/// Harness configuration for all bench binaries.
-struct BenchConfig {
+/// Harness configuration for all bench binaries: the cell knobs plus the
+/// pair counts and the results directory.
+struct BenchConfig : ConsistencyConfig {
   int64_t PairsPerCell = 2;
   int64_t ZonoPairsPerCell = 1; ///< convex domains: deterministic outcome.
-  int64_t SamplesPerPair = 4000;
-  double SamplingAlpha = 1e-5; ///< 99.999% confidence.
-  double RelaxPercent = 0.02;
-  double ClusterK = 100.0;
-  int64_t NodeThreshold = 250; ///< paper: 1000 at 4x our scale.
-  size_t MemoryBudgetBytes = 240ull << 20; ///< 24 GB scaled 1:100.
   std::string ResultsDir = "results";
 };
 

@@ -68,9 +68,10 @@ int main() {
     const OutputSpec Spec = OutputSpec::attributeSign(
         J, Set.Attributes.at(Image, J) > 0.5, NumAttrs);
     const ProbBounds Bounds = Analyzer.boundsFor(State, Spec);
-    const SamplingResult Sampled = sampleQuadraticBounds(
-        Pipeline, LatentShape, A0, A1, A2, Spec, ParamDistribution::Uniform,
-        500, 0.05, R);
+    const SamplingResult Sampled =
+        sampleQuadraticBounds(Pipeline, LatentShape, A0, A1, A2, {Spec},
+                              ParamDistribution::Uniform, 500, 0.05, R)
+            .front();
     char Est[32];
     std::snprintf(Est, sizeof(Est), "%.3f",
                   static_cast<double>(Sampled.Satisfied) /

@@ -2,7 +2,11 @@
 
 #include "src/core/consistency.h"
 
+#include "src/domains/box_domain.h"
+#include "src/domains/zonotope.h"
+#include "src/sampling/sampler.h"
 #include "src/util/error.h"
+#include "src/util/timer.h"
 
 #include <algorithm>
 #include <map>
@@ -80,68 +84,155 @@ std::vector<SpecPair> flipPairs(int64_t NumImages, int64_t NumPairs,
   return Pairs;
 }
 
-ConsistencyReport evaluateConsistency(const GenProve &Analyzer, Vae &Model,
-                                      Sequential &Classifier,
-                                      const Dataset &Set,
-                                      const std::vector<SpecPair> &Pairs,
-                                      SpecTarget Target, bool FlipSecond) {
-  const std::vector<const Layer *> Pipeline =
-      concatViews(Model.decoder().view(), Classifier.view());
-  const Shape LatentShape({1, Model.latentDim()});
-  const Shape ImgShape({1, Set.Channels, Set.Size, Set.Size});
-  const int64_t NumOutputs = Classifier.outputShape(ImgShape).dim(1);
+const char *methodName(Method M) {
+  switch (M) {
+  case Method::Box:
+    return "Box";
+  case Method::HybridZono:
+    return "HybridZono";
+  case Method::Zonotope:
+    return "Zonotope";
+  case Method::DeepZono:
+    return "DeepZono";
+  case Method::Baseline:
+    return "BASELINE";
+  case Method::GenProveDet:
+    return "GenProveDet";
+  case Method::GenProveExact:
+    return "GenProve0";
+  case Method::GenProveRelax:
+    return "GenProveRelax";
+  case Method::Sampling:
+    return "Sampling";
+  default:
+    return "?";
+  }
+}
+
+std::vector<OutputSpec> consistencySpecs(const Dataset &Set, int64_t First,
+                                         int64_t NumOutputs) {
+  std::vector<OutputSpec> Specs;
+  if (Set.numAttributes() > 0) {
+    for (int64_t J = 0; J < NumOutputs; ++J)
+      Specs.push_back(OutputSpec::attributeSign(
+          J, Set.Attributes.at(First, J) > 0.5, NumOutputs));
+  } else {
+    Specs.push_back(OutputSpec::argmaxWins(
+        Set.Labels[static_cast<size_t>(First)], NumOutputs));
+  }
+  return Specs;
+}
+
+ConsistencyReport evaluateConsistency(
+    const std::vector<const Layer *> &Pipeline, const Shape &LatentShape,
+    const std::vector<ConsistencyPair> &Pairs, Method Which,
+    const ConsistencyConfig &Config) {
+  // GenProve configuration shared by the GenProve-family methods.
+  GenProveConfig GpConfig;
+  GpConfig.ClusterK = Config.ClusterK;
+  GpConfig.NodeThreshold = Config.NodeThreshold;
+  GpConfig.MemoryBudgetBytes = Config.MemoryBudgetBytes;
+  switch (Which) {
+  case Method::Baseline:
+    GpConfig.Mode = AnalysisMode::Deterministic;
+    GpConfig.RelaxPercent = 0.0;
+    break;
+  case Method::GenProveDet:
+    GpConfig.Mode = AnalysisMode::Deterministic;
+    GpConfig.RelaxPercent = Config.RelaxPercent;
+    GpConfig.Schedule = RefinementSchedule::A;
+    break;
+  case Method::GenProveExact:
+    GpConfig.RelaxPercent = 0.0;
+    break;
+  case Method::GenProveRelax:
+    GpConfig.RelaxPercent = Config.RelaxPercent;
+    GpConfig.Schedule = RefinementSchedule::A;
+    break;
+  default:
+    break;
+  }
+  const GenProve Analyzer(GpConfig);
+  Rng SampleRng(0x5eed5eedu);
 
   ConsistencyReport Report;
   double SumWidth = 0.0, SumLower = 0.0, SumUpper = 0.0, SumSeconds = 0.0;
-  int64_t NumNonTrivial = 0, NumOom = 0, NumBounds = 0;
-
-  for (const SpecPair &Pair : Pairs) {
-    const Tensor Img1 = Set.image(Pair.First);
-    const Tensor Img2 =
-        FlipSecond ? Set.flippedImage(Pair.First) : Set.image(Pair.Second);
-    const Tensor E1 = Model.encode(Img1);
-    const Tensor E2 = Model.encode(Img2);
-
-    const PropagatedState State =
-        Analyzer.propagateSegment(Pipeline, LatentShape, E1, E2);
-    SumSeconds += State.Seconds;
-    Report.PeakBytes = std::max(Report.PeakBytes, State.PeakBytes);
-    if (State.OutOfMemory)
+  int64_t NumNonTrivial = 0, NumOom = 0;
+  for (const ConsistencyPair &Pair : Pairs) {
+    Timer PairTimer;
+    std::vector<ProbBounds> Bounds;
+    bool Oom = false;
+    switch (Which) {
+    case Method::Box:
+    case Method::HybridZono:
+    case Method::Zonotope:
+    case Method::DeepZono: {
+      DeviceMemoryModel Memory(Config.MemoryBudgetBytes);
+      const std::vector<ConvexResult> Results =
+          Which == Method::Box
+              ? analyzeBoxMulti(Pipeline, LatentShape, Pair.Start, Pair.End,
+                                Pair.Specs, Memory)
+              : analyzeZonotopeMulti(
+                    Pipeline, LatentShape, Pair.Start, Pair.End, Pair.Specs,
+                    Which == Method::Zonotope   ? ZonotopeKind::Zonotope
+                    : Which == Method::DeepZono ? ZonotopeKind::DeepZono
+                                                : ZonotopeKind::HybridZono,
+                    Memory);
+      for (const ConvexResult &Result : Results) {
+        Bounds.push_back(Result.Bounds);
+        Oom |= Result.Bounds.OutOfMemory;
+        Report.PeakBytes = std::max(Report.PeakBytes, Result.PeakBytes);
+      }
+      break;
+    }
+    case Method::Sampling:
+      for (const SamplingResult &Result : sampleSegmentBounds(
+               Pipeline, LatentShape, Pair.Start, Pair.End, Pair.Specs,
+               ParamDistribution::Uniform, Config.SamplesPerPair,
+               Config.SamplingAlpha, SampleRng))
+        Bounds.push_back({Result.Lower, Result.Upper, false});
+      // Sampling keeps only one batch of activations resident.
+      Report.PeakBytes = std::max(
+          Report.PeakBytes, static_cast<size_t>(256 * 4096 * sizeof(double)));
+      break;
+    default: {
+      const PropagatedState State = Analyzer.propagateSegment(
+          Pipeline, LatentShape, Pair.Start, Pair.End);
+      Report.PeakBytes = std::max(Report.PeakBytes, State.PeakBytes);
+      Report.MaxRegions = std::max(Report.MaxRegions, State.Stats.MaxRegions);
+      Report.MaxNodes = std::max(Report.MaxNodes, State.Stats.MaxNodes);
+      Report.Retries = std::max(Report.Retries, State.Retries);
+      for (const OutputSpec &Spec : Pair.Specs)
+        Bounds.push_back(Analyzer.boundsFor(State, Spec));
+      Oom = State.OutOfMemory;
+      break;
+    }
+    }
+    if (Oom)
       ++NumOom;
-
-    std::vector<OutputSpec> Specs;
-    if (Target == SpecTarget::ClassLabel) {
-      Specs.push_back(OutputSpec::argmaxWins(
-          Set.Labels[static_cast<size_t>(Pair.First)], NumOutputs));
-    } else {
-      for (int64_t J = 0; J < NumOutputs; ++J)
-        Specs.push_back(OutputSpec::attributeSign(
-            J, Set.Attributes.at(Pair.First, J) > 0.5, NumOutputs));
-    }
-    for (const OutputSpec &Spec : Specs) {
-      const ProbBounds Bounds = Analyzer.boundsFor(State, Spec);
-      SumWidth += Bounds.width();
-      SumLower += Bounds.Lower;
-      SumUpper += Bounds.Upper;
-      if (Bounds.nonTrivial())
+    for (const ProbBounds &B : Bounds) {
+      SumWidth += B.width();
+      SumLower += B.Lower;
+      SumUpper += B.Upper;
+      if (B.nonTrivial())
         ++NumNonTrivial;
-      ++NumBounds;
+      ++Report.NumBounds;
     }
+    SumSeconds += PairTimer.seconds();
   }
 
-  if (NumBounds > 0) {
-    Report.MeanWidth = SumWidth / static_cast<double>(NumBounds);
-    Report.MeanLower = SumLower / static_cast<double>(NumBounds);
-    Report.MeanUpper = SumUpper / static_cast<double>(NumBounds);
-    Report.FractionNonTrivial =
-        static_cast<double>(NumNonTrivial) / static_cast<double>(NumBounds);
+  if (Report.NumBounds > 0) {
+    const double N = static_cast<double>(Report.NumBounds);
+    Report.MeanWidth = SumWidth / N;
+    Report.MeanLower = SumLower / N;
+    Report.MeanUpper = SumUpper / N;
+    Report.FractionNonTrivial = static_cast<double>(NumNonTrivial) / N;
   }
   if (!Pairs.empty()) {
     Report.FractionOom =
         static_cast<double>(NumOom) / static_cast<double>(Pairs.size());
     Report.MeanSeconds = SumSeconds / static_cast<double>(Pairs.size());
   }
-  Report.NumBounds = NumBounds;
   return Report;
 }
 

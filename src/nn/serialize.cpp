@@ -251,4 +251,22 @@ std::optional<Sequential> loadNetwork(const std::string &Path,
   return Net;
 }
 
+bool loadPipeline(const std::vector<std::string> &Paths,
+                  std::vector<Sequential> &Networks,
+                  std::vector<const Layer *> &Pipeline, std::string *Why) {
+  for (const std::string &Path : Paths) {
+    std::string Reason;
+    std::optional<Sequential> Net = loadNetwork(Path, &Reason);
+    if (!Net) {
+      if (Why)
+        *Why = "cannot load network " + Path + ": " + Reason;
+      return false;
+    }
+    Networks.push_back(std::move(*Net));
+  }
+  for (const Sequential &Net : Networks)
+    Pipeline = concatViews(Pipeline, Net.view());
+  return true;
+}
+
 } // namespace genprove

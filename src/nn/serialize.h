@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace genprove {
 
@@ -29,6 +30,15 @@ bool saveNetwork(const Sequential &Network, const std::string &Path);
 /// parameter. \p Why, when given, receives the reason.
 std::optional<Sequential> loadNetwork(const std::string &Path,
                                       std::string *Why = nullptr);
+
+/// Load the networks at \p Paths, in order (decoder first), into
+/// \p Networks and append the concatenation of their layer views to
+/// \p Pipeline. The layers live on the heap, so the views stay valid
+/// while \p Networks moves. False when a file does not load; \p Why then
+/// reads "cannot load network PATH: reason".
+bool loadPipeline(const std::vector<std::string> &Paths,
+                  std::vector<Sequential> &Networks,
+                  std::vector<const Layer *> &Pipeline, std::string *Why);
 
 } // namespace genprove
 

@@ -275,9 +275,8 @@ private:
 /// Walks the cumulative counts to the bucket holding rank ceil(Q*Count)
 /// and interpolates linearly inside it, clamping the bucket bounds to
 /// the recorded [min, max] sample range so the estimate never leaves the
-/// observed data. Edge contract (pinned by tests; snapshot merges and
-/// run_report.json percentiles both route through this function so they
-/// cannot diverge):
+/// observed data. Edge contract (pinned by tests; every percentile, live
+/// or folded in from a worker snapshot, routes through this function):
 ///   * Count <= 0 (empty histogram)          -> NaN
 ///   * rank lands among non-finite samples
 ///     (e.g. all mass in the +inf overflow

@@ -4,8 +4,6 @@
 
 #include "src/obs/json.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -39,35 +37,6 @@ bool fail(std::string *Error, const char *Msg) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// HistogramSnapshot
-//===----------------------------------------------------------------------===//
-
-void HistogramSnapshot::merge(const HistogramSnapshot &Other) {
-  Count += Other.Count;
-  Sum += Other.Sum;
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-  for (size_t I = 0; I < Buckets.size(); ++I)
-    Buckets[I] += Other.Buckets[I];
-}
-
-void HistogramSnapshot::record(double V) {
-  Buckets[static_cast<size_t>(Histogram::bucketIndex(V))] += 1;
-  Count += 1;
-  if (V == V) {
-    Min = std::min(Min, V);
-    Max = std::max(Max, V);
-  }
-  if (std::isfinite(V))
-    Sum += V;
-}
-
-double histogramPercentile(const HistogramSnapshot &H, double Q) {
-  return quantileFromBuckets(H.Buckets.data(), Histogram::NumBuckets, H.Count,
-                             H.Min, H.Max, Q);
-}
 
 //===----------------------------------------------------------------------===//
 // Gauge merge policy and labeling
@@ -115,31 +84,6 @@ MetricsSnapshot MetricsSnapshot::capture(const MetricsRegistry &Registry) {
       HS.Buckets[static_cast<size_t>(I)] = H->bucketCount(I);
   }
   return S;
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot &Other) {
-  for (const auto &[Name, V] : Other.Counters)
-    Counters[Name] += V;
-  for (const auto &[Name, V] : Other.Gauges) {
-    auto It = Gauges.find(Name);
-    if (It == Gauges.end()) {
-      Gauges.emplace(Name, V);
-      continue;
-    }
-    switch (gaugeMergePolicy(Name)) {
-    case GaugeMerge::Last:
-      It->second = V;
-      break;
-    case GaugeMerge::Max:
-      It->second = std::max(It->second, V);
-      break;
-    case GaugeMerge::Sum:
-      It->second += V;
-      break;
-    }
-  }
-  for (const auto &[Name, V] : Other.Histograms)
-    Histograms[Name].merge(V);
 }
 
 MetricsSnapshot MetricsSnapshot::withLabel(const std::string &Key,
@@ -249,14 +193,6 @@ bool MetricsSnapshot::fromJson(const JsonValue &V, MetricsSnapshot &Out,
     }
   }
   return true;
-}
-
-bool MetricsSnapshot::fromJsonText(const std::string &Text,
-                                   MetricsSnapshot &Out, std::string *Error) {
-  JsonValue V;
-  if (!parseJson(Text, V, Error))
-    return false;
-  return fromJson(V, Out, Error);
 }
 
 //===----------------------------------------------------------------------===//

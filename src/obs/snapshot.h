@@ -3,16 +3,17 @@
 /// \file
 /// The cross-process half of the metrics layer: a value-type snapshot of a
 /// MetricsRegistry that can be serialized to JSON, shipped over the shard
-/// protocol, merged with other snapshots and folded back into a registry.
+/// protocol and folded into the coordinator's registry (foldIntoRegistry,
+/// the only merge).
 ///
-/// Merge semantics (documented in docs/OBSERVABILITY.md):
-///   - counters merge by summation;
-///   - gauges merge by a per-name reduction policy (gaugeMergePolicy):
+/// Fold semantics (documented in docs/OBSERVABILITY.md):
+///   - counters add;
+///   - gauges follow a per-name reduction policy (gaugeMergePolicy):
 ///     peaks take the max, cumulative `*_seconds` gauges sum, everything
-///     else is last-write-wins (the right-hand operand);
-///   - histograms merge bucket-wise (counts add per bucket; count/sum add,
-///     min/max reduce), which is associative and commutative, so shard
-///     merge order never changes the result.
+///     else is last-write-wins (the snapshot folded last);
+///   - histograms fold bucket-wise (counts add per bucket; count/sum add,
+///     min/max reduce), which is associative and commutative, so the
+///     order workers finish in never changes the result.
 ///
 /// The JSON wire format encodes every double as a %.17g string (strtod
 /// round-trips that bit-exactly, including "inf"/"-inf" for the min/max
@@ -45,14 +46,11 @@ struct HistogramSnapshot {
   double Min = std::numeric_limits<double>::infinity();
   double Max = -std::numeric_limits<double>::infinity();
   std::array<int64_t, Histogram::NumBuckets> Buckets{};
-
-  void merge(const HistogramSnapshot &Other);
-  void record(double V); ///< test/offline helper mirroring Histogram::record
 };
 
-/// How two values of one gauge combine when snapshots merge.
+/// How a folded gauge value combines with the registry's.
 enum class GaugeMerge : uint8_t {
-  Last, ///< right-hand operand wins (configs, instantaneous readings)
+  Last, ///< the folded value wins (configs, instantaneous readings)
   Max,  ///< high-water marks ("peak" in the name)
   Sum,  ///< cumulative totals (`*_seconds` busy/idle style)
 };
@@ -74,9 +72,6 @@ struct MetricsSnapshot {
   /// Copy every registered metric out of a registry.
   static MetricsSnapshot capture(const MetricsRegistry &Registry);
 
-  /// Fold Other into this snapshot under the semantics above.
-  void merge(const MetricsSnapshot &Other);
-
   /// Copy with every metric renamed via labeledMetricName — the
   /// `shard=<id>` dimension the supervisor folds worker snapshots under.
   MetricsSnapshot withLabel(const std::string &Key,
@@ -92,12 +87,7 @@ struct MetricsSnapshot {
   /// Decode; false (with *Error set) on malformed input.
   static bool fromJson(const JsonValue &V, MetricsSnapshot &Out,
                        std::string *Error = nullptr);
-  static bool fromJsonText(const std::string &Text, MetricsSnapshot &Out,
-                           std::string *Error = nullptr);
 };
-
-/// Quantile estimate (Q in [0,1]) from a histogram snapshot; NaN when empty.
-double histogramPercentile(const HistogramSnapshot &H, double Q);
 
 /// Fold a snapshot into a live registry using the merge-plane (absorb)
 /// mutators, which work even while the metrics switch is off. Counters

@@ -3,7 +3,6 @@
 #include "src/sampling/sampler.h"
 
 #include "src/util/stats.h"
-#include "src/util/timer.h"
 
 #include <algorithm>
 
@@ -11,15 +10,14 @@ namespace genprove {
 
 namespace {
 
-SamplingResult sampleCurveBounds(const std::vector<const Layer *> &Layers,
-                                 const Shape &InputShape, const Region &Curve,
-                                 const OutputSpec &Spec, ParamDistribution Dist,
-                                 int64_t NumSamples, double Alpha,
-                                 Rng &Generator) {
-  Timer Clock;
+std::vector<SamplingResult>
+sampleCurveBounds(const std::vector<const Layer *> &Layers,
+                  const Shape &InputShape, const Region &Curve,
+                  const std::vector<OutputSpec> &Specs, ParamDistribution Dist,
+                  int64_t NumSamples, double Alpha, Rng &Generator) {
   const int64_t N = Curve.dim();
   const int64_t Chunk = 256;
-  int64_t Satisfied = 0;
+  std::vector<int64_t> Satisfied(Specs.size(), 0);
   int64_t Done = 0;
   while (Done < NumSamples) {
     const int64_t B = std::min(Chunk, NumSamples - Done);
@@ -35,48 +33,52 @@ SamplingResult sampleCurveBounds(const std::vector<const Layer *> &Layers,
       Tensor Row({1, OutDim});
       std::copy(Out.data() + I * OutDim, Out.data() + (I + 1) * OutDim,
                 Row.data());
-      if (Spec.satisfied(Row))
-        ++Satisfied;
+      for (size_t S = 0; S < Specs.size(); ++S)
+        if (Specs[S].satisfied(Row))
+          ++Satisfied[S];
     }
     Done += B;
   }
 
-  SamplingResult Result;
-  Result.Satisfied = Satisfied;
-  Result.NumSamples = NumSamples;
-  const auto [Lo, Hi] = clopperPearson(static_cast<size_t>(Satisfied),
-                                       static_cast<size_t>(NumSamples), Alpha);
-  Result.Lower = Lo;
-  Result.Upper = Hi;
-  Result.Seconds = Clock.seconds();
-  return Result;
+  std::vector<SamplingResult> Results(Specs.size());
+  for (size_t S = 0; S < Specs.size(); ++S) {
+    SamplingResult &Result = Results[S];
+    Result.Satisfied = Satisfied[S];
+    Result.NumSamples = NumSamples;
+    const auto [Lo, Hi] =
+        clopperPearson(static_cast<size_t>(Satisfied[S]),
+                       static_cast<size_t>(NumSamples), Alpha);
+    Result.Lower = Lo;
+    Result.Upper = Hi;
+  }
+  return Results;
 }
 
 } // namespace
 
-SamplingResult sampleSegmentBounds(const std::vector<const Layer *> &Layers,
-                                   const Shape &InputShape,
-                                   const Tensor &Start, const Tensor &End,
-                                   const OutputSpec &Spec,
-                                   ParamDistribution Dist, int64_t NumSamples,
-                                   double Alpha, Rng &Generator) {
+std::vector<SamplingResult>
+sampleSegmentBounds(const std::vector<const Layer *> &Layers,
+                    const Shape &InputShape, const Tensor &Start,
+                    const Tensor &End, const std::vector<OutputSpec> &Specs,
+                    ParamDistribution Dist, int64_t NumSamples, double Alpha,
+                    Rng &Generator) {
   const Region Curve = makeSegmentRegion(
       Start.reshaped({1, Start.numel()}), End.reshaped({1, End.numel()}));
-  return sampleCurveBounds(Layers, InputShape, Curve, Spec, Dist, NumSamples,
+  return sampleCurveBounds(Layers, InputShape, Curve, Specs, Dist, NumSamples,
                            Alpha, Generator);
 }
 
-SamplingResult sampleQuadraticBounds(const std::vector<const Layer *> &Layers,
-                                     const Shape &InputShape, const Tensor &A0,
-                                     const Tensor &A1, const Tensor &A2,
-                                     const OutputSpec &Spec,
-                                     ParamDistribution Dist,
-                                     int64_t NumSamples, double Alpha,
-                                     Rng &Generator) {
+std::vector<SamplingResult>
+sampleQuadraticBounds(const std::vector<const Layer *> &Layers,
+                      const Shape &InputShape, const Tensor &A0,
+                      const Tensor &A1, const Tensor &A2,
+                      const std::vector<OutputSpec> &Specs,
+                      ParamDistribution Dist, int64_t NumSamples, double Alpha,
+                      Rng &Generator) {
   const Region Curve = makeQuadraticRegion(A0.reshaped({1, A0.numel()}),
                                            A1.reshaped({1, A1.numel()}),
                                            A2.reshaped({1, A2.numel()}));
-  return sampleCurveBounds(Layers, InputShape, Curve, Spec, Dist, NumSamples,
+  return sampleCurveBounds(Layers, InputShape, Curve, Specs, Dist, NumSamples,
                            Alpha, Generator);
 }
 

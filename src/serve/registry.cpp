@@ -39,15 +39,9 @@ bool ModelRegistry::registerModel(const std::string &Spec, std::string *Err) {
     Pos = Plus + 1;
   }
 
-  for (const std::string &Path : M.Paths) {
-    std::string Why;
-    auto Net = loadNetwork(Path, &Why);
-    if (!Net)
-      return fail(Err, "cannot load network " + Path + ": " + Why);
-    M.Networks.push_back(std::make_unique<Sequential>(std::move(*Net)));
-  }
-  for (const auto &Net : M.Networks)
-    M.Pipeline = concatViews(M.Pipeline, Net->view());
+  std::string Why;
+  if (!loadPipeline(M.Paths, M.Networks, M.Pipeline, &Why))
+    return fail(Err, Why);
 
   Models.emplace(M.Name, std::move(M));
   return true;

@@ -20,7 +20,6 @@
 #include "src/nn/sequential.h"
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,8 +29,7 @@ namespace genprove {
 struct RegisteredModel {
   std::string Name;
   std::vector<std::string> Paths;
-  /// unique_ptr so the Layer* views below stay stable across map growth.
-  std::vector<std::unique_ptr<Sequential>> Networks;
+  std::vector<Sequential> Networks;
   std::vector<const Layer *> Pipeline; ///< concatenated layer view
 };
 

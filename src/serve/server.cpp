@@ -426,7 +426,14 @@ bool Server::run() {
   ::unlink(Cfg.SocketPath.c_str());
   Admission.beginDrain();
   const bool Drained = Admission.awaitIdle(Cfg.DrainDeadlineSeconds);
+  // Past the deadline, stuck --isolate requests end the way a second
+  // signal ends them (workers killed, job files removed), but each still
+  // gets its interval-box fallback answer, so the connection threads
+  // joined below wait for nothing else.
+  if (!Drained)
+    abandonShardRuns(true);
   reapConnections(/*All=*/true);
+  abandonShardRuns(false);
   if (logEnabled())
     EventLog::global().emit(LogLevel::Info, "serve.drain_end",
                             {{"drained", Drained}});

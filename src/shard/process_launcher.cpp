@@ -434,19 +434,13 @@ std::optional<int> runShardWorker(int Argc, char **Argv) {
   }
 
   std::vector<Sequential> Networks;
+  std::vector<const Layer *> Pipeline;
   {
     GENPROVE_SPAN("load_networks");
-    for (const std::string &Path : Job.NetPaths) {
-      std::string Why;
-      std::optional<Sequential> Net = loadNetwork(Path, &Why);
-      if (!Net)
-        return Fail("cannot load network " + Path + ": " + Why);
-      Networks.push_back(std::move(*Net));
-    }
+    std::string Why;
+    if (!loadPipeline(Job.NetPaths, Networks, Pipeline, &Why))
+      return Fail(Why);
   }
-  std::vector<const Layer *> Pipeline;
-  for (const Sequential &Net : Networks)
-    Pipeline = concatViews(Pipeline, Net.view());
   FaultInjector Injector(Job.Faults.value_or(FaultPlan{}));
   ShardWorkContext Ctx;
   if (const std::string Why = shardJobContext(Job, Pipeline, Ctx, &Injector);

@@ -540,6 +540,9 @@ bool decodeShardJob(const std::string &Text, ShardJob &Out, std::string *Err) {
     return Fail("job has an unknown fault mode '" + Fault.Mode +
                 "' (crash|hang|oomkill|slow)");
   Int(V, "inject_shard", Fault.Shard);
+  if (!Fault.Mode.empty() && (Fault.Shard < 0 || Fault.Shard >= Out.Shards))
+    return Fail("job fault shard " + std::to_string(Fault.Shard) +
+                " is outside [0, " + std::to_string(Out.Shards) + ")");
   Int(V, "inject_attempts", Fault.Attempts);
   Num(V, "inject_ms", Fault.Millis);
   Int(V, "threads", Out.Threads);

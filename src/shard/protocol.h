@@ -94,9 +94,9 @@ std::string encodeShardJob(const ShardJob &Job);
 
 /// Decode a job file's contents; false with the reason in \p Err on
 /// damage (no networks, start/end arrays that are empty, non-finite or of
-/// different lengths, an invalid spec text, fewer than one shard or an
-/// unknown fault mode). Whether the job fits its networks is the
-/// worker's check.
+/// different lengths, an invalid spec text, fewer than one shard, an
+/// unknown fault mode or a fault aimed at a shard outside [0, shards)).
+/// Whether the job fits its networks is the worker's check.
 bool decodeShardJob(const std::string &Text, ShardJob &Out, std::string *Err);
 
 /// Typed wire-level failure for the newline-JSON framing shared by the

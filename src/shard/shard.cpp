@@ -10,21 +10,6 @@
 
 namespace genprove {
 
-std::vector<ShardRange> planShards(int64_t NumShards) {
-  const int64_t N = std::max<int64_t>(NumShards, 1);
-  // The parameter ranges of the pieces the workers certify, read off a
-  // one-value segment.
-  const Tensor Point({1, 1});
-  const ParamCdf Uniform = makeCdf(ParamDistribution::Uniform);
-  std::vector<ShardRange> Plan;
-  Plan.reserve(static_cast<size_t>(N));
-  for (int64_t I = 0; I < N; ++I) {
-    const Region Piece = segmentPiece(Point, Point, I, N, Uniform);
-    Plan.push_back(ShardRange{I, Piece.T0, Piece.T1});
-  }
-  return Plan;
-}
-
 MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
                                     int64_t NumSpecs) {
   MergedCertificate Merged;
@@ -78,7 +63,6 @@ MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
   }
 
   for (const ShardResult &R : Results) {
-    Merged.Seconds = std::max(Merged.Seconds, R.Seconds);
     Merged.TotalShardSeconds += R.Seconds;
     Merged.PeakBytes += static_cast<size_t>(std::max<int64_t>(R.PeakBytes, 0));
     Merged.MaxRegions += R.MaxRegions;
@@ -89,8 +73,6 @@ MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
     Merged.QuarantinedMass += R.QuarantinedMass;
     Merged.DeadlineHit = Merged.DeadlineHit || R.DeadlineHit;
     Merged.Degraded = Merged.Degraded || R.Degraded;
-    if (R.FromFallback)
-      ++Merged.FallbackShards;
     // Map the supervision rung onto the in-process ladder for display: a
     // shard that ran (or fell back) at the interval-box rung reached
     // FullBox; a resilient retry reached at least LocalBox only if its

@@ -1,16 +1,15 @@
 //===- shard/shard.h - Region-set sharding and sound merge -----*- C++ -*-===//
 ///
 /// \file
-/// Shard partitioning and cross-shard result merging for the supervised
-/// scale-out path (ROADMAP item 4). The exact domain's region lists are
-/// embarrassingly partitionable: the input-parameter interval [0, 1] is cut
-/// into disjoint sub-ranges, each shard propagates its sub-range completely
-/// independently (the same Section 5.2 partition the in-process
-/// `--splits` path uses), and the paper's probability bounds are sums of
-/// per-region masses — so the merged lower/upper bound is just the sum of
-/// the per-shard partial bounds, aggregated with the directed
-/// `sumUp`/`sumDown` accumulators so the merge itself can never flip an
-/// inequality (docs/SOUNDNESS.md).
+/// Cross-shard result merging for the supervised scale-out path. The
+/// exact domain's region lists are embarrassingly partitionable: shard k
+/// of N propagates piece k of segmentPiece's Section 5.2 partition of the
+/// input-parameter interval [0, 1] (the partition the in-process
+/// `--splits` path uses) completely independently, and the paper's
+/// probability bounds are sums of per-region masses — so the merged
+/// lower/upper bound is just the sum of the per-shard partial bounds,
+/// aggregated with the directed `sumUp`/`sumDown` accumulators so the
+/// merge itself can never flip an inequality (docs/SOUNDNESS.md).
 ///
 /// Nothing here knows about processes; the supervision machinery lives in
 /// shard/supervisor.h and shard/process_launcher.h.
@@ -27,19 +26,6 @@
 #include <vector>
 
 namespace genprove {
-
-/// One shard's slice of the input-parameter interval.
-struct ShardRange {
-  int64_t Index = 0;
-  double T0 = 0.0;
-  double T1 = 1.0;
-};
-
-/// Cut [0, 1] into \p NumShards equal, disjoint, covering sub-ranges: the
-/// parameter ranges of segmentPiece's pieces (shard k owns [k/N,
-/// (k+1)/N]; the boundaries are exact at the shared endpoints, so no
-/// parameter mass is dropped or double-counted).
-std::vector<ShardRange> planShards(int64_t NumShards);
 
 /// Per-spec partial bounds contributed by one shard: the probability mass
 /// of the shard's sub-range that certainly / possibly satisfies the spec.
@@ -85,7 +71,6 @@ struct MergedCertificate {
   /// Any shard degraded, fell back, or needed a restart.
   bool Degraded = false;
   DegradeRung Rung = DegradeRung::None; ///< worst in-process rung
-  double Seconds = 0.0;       ///< max shard wall time (shards run concurrently)
   double TotalShardSeconds = 0.0; ///< summed shard wall time (cpu cost)
   size_t PeakBytes = 0;       ///< summed per-shard peaks (concurrent residency)
   int64_t MaxRegions = 0;     ///< summed per-shard maxima (upper bound)
@@ -95,7 +80,6 @@ struct MergedCertificate {
   int64_t FallbackBoxLayers = 0;
   bool DeadlineHit = false;
   double QuarantinedMass = 0.0;
-  int64_t FallbackShards = 0; ///< shards bounded by the coordinator fallback
 };
 
 /// Merge per-shard results (one per shard, any order) into the final

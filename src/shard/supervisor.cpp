@@ -10,6 +10,7 @@
 #include "src/util/timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -162,6 +163,14 @@ std::vector<int64_t> ShardScheduler::exhaustedShards() const {
 // ShardSupervisor
 //===----------------------------------------------------------------------===//
 
+namespace {
+std::atomic<bool> RunsAbandoned{false};
+} // namespace
+
+void abandonShardRuns(bool On) {
+  RunsAbandoned.store(On, std::memory_order_release);
+}
+
 ShardSupervisor::ShardSupervisor(ShardPolicy Policy,
                                  ShardWorkerLauncher &Launcher,
                                  FallbackFn Fallback, AdmitFn Admit)
@@ -261,8 +270,23 @@ ShardRunSummary ShardSupervisor::run() {
   while (true) {
     double T = Now();
 
+    // Abandoned: no worker runs or starts, and every shard that has no
+    // result yet, backing off or not, goes to the fallback.
+    const bool Abandoned = RunsAbandoned.load(std::memory_order_acquire);
+    if (Abandoned) {
+      for (const auto &Entry : Live) {
+        Launcher.kill(Entry.first);
+        Sched.recordFailure(Entry.first, AttemptOutcome::Fatal, T);
+      }
+      Live.clear();
+    }
     AttemptPlan Plan;
-    while (Sched.nextReady(T, Plan)) {
+    while (Sched.nextReady(
+        Abandoned ? std::numeric_limits<double>::infinity() : T, Plan)) {
+      if (Abandoned) {
+        Sched.recordFailure(Plan.Shard, AttemptOutcome::Fatal, T);
+        continue;
+      }
       if (Admit && Plan.Rung == ShardRung::Configured && !Admit(Plan)) {
         // The coordinator's own budget says a Configured-rung worker is
         // doomed; skip straight to the resilient rung without paying for

@@ -214,6 +214,13 @@ struct ShardRunSummary {
   double Seconds = 0.0;
 };
 
+/// End every supervised run of this process the way a forced exit does,
+/// but with an answer: while \p On stays set, each ShardSupervisor kills
+/// its live workers at its next poll, starts no new attempt and bounds
+/// every unresolved shard with its fallback (superviseShardJob then
+/// removes the run's job file). A daemon past its drain deadline sets it.
+void abandonShardRuns(bool On);
+
 /// The supervision loop: launches ready attempts, polls live workers,
 /// enforces heartbeat/deadline kills, retries with backoff, and bounds
 /// exhausted shards with the fallback.

@@ -5,11 +5,25 @@
 #include "src/data/synth_shoes.h"
 #include "src/nn/architectures.h"
 #include "src/nn/init.h"
+#include "src/train/vae.h"
 
 #include <gtest/gtest.h>
 
 namespace genprove {
 namespace {
+
+/// What BenchEnv::computeCell hands evaluateConsistency: each pair's
+/// encoded endpoints and its specs.
+std::vector<ConsistencyPair> encodePairs(Vae &Model, const Dataset &Set,
+                                         const std::vector<SpecPair> &Pairs,
+                                         int64_t NumOutputs) {
+  std::vector<ConsistencyPair> Encoded;
+  for (const SpecPair &Pair : Pairs)
+    Encoded.push_back({Model.encode(Set.image(Pair.First)),
+                       Model.encode(Set.image(Pair.Second)),
+                       consistencySpecs(Set, Pair.First, NumOutputs)});
+  return Encoded;
+}
 
 TEST(Pairs, SameClassPairsShareLabels) {
   const Dataset Set = makeSynthShoes(200, 16, 1);
@@ -65,13 +79,16 @@ TEST(Consistency, EvaluationProducesCoherentReport) {
   const auto Pairs = sameAttributePairs(Set, 4, R);
   ASSERT_FALSE(Pairs.empty());
 
-  GenProveConfig Config;
+  ConsistencyConfig Config;
   Config.RelaxPercent = 0.1;
   Config.ClusterK = 20.0;
   Config.NodeThreshold = 100;
-  const GenProve Analyzer(Config);
+  Config.MemoryBudgetBytes = 0;
   const ConsistencyReport Report = evaluateConsistency(
-      Analyzer, Model, Detector, Set, Pairs, SpecTarget::AllAttributes);
+      concatViews(Model.decoder().view(), Detector.view()),
+      Shape({1, Model.latentDim()}),
+      encodePairs(Model, Set, Pairs, Set.numAttributes()),
+      Method::GenProveRelax, Config);
 
   EXPECT_EQ(Report.NumBounds,
             static_cast<int64_t>(Pairs.size()) * Set.numAttributes());
@@ -137,12 +154,64 @@ TEST(Consistency, ExactAnalysisGivesZeroWidths) {
   kaimingInit(Classifier, R);
 
   const auto Pairs = sameClassPairs(Set, 2, R);
-  GenProveConfig Config; // exact (p = 0), unlimited memory
-  const GenProve Analyzer(Config);
+  ConsistencyConfig Config; // exact (p = 0), unlimited memory
+  Config.MemoryBudgetBytes = 0;
   const ConsistencyReport Report = evaluateConsistency(
-      Analyzer, Model, Classifier, Set, Pairs, SpecTarget::ClassLabel);
+      concatViews(Model.decoder().view(), Classifier.view()),
+      Shape({1, Model.latentDim()}),
+      encodePairs(Model, Set, Pairs, Set.numClasses()),
+      Method::GenProveExact, Config);
   EXPECT_EQ(Report.FractionOom, 0.0);
   EXPECT_NEAR(Report.MeanWidth, 0.0, 1e-9);
+}
+
+/// Every table method's cell on the same two pairs of an untrained
+/// decoder + ConvSmall detector: each sound method's mean bound contains
+/// the exact GenProve^0 cell's, and at the cell's fixed seed the sampling
+/// baseline's mean interval brackets it too. Short segments keep the
+/// exact cell to a few hundred regions and let DeepZono prove some specs.
+TEST(Consistency, EveryMethodContainsTheExactCell) {
+  const Dataset Set = makeSynthFaces(60, 16, 6);
+  Rng R(6);
+  const int64_t Latent = 4;
+  Sequential Decoder = makeDecoderSmall(Latent, 3, 16);
+  Sequential Detector = makeConvSmall(3, 16, Set.numAttributes());
+  kaimingInit(Decoder, R);
+  kaimingInit(Detector, R);
+  const std::vector<const Layer *> Pipeline =
+      concatViews(Decoder.view(), Detector.view());
+
+  std::vector<ConsistencyPair> Pairs;
+  for (int64_t First : {0, 1}) {
+    const Tensor Start = Tensor::randn({1, Latent}, R);
+    Tensor End = Tensor::randn({1, Latent}, R, 0.25);
+    for (int64_t J = 0; J < Latent; ++J)
+      End[J] += Start[J];
+    Pairs.push_back(
+        {Start, End, consistencySpecs(Set, First, Set.numAttributes())});
+  }
+  ConsistencyConfig Config;
+  Config.SamplesPerPair = 1000;
+  Config.MemoryBudgetBytes = 0;
+  const auto Cell = [&](Method Which) {
+    return evaluateConsistency(Pipeline, Shape({1, Latent}), Pairs, Which,
+                               Config);
+  };
+
+  const ConsistencyReport Exact = Cell(Method::GenProveExact);
+  ASSERT_EQ(Exact.NumBounds, 2 * Set.numAttributes());
+  EXPECT_EQ(Exact.FractionOom, 0.0);
+  EXPECT_NEAR(Exact.MeanWidth, 0.0, 1e-9);
+  for (Method Which :
+       {Method::Box, Method::HybridZono, Method::Zonotope, Method::DeepZono,
+        Method::Baseline, Method::GenProveDet, Method::GenProveRelax,
+        Method::Sampling}) {
+    const ConsistencyReport Report = Cell(Which);
+    EXPECT_EQ(Report.NumBounds, Exact.NumBounds) << methodName(Which);
+    EXPECT_EQ(Report.FractionOom, 0.0) << methodName(Which);
+    EXPECT_LE(Report.MeanLower, Exact.MeanLower + 1e-9) << methodName(Which);
+    EXPECT_GE(Report.MeanUpper, Exact.MeanUpper - 1e-9) << methodName(Which);
+  }
 }
 
 } // namespace

@@ -27,8 +27,8 @@ TEST(Sampler, IntervalContainsTrueProbability) {
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   Rng R(5);
   const SamplingResult Result = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Uniform,
-      20000, 1e-5, R);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      20000, 1e-5, R).front();
   EXPECT_LE(Result.Lower, 0.3);
   EXPECT_GE(Result.Upper, 0.3);
   EXPECT_LT(Result.width(), 0.05);
@@ -41,8 +41,8 @@ TEST(Sampler, ArcsineDistributionChangesEstimate) {
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   Rng R(6);
   const SamplingResult Result = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Arcsine,
-      20000, 1e-5, R);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Arcsine,
+      20000, 1e-5, R).front();
   // Arcsine CDF at 0.25 is 1/3.
   EXPECT_LE(Result.Lower, 1.0 / 3.0);
   EXPECT_GE(Result.Upper, 1.0 / 3.0);
@@ -56,11 +56,11 @@ TEST(Sampler, MoreSamplesTightenTheInterval) {
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   Rng R(7);
   const SamplingResult Small = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Uniform,
-      500, 1e-5, R);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      500, 1e-5, R).front();
   const SamplingResult Large = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Uniform,
-      20000, 1e-5, R);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      20000, 1e-5, R).front();
   EXPECT_LT(Large.width(), Small.width());
 }
 
@@ -71,13 +71,35 @@ TEST(Sampler, DeterministicGivenSeed) {
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   Rng R1(9), R2(9);
   const SamplingResult A = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Uniform,
-      2000, 1e-5, R1);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      2000, 1e-5, R1).front();
   const SamplingResult B = sampleSegmentBounds(
-      Net.view(), Shape({1, 1}), E1, E2, Spec, ParamDistribution::Uniform,
-      2000, 1e-5, R2);
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      2000, 1e-5, R2).front();
   EXPECT_EQ(A.Satisfied, B.Satisfied);
   EXPECT_DOUBLE_EQ(A.Lower, B.Lower);
+}
+
+TEST(Sampler, SpecsShareOneSampleStream) {
+  Sequential Net = makeThresholdNet(0.4);
+  Tensor E1({1, 1}, {0.0});
+  Tensor E2({1, 1}, {1.0});
+  const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
+  const OutputSpec Negated = OutputSpec::attributeSign(0, false, 1);
+  Rng R1(9), R2(9);
+  const SamplingResult Alone = sampleSegmentBounds(
+      Net.view(), Shape({1, 1}), E1, E2, {Spec}, ParamDistribution::Uniform,
+      2000, 1e-5, R1).front();
+  const std::vector<SamplingResult> Both = sampleSegmentBounds(
+      Net.view(), Shape({1, 1}), E1, E2, {Spec, Negated},
+      ParamDistribution::Uniform, 2000, 1e-5, R2);
+  ASSERT_EQ(Both.size(), 2u);
+  // The first spec sees exactly the points it sees alone, and the two
+  // complementary specs split every sample between them.
+  EXPECT_EQ(Both[0].Satisfied, Alone.Satisfied);
+  EXPECT_DOUBLE_EQ(Both[0].Lower, Alone.Lower);
+  EXPECT_EQ(Both[0].Satisfied + Both[1].Satisfied, 2000);
+  EXPECT_EQ(R1.uniform(), R2.uniform());
 }
 
 TEST(Sampler, QuadraticCurveSampling) {
@@ -93,8 +115,8 @@ TEST(Sampler, QuadraticCurveSampling) {
   const OutputSpec Spec = OutputSpec::attributeSign(0, true, 1);
   Rng R(11);
   const SamplingResult Result = sampleQuadraticBounds(
-      Net.view(), Shape({1, 1}), A0, A1, A2, Spec, ParamDistribution::Uniform,
-      20000, 1e-5, R);
+      Net.view(), Shape({1, 1}), A0, A1, A2, {Spec}, ParamDistribution::Uniform,
+      20000, 1e-5, R).front();
   EXPECT_LE(Result.Lower, 0.5);
   EXPECT_GE(Result.Upper, 0.5);
 }

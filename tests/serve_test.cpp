@@ -8,7 +8,7 @@
 /// an end-to-end Unix-socket test:
 /// a live Server answering ping/verify/stats, shedding under load,
 /// surviving injected faults in --isolate worker processes, refusing them
-/// in process, and draining on requestStop.
+/// in process, and draining on requestStop within the drain deadline.
 
 #include "src/domains/prop_cache.h"
 #include "src/nn/linear.h"
@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -34,9 +35,11 @@
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace genprove {
@@ -384,6 +387,8 @@ TEST(ServeCodec, WorkerSpecRoundTrips) {
        }},
       {"invalid spec", [](ShardJob &J) { J.Specs.push_back("argmax:zero"); }},
       {"unknown fault mode", [](ShardJob &J) { J.Fault.Mode = "explode"; }},
+      {"fault shard out of range",
+       [](ShardJob &J) { J.Fault.Shard = J.Shards; }},
   };
   for (const Damage &D : Cases) {
     ShardJob Bad = S;
@@ -829,6 +834,52 @@ TEST_F(ServeEndToEnd, DrainAnswersInFlightThenStops) {
   stopServer();
   // The socket is gone: new connections are refused after drain.
   EXPECT_LT(connectSocket(), 0);
+}
+
+/// A hung --isolate request does not hold SIGTERM past the drain
+/// deadline: its worker is killed and its job file removed, long before
+/// the 8 s heartbeat timeout would catch the hang, and the request ends
+/// with its interval-box answer or a closed connection.
+TEST_F(ServeEndToEnd, DrainDeadlineEndsStuckIsolatedRequest) {
+  ServeConfig Cfg;
+  Cfg.AllowInject = true;
+  Cfg.Isolate = true;
+  Cfg.ExePath = GENPROVE_SERVE_EXE;
+  Cfg.HeartbeatTimeoutSeconds = 8.0;
+  Cfg.DrainDeadlineSeconds = 1.0;
+  startServer(Cfg);
+
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(sendLine(Fd, verifyLine("stuck", -1.0, "hang")));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto StopAt = std::chrono::steady_clock::now();
+  stopServer();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          StopAt)
+                .count(),
+            3.0);
+
+  std::string Reply;
+  if (readLine(Fd, Reply, 1.0)) {
+    JsonValue V;
+    ASSERT_TRUE(parseJson(Reply, V, nullptr)) << Reply;
+    EXPECT_EQ(V.find("status")->stringOr(""), "degraded") << Reply;
+  }
+  ::close(Fd);
+
+  // No worker process, live or unreaped, and no job file is left.
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  const std::string JobPrefix =
+      "genprove-job-" + std::to_string(::getpid()) + "-";
+  DIR *Tmp = ::opendir("/tmp");
+  ASSERT_NE(Tmp, nullptr);
+  while (const struct dirent *Entry = ::readdir(Tmp))
+    EXPECT_NE(std::strncmp(Entry->d_name, JobPrefix.c_str(), JobPrefix.size()),
+              0)
+        << Entry->d_name;
+  ::closedir(Tmp);
 }
 
 } // namespace

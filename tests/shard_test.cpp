@@ -56,21 +56,30 @@ void expectContains(const ProbBounds &Outer, const ProbBounds &Inner) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardPlan, PartitionIsDisjointCoveringAndExact) {
-  for (int64_t N : {1, 2, 3, 4, 7}) {
-    const std::vector<ShardRange> Ranges = planShards(N);
-    ASSERT_EQ(Ranges.size(), static_cast<size_t>(N));
-    EXPECT_EQ(Ranges.front().T0, 0.0);
-    EXPECT_EQ(Ranges.back().T1, 1.0);
-    for (int64_t I = 0; I < N; ++I) {
-      EXPECT_EQ(Ranges[static_cast<size_t>(I)].Index, I);
-      EXPECT_LT(Ranges[static_cast<size_t>(I)].T0,
-                Ranges[static_cast<size_t>(I)].T1);
+  // The pieces the workers certify, over a one-value segment from 0 to 1.
+  const Tensor Start({1, 1}, {0.0});
+  const Tensor End({1, 1}, {1.0});
+  for (ParamDistribution Dist :
+       {ParamDistribution::Uniform, ParamDistribution::Arcsine}) {
+    const ParamCdf Cdf = makeCdf(Dist);
+    for (int64_t N : {1, 2, 3, 4, 7}) {
+      std::vector<Region> Pieces;
+      for (int64_t I = 0; I < N; ++I)
+        Pieces.push_back(segmentPiece(Start, End, I, N, Cdf));
+      EXPECT_EQ(Pieces.front().T0, 0.0);
+      EXPECT_EQ(Pieces.back().T1, 1.0);
+      double Mass = 0.0;
+      for (const Region &Piece : Pieces) {
+        EXPECT_LT(Piece.T0, Piece.T1);
+        Mass += Piece.Weight;
+      }
+      EXPECT_NEAR(Mass, 1.0, 1e-12);
+      // Shared cut points are the *same double* on both sides: no parameter
+      // mass can fall through or be double-counted at a boundary.
+      for (int64_t I = 0; I + 1 < N; ++I)
+        EXPECT_EQ(Pieces[static_cast<size_t>(I)].T1,
+                  Pieces[static_cast<size_t>(I + 1)].T0);
     }
-    // Shared cut points are the *same double* on both sides: no parameter
-    // mass can fall through or be double-counted at a boundary.
-    for (int64_t I = 0; I + 1 < N; ++I)
-      EXPECT_EQ(Ranges[static_cast<size_t>(I)].T1,
-                Ranges[static_cast<size_t>(I + 1)].T0);
   }
 }
 
@@ -172,7 +181,10 @@ TEST(ShardProtocol, ResultCarriesTelemetrySections) {
   Tel.HasMetrics = true;
   Tel.Metrics.Counters["propagate.splits"] = 12;
   Tel.Metrics.Gauges["device.peak_bytes"] = 4096.0;
-  Tel.Metrics.Histograms["propagate.layer_seconds"].record(0.5);
+  HistogramSnapshot &H = Tel.Metrics.Histograms["propagate.layer_seconds"];
+  H.Count = 1; // one 0.5 s sample
+  H.Sum = H.Min = H.Max = 0.5;
+  H.Buckets[static_cast<size_t>(Histogram::bucketIndex(0.5))] = 1;
   TraceEvent E;
   E.Name = "layer_0";
   E.StartUs = 100;

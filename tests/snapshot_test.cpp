@@ -1,10 +1,11 @@
-//===- tests/snapshot_test.cpp - metrics snapshot/merge tests ---*- C++ -*-===//
+//===- tests/snapshot_test.cpp - metrics snapshot/fold tests ----*- C++ -*-===//
 //
-// The cross-process telemetry plane: snapshot capture, merge semantics
-// (counter sums, gauge policies, bucket-wise histogram merge), percentile
-// extraction from log-scale buckets, the bit-exact JSON wire format, and
-// the registry fold the shard supervisor uses — including the acceptance
-// differential "merged counter totals equal the sum of per-worker values".
+// The cross-process telemetry plane: snapshot capture, the registry fold
+// the shard supervisor merges worker telemetry with (counter sums, gauge
+// policies, bucket-wise histograms, independent of fold order and
+// grouping), percentiles of folded histograms, the bit-exact JSON wire
+// format, and the acceptance differential "merged counter totals equal
+// the sum of per-worker values".
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,27 +44,71 @@ private:
   bool WasMetrics = false;
 };
 
+/// The fold tests' suites: each starts and ends with a reset registry.
+class SnapshotMerge : public SnapshotTest {};
+class SnapshotPercentile : public SnapshotTest {};
+class SnapshotJson : public SnapshotTest {};
+
 /// A deterministic pseudo-worker snapshot: counters, gauges of each merge
-/// class, and a histogram fed from a seeded RNG.
+/// class, and a histogram fed from a seeded RNG, recorded live and
+/// captured the way a shard worker ships them. Leaves the global registry
+/// reset.
 MetricsSnapshot makeWorkerSnapshot(uint64_t Seed, int NumSamples) {
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  Reg.reset();
+  setMetricsEnabled(true);
   Rng R(Seed);
-  MetricsSnapshot S;
-  S.Counters["propagate.splits"] = static_cast<int64_t>(Seed) * 11 + 3;
-  S.Counters["shard.restarts"] = static_cast<int64_t>(Seed % 3);
-  S.Gauges["device.peak_bytes"] = 1000.0 * static_cast<double>(Seed + 1);
-  S.Gauges["pool.busy_seconds"] = 0.25 * static_cast<double>(Seed + 1);
-  S.Gauges["pool.threads"] = static_cast<double>(Seed + 2);
-  HistogramSnapshot &H = S.Histograms["propagate.layer_seconds"];
+  Reg.counter("propagate.splits").add(static_cast<int64_t>(Seed) * 11 + 3);
+  Reg.counter("shard.restarts").add(static_cast<int64_t>(Seed % 3));
+  Reg.gauge("device.peak_bytes")
+      .setMax(1000.0 * static_cast<double>(Seed + 1));
+  Reg.gauge("pool.busy_seconds").add(0.25 * static_cast<double>(Seed + 1));
+  Reg.gauge("pool.threads").set(static_cast<double>(Seed + 2));
+  Histogram &H = Reg.histogram("propagate.layer_seconds");
   for (int I = 0; I < NumSamples; ++I)
     H.record(std::exp(R.normal(0.0, 2.0))); // lognormal spans many buckets
+  MetricsSnapshot S = MetricsSnapshot::capture(Reg);
+  Reg.reset();
   return S;
+}
+
+/// Fold \p Parts, in order, into the reset global registry the way the
+/// supervisor folds worker results, and capture what it then holds.
+MetricsSnapshot foldAll(std::initializer_list<const MetricsSnapshot *> Parts) {
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  Reg.reset();
+  for (const MetricsSnapshot *Part : Parts)
+    foldIntoRegistry(Reg, *Part);
+  return MetricsSnapshot::capture(Reg);
+}
+
+/// A worker histogram of \p Samples, folded into the reset registry: the
+/// histogram a percentile of shipped telemetry reads.
+const Histogram &foldedHistogram(const std::vector<double> &Samples) {
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  Reg.reset();
+  setMetricsEnabled(true);
+  Histogram &H = Reg.histogram("test.latency");
+  for (double V : Samples)
+    H.record(V);
+  const MetricsSnapshot Worker = MetricsSnapshot::capture(Reg);
+  Reg.reset();
+  foldIntoRegistry(Reg, Worker);
+  return H;
+}
+
+/// The coordinator's decode of a shipped snapshot.
+bool decodeSnapshot(const std::string &Text, MetricsSnapshot &Out,
+                    std::string *Error) {
+  JsonValue V;
+  return parseJson(Text, V, Error) && MetricsSnapshot::fromJson(V, Out, Error);
 }
 
 bool histogramsEqual(const HistogramSnapshot &A, const HistogramSnapshot &B) {
   // Bit-exact comparison: empty-histogram sentinels are +-inf, so compare
   // through memcmp-style equality that treats -0.0/0.0 as different only
   // if the bits differ. Plain == suffices here (no NaN stats by
-  // construction: record() skips NaN for min/max).
+  // construction: Histogram::record skips NaN for min/max).
   if (A.Count != B.Count || A.Buckets != B.Buckets)
     return false;
   const auto SameBits = [](double X, double Y) {
@@ -94,20 +139,20 @@ bool snapshotsEqual(const MetricsSnapshot &A, const MetricsSnapshot &B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Merge semantics
+// Fold semantics
 //===----------------------------------------------------------------------===//
 
-TEST(SnapshotMerge, CountersSum) {
+TEST_F(SnapshotMerge, CountersSum) {
   MetricsSnapshot A, B;
   A.Counters["x"] = 3;
   B.Counters["x"] = 4;
   B.Counters["y"] = 7;
-  A.merge(B);
-  EXPECT_EQ(A.Counters["x"], 7);
-  EXPECT_EQ(A.Counters["y"], 7);
+  const MetricsSnapshot Folded = foldAll({&A, &B});
+  EXPECT_EQ(Folded.Counters.at("x"), 7);
+  EXPECT_EQ(Folded.Counters.at("y"), 7);
 }
 
-TEST(SnapshotMerge, GaugePolicies) {
+TEST_F(SnapshotMerge, GaugePolicies) {
   EXPECT_EQ(gaugeMergePolicy("device.peak_bytes"), GaugeMerge::Max);
   EXPECT_EQ(gaugeMergePolicy("pool.busy_seconds"), GaugeMerge::Sum);
   EXPECT_EQ(gaugeMergePolicy("pool.threads"), GaugeMerge::Last);
@@ -123,100 +168,87 @@ TEST(SnapshotMerge, GaugePolicies) {
   A.Gauges["pool.busy_seconds"] = 1.5;
   B.Gauges["pool.busy_seconds"] = 2.0;
   A.Gauges["pool.threads"] = 4.0;
-  B.Gauges["pool.threads"] = 2.0; // last-write-wins: rhs
-  A.merge(B);
-  EXPECT_EQ(A.Gauges["device.peak_bytes"], 100.0);
-  EXPECT_EQ(A.Gauges["pool.busy_seconds"], 3.5);
-  EXPECT_EQ(A.Gauges["pool.threads"], 2.0);
+  B.Gauges["pool.threads"] = 2.0; // last-write-wins: folded last
+  const MetricsSnapshot Folded = foldAll({&A, &B});
+  EXPECT_EQ(Folded.Gauges.at("device.peak_bytes"), 100.0);
+  EXPECT_EQ(Folded.Gauges.at("pool.busy_seconds"), 3.5);
+  EXPECT_EQ(Folded.Gauges.at("pool.threads"), 2.0);
 }
 
-TEST(SnapshotMerge, HistogramMergeIsAssociativeAndCommutative) {
+TEST_F(SnapshotMerge, HistogramMergeIsAssociativeAndCommutative) {
   const MetricsSnapshot W0 = makeWorkerSnapshot(1, 200);
   const MetricsSnapshot W1 = makeWorkerSnapshot(2, 150);
   const MetricsSnapshot W2 = makeWorkerSnapshot(3, 75);
 
-  // (W0 + W1) + W2
-  MetricsSnapshot L = W0;
-  L.merge(W1);
-  L.merge(W2);
-  // W0 + (W1 + W2)
-  MetricsSnapshot RInner = W1;
-  RInner.merge(W2);
-  MetricsSnapshot Rt = W0;
-  Rt.merge(RInner);
-  EXPECT_TRUE(snapshotsEqual(L, Rt)) << "merge is not associative";
+  // (W0 + W1) + W2: one fold in worker order.
+  const MetricsSnapshot L = foldAll({&W0, &W1, &W2});
+  // W0 + (W1 + W2): W1 and W2 folded first, their total folded after W0.
+  const MetricsSnapshot RInner = foldAll({&W1, &W2});
+  const MetricsSnapshot Rt = foldAll({&W0, &RInner});
+  EXPECT_TRUE(snapshotsEqual(L, Rt)) << "fold is not associative";
 
   // Commutativity holds for the histogram plane (bucket adds, min/max)
   // regardless of order; last-write-wins gauges are order-sensitive by
   // design, so compare histograms only.
-  MetricsSnapshot AB = W0, BA = W1;
-  AB.merge(W1);
-  BA.merge(W0);
+  const MetricsSnapshot AB = foldAll({&W0, &W1});
+  const MetricsSnapshot BA = foldAll({&W1, &W0});
   ASSERT_EQ(AB.Histograms.size(), BA.Histograms.size());
   for (const auto &[Name, H] : AB.Histograms)
     EXPECT_TRUE(histogramsEqual(H, BA.Histograms.at(Name))) << Name;
   EXPECT_EQ(AB.Counters, BA.Counters);
 }
 
-TEST(SnapshotMerge, MergingEmptyHistogramIsIdentity) {
-  MetricsSnapshot A = makeWorkerSnapshot(5, 64);
-  const MetricsSnapshot Before = A;
+TEST_F(SnapshotMerge, MergingEmptyHistogramIsIdentity) {
+  const MetricsSnapshot A = makeWorkerSnapshot(5, 64);
   MetricsSnapshot Empty;
   Empty.Histograms["propagate.layer_seconds"]; // all-zero snapshot
-  A.merge(Empty);
-  EXPECT_TRUE(histogramsEqual(A.Histograms.at("propagate.layer_seconds"),
-                              Before.Histograms.at("propagate.layer_seconds")));
+  const MetricsSnapshot Folded = foldAll({&A, &Empty});
+  EXPECT_TRUE(histogramsEqual(Folded.Histograms.at("propagate.layer_seconds"),
+                              A.Histograms.at("propagate.layer_seconds")));
 }
 
 //===----------------------------------------------------------------------===//
 // Percentiles
 //===----------------------------------------------------------------------===//
 
-TEST(SnapshotPercentile, EmptyHistogramYieldsNaN) {
-  HistogramSnapshot H;
-  EXPECT_TRUE(std::isnan(histogramPercentile(H, 0.5)));
+TEST_F(SnapshotPercentile, EmptyHistogramYieldsNaN) {
+  EXPECT_TRUE(std::isnan(histogramQuantile(foldedHistogram({}), 0.5)));
 }
 
-TEST(SnapshotPercentile, SingleSampleIsItsOwnQuantile) {
-  HistogramSnapshot H;
-  H.record(0.125);
+TEST_F(SnapshotPercentile, SingleSampleIsItsOwnQuantile) {
+  const Histogram &H = foldedHistogram({0.125});
   for (double Q : {0.0, 0.5, 0.99, 1.0})
-    EXPECT_DOUBLE_EQ(histogramPercentile(H, Q), 0.125) << Q;
+    EXPECT_DOUBLE_EQ(histogramQuantile(H, Q), 0.125) << Q;
 }
 
-TEST(SnapshotPercentile, TracksExactQuantilesWithinBucketResolution) {
+TEST_F(SnapshotPercentile, TracksExactQuantilesWithinBucketResolution) {
   // Log-2 buckets: the estimate must land within a factor of 2 of the
   // exact sample quantile (the bucket's own width), for several seeds.
   for (uint64_t Seed : {11u, 42u, 77u}) {
     Rng R(Seed);
-    HistogramSnapshot H;
     std::vector<double> Samples;
-    for (int I = 0; I < 2000; ++I) {
-      const double V = std::exp(R.normal(-2.0, 1.5));
-      Samples.push_back(V);
-      H.record(V);
-    }
+    for (int I = 0; I < 2000; ++I)
+      Samples.push_back(std::exp(R.normal(-2.0, 1.5)));
+    const Histogram &H = foldedHistogram(Samples);
     std::sort(Samples.begin(), Samples.end());
     for (double Q : {0.5, 0.9, 0.99}) {
       const size_t Rank = static_cast<size_t>(
           std::max<int64_t>(1, static_cast<int64_t>(std::ceil(
                                    Q * static_cast<double>(Samples.size())))));
       const double Exact = Samples[Rank - 1];
-      const double Est = histogramPercentile(H, Q);
+      const double Est = histogramQuantile(H, Q);
       EXPECT_GE(Est, Exact / 2.0) << "seed " << Seed << " q " << Q;
       EXPECT_LE(Est, Exact * 2.0) << "seed " << Seed << " q " << Q;
     }
   }
 }
 
-TEST(SnapshotPercentile, ClampsToObservedRange) {
-  HistogramSnapshot H;
+TEST_F(SnapshotPercentile, ClampsToObservedRange) {
   // Both samples share one bucket (2^1, 2^2]; interpolation must stay
   // inside the observed [2.5, 3.5], not the bucket's (2, 4].
-  H.record(2.5);
-  H.record(3.5);
+  const Histogram &H = foldedHistogram({2.5, 3.5});
   for (double Q : {0.01, 0.5, 0.99}) {
-    const double Est = histogramPercentile(H, Q);
+    const double Est = histogramQuantile(H, Q);
     EXPECT_GE(Est, 2.5);
     EXPECT_LE(Est, 3.5);
   }
@@ -226,7 +258,7 @@ TEST(SnapshotPercentile, ClampsToObservedRange) {
 // JSON wire format
 //===----------------------------------------------------------------------===//
 
-TEST(SnapshotJson, RoundTripIsBitExact) {
+TEST_F(SnapshotJson, RoundTripIsBitExact) {
   MetricsSnapshot S = makeWorkerSnapshot(9, 300);
   // Awkward doubles that %.17g must preserve exactly.
   S.Gauges["awkward.third"] = 1.0 / 3.0;
@@ -239,7 +271,7 @@ TEST(SnapshotJson, RoundTripIsBitExact) {
   ASSERT_TRUE(validateJson(Json, &Error)) << Error;
 
   MetricsSnapshot Back;
-  ASSERT_TRUE(MetricsSnapshot::fromJsonText(Json, Back, &Error)) << Error;
+  ASSERT_TRUE(decodeSnapshot(Json, Back, &Error)) << Error;
   EXPECT_TRUE(snapshotsEqual(S, Back));
   // The sentinels specifically: non-finite values must survive (the
   // generic JSON writer would have collapsed them to null).
@@ -249,22 +281,21 @@ TEST(SnapshotJson, RoundTripIsBitExact) {
   EXPECT_EQ(Back.toJson(), Json);
 }
 
-TEST(SnapshotJson, RejectsMalformedInput) {
+TEST_F(SnapshotJson, RejectsMalformedInput) {
   MetricsSnapshot Out;
   std::string Error;
-  EXPECT_FALSE(MetricsSnapshot::fromJsonText("[]", Out, &Error));
-  EXPECT_FALSE(MetricsSnapshot::fromJsonText(
-      R"({"counters":{"a":"text"}})", Out, &Error));
-  EXPECT_FALSE(MetricsSnapshot::fromJsonText(
-      R"({"gauges":{"g":1.5}})", Out, &Error)); // must be a string
-  EXPECT_FALSE(MetricsSnapshot::fromJsonText(
+  EXPECT_FALSE(decodeSnapshot("[]", Out, &Error));
+  EXPECT_FALSE(decodeSnapshot(R"({"counters":{"a":"text"}})", Out, &Error));
+  EXPECT_FALSE(decodeSnapshot(R"({"gauges":{"g":1.5}})", Out,
+                              &Error)); // must be a string
+  EXPECT_FALSE(decodeSnapshot(
       R"({"histograms":{"h":{"count":1,"sum":"1","min":"1","max":"1",)"
       R"("buckets":[[9999,1]]}}})",
       Out, &Error)); // bucket index out of range
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(SnapshotJson, LabeledNamesSurviveTheWire) {
+TEST_F(SnapshotJson, LabeledNamesSurviveTheWire) {
   EXPECT_EQ(labeledMetricName("a.b", "shard", "3"), "a.b{shard=\"3\"}");
   EXPECT_EQ(labeledMetricName("a.b{x=\"1\"}", "shard", "0"),
             "a.b{x=\"1\",shard=\"0\"}");
@@ -275,7 +306,7 @@ TEST(SnapshotJson, LabeledNamesSurviveTheWire) {
   EXPECT_EQ(L.Counters.count("propagate.splits{shard=\"2\"}"), 1u);
 
   MetricsSnapshot Back;
-  ASSERT_TRUE(MetricsSnapshot::fromJsonText(L.toJson(), Back, nullptr));
+  ASSERT_TRUE(decodeSnapshot(L.toJson(), Back, nullptr));
   EXPECT_TRUE(snapshotsEqual(L, Back));
 }
 
@@ -288,15 +319,18 @@ TEST_F(SnapshotTest, FoldedCounterTotalsEqualSumOfWorkers) {
   // supervisor does (base names + a shard=<id> dimension) and assert the
   // merged totals equal the per-worker sum, with the fold working even
   // while the local metrics switch is off (absorb plane).
+  const int NumWorkers = 4;
+  std::vector<MetricsSnapshot> Workers;
+  for (int Shard = 0; Shard < NumWorkers; ++Shard)
+    Workers.push_back(
+        makeWorkerSnapshot(static_cast<uint64_t>(Shard), 50 + 10 * Shard));
   setMetricsEnabled(false);
   MetricsRegistry &Reg = MetricsRegistry::global();
 
-  const int NumWorkers = 4;
   int64_t ExpectSplits = 0, ExpectRestarts = 0, ExpectHistCount = 0;
   double ExpectBusy = 0.0, ExpectPeak = 0.0;
   for (int Shard = 0; Shard < NumWorkers; ++Shard) {
-    const MetricsSnapshot W =
-        makeWorkerSnapshot(static_cast<uint64_t>(Shard), 50 + 10 * Shard);
+    const MetricsSnapshot &W = Workers[static_cast<size_t>(Shard)];
     ExpectSplits += W.Counters.at("propagate.splits");
     ExpectRestarts += W.Counters.at("shard.restarts");
     ExpectBusy += W.Gauges.at("pool.busy_seconds");
@@ -340,7 +374,7 @@ TEST_F(SnapshotTest, CaptureFoldRoundTripsThroughTheWire) {
   EXPECT_EQ(Reg.counter("wire.counter").value(), 0);
 
   MetricsSnapshot Back;
-  ASSERT_TRUE(MetricsSnapshot::fromJsonText(Json, Back, nullptr));
+  ASSERT_TRUE(decodeSnapshot(Json, Back, nullptr));
   foldIntoRegistry(Reg, Back);
   EXPECT_EQ(Reg.counter("wire.counter").value(), 13);
   EXPECT_EQ(Reg.gauge("wire.peak_thing").value(), 7.25);

@@ -464,6 +464,15 @@ int main(int Argc, char **Argv) {
   if (Shards > 0 && SplitsGiven)
     usage("--shards and --splits are mutually exclusive (a shard is an "
           "input split that runs in its own process)");
+  // A fault aimed at no worker never fires, and the run would pass as a
+  // clean one.
+  if (!InjectedWorkerFault.Mode.empty() &&
+      (InjectedWorkerFault.Shard < 0 || InjectedWorkerFault.Shard >= Shards))
+    usage(("--inject-worker-fault shard " +
+           std::to_string(InjectedWorkerFault.Shard) +
+           (Shards > 0 ? " is outside [0, " + std::to_string(Shards) + ")"
+                       : " needs --shards N (a shard in [0, N))"))
+              .c_str());
 
   // The fault-injection harness lives for the whole analysis; a skewed
   // clock replaces the wall clock so deadline runs are deterministic.
@@ -504,26 +513,18 @@ int main(int Argc, char **Argv) {
   }
   ObsFlushGuard FlushOnExit;
 
-  // Load the pipeline.
+  // Load the pipeline. A malformed file or a NaN/Inf weight would poison
+  // every bound downstream; loadNetwork refuses both with the reason.
   std::vector<Sequential> Networks;
+  std::vector<const Layer *> Pipeline;
   {
     GENPROVE_SPAN("load_networks");
-    for (const std::string &Path : NetPaths) {
-      // A malformed file or a NaN/Inf weight would poison every bound
-      // downstream; loadNetwork refuses both with the reason.
-      std::string Why;
-      auto Net = loadNetwork(Path, &Why);
-      if (!Net) {
-        std::fprintf(stderr, "genprove_cli: cannot load network %s: %s\n",
-                     Path.c_str(), Why.c_str());
-        return 2;
-      }
-      Networks.push_back(std::move(*Net));
+    std::string Why;
+    if (!loadPipeline(NetPaths, Networks, Pipeline, &Why)) {
+      std::fprintf(stderr, "genprove_cli: %s\n", Why.c_str());
+      return 2;
     }
   }
-  std::vector<const Layer *> Pipeline;
-  for (const Sequential &Net : Networks)
-    Pipeline = concatViews(Pipeline, Net.view());
 
   Shape InputShape;
   if (!parseShape(ShapeText, InputShape))
