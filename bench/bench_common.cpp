@@ -5,11 +5,15 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
+#include "src/util/parse.h"
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace genprove {
 
@@ -37,6 +41,7 @@ std::string BenchEnv::configFingerprint() const {
   // Every knob that changes cell values must be part of the hash;
   // ResultsDir only changes where they are stored.
   std::ostringstream Knobs;
+  Knobs << std::setprecision(std::numeric_limits<double>::max_digits10);
   Knobs << Config.PairsPerCell << '|' << Config.ZonoPairsPerCell << '|'
         << Config.SamplesPerPair << '|' << Config.SamplingAlpha << '|'
         << Config.RelaxPercent << '|' << Config.ClusterK << '|'
@@ -191,29 +196,98 @@ GridCell BenchEnv::computeCell(DatasetId Data, const std::string &Network,
   return Cell;
 }
 
-namespace {
-const char *GridHeader =
+const char *const GridCsvHeader =
     "key,dataset,network,method,neurons,pairs,bounds,width,lower,upper,"
     "nontrivial,oom,seconds,peakgb,maxregions,maxnodes,retries";
+
+namespace {
 const char *ConfigLinePrefix = "#config ";
 } // namespace
+
+std::string formatGridRow(const std::string &Key, const GridCell &Cell) {
+  std::ostringstream Out;
+  Out << std::setprecision(std::numeric_limits<double>::max_digits10);
+  Out << Key << ',' << Cell.DatasetName << ',' << Cell.NetworkName << ','
+      << methodName(Cell.Which) << ',' << Cell.Neurons << ',' << Cell.NumPairs
+      << ',' << Cell.NumBounds << ',' << Cell.MeanWidth << ','
+      << Cell.MeanLower << ',' << Cell.MeanUpper << ','
+      << Cell.FractionNonTrivial << ',' << Cell.FractionOom << ','
+      << Cell.MeanSeconds << ',' << Cell.PeakGb << ',' << Cell.MaxRegions
+      << ',' << Cell.MaxNodes << ',' << Cell.Retries;
+  return Out.str();
+}
+
+bool parseGridRow(const std::string &Line, std::string &Key, GridCell &Cell) {
+  // The key (dataset|network|method) ends at the first comma after its
+  // last '|'; sixteen comma-separated fields follow.
+  const size_t Bar = Line.rfind('|');
+  const size_t FirstComma =
+      Bar == std::string::npos ? std::string::npos : Line.find(',', Bar);
+  if (FirstComma == std::string::npos)
+    return false;
+  std::vector<std::string_view> Fields;
+  const std::string_view Rest = std::string_view(Line).substr(FirstComma + 1);
+  for (size_t Begin = 0;;) {
+    const size_t End = Rest.find(',', Begin);
+    Fields.push_back(Rest.substr(Begin, End - Begin));
+    if (End == std::string_view::npos)
+      break;
+    Begin = End + 1;
+  }
+  if (Fields.size() != 16)
+    return false;
+  GridCell Parsed;
+  Parsed.DatasetName = std::string(Fields[0]);
+  Parsed.NetworkName = std::string(Fields[1]);
+  bool KnownMethod = false;
+  for (int M = 0; M < static_cast<int>(Method::NumMethods); ++M)
+    if (Fields[2] == methodName(static_cast<Method>(M))) {
+      Parsed.Which = static_cast<Method>(M);
+      KnownMethod = true;
+    }
+  if (!KnownMethod || !parseNumber(Fields[3], Parsed.Neurons) ||
+      !parseNumber(Fields[4], Parsed.NumPairs) ||
+      !parseNumber(Fields[5], Parsed.NumBounds) ||
+      !parseNumber(Fields[6], Parsed.MeanWidth) ||
+      !parseNumber(Fields[7], Parsed.MeanLower) ||
+      !parseNumber(Fields[8], Parsed.MeanUpper) ||
+      !parseNumber(Fields[9], Parsed.FractionNonTrivial) ||
+      !parseNumber(Fields[10], Parsed.FractionOom) ||
+      !parseNumber(Fields[11], Parsed.MeanSeconds) ||
+      !parseNumber(Fields[12], Parsed.PeakGb) ||
+      !parseNumber(Fields[13], Parsed.MaxRegions) ||
+      !parseNumber(Fields[14], Parsed.MaxNodes) ||
+      !parseNumber(Fields[15], Parsed.Retries))
+    return false;
+  Key = Line.substr(0, FirstComma);
+  Cell = std::move(Parsed);
+  return true;
+}
 
 void BenchEnv::saveCache() {
   if (!Dirty)
     return;
-  std::ofstream Out(Config.ResultsDir + "/grid.csv");
-  if (!Out)
+  const std::string Path = Config.ResultsDir + "/grid.csv";
+  const std::string Temp = Path + ".tmp";
+  {
+    std::ofstream Out(Temp);
+    if (!Out)
+      return;
+    Out << ConfigLinePrefix << configFingerprint() << '\n';
+    Out << GridCsvHeader << '\n';
+    for (const auto &[Key, Cell] : Cache)
+      Out << formatGridRow(Key, Cell) << '\n';
+    Out.close();
+    if (!Out) {
+      std::remove(Temp.c_str());
+      return;
+    }
+  }
+  std::error_code Ec;
+  std::filesystem::rename(Temp, Path, Ec);
+  if (Ec) {
+    std::remove(Temp.c_str());
     return;
-  Out << ConfigLinePrefix << configFingerprint() << '\n';
-  Out << GridHeader << '\n';
-  for (const auto &[Key, Cell] : Cache) {
-    Out << Key << ',' << Cell.DatasetName << ',' << Cell.NetworkName << ','
-        << methodName(Cell.Which) << ',' << Cell.Neurons << ','
-        << Cell.NumPairs << ',' << Cell.NumBounds << ',' << Cell.MeanWidth
-        << ',' << Cell.MeanLower << ',' << Cell.MeanUpper << ','
-        << Cell.FractionNonTrivial << ',' << Cell.FractionOom << ','
-        << Cell.MeanSeconds << ',' << Cell.PeakGb << ',' << Cell.MaxRegions
-        << ',' << Cell.MaxNodes << ',' << Cell.Retries << '\n';
   }
   Dirty = false;
 }
@@ -234,49 +308,20 @@ void BenchEnv::loadCache() {
     return;
   }
   std::getline(In, Line); // column header
-  if (Line != GridHeader)
+  if (Line != GridCsvHeader)
     return;
-  while (std::getline(In, Line)) {
-    std::istringstream Row(Line);
-    std::string Field;
-    std::vector<std::string> Fields;
-    while (std::getline(Row, Field, '|')) {
-      // The key itself contains '|'; re-split carefully below.
-      Fields.push_back(Field);
-    }
-    // Key format: dataset|network|method, followed by comma fields. Re-parse.
-    const size_t FirstComma = Line.find(',', Line.rfind('|'));
-    if (FirstComma == std::string::npos)
-      continue;
-    const std::string Key = Line.substr(0, FirstComma);
-    std::istringstream Rest(Line.substr(FirstComma + 1));
+  // A malformed row (a damaged or truncated file) is skipped; its cell is
+  // computed again when a table asks for it.
+  for (int64_t Row = 3; std::getline(In, Line); ++Row) {
+    std::string Key;
     GridCell Cell;
-    std::string MethodStr;
-    auto Next = [&Rest]() {
-      std::string F;
-      std::getline(Rest, F, ',');
-      return F;
-    };
-    Cell.DatasetName = Next();
-    Cell.NetworkName = Next();
-    MethodStr = Next();
-    Cell.Neurons = std::stoll(Next());
-    Cell.NumPairs = std::stoll(Next());
-    Cell.NumBounds = std::stoll(Next());
-    Cell.MeanWidth = std::stod(Next());
-    Cell.MeanLower = std::stod(Next());
-    Cell.MeanUpper = std::stod(Next());
-    Cell.FractionNonTrivial = std::stod(Next());
-    Cell.FractionOom = std::stod(Next());
-    Cell.MeanSeconds = std::stod(Next());
-    Cell.PeakGb = std::stod(Next());
-    Cell.MaxRegions = std::stoll(Next());
-    Cell.MaxNodes = std::stoll(Next());
-    Cell.Retries = std::stoll(Next());
-    for (int M = 0; M < static_cast<int>(Method::NumMethods); ++M)
-      if (MethodStr == methodName(static_cast<Method>(M)))
-        Cell.Which = static_cast<Method>(M);
-    Cache[Key] = Cell;
+    if (parseGridRow(Line, Key, Cell))
+      Cache[Key] = std::move(Cell);
+    else
+      std::fprintf(stderr,
+                   "[bench] results/grid.csv line %lld is malformed; "
+                   "skipping it\n",
+                   static_cast<long long>(Row));
   }
 }
 

@@ -99,7 +99,9 @@ public:
   /// Classifier or attribute detector for the dataset/architecture.
   Sequential &targetNetwork(DatasetId Dataset, const std::string &Network);
 
-  /// Persist the grid cache now (also done on destruction).
+  /// Persist the grid cache now (also done on destruction). The file is
+  /// written beside results/grid.csv and renamed over it, so a run killed
+  /// mid-save leaves the previous file whole.
   void saveCache();
 
   /// Hash of every BenchConfig knob that influences cell values. Written
@@ -131,6 +133,19 @@ private:
   /// caches per-layer activations for backward, so predict mutates).
   std::mutex EncodeMu;
 };
+
+/// The column header of results/grid.csv, the line after the #config line.
+extern const char *const GridCsvHeader;
+
+/// One results/grid.csv row: the cell's key, then its fields, every double
+/// at max_digits10 so that a cached cell reads back bit for bit.
+std::string formatGridRow(const std::string &Key, const GridCell &Cell);
+
+/// Parse one results/grid.csv row into Key and Cell. False, with both
+/// untouched, when the row is malformed: a missing or extra field, an
+/// unknown method, or a number that does not parse (a file truncated by a
+/// killed run, say).
+bool parseGridRow(const std::string &Line, std::string &Key, GridCell &Cell);
 
 /// The "scaled GB" display: the simulated budget stands in for 24 GB, so
 /// peak bytes are reported on that scale for direct comparison with the

@@ -186,11 +186,15 @@ int64_t convMadds(const ConvBenchLayer &L, const ConvGeometry &G) {
   return Pairs * Pairs * L.InC * L.OutC;
 }
 
-/// A conv layer forward on Batch post-ReLU samples (the engine feeds ReLU
-/// outputs, 30-70% exact zeros) with Threads pool threads.
-/// items_per_second is multiply-adds per second.
+/// A conv layer forward on Batch post-ReLU samples with Threads pool
+/// threads. DeadPercent 0 feeds relu(randn), whose zeros fall per element,
+/// so no input is zero across a whole row block. Otherwise that percentage
+/// of the input components is zero in every row as well, the way adjacent
+/// pieces of one segment share their ReLU pattern (63-71% of the decoder's
+/// ConvTranspose2d inputs on the paper cells), and the kernel skips them.
+/// items_per_second is multiply-adds per second, zero inputs included.
 void runConvBench(benchmark::State &State, const ConvBenchLayer &L,
-                  int64_t Batch, int64_t Threads) {
+                  int64_t Batch, int64_t Threads, int64_t DeadPercent) {
   PoolScope Scope(Threads);
   Rng R(2);
   ConvGeometry G;
@@ -200,7 +204,14 @@ void runConvBench(benchmark::State &State, const ConvBenchLayer &L,
   G.Stride = L.Stride;
   G.Padding = L.Padding;
   G.OutputPadding = L.OutPadding;
-  const Tensor In = relu(Tensor::randn({Batch, L.InC, L.Size, L.Size}, R));
+  Tensor In = relu(Tensor::randn({Batch, L.InC, L.Size, L.Size}, R));
+  // dead:0 rows draw nothing more, so they keep the data of the rows
+  // recorded before the dead rows existed.
+  const int64_t Features = L.InC * L.Size * L.Size;
+  for (int64_t J = 0; DeadPercent > 0 && J < Features; ++J)
+    if (R.uniform() * 100.0 < static_cast<double>(DeadPercent))
+      for (int64_t I = 0; I < Batch; ++I)
+        In[I * Features + J] = 0.0;
   const Tensor W =
       L.Transposed ? Tensor::randn({L.InC, L.OutC, L.Kernel, L.Kernel}, R)
                    : Tensor::randn({L.OutC, L.InC, L.Kernel, L.Kernel}, R);
@@ -214,23 +225,36 @@ void runConvBench(benchmark::State &State, const ConvBenchLayer &L,
 }
 
 void BM_Conv2d(benchmark::State &State) {
-  runConvBench(State, ConvLargeConv, State.range(0), State.range(1));
+  runConvBench(State, ConvLargeConv, State.range(0), State.range(2),
+               State.range(1));
 }
 BENCHMARK(BM_Conv2d)
-    ->ArgNames({"batch", "threads"})
+    ->ArgNames({"batch", "dead", "threads"})
     ->Apply([](benchmark::internal::Benchmark *B) {
-      threadRows(B, {{1, 1}, {256, 1}, {256, 2}});
+      threadRows(B, {{1, 0, 1},
+                     {256, 0, 1},
+                     {256, 0, 2},
+                     {256, 63, 1},
+                     {256, 63, 2}});
     });
 
 void BM_ConvTranspose2d(benchmark::State &State) {
   runConvBench(State, State.range(0) == 16 ? DecoderConvT1 : DecoderConvT2,
-               State.range(1), State.range(2));
+               State.range(1), State.range(3), State.range(2));
 }
 BENCHMARK(BM_ConvTranspose2d)
-    ->ArgNames({"out", "batch", "threads"})
+    ->ArgNames({"out", "batch", "dead", "threads"})
     ->Apply([](benchmark::internal::Benchmark *B) {
-      for (int64_t Out : {16, 3})
-        threadRows(B, {{Out, 1, 1}, {Out, 256, 1}, {Out, 256, 2}});
+      // The measured dead shares: 71% before the 32->16 layer, 63% before
+      // the 16->3 one.
+      for (int64_t Out : {16, 3}) {
+        const int64_t Dead = Out == 16 ? 71 : 63;
+        threadRows(B, {{Out, 1, 0, 1},
+                       {Out, 256, 0, 1},
+                       {Out, 256, 0, 2},
+                       {Out, 256, Dead, 1},
+                       {Out, 256, Dead, 2}});
+      }
     });
 
 /// Grid-cell style concurrency: independent propagations through

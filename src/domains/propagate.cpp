@@ -59,97 +59,94 @@ double evalCdf(const ParamCdf &Cdf, double T) { return Cdf ? Cdf(T) : T; }
 
 /// Apply one affine layer to every region in place (exact for curves,
 /// interval arithmetic for boxes), batching all rows of a kind into a
-/// single layer application. Each region is copied once into a batch
-/// allocated in the layer's activation shape, and once out of the
-/// kernel's output.
+/// single layer application. The kernels read every region's rows where
+/// they lie and write straight into its new storage: the engine stages no
+/// batch and copies no row.
 void applyAffineLayer(const Layer &L, const Shape &InShape,
                       std::vector<Region> &Regions) {
   if (Regions.empty())
     return;
-  // Count rows of each kind and precompute every region's destination
-  // offset, so the gather/scatter copy loops below can run
-  // region-parallel with disjoint writes.
+  // Row slots of each kind in region order, so the row lists below can be
+  // filled region-parallel with disjoint writes.
   const int64_t NumRegions = static_cast<int64_t>(Regions.size());
   int64_t NumA0 = 0, NumHi = 0, NumBoxes = 0;
-  std::vector<int64_t> A0At(static_cast<size_t>(NumRegions));
+  std::vector<int64_t> At(static_cast<size_t>(NumRegions));
   std::vector<int64_t> HiAt(static_cast<size_t>(NumRegions));
-  std::vector<int64_t> BoxAt(static_cast<size_t>(NumRegions));
   for (int64_t I = 0; I < NumRegions; ++I) {
     const auto &R = Regions[static_cast<size_t>(I)];
     if (R.Kind == RegionKind::Curve) {
-      A0At[static_cast<size_t>(I)] = NumA0++;
+      At[static_cast<size_t>(I)] = NumA0++;
       HiAt[static_cast<size_t>(I)] = NumHi;
       NumHi += R.degree();
     } else {
-      BoxAt[static_cast<size_t>(I)] = NumBoxes++;
+      At[static_cast<size_t>(I)] = NumBoxes++;
     }
   }
   const int64_t N = Regions.front().dim();
-  const auto Batch = [&](int64_t Rows) {
-    if (Rows == 0)
-      return Tensor();
-    std::vector<int64_t> Dims = InShape.dims();
-    Dims[0] = Rows;
-    return Tensor(Shape(std::move(Dims)));
-  };
-  Tensor A0Rows = Batch(NumA0), HiRows = Batch(NumHi);
-  Tensor Centers = Batch(NumBoxes), Radii = Batch(NumBoxes);
-
+  const int64_t OutN = L.outputShape(InShape).numel();
+  // Curves: the constant row goes through the affine map, the higher
+  // rows through its linear part. Boxes: centers and radii.
+  std::vector<const double *> A0In(static_cast<size_t>(NumA0)),
+      HiIn(static_cast<size_t>(NumHi)), CenterIn(static_cast<size_t>(NumBoxes)),
+      RadiusIn(static_cast<size_t>(NumBoxes));
+  std::vector<double *> A0Out(static_cast<size_t>(NumA0)),
+      HiOut(static_cast<size_t>(NumHi)), CenterOut(static_cast<size_t>(NumBoxes)),
+      RadiusOut(static_cast<size_t>(NumBoxes));
+  // Each region's new storage: a curve's coefficients or a box's center,
+  // and a box's radius.
+  std::vector<Tensor> New(static_cast<size_t>(NumRegions)),
+      NewRadius(static_cast<size_t>(NumRegions));
   parallelFor(NumRegions, [&](int64_t Begin, int64_t End) {
     for (int64_t I = Begin; I < End; ++I) {
       const auto &R = Regions[static_cast<size_t>(I)];
+      const size_t Slot = static_cast<size_t>(At[static_cast<size_t>(I)]);
+      Tensor &Next = New[static_cast<size_t>(I)];
       if (R.Kind == RegionKind::Curve) {
-        const double *Src = R.Coeffs.data();
-        std::copy(Src, Src + N,
-                  A0Rows.data() + A0At[static_cast<size_t>(I)] * N);
-        std::copy(Src + N, Src + (R.degree() + 1) * N,
-                  HiRows.data() + HiAt[static_cast<size_t>(I)] * N);
+        const int64_t Degree = R.degree();
+        Next = Tensor({Degree + 1, OutN});
+        A0In[Slot] = R.Coeffs.data();
+        A0Out[Slot] = Next.data();
+        for (int64_t D = 1; D <= Degree; ++D) {
+          const size_t Hi =
+              static_cast<size_t>(HiAt[static_cast<size_t>(I)] + D - 1);
+          HiIn[Hi] = R.Coeffs.data() + D * N;
+          HiOut[Hi] = Next.data() + D * OutN;
+        }
       } else {
-        std::copy(R.Center.data(), R.Center.data() + N,
-                  Centers.data() + BoxAt[static_cast<size_t>(I)] * N);
-        std::copy(R.Radius.data(), R.Radius.data() + N,
-                  Radii.data() + BoxAt[static_cast<size_t>(I)] * N);
+        Next = Tensor({1, OutN});
+        Tensor &NextRadius = NewRadius[static_cast<size_t>(I)];
+        NextRadius = Tensor({1, OutN});
+        CenterIn[Slot] = R.Center.data();
+        RadiusIn[Slot] = R.Radius.data();
+        CenterOut[Slot] = Next.data();
+        RadiusOut[Slot] = NextRadius.data();
       }
     }
   });
 
-  // The kernels' outputs are read in place: row K of a [K, ...] batch is
-  // the flat slice [K * OutN, (K + 1) * OutN).
-  Tensor NewA0, NewHi;
   if (NumA0 > 0)
-    NewA0 = L.applyAffine(A0Rows);
+    L.applyAffineRows(InShape, A0In.data(), A0Out.data(), NumA0,
+                      /*WithBias=*/true);
   if (NumHi > 0)
-    NewHi = L.applyLinear(HiRows);
+    L.applyAffineRows(InShape, HiIn.data(), HiOut.data(), NumHi,
+                      /*WithBias=*/false);
   if (NumBoxes > 0) {
     if (soundRoundingEnabled())
-      L.applyToBoxSound(Centers, Radii);
+      L.applyToBoxSoundRows(InShape, CenterIn.data(), RadiusIn.data(),
+                            CenterOut.data(), RadiusOut.data(), NumBoxes);
     else
-      L.applyToBox(Centers, Radii);
+      L.applyToBoxRows(InShape, CenterIn.data(), RadiusIn.data(),
+                       CenterOut.data(), RadiusOut.data(), NumBoxes);
   }
 
-  const int64_t OutN = NumA0 > 0 ? NewA0.numel() / NumA0
-                                 : Centers.numel() / NumBoxes;
   parallelFor(NumRegions, [&](int64_t Begin, int64_t End) {
     for (int64_t I = Begin; I < End; ++I) {
       auto &R = Regions[static_cast<size_t>(I)];
       if (R.Kind == RegionKind::Curve) {
-        const int64_t Degree = R.degree();
-        const double *A0 = NewA0.data() + A0At[static_cast<size_t>(I)] * OutN;
-        const double *Hi =
-            NewHi.data() + HiAt[static_cast<size_t>(I)] * OutN;
-        std::vector<double> Coeffs;
-        Coeffs.reserve(static_cast<size_t>((Degree + 1) * OutN));
-        Coeffs.insert(Coeffs.end(), A0, A0 + OutN);
-        Coeffs.insert(Coeffs.end(), Hi, Hi + Degree * OutN);
-        R.Coeffs = Tensor({Degree + 1, OutN}, std::move(Coeffs));
+        R.Coeffs = std::move(New[static_cast<size_t>(I)]);
       } else {
-        const int64_t At = BoxAt[static_cast<size_t>(I)] * OutN;
-        R.Center = Tensor({1, OutN},
-                          std::vector<double>(Centers.data() + At,
-                                              Centers.data() + At + OutN));
-        R.Radius = Tensor({1, OutN},
-                          std::vector<double>(Radii.data() + At,
-                                              Radii.data() + At + OutN));
+        R.Center = std::move(New[static_cast<size_t>(I)]);
+        R.Radius = std::move(NewRadius[static_cast<size_t>(I)]);
       }
     }
   });

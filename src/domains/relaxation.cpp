@@ -2,6 +2,7 @@
 
 #include "src/domains/relaxation.h"
 
+#include "src/parallel/thread_pool.h"
 #include "src/util/stats.h"
 
 #include <algorithm>
@@ -101,11 +102,15 @@ void relaxRegions(std::vector<Region> &Regions, const RelaxConfig &Config) {
     return;
   }
 
-  // Length percentile threshold, computed once before any boxing.
-  std::vector<double> Lengths;
-  Lengths.reserve(Curves.size());
-  for (const auto &C : Curves)
-    Lengths.push_back(curveChordLength(C));
+  // Length percentile threshold, computed once before any boxing; each
+  // piece's length is independent, so they fan out over the pool.
+  std::vector<double> Lengths(Curves.size());
+  parallelFor(static_cast<int64_t>(Curves.size()),
+              [&](int64_t Begin, int64_t End) {
+                for (int64_t I = Begin; I < End; ++I)
+                  Lengths[static_cast<size_t>(I)] =
+                      curveChordLength(Curves[static_cast<size_t>(I)]);
+              });
   const double LengthCap = percentile(Lengths, Config.RelaxPercent);
 
   // Per-step endpoint budget t/k: each merged box may subsume at most this

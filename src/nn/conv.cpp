@@ -30,18 +30,26 @@ Tensor Conv2d::backward(const Tensor &GradOutput) {
                         GradBias);
 }
 
-Tensor Conv2d::applyAffine(const Tensor &Points) const {
-  return conv2d(Points, Weight, Bias, Geom);
+void Conv2d::applyAffineRows(const Shape &InShape, const double *const *In,
+                             double *const *Out, int64_t Rows,
+                             bool WithBias) const {
+  check(acceptsInputShape(InShape), "Conv2d input shape mismatch");
+  const Tensor NoBias;
+  conv2dRows(In, Rows, InShape.dim(2), InShape.dim(3), Weight,
+             WithBias ? Bias : NoBias, Geom, Out);
 }
 
-Tensor Conv2d::applyLinear(const Tensor &Points) const {
-  return conv2d(Points, Weight, Tensor(), Geom);
-}
-
-void Conv2d::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Center = conv2d(Center, Weight, Bias, Geom);
+void Conv2d::applyToBoxRows(const Shape &InShape,
+                            const double *const *Center,
+                            const double *const *Radius,
+                            double *const *OutCenter,
+                            double *const *OutRadius, int64_t Rows) const {
+  check(acceptsInputShape(InShape), "Conv2d input shape mismatch");
+  const int64_t H = InShape.dim(2), W = InShape.dim(3);
+  conv2dRows(Center, Rows, H, W, Weight, Bias, Geom, OutCenter);
   // The radius image |W| * r: the same kernel on the memoized |W|.
-  Radius = conv2d(Radius, AbsCache.get(Weight), Tensor(), Geom);
+  conv2dRows(Radius, Rows, H, W, AbsCache.get(Weight), Tensor(), Geom,
+             OutRadius);
 }
 
 std::vector<Param> Conv2d::params() {

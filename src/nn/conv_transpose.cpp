@@ -32,18 +32,26 @@ Tensor ConvTranspose2d::backward(const Tensor &GradOutput) {
                                  GradWeight, GradBias);
 }
 
-Tensor ConvTranspose2d::applyAffine(const Tensor &Points) const {
-  return convTranspose2d(Points, Weight, Bias, Geom);
+void ConvTranspose2d::applyAffineRows(const Shape &InShape, const double *const *In,
+                                      double *const *Out, int64_t Rows,
+                                      bool WithBias) const {
+  check(acceptsInputShape(InShape), "ConvTranspose2d input shape mismatch");
+  const Tensor NoBias;
+  convTranspose2dRows(In, Rows, InShape.dim(2), InShape.dim(3), Weight,
+                      WithBias ? Bias : NoBias, Geom, Out);
 }
 
-Tensor ConvTranspose2d::applyLinear(const Tensor &Points) const {
-  return convTranspose2d(Points, Weight, Tensor(), Geom);
-}
-
-void ConvTranspose2d::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Center = convTranspose2d(Center, Weight, Bias, Geom);
+void ConvTranspose2d::applyToBoxRows(const Shape &InShape,
+                                     const double *const *Center,
+                                     const double *const *Radius,
+                                     double *const *OutCenter,
+                                     double *const *OutRadius, int64_t Rows) const {
+  check(acceptsInputShape(InShape), "ConvTranspose2d input shape mismatch");
+  const int64_t H = InShape.dim(2), W = InShape.dim(3);
+  convTranspose2dRows(Center, Rows, H, W, Weight, Bias, Geom, OutCenter);
   // The radius image |W| * r: the same kernel on the memoized |W|.
-  Radius = convTranspose2d(Radius, AbsCache.get(Weight), Tensor(), Geom);
+  convTranspose2dRows(Radius, Rows, H, W, AbsCache.get(Weight), Tensor(), Geom,
+                      OutRadius);
 }
 
 std::vector<Param> ConvTranspose2d::params() {

@@ -13,6 +13,11 @@
 ///    affine map, radius via |A|). ReLU is handled symbolically by the
 ///    abstract domains, never through this interface.
 ///
+/// The layers implement the affine interface once, in row form: a batch
+/// is a list of row pointers, each row one flat sample, read and written
+/// where it lies. The region engine hands over each region's own storage
+/// that way; the Tensor entry points wrap the row forms.
+///
 /// Dynamic dispatch uses an LLVM-style Kind tag instead of RTTI.
 ///
 //===----------------------------------------------------------------------===//
@@ -64,50 +69,71 @@ public:
 
   /// Affine application with bias to a batch of points. Only valid when
   /// isAffine().
-  virtual Tensor applyAffine(const Tensor &Points) const {
-    (void)Points;
-    fatalError("applyAffine called on a non-affine layer");
-  }
+  Tensor applyAffine(const Tensor &Points) const;
 
   /// Linear part only (no bias); used for direction vectors, curve
   /// coefficients and zonotope generators. Only valid when isAffine().
-  virtual Tensor applyLinear(const Tensor &Points) const {
-    (void)Points;
-    fatalError("applyLinear called on a non-affine layer");
-  }
+  Tensor applyLinear(const Tensor &Points) const;
 
   /// Interval propagation: Center' = A*Center + b, Radius' = |A|*Radius.
-  /// Center and Radius are single-sample batches. Only valid when
-  /// isAffine().
-  virtual void applyToBox(Tensor &Center, Tensor &Radius) const {
-    (void)Center;
-    (void)Radius;
-    fatalError("applyToBox called on a non-affine layer");
-  }
-
-  /// Number of round-to-nearest accumulation terms behind one output value
-  /// of the affine map (dot-product length plus the bias add). Zero means
-  /// the layer is exact in floating point (pure data movement), so
-  /// applyToBoxSound() needs no radius inflation.
-  virtual int64_t accumulationDepth() const { return 0; }
+  /// Only valid when isAffine().
+  void applyToBox(Tensor &Center, Tensor &Radius) const;
 
   /// The box map of the sound transformers: Center' = A*Center + b and
   /// Radius' = |A|*Radius as in applyToBox(), plus a magnitude plane
   /// Mag' = |A|*Mag, and BiasImage set to the image A*0 + b of a zero
   /// input (one row per input row; only its absolute value is meaningful,
-  /// the sign of a zero entry is unspecified). Every plane is
-  /// bit-identical to the applyToBox() kernels. The base class runs two
-  /// applyToBox() calls; Linear streams all three planes in one pass.
-  virtual void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                                Tensor &BiasImage) const;
+  /// the sign of a zero entry is unspecified).
+  void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
+                        Tensor &BiasImage) const;
 
-  /// Sound variant of applyToBox(): same round-to-nearest kernels, but the
-  /// output radius is inflated by a rigorous bound on the accumulated
+  // --- Row forms. Rows input rows In[i], each one sample of the
+  // --- single-sample activation shape InShape stored flat, map to output
+  // --- rows Out[i] of outputShape(InShape).numel() doubles, which the
+  // --- layer writes in full. Input and output rows must not overlap.
+
+  /// applyAffine (WithBias) or applyLinear (!WithBias) in row form.
+  virtual void applyAffineRows(const Shape &InShape, const double *const *In,
+                               double *const *Out, int64_t Rows,
+                               bool WithBias) const;
+
+  /// applyToBox in row form.
+  virtual void applyToBoxRows(const Shape &InShape,
+                              const double *const *Center,
+                              const double *const *Radius,
+                              double *const *OutCenter,
+                              double *const *OutRadius, int64_t Rows) const;
+
+  /// applyToBoxPlanes in row form. Every plane is bit-identical to the
+  /// applyToBoxRows() kernels. The base class runs two applyToBoxRows()
+  /// calls (the bias image from one shared zero row); Linear streams all
+  /// three planes in one pass.
+  virtual void applyToBoxPlanesRows(const Shape &InShape,
+                                    const double *const *Center,
+                                    const double *const *Radius,
+                                    const double *const *Mag,
+                                    double *const *OutCenter,
+                                    double *const *OutRadius,
+                                    double *const *OutMag,
+                                    double *const *OutBiasImage,
+                                    int64_t Rows) const;
+
+  /// Number of round-to-nearest accumulation terms behind one output value
+  /// of the affine map (dot-product length plus the bias add). Zero means
+  /// the layer is exact in floating point (pure data movement), so
+  /// applyToBoxSoundRows() needs no radius inflation.
+  virtual int64_t accumulationDepth() const { return 0; }
+
+  /// Sound variant of applyToBoxRows(): same round-to-nearest kernels, but
+  /// the output radius is inflated by a rigorous bound on the accumulated
   /// rounding error so [Center' +- Radius'] contains the exact interval
   /// image — and any round-to-nearest forward pass through this layer of a
   /// point in the input box. Implemented once on the base class in terms
-  /// of applyToBoxPlanes()/accumulationDepth().
-  void applyToBoxSound(Tensor &Center, Tensor &Radius) const;
+  /// of applyToBoxPlanesRows()/accumulationDepth().
+  void applyToBoxSoundRows(const Shape &InShape, const double *const *Center,
+                           const double *const *Radius,
+                           double *const *OutCenter, double *const *OutRadius,
+                           int64_t Rows) const;
 
   /// Learnable parameters (empty for shape/activation layers).
   virtual std::vector<Param> params() { return {}; }

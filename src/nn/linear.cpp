@@ -49,38 +49,39 @@ Tensor Linear::backward(const Tensor &GradOutput) {
   return matmul(GradOutput, Weight); // [B, In]
 }
 
-Tensor Linear::applyAffine(const Tensor &Points) const {
-  Tensor Out = matmul(Points, AbsCache.getTrans(Weight)); // [B, Out]
-  addBiasRows(Out, Bias);
-  return Out;
+void Linear::applyAffineRows(const Shape &InShape, const double *const *In,
+                             double *const *Out, int64_t Rows,
+                             bool WithBias) const {
+  check(InShape.numel() == InFeatures, "Linear input shape mismatch");
+  matmulRows(In, Rows, AbsCache.getTrans(Weight),
+             WithBias ? Bias.data() : nullptr, Out);
 }
 
-Tensor Linear::applyLinear(const Tensor &Points) const {
-  return matmul(Points, AbsCache.getTrans(Weight));
+void Linear::applyToBoxRows(const Shape &InShape, const double *const *Center,
+                            const double *const *Radius,
+                            double *const *OutCenter, double *const *OutRadius,
+                            int64_t Rows) const {
+  check(InShape.numel() == InFeatures, "Linear input shape mismatch");
+  fusedBoxAffineRows(Center, Radius, nullptr, Rows, AbsCache.getTrans(Weight),
+                     Bias, OutCenter, OutRadius, nullptr);
 }
 
-void Linear::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Tensor NewCenter, NewRadius;
-  fusedBoxAffineTransT(Center, Radius, nullptr, AbsCache.getTrans(Weight),
-                       Bias, NewCenter, NewRadius, nullptr);
-  Center = std::move(NewCenter);
-  Radius = std::move(NewRadius);
-}
-
-void Linear::applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                              Tensor &BiasImage) const {
-  Tensor NewCenter, NewRadius, NewMag;
-  fusedBoxAffineTransT(Center, Radius, &Mag, AbsCache.getTrans(Weight), Bias,
-                       NewCenter, NewRadius, &NewMag);
-  Center = std::move(NewCenter);
-  Radius = std::move(NewRadius);
-  Mag = std::move(NewMag);
+void Linear::applyToBoxPlanesRows(const Shape &InShape,
+                                  const double *const *Center,
+                                  const double *const *Radius,
+                                  const double *const *Mag,
+                                  double *const *OutCenter,
+                                  double *const *OutRadius,
+                                  double *const *OutMag,
+                                  double *const *OutBiasImage,
+                                  int64_t Rows) const {
+  check(InShape.numel() == InFeatures, "Linear input shape mismatch");
+  fusedBoxAffineRows(Center, Radius, Mag, Rows, AbsCache.getTrans(Weight),
+                     Bias, OutCenter, OutRadius, OutMag);
   // A zero input's dot product is +0.0, and +0.0 + b == b up to the sign
   // of a zero bias: the bias image is the bias itself.
-  BiasImage = Tensor(Center.shape());
-  const int64_t N = Bias.numel();
-  for (int64_t I = 0; I < Center.dim(0); ++I)
-    std::copy(Bias.data(), Bias.data() + N, BiasImage.data() + I * N);
+  for (int64_t I = 0; I < Rows; ++I)
+    std::copy_n(Bias.data(), OutFeatures, OutBiasImage[I]);
 }
 
 std::vector<Param> Linear::params() {

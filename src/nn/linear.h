@@ -10,8 +10,8 @@ namespace genprove {
 
 /// Fully connected layer: y = x W^T + b with W of shape [Out, In].
 ///
-/// The verifier interface (applyAffine/applyLinear/applyToBox[Planes])
-/// runs on a memoized W^T [In, Out] next to W: with the output dimension
+/// The verifier interface (applyAffineRows/applyToBox[Planes]Rows) runs on
+/// a memoized W^T [In, Out] next to W: with the output dimension
 /// contiguous, every output element is an ascending-k accumulator chain
 /// that vectorizes across outputs, bit-identical to the [Out, In]
 /// dot-product form. Training (forward/backward) stays on the dot form:
@@ -23,11 +23,18 @@ public:
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  Tensor applyAffine(const Tensor &Points) const override;
-  Tensor applyLinear(const Tensor &Points) const override;
-  void applyToBox(Tensor &Center, Tensor &Radius) const override;
-  void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                        Tensor &BiasImage) const override;
+  void applyAffineRows(const Shape &InShape, const double *const *In,
+                       double *const *Out, int64_t Rows,
+                       bool WithBias) const override;
+  void applyToBoxRows(const Shape &InShape, const double *const *Center,
+                      const double *const *Radius, double *const *OutCenter,
+                      double *const *OutRadius, int64_t Rows) const override;
+  void applyToBoxPlanesRows(const Shape &InShape, const double *const *Center,
+                            const double *const *Radius,
+                            const double *const *Mag, double *const *OutCenter,
+                            double *const *OutRadius, double *const *OutMag,
+                            double *const *OutBiasImage,
+                            int64_t Rows) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
   bool acceptsInputShape(const Shape &InputShape) const override;

@@ -2,9 +2,22 @@
 
 #include "src/nn/reshape.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace genprove {
+
+namespace {
+
+/// Flatten and Reshape move data only: each row is copied unchanged.
+void copyRows(const Shape &InShape, const double *const *In,
+              double *const *Out, int64_t Rows) {
+  const int64_t N = InShape.numel();
+  for (int64_t I = 0; I < Rows; ++I)
+    std::copy_n(In[I], N, Out[I]);
+}
+
+} // namespace
 
 Tensor Flatten::forward(const Tensor &Input) {
   CachedInputShape = Input.shape();
@@ -15,18 +28,18 @@ Tensor Flatten::backward(const Tensor &GradOutput) {
   return GradOutput.reshaped(CachedInputShape);
 }
 
-Tensor Flatten::applyAffine(const Tensor &Points) const {
-  const int64_t B = Points.dim(0);
-  return Points.reshaped({B, Points.numel() / B});
+void Flatten::applyAffineRows(const Shape &InShape, const double *const *In,
+                              double *const *Out, int64_t Rows, bool) const {
+  copyRows(InShape, In, Out, Rows);
 }
 
-Tensor Flatten::applyLinear(const Tensor &Points) const {
-  return applyAffine(Points);
-}
-
-void Flatten::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Center = applyAffine(Center);
-  Radius = applyAffine(Radius);
+void Flatten::applyToBoxRows(const Shape &InShape,
+                             const double *const *Center,
+                             const double *const *Radius,
+                             double *const *OutCenter,
+                             double *const *OutRadius, int64_t Rows) const {
+  copyRows(InShape, Center, OutCenter, Rows);
+  copyRows(InShape, Radius, OutRadius, Rows);
 }
 
 bool Flatten::acceptsInputShape(const Shape &InputShape) const {
@@ -51,20 +64,18 @@ Tensor Reshape::backward(const Tensor &GradOutput) {
   return GradOutput.reshaped({B, Channels * Height * Width});
 }
 
-Tensor Reshape::applyAffine(const Tensor &Points) const {
-  const int64_t B = Points.dim(0);
-  check(Points.numel() / B == Channels * Height * Width,
-        "Reshape feature count mismatch");
-  return Points.reshaped({B, Channels, Height, Width});
+void Reshape::applyAffineRows(const Shape &InShape, const double *const *In,
+                              double *const *Out, int64_t Rows, bool) const {
+  copyRows(InShape, In, Out, Rows);
 }
 
-Tensor Reshape::applyLinear(const Tensor &Points) const {
-  return applyAffine(Points);
-}
-
-void Reshape::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Center = applyAffine(Center);
-  Radius = applyAffine(Radius);
+void Reshape::applyToBoxRows(const Shape &InShape,
+                             const double *const *Center,
+                             const double *const *Radius,
+                             double *const *OutCenter,
+                             double *const *OutRadius, int64_t Rows) const {
+  copyRows(InShape, Center, OutCenter, Rows);
+  copyRows(InShape, Radius, OutRadius, Rows);
 }
 
 bool Reshape::acceptsInputShape(const Shape &InputShape) const {

@@ -15,9 +15,12 @@ public:
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  Tensor applyAffine(const Tensor &Points) const override;
-  Tensor applyLinear(const Tensor &Points) const override;
-  void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  void applyAffineRows(const Shape &InShape, const double *const *In,
+                       double *const *Out, int64_t Rows,
+                       bool WithBias) const override;
+  void applyToBoxRows(const Shape &InShape, const double *const *Center,
+                      const double *const *Radius, double *const *OutCenter,
+                      double *const *OutRadius, int64_t Rows) const override;
   bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override { return "Flatten"; }
@@ -33,9 +36,12 @@ public:
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  Tensor applyAffine(const Tensor &Points) const override;
-  Tensor applyLinear(const Tensor &Points) const override;
-  void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  void applyAffineRows(const Shape &InShape, const double *const *In,
+                       double *const *Out, int64_t Rows,
+                       bool WithBias) const override;
+  void applyToBoxRows(const Shape &InShape, const double *const *Center,
+                      const double *const *Radius, double *const *OutCenter,
+                      double *const *OutRadius, int64_t Rows) const override;
   bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;

@@ -2,11 +2,11 @@
 ///
 /// \file
 /// The fused-kernel contract (docs/PERFORMANCE.md): Linear runs its
-/// verifier interface on W^T, with one three-plane fusedBoxAffineTransT
+/// verifier interface on W^T, with one three-plane fusedBoxAffineRows
 /// stream for the sound box map. Every analysis path (engine, box,
 /// zonotope, deepzono, hybrid) must return bounds bit-identical to the
 /// unfused dot form (matmulTransB against W and |W|, the base class's two
-/// applyToBox calls) — at any thread count, in both rounding modes.
+/// applyToBoxRows calls) — at any thread count, in both rounding modes.
 /// EXPECT_EQ on doubles, not a tolerance: the W^T kernels keep the exact
 /// per-element ascending-k accumulation order of the dot form.
 ///
@@ -53,11 +53,12 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims,
 
 /// The unfused reference for Linear: the dot form through matmulTransB
 /// against W and an elementwise |W| (the layout training keeps), a
-/// separate bias pass, and the base class's two-call applyToBoxPlanes.
-/// It keeps Linear's kind and weights, so the engine and every domain run
-/// the same code on both; only the kernels differ. The fingerprint is
-/// salted so the PropagationCache never hands one net's state to the
-/// other.
+/// separate bias pass, and the base class's two-call box planes. It
+/// overrides the row forms every entry point and the engine run on,
+/// gathering the rows into one batch. It keeps Linear's kind and weights,
+/// so the engine and every domain run the same code on both; only the
+/// kernels differ. The fingerprint is salted so the PropagationCache never
+/// hands one net's state to the other.
 class DotFormLinear : public Linear {
 public:
   explicit DotFormLinear(const Linear &Src)
@@ -69,29 +70,47 @@ public:
       AbsWeight[I] = std::fabs(Src.weight()[I]);
   }
 
-  Tensor applyAffine(const Tensor &Points) const override {
-    Tensor Out = matmulTransB(Points, weight());
-    for (int64_t I = 0; I < Out.dim(0); ++I)
-      for (int64_t J = 0; J < outFeatures(); ++J)
-        Out.at(I, J) += bias()[J];
-    return Out;
+  void applyAffineRows(const Shape &, const double *const *In,
+                       double *const *Out, int64_t Rows,
+                       bool WithBias) const override {
+    Tensor Res = matmulTransB(gather(In, Rows), weight());
+    if (WithBias)
+      for (int64_t I = 0; I < Res.dim(0); ++I)
+        for (int64_t J = 0; J < outFeatures(); ++J)
+          Res.at(I, J) += bias()[J];
+    scatter(Res, Out);
   }
-  Tensor applyLinear(const Tensor &Points) const override {
-    return matmulTransB(Points, weight());
+  void applyToBoxRows(const Shape &InShape, const double *const *Center,
+                      const double *const *Radius, double *const *OutCenter,
+                      double *const *OutRadius, int64_t Rows) const override {
+    applyAffineRows(InShape, Center, OutCenter, Rows, /*WithBias=*/true);
+    scatter(matmulTransB(gather(Radius, Rows), AbsWeight), OutRadius);
   }
-  void applyToBox(Tensor &Center, Tensor &Radius) const override {
-    Center = applyAffine(Center);
-    Radius = matmulTransB(Radius, AbsWeight);
-  }
-  void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                        Tensor &BiasImage) const override {
-    Layer::applyToBoxPlanes(Center, Radius, Mag, BiasImage);
+  void applyToBoxPlanesRows(const Shape &InShape, const double *const *Center,
+                            const double *const *Radius,
+                            const double *const *Mag, double *const *OutCenter,
+                            double *const *OutRadius, double *const *OutMag,
+                            double *const *OutBiasImage,
+                            int64_t Rows) const override {
+    Layer::applyToBoxPlanesRows(InShape, Center, Radius, Mag, OutCenter,
+                                OutRadius, OutMag, OutBiasImage, Rows);
   }
   uint64_t fingerprint() const override {
     return hashing::hashU64(Linear::fingerprint(), 0xD07F0A11ULL);
   }
 
 private:
+  Tensor gather(const double *const *In, int64_t Rows) const {
+    Tensor Batch({Rows, inFeatures()});
+    for (int64_t I = 0; I < Rows; ++I)
+      std::copy_n(In[I], inFeatures(), Batch.data() + I * inFeatures());
+    return Batch;
+  }
+  void scatter(const Tensor &Batch, double *const *Out) const {
+    for (int64_t I = 0; I < Batch.dim(0); ++I)
+      std::copy_n(Batch.data() + I * outFeatures(), outFeatures(), Out[I]);
+  }
+
   Tensor AbsWeight; // |W| [Out, In]
 };
 

@@ -24,9 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -218,6 +221,48 @@ Tensor absTensor(Tensor A) {
   return A;
 }
 
+/// Every Linear plane on its memoized W^T against the naive dot form
+/// (W = Bt, [Out, In]) that training keeps, bit for bit, at 1 and 4
+/// threads.
+void expectLinearMatchesDotForm(const Tensor &A, const Tensor &Bt,
+                                const Tensor &Bias, const Tensor &Radii,
+                                const Tensor &Mags, const std::string &Label) {
+  const int64_t M = A.dim(0), K = A.dim(1), N = Bt.dim(0);
+  Linear Lin(K, N);
+  Lin.weight() = Bt.clone();
+  Lin.bias() = Bias.clone();
+  const Tensor AbsW = absTensor(Bt);
+  const Tensor RefTb = naiveMatmulTransB(A, Bt);
+  const Tensor RefAffine = addBiasRows(RefTb, Bias);
+  const Tensor RefRadius = naiveMatmulTransB(Radii, AbsW);
+  const Tensor RefMag = naiveMatmulTransB(Mags, AbsW);
+  const Tensor RefBiasImage =
+      addBiasRows(naiveMatmulTransB(Tensor({M, K}), Bt), Bias);
+  for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+    ThreadCount Scope(Threads);
+    const std::string At = Label + " @" + std::to_string(Threads);
+    EXPECT_TRUE(bitIdentical(Lin.applyAffine(A), RefAffine))
+        << "applyAffine " << At;
+    EXPECT_TRUE(bitIdentical(Lin.applyLinear(A), RefTb))
+        << "applyLinear " << At;
+    Tensor Center = A.clone(), Radius = Radii.clone();
+    Lin.applyToBox(Center, Radius);
+    EXPECT_TRUE(bitIdentical(Center, RefAffine)) << "applyToBox center " << At;
+    EXPECT_TRUE(bitIdentical(Radius, RefRadius)) << "applyToBox radius " << At;
+    Tensor PCenter = A.clone(), PRadius = Radii.clone(), PMag = Mags.clone();
+    Tensor BiasImage;
+    Lin.applyToBoxPlanes(PCenter, PRadius, PMag, BiasImage);
+    EXPECT_TRUE(bitIdentical(PCenter, RefAffine))
+        << "applyToBoxPlanes center " << At;
+    EXPECT_TRUE(bitIdentical(PRadius, RefRadius))
+        << "applyToBoxPlanes radius " << At;
+    EXPECT_TRUE(bitIdentical(PMag, RefMag))
+        << "applyToBoxPlanes magnitude " << At;
+    EXPECT_TRUE(bitIdentical(BiasImage, RefBiasImage))
+        << "applyToBoxPlanes bias image " << At;
+  }
+}
+
 TEST(TiledGemmTest, BitwiseEqualToNaiveReference) {
   Rng R(99);
   // 300 crosses the k-tile boundary (GemmTileK = 256); 23/29 exercise the
@@ -233,59 +278,126 @@ TEST(TiledGemmTest, BitwiseEqualToNaiveReference) {
     const Tensor RefAB = naiveMatmul(A, B);
     const Tensor RefTa = naiveMatmulTransA(At, B);
     const Tensor RefTb = naiveMatmulTransB(A, Bt);
-
-    // Linear's verifier interface runs on its memoized W^T; every plane
-    // must equal the dot form (W = Bt, [Out, In]) that training keeps.
-    Linear Lin(K, N);
-    Lin.weight() = Bt.clone();
-    Lin.bias() = Tensor::randn({N}, R, 1.0);
-    const Tensor AbsW = absTensor(Bt);
-    const Tensor Radii = absTensor(Tensor::randn({M, K}, R, 1.0));
-    const Tensor Mags = absTensor(Tensor::randn({M, K}, R, 1.0));
-    const Tensor RefAffine = addBiasRows(RefTb, Lin.bias());
-    const Tensor RefRadius = naiveMatmulTransB(Radii, AbsW);
-    const Tensor RefMag = naiveMatmulTransB(Mags, AbsW);
-    const Tensor RefBiasImage =
-        addBiasRows(naiveMatmulTransB(Tensor({M, K}), Bt), Lin.bias());
-
+    const std::string Label = std::to_string(M) + "x" + std::to_string(K) +
+                              "x" + std::to_string(N);
     for (int64_t Threads : {int64_t(1), int64_t(4)}) {
       ThreadCount Scope(Threads);
       EXPECT_TRUE(bitIdentical(matmul(A, B), RefAB))
-          << "matmul " << M << "x" << K << "x" << N << " @" << Threads;
+          << "matmul " << Label << " @" << Threads;
       EXPECT_TRUE(bitIdentical(matmulTransA(At, B), RefTa))
-          << "matmulTransA " << M << "x" << K << "x" << N << " @" << Threads;
+          << "matmulTransA " << Label << " @" << Threads;
       EXPECT_TRUE(bitIdentical(matmulTransB(A, Bt), RefTb))
-          << "matmulTransB " << M << "x" << K << "x" << N << " @" << Threads;
-
-      EXPECT_TRUE(bitIdentical(Lin.applyAffine(A), RefAffine))
-          << "applyAffine " << M << "x" << K << "x" << N << " @" << Threads;
-      EXPECT_TRUE(bitIdentical(Lin.applyLinear(A), RefTb))
-          << "applyLinear " << M << "x" << K << "x" << N << " @" << Threads;
-      Tensor Center = A.clone(), Radius = Radii.clone();
-      Lin.applyToBox(Center, Radius);
-      EXPECT_TRUE(bitIdentical(Center, RefAffine))
-          << "applyToBox center " << M << "x" << K << "x" << N << " @"
-          << Threads;
-      EXPECT_TRUE(bitIdentical(Radius, RefRadius))
-          << "applyToBox radius " << M << "x" << K << "x" << N << " @"
-          << Threads;
-      Tensor PCenter = A.clone(), PRadius = Radii.clone(), PMag = Mags.clone();
-      Tensor BiasImage;
-      Lin.applyToBoxPlanes(PCenter, PRadius, PMag, BiasImage);
-      EXPECT_TRUE(bitIdentical(PCenter, RefAffine))
-          << "applyToBoxPlanes center " << M << "x" << K << "x" << N << " @"
-          << Threads;
-      EXPECT_TRUE(bitIdentical(PRadius, RefRadius))
-          << "applyToBoxPlanes radius " << M << "x" << K << "x" << N << " @"
-          << Threads;
-      EXPECT_TRUE(bitIdentical(PMag, RefMag))
-          << "applyToBoxPlanes magnitude " << M << "x" << K << "x" << N
-          << " @" << Threads;
-      EXPECT_TRUE(bitIdentical(BiasImage, RefBiasImage))
-          << "applyToBoxPlanes bias image " << M << "x" << K << "x" << N
-          << " @" << Threads;
+          << "matmulTransB " << Label << " @" << Threads;
     }
+    const Tensor Bias = Tensor::randn({N}, R, 1.0);
+    const Tensor Radii = absTensor(Tensor::randn({M, K}, R, 1.0));
+    const Tensor Mags = absTensor(Tensor::randn({M, K}, R, 1.0));
+    expectLinearMatchesDotForm(A, Bt, Bias, Radii, Mags, Label);
   }
+}
+
+// --- Dead inputs -------------------------------------------------------------
+//
+// Adjacent pieces of one segment share their ReLU pattern, so a post-ReLU
+// batch has components that are zero in every row. The kernels give them
+// no slot, tap or k-step; the cases below must still match the dense
+// reference loops bit for bit.
+
+/// Zero the components picked with probability DeadFrac in every row of
+/// each batch (one pick shared by all of them); every third such entry is
+/// -0.0. Returns the dead components in ascending order.
+std::vector<int64_t> zeroColumns(std::initializer_list<Tensor *> Batches,
+                                 double DeadFrac, Rng &R) {
+  const Tensor &First = **Batches.begin();
+  const int64_t Rows = First.dim(0), N = First.numel() / Rows;
+  std::vector<int64_t> Dead;
+  for (int64_t J = 0; J < N; ++J)
+    if (R.uniform() < DeadFrac)
+      Dead.push_back(J);
+  for (Tensor *T : Batches)
+    for (int64_t I = 0; I < Rows; ++I)
+      for (int64_t J : Dead)
+        (*T)[I * N + J] = (I + J) % 3 == 0 ? -0.0 : 0.0;
+  return Dead;
+}
+
+/// Zero the first Count rows of each batch: an all-zero 32-row block.
+void zeroRows(std::initializer_list<Tensor *> Batches, int64_t Count) {
+  for (Tensor *T : Batches) {
+    const int64_t N = T->numel() / T->dim(0);
+    std::fill_n(T->data(), std::min(Count, T->dim(0)) * N, 0.0);
+  }
+}
+
+/// The dead-input shapes of a batch: row-shared dead components at one of
+/// two fractions, an all-zero block (under a -0.0 bias element, where the
+/// caller passes a bias), and a NaN in an otherwise dead column.
+enum class DeadCase { Fraction0, Fraction1, ZeroBlock, NaNInDeadColumn };
+
+const char *deadCaseName(DeadCase Case) {
+  switch (Case) {
+  case DeadCase::Fraction0:
+    return "dead fraction 0";
+  case DeadCase::Fraction1:
+    return "dead fraction 1";
+  case DeadCase::ZeroBlock:
+    return "all-zero block";
+  case DeadCase::NaNInDeadColumn:
+    return "NaN in a dead column";
+  }
+  return "?";
+}
+
+/// Apply a dead case to the batches (Points first) and the bias (may be
+/// null), with the two dead fractions measured for the layer kind.
+void applyDeadCase(DeadCase Case, const double (&Fractions)[2],
+                   std::initializer_list<Tensor *> Batches, Tensor *Bias,
+                   Rng &R) {
+  const std::vector<int64_t> Dead = zeroColumns(
+      Batches, Case == DeadCase::Fraction1 ? Fractions[1] : Fractions[0], R);
+  Tensor &Points = **Batches.begin();
+  const int64_t Rows = Points.dim(0), N = Points.numel() / Rows;
+  if (Case == DeadCase::ZeroBlock) {
+    zeroRows(Batches, 32);
+    if (Bias)
+      (*Bias)[0] = -0.0;
+  }
+  if (Case == DeadCase::NaNInDeadColumn && !Dead.empty())
+    Points[(Rows / 2) * N + Dead[Dead.size() / 2]] =
+        std::numeric_limits<double>::quiet_NaN();
+}
+
+constexpr DeadCase AllDeadCases[] = {DeadCase::Fraction0, DeadCase::Fraction1,
+                                     DeadCase::ZeroBlock,
+                                     DeadCase::NaNInDeadColumn};
+
+// Linear inputs on the paper cells are 30-49% dead across a block. (The
+// bias image copies the bias, whose zero sign is unspecified, so these
+// cases keep a nonzero bias.)
+TEST(TiledGemmTest, DeadColumnsBitwiseEqualToNaiveReference) {
+  Rng R(31);
+  const double Fractions[2] = {0.30, 0.49};
+  // K = 300 crosses the k-tile boundary; 19 and 37 rows leave 4-row tails.
+  const int64_t K = 300, N = 29;
+  for (int64_t M : {int64_t(1), int64_t(19), int64_t(37)})
+    for (DeadCase Case : AllDeadCases) {
+      Tensor A = relu(Tensor::randn({M, K}, R, 1.0));
+      Tensor Radii = relu(Tensor::randn({M, K}, R, 1.0));
+      Tensor Mags = absTensor(Tensor::randn({M, K}, R, 1.0));
+      Tensor Bias = Tensor::randn({N}, R, 1.0);
+      applyDeadCase(Case, Fractions, {&A, &Radii, &Mags}, nullptr, R);
+      const Tensor B = Tensor::randn({K, N}, R, 1.0);
+      const Tensor Bt = Tensor::randn({N, K}, R, 1.0);
+      const std::string Label =
+          std::string(deadCaseName(Case)) + ", " + std::to_string(M) + " rows";
+      const Tensor RefAB = naiveMatmul(A, B);
+      for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+        ThreadCount Scope(Threads);
+        EXPECT_TRUE(bitIdentical(matmul(A, B), RefAB))
+            << "matmul " << Label << " @" << Threads;
+      }
+      expectLinearMatchesDotForm(A, Bt, Bias, Radii, Mags, Label);
+    }
 }
 
 TEST(TiledGemmTest, ConvBitIdenticalAcrossThreadCounts) {
@@ -335,25 +447,33 @@ TEST(TiledGemmTest, ConvBitIdenticalAcrossThreadCounts) {
 // ConvTranspose2d starts at the bias (or +0.0) and adds its (ic, ih, iw)
 // taps in ascending order.
 
+// Both index raw storage: Tensor::at's range-checked shape lookups would
+// dominate the sanitizer builds' run time.
+
 Tensor naiveConv2d(const Tensor &In, const Tensor &W, const Tensor &Bias,
                    const ConvGeometry &G) {
   const int64_t N = In.dim(0), C = In.dim(1), H = In.dim(2), Wd = In.dim(3);
+  const int64_t OC = G.OutChannels, KH = G.KernelH, KW = G.KernelW;
   const auto [OH, OW] = G.convOutput(H, Wd);
-  Tensor Out({N, G.OutChannels, OH, OW});
+  Tensor Out({N, OC, OH, OW});
+  const double *X = In.data(), *Wt = W.data();
+  double *Y = Out.data();
   for (int64_t S = 0; S < N; ++S)
-    for (int64_t Oc = 0; Oc < G.OutChannels; ++Oc)
+    for (int64_t Oc = 0; Oc < OC; ++Oc)
       for (int64_t Oh = 0; Oh < OH; ++Oh)
         for (int64_t Ow = 0; Ow < OW; ++Ow) {
           double Acc = 0.0;
           for (int64_t Ic = 0; Ic < C; ++Ic)
-            for (int64_t Kh = 0; Kh < G.KernelH; ++Kh)
-              for (int64_t Kw = 0; Kw < G.KernelW; ++Kw) {
+            for (int64_t Kh = 0; Kh < KH; ++Kh)
+              for (int64_t Kw = 0; Kw < KW; ++Kw) {
                 const int64_t Ih = Oh * G.Stride - G.Padding + Kh;
                 const int64_t Iw = Ow * G.Stride - G.Padding + Kw;
                 if (Ih >= 0 && Ih < H && Iw >= 0 && Iw < Wd)
-                  Acc += In.at(S, Ic, Ih, Iw) * W.at(Oc, Ic, Kh, Kw);
+                  Acc += X[((S * C + Ic) * H + Ih) * Wd + Iw] *
+                         Wt[((Oc * C + Ic) * KH + Kh) * KW + Kw];
               }
-          Out.at(S, Oc, Oh, Ow) = Bias.numel() ? Acc + Bias[Oc] : Acc;
+          Y[((S * OC + Oc) * OH + Oh) * OW + Ow] =
+              Bias.numel() ? Acc + Bias[Oc] : Acc;
         }
   return Out;
 }
@@ -361,25 +481,29 @@ Tensor naiveConv2d(const Tensor &In, const Tensor &W, const Tensor &Bias,
 Tensor naiveConvTranspose2d(const Tensor &In, const Tensor &W,
                             const Tensor &Bias, const ConvGeometry &G) {
   const int64_t N = In.dim(0), C = In.dim(1), H = In.dim(2), Wd = In.dim(3);
+  const int64_t OC = G.OutChannels, KH = G.KernelH, KW = G.KernelW;
   const auto [OH, OW] = G.convTransposeOutput(H, Wd);
-  Tensor Out({N, G.OutChannels, OH, OW});
+  Tensor Out({N, OC, OH, OW});
+  const double *X = In.data(), *Wt = W.data();
+  double *Y = Out.data();
   for (int64_t S = 0; S < N; ++S)
-    for (int64_t Oc = 0; Oc < G.OutChannels; ++Oc)
+    for (int64_t Oc = 0; Oc < OC; ++Oc)
       for (int64_t Oh = 0; Oh < OH; ++Oh)
         for (int64_t Ow = 0; Ow < OW; ++Ow) {
           double Acc = Bias.numel() ? Bias[Oc] : 0.0;
           for (int64_t Ic = 0; Ic < C; ++Ic)
             for (int64_t Ih = 0; Ih < H; ++Ih) {
               const int64_t Kh = Oh + G.Padding - Ih * G.Stride;
-              if (Kh < 0 || Kh >= G.KernelH)
+              if (Kh < 0 || Kh >= KH)
                 continue;
               for (int64_t Iw = 0; Iw < Wd; ++Iw) {
                 const int64_t Kw = Ow + G.Padding - Iw * G.Stride;
-                if (Kw >= 0 && Kw < G.KernelW)
-                  Acc += In.at(S, Ic, Ih, Iw) * W.at(Ic, Oc, Kh, Kw);
+                if (Kw >= 0 && Kw < KW)
+                  Acc += X[((S * C + Ic) * H + Ih) * Wd + Iw] *
+                         Wt[((Ic * OC + Oc) * KH + Kh) * KW + Kw];
               }
             }
-          Out.at(S, Oc, Oh, Ow) = Acc;
+          Y[((S * OC + Oc) * OH + Oh) * OW + Ow] = Acc;
         }
   return Out;
 }
@@ -390,58 +514,106 @@ struct ConvLayerCase {
   int64_t InC, OutC, Kernel, Stride, Padding, OutPadding, Size;
 };
 
+const ConvLayerCase ConvLayerCases[] = {
+    // The paper decoders and classifiers at 16x16 images.
+    {"decoder convT 32->16 s2", true, 32, 16, 3, 2, 1, 1, 8},
+    {"decoder convT 16->3 s1", true, 16, 3, 3, 1, 1, 0, 16},
+    {"ConvSmall conv 3->16 k4 s2", false, 3, 16, 4, 2, 1, 0, 16},
+    {"ConvSmall conv 16->32 k4 s2", false, 16, 32, 4, 2, 1, 0, 8},
+    {"ConvMed conv 3->12 k4 s1", false, 3, 12, 4, 1, 1, 0, 16},
+    {"ConvMed conv 12->16 k4 s2, odd input", false, 12, 16, 4, 2, 1, 0, 15},
+    {"ConvLarge conv 16->16 k4 s2", false, 16, 16, 4, 2, 1, 0, 16},
+    {"ConvLarge conv 32->32 k4 s2", false, 32, 32, 4, 2, 1, 0, 8},
+    // Padding 0, odd sizes, output padding, kernels smaller than the
+    // stride.
+    {"conv k3 s1 p0, odd", false, 2, 5, 3, 1, 0, 0, 7},
+    {"conv k1 s2 p0", false, 3, 4, 1, 2, 0, 0, 9},
+    {"conv k2 s3 p1, odd", false, 2, 3, 2, 3, 1, 0, 11},
+    {"convT k3 s2 p0 op1, odd", true, 3, 5, 3, 2, 0, 1, 5},
+    {"convT k4 s2 p1", true, 5, 3, 4, 2, 1, 0, 5},
+    {"convT k1 s2 p0 op1", true, 4, 2, 1, 2, 0, 1, 4},
+    {"convT k2 s3 p0 op2, odd", true, 3, 4, 2, 3, 0, 2, 3},
+};
+/// The first eight cases are the paper's layers.
+constexpr size_t NumPaperConvCases = 8;
+
+/// A random weight for the case's layer.
+Tensor convCaseWeight(const ConvLayerCase &C, Rng &R) {
+  return C.Transposed
+             ? Tensor::randn({C.InC, C.OutC, C.Kernel, C.Kernel}, R, 0.5)
+             : Tensor::randn({C.OutC, C.InC, C.Kernel, C.Kernel}, R, 0.5);
+}
+
+/// Every conv entry point (applyAffine, applyLinear, applyToBox,
+/// applyToBoxPlanes) of the case's layer with weight W and bias Bias
+/// against the naive loops above, bit for bit, at 1 and 4 threads.
+void expectConvMatchesNaive(const ConvLayerCase &C, const Tensor &W,
+                            const Tensor &Bias, const Tensor &Points,
+                            const Tensor &Dirs, const Tensor &Radii,
+                            const Tensor &Mags, const std::string &Label) {
+  std::unique_ptr<Layer> L;
+  ConvGeometry G;
+  if (C.Transposed) {
+    auto T = std::make_unique<ConvTranspose2d>(
+        C.InC, C.OutC, C.Kernel, C.Stride, C.Padding, C.OutPadding);
+    T->weight() = W.clone();
+    T->bias() = Bias.clone();
+    G = T->geometry();
+    L = std::move(T);
+  } else {
+    auto T = std::make_unique<Conv2d>(C.InC, C.OutC, C.Kernel, C.Stride,
+                                      C.Padding);
+    T->weight() = W.clone();
+    T->bias() = Bias.clone();
+    G = T->geometry();
+    L = std::move(T);
+  }
+  auto Naive = [&](const Tensor &In, const Tensor &Wt, const Tensor &B) {
+    return C.Transposed ? naiveConvTranspose2d(In, Wt, B, G)
+                        : naiveConv2d(In, Wt, B, G);
+  };
+  const Tensor AbsW = absTensor(W);
+  const Tensor RefAffine = Naive(Points, W, Bias);
+  const Tensor RefLinear = Naive(Dirs, W, Tensor());
+  const Tensor RefRadius = Naive(Radii, AbsW, Tensor());
+  const Tensor RefMag = Naive(Mags, AbsW, Tensor());
+  const Tensor RefBiasImage = Naive(Tensor(Points.shape()), W, Bias);
+  for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+    ThreadCount Scope(Threads);
+    const std::string At = std::string(C.Name) + ", " + Label + ", " +
+                           std::to_string(Points.dim(0)) + " rows @" +
+                           std::to_string(Threads);
+    EXPECT_TRUE(bitIdentical(L->applyAffine(Points), RefAffine))
+        << "applyAffine " << At;
+    EXPECT_TRUE(bitIdentical(L->applyLinear(Dirs), RefLinear))
+        << "applyLinear " << At;
+    Tensor Center = Points.clone(), Radius = Radii.clone();
+    L->applyToBox(Center, Radius);
+    EXPECT_TRUE(bitIdentical(Center, RefAffine)) << "applyToBox center " << At;
+    EXPECT_TRUE(bitIdentical(Radius, RefRadius)) << "applyToBox radius " << At;
+    Tensor PCenter = Points.clone(), PRadius = Radii.clone(),
+           PMag = Mags.clone(), BiasImage;
+    L->applyToBoxPlanes(PCenter, PRadius, PMag, BiasImage);
+    EXPECT_TRUE(bitIdentical(PCenter, RefAffine))
+        << "applyToBoxPlanes center " << At;
+    EXPECT_TRUE(bitIdentical(PRadius, RefRadius))
+        << "applyToBoxPlanes radius " << At;
+    EXPECT_TRUE(bitIdentical(PMag, RefMag))
+        << "applyToBoxPlanes magnitude " << At;
+    EXPECT_TRUE(bitIdentical(BiasImage, RefBiasImage))
+        << "applyToBoxPlanes bias image " << At;
+  }
+}
+
 // Every conv layer entry point against the naive loops above, bit for bit,
 // at 1 and 4 threads, on 1, 19 and 37 rows: a single row, a lone partial
 // block the kernel pads to 24 vector lanes, and one full 32-row block
 // plus a partial one.
 TEST(TiledGemmTest, ConvLayersBitwiseEqualToNaiveReference) {
-  const ConvLayerCase Cases[] = {
-      // The paper decoders and classifiers at 16x16 images.
-      {"decoder convT 32->16 s2", true, 32, 16, 3, 2, 1, 1, 8},
-      {"decoder convT 16->3 s1", true, 16, 3, 3, 1, 1, 0, 16},
-      {"ConvSmall conv 3->16 k4 s2", false, 3, 16, 4, 2, 1, 0, 16},
-      {"ConvSmall conv 16->32 k4 s2", false, 16, 32, 4, 2, 1, 0, 8},
-      {"ConvMed conv 3->12 k4 s1", false, 3, 12, 4, 1, 1, 0, 16},
-      {"ConvMed conv 12->16 k4 s2, odd input", false, 12, 16, 4, 2, 1, 0, 15},
-      {"ConvLarge conv 16->16 k4 s2", false, 16, 16, 4, 2, 1, 0, 16},
-      {"ConvLarge conv 32->32 k4 s2", false, 32, 32, 4, 2, 1, 0, 8},
-      // Padding 0, odd sizes, output padding, kernels smaller than the
-      // stride.
-      {"conv k3 s1 p0, odd", false, 2, 5, 3, 1, 0, 0, 7},
-      {"conv k1 s2 p0", false, 3, 4, 1, 2, 0, 0, 9},
-      {"conv k2 s3 p1, odd", false, 2, 3, 2, 3, 1, 0, 11},
-      {"convT k3 s2 p0 op1, odd", true, 3, 5, 3, 2, 0, 1, 5},
-      {"convT k4 s2 p1", true, 5, 3, 4, 2, 1, 0, 5},
-      {"convT k1 s2 p0 op1", true, 4, 2, 1, 2, 0, 1, 4},
-      {"convT k2 s3 p0 op2, odd", true, 3, 4, 2, 3, 0, 2, 3},
-  };
   Rng R(7);
-  for (const ConvLayerCase &C : Cases) {
-    std::unique_ptr<Layer> L;
-    Tensor W, Bias = Tensor::randn({C.OutC}, R, 0.1);
-    ConvGeometry G;
-    if (C.Transposed) {
-      auto T = std::make_unique<ConvTranspose2d>(
-          C.InC, C.OutC, C.Kernel, C.Stride, C.Padding, C.OutPadding);
-      W = Tensor::randn(T->weight().shape(), R, 0.5);
-      T->weight() = W.clone();
-      T->bias() = Bias.clone();
-      G = T->geometry();
-      L = std::move(T);
-    } else {
-      auto T = std::make_unique<Conv2d>(C.InC, C.OutC, C.Kernel, C.Stride,
-                                        C.Padding);
-      W = Tensor::randn(T->weight().shape(), R, 0.5);
-      T->weight() = W.clone();
-      T->bias() = Bias.clone();
-      G = T->geometry();
-      L = std::move(T);
-    }
-    auto Naive = [&](const Tensor &In, const Tensor &Wt, const Tensor &B) {
-      return C.Transposed ? naiveConvTranspose2d(In, Wt, B, G)
-                          : naiveConv2d(In, Wt, B, G);
-    };
-    const Tensor AbsW = absTensor(W);
+  for (const ConvLayerCase &C : ConvLayerCases) {
+    const Tensor Bias = Tensor::randn({C.OutC}, R, 0.1);
+    const Tensor W = convCaseWeight(C, R);
     for (int64_t Rows : {int64_t(1), int64_t(19), int64_t(37)}) {
       const Shape InShape({Rows, C.InC, C.Size, C.Size});
       // Post-ReLU points (exact zeros) as the engine feeds them.
@@ -449,38 +621,46 @@ TEST(TiledGemmTest, ConvLayersBitwiseEqualToNaiveReference) {
       const Tensor Dirs = Tensor::randn(InShape, R, 1.0);
       const Tensor Radii = relu(Tensor::randn(InShape, R, 1.0));
       const Tensor Mags = absTensor(Tensor::randn(InShape, R, 1.0));
-      const Tensor RefAffine = Naive(Points, W, Bias);
-      const Tensor RefLinear = Naive(Dirs, W, Tensor());
-      const Tensor RefRadius = Naive(Radii, AbsW, Tensor());
-      const Tensor RefMag = Naive(Mags, AbsW, Tensor());
-      const Tensor RefBiasImage = Naive(Tensor(InShape), W, Bias);
-      for (int64_t Threads : {int64_t(1), int64_t(4)}) {
-        ThreadCount Scope(Threads);
-        const std::string At = std::string(C.Name) + ", " +
-                               std::to_string(Rows) + " rows @" +
-                               std::to_string(Threads);
-        EXPECT_TRUE(bitIdentical(L->applyAffine(Points), RefAffine))
-            << "applyAffine " << At;
-        EXPECT_TRUE(bitIdentical(L->applyLinear(Dirs), RefLinear))
-            << "applyLinear " << At;
-        Tensor Center = Points.clone(), Radius = Radii.clone();
-        L->applyToBox(Center, Radius);
-        EXPECT_TRUE(bitIdentical(Center, RefAffine))
-            << "applyToBox center " << At;
-        EXPECT_TRUE(bitIdentical(Radius, RefRadius))
-            << "applyToBox radius " << At;
-        Tensor PCenter = Points.clone(), PRadius = Radii.clone(),
-               PMag = Mags.clone(), BiasImage;
-        L->applyToBoxPlanes(PCenter, PRadius, PMag, BiasImage);
-        EXPECT_TRUE(bitIdentical(PCenter, RefAffine))
-            << "applyToBoxPlanes center " << At;
-        EXPECT_TRUE(bitIdentical(PRadius, RefRadius))
-            << "applyToBoxPlanes radius " << At;
-        EXPECT_TRUE(bitIdentical(PMag, RefMag))
-            << "applyToBoxPlanes magnitude " << At;
-        EXPECT_TRUE(bitIdentical(BiasImage, RefBiasImage))
-            << "applyToBoxPlanes bias image " << At;
-      }
+      expectConvMatchesNaive(C, W, Bias, Points, Dirs, Radii, Mags,
+                             "relu(randn)");
+    }
+  }
+}
+
+// The paper's conv layers that read post-ReLU inputs, on row-shared dead
+// inputs at the fractions measured on the paper cells (29-44% of
+// post-ReLU Conv2d inputs, 63-71% of ConvTranspose2d inputs), an all-zero
+// block under a -0.0 bias element (a ConvTranspose2d must then keep its
+// dense taps), and a NaN in an otherwise dead column. The row counts give
+// a lone block padded to 24 and to 16 lanes, a single row, and a full
+// block plus one row.
+TEST(TiledGemmTest, ConvDeadInputsBitwiseEqualToNaiveReference) {
+  Rng R(13);
+  const std::pair<DeadCase, int64_t> Runs[] = {
+      {DeadCase::Fraction0, 19},
+      {DeadCase::Fraction1, 33},
+      {DeadCase::Fraction1, 1},
+      {DeadCase::ZeroBlock, 33},
+      {DeadCase::NaNInDeadColumn, 9}};
+  const double ConvFractions[2] = {0.29, 0.44};
+  const double ConvTFractions[2] = {0.63, 0.71};
+  for (size_t I = 0; I < NumPaperConvCases; ++I) {
+    const ConvLayerCase &C = ConvLayerCases[I];
+    // A classifier's first layer reads the decoder's dense image.
+    if (C.InC == 3)
+      continue;
+    const Tensor W = convCaseWeight(C, R);
+    for (const auto &[Case, Rows] : Runs) {
+      const Shape InShape({Rows, C.InC, C.Size, C.Size});
+      Tensor Points = relu(Tensor::randn(InShape, R, 1.0));
+      Tensor Dirs = Tensor::randn(InShape, R, 1.0);
+      Tensor Radii = relu(Tensor::randn(InShape, R, 1.0));
+      Tensor Mags = absTensor(Tensor::randn(InShape, R, 1.0));
+      Tensor Bias = Tensor::randn({C.OutC}, R, 0.1);
+      applyDeadCase(Case, C.Transposed ? ConvTFractions : ConvFractions,
+                    {&Points, &Dirs, &Radii, &Mags}, &Bias, R);
+      expectConvMatchesNaive(C, W, Bias, Points, Dirs, Radii, Mags,
+                             deadCaseName(Case));
     }
   }
 }
