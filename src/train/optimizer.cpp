@@ -2,9 +2,29 @@
 
 #include "src/train/optimizer.h"
 
+#include "src/util/error.h"
+
 #include <cmath>
 
 namespace genprove {
+
+namespace {
+
+/// One pass over the updated parameters. A diverged step leaves an inf or
+/// NaN weight, and the affine kernels skip zero inputs, which matches the
+/// dense sums only for finite weights (0 * inf would be NaN), so training
+/// stops at the step that diverged.
+void checkFinite(const std::vector<Param> &Params) {
+  for (const auto &P : Params) {
+    const double *V = P.Value->data();
+    bool Finite = true;
+    for (int64_t I = 0; I < P.Value->numel(); ++I)
+      Finite &= std::isfinite(V[I]);
+    check(Finite, "optimizer step left a non-finite parameter");
+  }
+}
+
+} // namespace
 
 Sgd::Sgd(std::vector<Param> InitParams, double Lr, double Momentum)
     : Optimizer(std::move(InitParams), Lr), Momentum(Momentum) {
@@ -24,6 +44,7 @@ void Sgd::step() {
     }
     G.zero();
   }
+  checkFinite(Params);
 }
 
 Adam::Adam(std::vector<Param> InitParams, double Lr, double Beta1,
@@ -56,6 +77,7 @@ void Adam::step() {
     }
     G.zero();
   }
+  checkFinite(Params);
 }
 
 double clipGradientNorm(const std::vector<Param> &Params, double MaxNorm) {

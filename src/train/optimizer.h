@@ -20,7 +20,7 @@ public:
   virtual ~Optimizer() = default;
 
   /// Apply one update using each parameter's accumulated gradient, then
-  /// zero the gradients.
+  /// zero the gradients. Aborts if the update left a non-finite parameter.
   virtual void step() = 0;
 
   /// Current learning rate.

@@ -40,6 +40,15 @@ TEST(Optimizer, AdamMinimizesQuadratic) {
   EXPECT_NEAR(W[1], 0.0, 1e-3);
 }
 
+// The affine kernels need finite weights, so a step that overflows one
+// stops training at that step.
+TEST(Optimizer, DivergedStepIsFatal) {
+  Tensor W({1, 2}, {1.0, 1e308});
+  Tensor G({1, 2}, {0.0, -1e308});
+  Sgd Opt({{&W, &G, "w"}}, 10.0);
+  EXPECT_DEATH(Opt.step(), "non-finite parameter");
+}
+
 TEST(Optimizer, StepZeroesGradients) {
   Tensor W({1, 1}, {1.0});
   Tensor G({1, 1}, {1.0});
