@@ -44,13 +44,16 @@ const char *datasetKey(DatasetId Id) {
 
 } // namespace
 
-ModelZoo::ModelZoo(ZooConfig InitConfig) : Config(std::move(InitConfig)) {
-  std::error_code Ec;
-  std::filesystem::create_directories(Config.CacheDir, Ec);
-}
+ModelZoo::ModelZoo(ZooConfig InitConfig) : Config(std::move(InitConfig)) {}
 
 std::string ModelZoo::cachePath(const std::string &Name) const {
   return Config.CacheDir + "/" + Name + ".bin";
+}
+
+std::string ModelZoo::savePath(const std::string &Name) const {
+  std::error_code Ec;
+  std::filesystem::create_directories(Config.CacheDir, Ec);
+  return cachePath(Name);
 }
 
 bool ModelZoo::loadPair(const std::string &Name, Sequential &First,
@@ -66,8 +69,8 @@ bool ModelZoo::loadPair(const std::string &Name, Sequential &First,
 
 void ModelZoo::savePair(const std::string &Name, const Sequential &First,
                         const Sequential &Second) const {
-  saveNetwork(First, cachePath(Name + "-a"));
-  saveNetwork(Second, cachePath(Name + "-b"));
+  saveNetwork(First, savePath(Name + "-a"));
+  saveNetwork(Second, savePath(Name + "-b"));
 }
 
 const Dataset &ModelZoo::train(DatasetId Id) {
@@ -197,7 +200,7 @@ Sequential &ModelZoo::facesDetector(const std::string &Arch) {
     TC.Epochs = Config.ClassifierEpochs;
     TC.Verbose = Config.Verbose;
     trainAttributeDetector(Net, Set, TC, Generator);
-    saveNetwork(Net, cachePath(Name));
+    saveNetwork(Net, savePath(Name));
   }
   auto Ptr = std::make_unique<Sequential>(std::move(Net));
   return *Networks.emplace(Name, std::move(Ptr)).first->second;
@@ -223,7 +226,7 @@ Sequential &ModelZoo::shoesClassifier(const std::string &Arch) {
     TC.Epochs = Config.ClassifierEpochs;
     TC.Verbose = Config.Verbose;
     trainClassifier(Net, Set, TC, Generator);
-    saveNetwork(Net, cachePath(Name));
+    saveNetwork(Net, savePath(Name));
   }
   auto Ptr = std::make_unique<Sequential>(std::move(Net));
   return *Networks.emplace(Name, std::move(Ptr)).first->second;
@@ -257,7 +260,7 @@ Sequential &ModelZoo::digitsClassifier(TrainScheme Scheme) {
     RC.IbpGradRatio = 1.0; // deep nets collapse at larger ratios
     RC.Verbose = Config.Verbose;
     trainRobustClassifier(Net, Set, Scheme, RC, Generator);
-    saveNetwork(Net, cachePath(Name));
+    saveNetwork(Net, savePath(Name));
   }
   auto Ptr = std::make_unique<Sequential>(std::move(Net));
   return *Networks.emplace(Name, std::move(Ptr)).first->second;
@@ -286,7 +289,7 @@ Sequential &ModelZoo::ganDiscriminator() {
     GC.Epochs = Config.GenerativeEpochs;
     GC.Verbose = Config.Verbose;
     Model.train(Set, GC, Generator);
-    saveNetwork(Model.discriminator(), cachePath(Name));
+    saveNetwork(Model.discriminator(), savePath(Name));
     Disc = std::move(Model.discriminator());
   }
   auto Ptr = std::make_unique<Sequential>(std::move(Disc));

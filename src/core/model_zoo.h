@@ -101,6 +101,9 @@ public:
 
 private:
   std::string cachePath(const std::string &Name) const;
+  /// cachePath(Name), after creating the cache directory: a zoo that only
+  /// loads, or is never asked for a model, leaves no directory behind.
+  std::string savePath(const std::string &Name) const;
   bool loadPair(const std::string &Name, Sequential &First,
                 Sequential &Second) const;
   void savePair(const std::string &Name, const Sequential &First,

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 namespace genprove {
@@ -616,6 +618,54 @@ void col2im(const double *Col, int64_t C, int64_t H, int64_t W,
 /// cache footprint against per-tap overhead.
 constexpr int64_t TapRows = 32;
 
+/// Eight doubles and their bit patterns, the unit of the conv kernel's
+/// transposes: one register in the avx512f clones, four SSE2 registers in
+/// the baseline ones.
+typedef double Vec8 __attribute__((vector_size(64)));
+typedef uint64_t Bits8 __attribute__((vector_size(64)));
+
+/// Transpose the 8x8 block whose rows are V[0..7] in place: three rounds
+/// of two-register shuffles.
+__attribute__((always_inline)) inline void transpose8(Vec8 (&V)[8]) {
+  Vec8 T[8], U[8];
+  for (int K = 0; K < 8; K += 2) {
+    T[K] = __builtin_shufflevector(V[K], V[K + 1], 0, 8, 2, 10, 4, 12, 6, 14);
+    T[K + 1] =
+        __builtin_shufflevector(V[K], V[K + 1], 1, 9, 3, 11, 5, 13, 7, 15);
+  }
+  for (int K = 0; K < 8; K += 4)
+    for (int J = K; J < K + 2; ++J) {
+      U[J] = __builtin_shufflevector(T[J], T[J + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+      U[J + 2] =
+          __builtin_shufflevector(T[J], T[J + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+    }
+  for (int J = 0; J < 4; ++J) {
+    V[J] = __builtin_shufflevector(U[J], U[J + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    V[J + 4] =
+        __builtin_shufflevector(U[J], U[J + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
+
+/// Uninitialized kernel scratch that starts on a cache line, so the tap
+/// loops' row vectors and the write-back's tiles never straddle one. It
+/// grows to the largest size asked for and is freed with its owner.
+class LineScratch {
+public:
+  double *get(int64_t Size) {
+    if (Size > Capacity) {
+      Storage = std::make_unique_for_overwrite<double[]>(
+          static_cast<size_t>(Size + 7));
+      Capacity = Size;
+    }
+    const auto Addr = reinterpret_cast<uintptr_t>(Storage.get());
+    return Storage.get() + ((64 - Addr % 64) % 64) / sizeof(double);
+  }
+
+private:
+  std::unique_ptr<double[]> Storage;
+  int64_t Capacity = 0;
+};
+
 /// C[R*Rows + J] += Wr[R][Col[T]] * X[T][J] over the taps T in list order,
 /// for NR output channels whose weight rows are OcStride apart and whose
 /// accumulator rows lie back to back in C. The streaming structure of
@@ -706,7 +756,9 @@ tapPixelBody(const double *const *X, const int64_t *Col, int64_t NumTaps,
     tapPixelRows<0>(X, Col, NumTaps, Wd, OcStride, OC, Acc, Rows);
 }
 
-// Compiled twice like the GEMM bodies, with fp-contract=off on both.
+// Compiled twice like the GEMM bodies, with fp-contract=off on both. The
+// tap loops stay out of line: inlined into the pixel loop, the single-row
+// convex calls' scalar loops ran up to a fifth slower.
 __attribute__((optimize("fp-contract=off"))) void
 tapPixelPlain(const double *const *X, const int64_t *Col, int64_t NumTaps,
               const double *Wd, int64_t OcStride, int64_t OC, double *Acc,
@@ -760,19 +812,281 @@ TapSpan tapSpan(int64_t O, int64_t In, int64_t K, const ConvGeometry &G,
   return {Lo, Hi, Top - Lo * G.Stride, -G.Stride};
 }
 
-/// Whether one transposed input holds only ±0 in its Rows lanes: the OR
-/// of their bit patterns has no magnitude bit (NaN and Inf keep exponent
-/// bits). A live input of dense data settles on the first 8 lanes.
-inline bool deadLanes(const double *V, int64_t Rows) {
-  uint64_t Bits = 0;
-  const int64_t Head = std::min<int64_t>(Rows, 8);
-  for (int64_t R = 0; R < Head; ++R)
-    Bits |= std::bit_cast<uint64_t>(V[R]);
-  if ((Bits << 1) != 0)
-    return false;
-  for (int64_t R = Head; R < Rows; ++R)
-    Bits |= std::bit_cast<uint64_t>(V[R]);
-  return (Bits << 1) == 0;
+/// One convTaps call's operands and geometry.
+struct TapLayer {
+  const double *Wd, *BiasD;
+  const ConvGeometry *G;
+  bool Transposed;
+  int64_t C, H, W, OC, KH, KW, OW, P, OcStride, IcStride;
+};
+
+/// One row block's transposed inputs. XT is [live inputs, Lanes], lanes
+/// Rows..Lanes-1 zero; input i is live when LiveBefore[i + 1] >
+/// LiveBefore[i], and then takes slot LiveBefore[i]; LiveInput[s] is the
+/// input in slot s. Out holds the block's Rows output rows.
+struct TapBlock {
+  const double *XT;
+  const int64_t *LiveBefore, *LiveInput;
+  int64_t Rows, Lanes;
+  double *const *Out;
+};
+
+/// Doubles between two pixels' accumulators: one pixel's OC rows of Lanes,
+/// plus one cache line from 8 lanes up, so that the 8 pixels of a
+/// write-back tile never lie a multiple of 4 KiB apart.
+int64_t accStride(int64_t OC, int64_t Lanes) {
+  return OC * Lanes + (Lanes >= 8 ? 8 : 0);
+}
+
+/// Transpose the block rows In[0..Rows) into XT and list their live inputs
+/// (TapBlock). Groups of 8 inputs go through 8x8 register tiles; the OR of
+/// a group's row vectors has, in lane k, every bit set in input k, so an
+/// input whose OR has no magnitude bit saw only ±0 (NaN and Inf keep
+/// exponent bits) and, with SkipDead, is dead. A dead input's slot is
+/// closed by moving the group's later live inputs down while they are in
+/// L1; dense data moves nothing.
+__attribute__((always_inline)) inline void
+transposeLiveBody(const double *const *In, int64_t Rows, int64_t Lanes,
+                  int64_t CHW, bool SkipDead, double *__restrict__ XT,
+                  int64_t *__restrict__ LiveBefore,
+                  int64_t *__restrict__ LiveInput) {
+  int64_t NumLive = 0, I = 0;
+  for (; Lanes >= 8 && I + 8 <= CHW; I += 8) {
+    const int64_t Base = NumLive;
+    double *Dst = XT + Base * Lanes;
+    Bits8 Or = {};
+    for (int64_t G = 0; G < Lanes; G += 8) {
+      Vec8 V[8];
+      for (int K = 0; K < 8; ++K) {
+        if (G + K < Rows)
+          std::memcpy(&V[K], In[G + K] + I, sizeof(Vec8));
+        else
+          V[K] = Vec8{};
+        Or |= (Bits8)V[K];
+      }
+      transpose8(V);
+      for (int K = 0; K < 8; ++K)
+        std::memcpy(Dst + K * Lanes + G, &V[K], sizeof(Vec8));
+    }
+    const Bits8 Magnitude = Or << 1;
+    for (int K = 0; K < 8; ++K) {
+      LiveBefore[I + K] = NumLive;
+      if (SkipDead && Magnitude[K] == 0)
+        continue;
+      if (NumLive != Base + K)
+        std::copy_n(Dst + K * Lanes, Lanes, XT + NumLive * Lanes);
+      LiveInput[NumLive++] = I + K;
+    }
+  }
+  // Blocks under 8 rows (Lanes == Rows) and the last CHW % 8 inputs go one
+  // input at a time.
+  for (; I < CHW; ++I) {
+    double *Dst = XT + NumLive * Lanes;
+    uint64_t Bits = 0;
+    for (int64_t R = 0; R < Rows; ++R) {
+      Dst[R] = In[R][I];
+      Bits |= std::bit_cast<uint64_t>(Dst[R]);
+    }
+    for (int64_t R = Rows; R < Lanes; ++R)
+      Dst[R] = 0.0;
+    LiveBefore[I] = NumLive;
+    LiveInput[NumLive] = I;
+    NumLive += !SkipDead || (Bits << 1) != 0;
+  }
+  LiveBefore[CHW] = NumLive;
+}
+
+/// Write-back tile: V[k] = the 8 lanes at Src + k*Stride for k < Pixels
+/// (zero beyond), transposed so that V[j] holds lane j's pixels, plus *Bias
+/// when Bias is not null.
+__attribute__((always_inline)) inline void
+loadTile(Vec8 (&V)[8], const double *Src, int64_t Stride, int64_t Pixels,
+         const double *Bias) {
+  for (int K = 0; K < 8; ++K) {
+    if (K < Pixels)
+      std::memcpy(&V[K], Src + K * Stride, sizeof(Vec8));
+    else
+      V[K] = Vec8{};
+  }
+  transpose8(V);
+  if (Bias)
+    for (int J = 0; J < 8; ++J)
+      V[J] += *Bias;
+}
+
+/// Pixels the write-back runs ahead of its stores, prefetching for write:
+/// the output lines are not in cache, and stores that miss would otherwise
+/// wait for them one after another.
+constexpr int64_t WriteAhead = 32;
+
+/// Write NumPix pixels' accumulators ([NumPix, accStride], pixel-major) to
+/// the block's output rows at pixel PBegin, adding Bias (when not null)
+/// after the sum. From 8 lanes up, 8 pixels of 8 lanes of one channel go
+/// through an 8x8 register tile. Each group of 8 rows then writes its
+/// planes in channel order, every (row, channel) run in whole vectors, so
+/// each row's output is one stream, which the write-back prefetches
+/// WriteAhead pixels ahead; a last tile of under 8 pixels stores only
+/// those.
+__attribute__((always_inline)) inline void
+writeBackBody(const double *__restrict__ Acc, int64_t NumPix, int64_t OC,
+              const double *Bias, int64_t P, int64_t PBegin,
+              const TapBlock &B) {
+  const int64_t Lanes = B.Lanes, Stride = accStride(OC, Lanes);
+  if (Lanes < 8) {
+    for (int64_t R = 0; R < B.Rows; ++R)
+      for (int64_t Oc = 0; Oc < OC; ++Oc) {
+        double *Dst = B.Out[R] + Oc * P + PBegin;
+        const double *Src = Acc + Oc * Lanes + R;
+        for (int64_t Px = 0; Px < NumPix; ++Px)
+          Dst[Px] = Bias ? Src[Px * Stride] + Bias[Oc] : Src[Px * Stride];
+      }
+    return;
+  }
+  for (int64_t G = 0; G < B.Rows; G += 8) {
+    const int64_t TileRows = std::min<int64_t>(8, B.Rows - G);
+    double *const *Dst = B.Out + G;
+    // The prefetch position, pixel AheadQ of channel AheadOc, runs
+    // WriteAhead pixels ahead along the rows' streams.
+    int64_t AheadOc = 0, AheadQ = 0;
+    auto Advance = [&](int64_t Pixels) {
+      for (AheadQ += Pixels; AheadQ >= NumPix && AheadOc < OC; ++AheadOc)
+        AheadQ -= NumPix;
+    };
+    auto PrefetchAhead = [&] {
+      if (AheadOc < OC)
+        for (int J = 0; J < TileRows; ++J)
+          __builtin_prefetch(Dst[J] + AheadOc * P + PBegin + AheadQ, 1);
+    };
+    for (int64_t Q = 0; Q < WriteAhead; Q += 8) {
+      PrefetchAhead();
+      Advance(8);
+    }
+    for (int64_t Oc = 0; Oc < OC; ++Oc) {
+      const double *Src = Acc + Oc * Lanes + G;
+      const int64_t Offset = Oc * P + PBegin;
+      int64_t Q = 0;
+      for (; Q + 8 <= NumPix; Q += 8) {
+        PrefetchAhead();
+        Advance(8);
+        Vec8 V[8];
+        loadTile(V, Src + Q * Stride, Stride, 8, Bias ? Bias + Oc : nullptr);
+        for (int J = 0; J < TileRows; ++J)
+          std::memcpy(Dst[J] + Offset + Q, &V[J], sizeof(Vec8));
+      }
+      if (Q < NumPix) {
+        PrefetchAhead();
+        Advance(NumPix - Q);
+        Vec8 V[8];
+        loadTile(V, Src + Q * Stride, Stride, NumPix - Q,
+                 Bias ? Bias + Oc : nullptr);
+        for (int J = 0; J < TileRows; ++J)
+          for (int64_t K = 0; K < NumPix - Q; ++K)
+            Dst[J][Offset + Q + K] = V[J][K];
+      }
+    }
+  }
+}
+
+// The transpose and the write-back are compiled twice like the tap loops.
+__attribute__((optimize("fp-contract=off"))) void
+transposeLivePlain(const double *const *In, int64_t Rows, int64_t Lanes,
+                   int64_t CHW, bool SkipDead, double *XT,
+                   int64_t *LiveBefore, int64_t *LiveInput) {
+  transposeLiveBody(In, Rows, Lanes, CHW, SkipDead, XT, LiveBefore,
+                    LiveInput);
+}
+
+__attribute__((optimize("fp-contract=off"))) void
+writeBackPlain(const double *Acc, int64_t NumPix, int64_t OC,
+               const double *Bias, int64_t P, int64_t PBegin,
+               const TapBlock &B) {
+  writeBackBody(Acc, NumPix, OC, Bias, P, PBegin, B);
+}
+
+#if GENPROVE_GEMM_MULTIVERSION
+
+__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
+transposeLiveAvx512(const double *const *In, int64_t Rows, int64_t Lanes,
+                    int64_t CHW, bool SkipDead, double *XT,
+                    int64_t *LiveBefore, int64_t *LiveInput) {
+  transposeLiveBody(In, Rows, Lanes, CHW, SkipDead, XT, LiveBefore,
+                    LiveInput);
+}
+
+__attribute__((target("avx512f,prfchw"), optimize("fp-contract=off"))) void
+writeBackAvx512(const double *Acc, int64_t NumPix, int64_t OC,
+                const double *Bias, int64_t P, int64_t PBegin,
+                const TapBlock &B) {
+  writeBackBody(Acc, NumPix, OC, Bias, P, PBegin, B);
+}
+
+#endif // GENPROVE_GEMM_MULTIVERSION
+
+void transposeLive(const double *const *In, int64_t Rows, int64_t Lanes,
+                   int64_t CHW, bool SkipDead, double *XT, int64_t *LiveBefore,
+                   int64_t *LiveInput) {
+#if GENPROVE_GEMM_MULTIVERSION
+  if (useAvx512())
+    return transposeLiveAvx512(In, Rows, Lanes, CHW, SkipDead, XT, LiveBefore,
+                               LiveInput);
+#endif
+  transposeLivePlain(In, Rows, Lanes, CHW, SkipDead, XT, LiveBefore,
+                     LiveInput);
+}
+
+void writeBack(const double *Acc, int64_t NumPix, int64_t OC,
+               const double *Bias, int64_t P, int64_t PBegin,
+               const TapBlock &B) {
+#if GENPROVE_GEMM_MULTIVERSION
+  if (useAvx512())
+    return writeBackAvx512(Acc, NumPix, OC, Bias, P, PBegin, B);
+#endif
+  writeBackPlain(Acc, NumPix, OC, Bias, P, PBegin, B);
+}
+
+/// Output pixels [PBegin, PBegin + NumPix) of block B into Acc ([NumPix,
+/// accStride]), then out to its rows. Each pixel's tap list holds its live
+/// inputs in ascending (ic, ih, iw) order: per input row of its receptive
+/// field, the slots LiveBefore[row + Lo] .. LiveBefore[row + Hi], so dead
+/// inputs cost no step of the list. X and Col hold C*KH*KW entries.
+void convPixels(const TapLayer &L, const TapBlock &B, int64_t PBegin,
+                int64_t NumPix, const double **X, int64_t *Col, double *Acc) {
+  const int64_t Lanes = B.Lanes, Stride = accStride(L.OC, Lanes);
+  for (int64_t Px = 0; Px < NumPix; ++Px) {
+    const int64_t Oh = (PBegin + Px) / L.OW, Ow = (PBegin + Px) % L.OW;
+    const TapSpan Hs = tapSpan(Oh, L.H, L.KH, *L.G, L.Transposed);
+    const TapSpan Ws = tapSpan(Ow, L.W, L.KW, *L.G, L.Transposed);
+    // Input First + j of a field row (ih, iw = Ws.Lo + j) meets weight
+    // column C0 + KStep * (First + j); both move by a fixed step per row
+    // and per channel.
+    const int64_t Width = Ws.Hi - Ws.Lo, KStep = Ws.KStep;
+    const int64_t RowStep = Hs.KStep * L.KW - KStep * L.W;
+    const int64_t ChanStep = L.IcStride - KStep * L.H * L.W;
+    int64_t NumTaps = 0, ChanFirst = Hs.Lo * L.W + Ws.Lo;
+    int64_t ChanC0 = Hs.K0 * L.KW + Ws.K0 - KStep * ChanFirst;
+    for (int64_t Ic = 0; Ic < L.C && Width > 0; ++Ic) {
+      int64_t First = ChanFirst, C0 = ChanC0;
+      for (int64_t Ih = Hs.Lo; Ih < Hs.Hi; ++Ih) {
+        const int64_t SEnd = B.LiveBefore[First + Width];
+        for (int64_t S = B.LiveBefore[First]; S < SEnd; ++S) {
+          X[NumTaps] = B.XT + S * Lanes;
+          Col[NumTaps] = C0 + KStep * B.LiveInput[S];
+          ++NumTaps;
+        }
+        First += L.W;
+        C0 += RowStep;
+      }
+      ChanFirst += L.H * L.W;
+      ChanC0 += ChanStep;
+    }
+    double *PixAcc = Acc + Px * Stride;
+    for (int64_t Oc = 0; Oc < L.OC; ++Oc)
+      std::fill_n(PixAcc + Oc * Lanes, Lanes,
+                  L.Transposed && L.BiasD ? L.BiasD[Oc] : 0.0);
+    tapPixel(X, Col, NumTaps, L.Wd, L.OcStride, L.OC, PixAcc, Lanes);
+  }
+  writeBack(Acc, NumPix, L.OC, L.Transposed ? nullptr : L.BiasD, L.P, PBegin,
+            B);
 }
 
 /// The forward of both conv layers, batch-innermost, on N sample rows of
@@ -801,117 +1115,59 @@ void convTaps(const double *const *In, int64_t N, int64_t H, int64_t W,
   const int64_t OC = G.OutChannels, KH = G.KernelH, KW = G.KernelW;
   check(Weight.numel() == OC * C * KH * KW, "conv weight size mismatch");
   check(Bias.numel() == 0 || Bias.numel() == OC, "conv bias size mismatch");
-  // Conv2d weights are [OC, IC, KH, KW], ConvTranspose2d's [IC, OC, KH, KW].
-  const int64_t OcStride = Transposed ? KH * KW : C * KH * KW;
-  const int64_t IcStride = Transposed ? OC * KH * KW : KH * KW;
   const int64_t CHW = C * H * W, P = OH * OW;
   if (N == 0 || P == 0)
     return;
-  const double *Wd = Weight.data();
-  const double *BiasD = Bias.numel() ? Bias.data() : nullptr;
+  // Conv2d weights are [OC, IC, KH, KW], ConvTranspose2d's [IC, OC, KH, KW].
+  const int64_t OcStride = Transposed ? KH * KW : C * KH * KW;
+  const int64_t IcStride = Transposed ? OC * KH * KW : KH * KW;
+  const TapLayer L{Weight.data(), Bias.numel() ? Bias.data() : nullptr, &G,
+                   Transposed, C, H, W, OC, KH, KW, OW, P, OcStride, IcStride};
   bool SkipDead = true;
-  for (int64_t Oc = 0; Transposed && BiasD && Oc < OC; ++Oc)
-    if (BiasD[Oc] == 0.0 && std::signbit(BiasD[Oc]))
+  for (int64_t Oc = 0; Transposed && L.BiasD && Oc < OC; ++Oc)
+    if (L.BiasD[Oc] == 0.0 && std::signbit(L.BiasD[Oc]))
       SkipDead = false;
-  // At least 16 pixels a chunk, so each chunk writes whole cache lines of
-  // every output row.
-  const int64_t PixGrain = std::max<int64_t>(16, ThreadPool::defaultGrain(P));
+  const int64_t Blocks = (N + TapRows - 1) / TapRows, MaxTaps = C * KH * KW;
+  // Several blocks keep the pool busy, so each accumulates all its pixels
+  // and writes every (row, channel) plane in one run. A single block fans
+  // out over chunks of whole 8-pixel tiles instead (the nested parallelFor
+  // runs inline otherwise).
+  const int64_t PixGrain =
+      Blocks > 1 ? P
+                 : std::max<int64_t>(
+                       16, (ThreadPool::defaultGrain(P) + 7) / 8 * 8);
   const int64_t Chunks = (P + PixGrain - 1) / PixGrain;
   // Row blocks run in parallel, each on its own transposed copy, so no
-  // thread reads lines another one wrote. A single block fans out over
-  // pixel chunks instead (the nested parallelFor runs inline otherwise).
-  parallelFor((N + TapRows - 1) / TapRows, 1, [&](int64_t BBegin,
-                                                  int64_t BEnd) {
-    // XT is [live inputs, Lanes]; Slot[i] is input i's row in it, or -1.
-    std::unique_ptr<double[]> XT;
-    int64_t XTSize = 0;
-    std::vector<int64_t> Slot(static_cast<size_t>(CHW));
-    for (int64_t B = BBegin; B < BEnd; ++B) {
-      const int64_t Row0 = B * TapRows, Rows = std::min(TapRows, N - Row0);
+  // thread reads lines another one wrote.
+  parallelFor(Blocks, 1, [&](int64_t BBegin, int64_t BEnd) {
+    LineScratch XT, Acc;
+    std::vector<int64_t> LiveBefore(static_cast<size_t>(CHW + 1));
+    std::vector<int64_t> LiveInput(static_cast<size_t>(CHW));
+    std::vector<const double *> X(static_cast<size_t>(MaxTaps));
+    std::vector<int64_t> Col(static_cast<size_t>(MaxTaps));
+    for (int64_t Blk = BBegin; Blk < BEnd; ++Blk) {
+      const int64_t Row0 = Blk * TapRows, Rows = std::min(TapRows, N - Row0);
       // A partial block of 8 or more rows is padded with zero rows to whole
       // 8-double vectors; their results are dropped.
       const int64_t Lanes = Rows < 8 ? Rows : (Rows + 7) / 8 * 8;
-      if (XTSize < CHW * Lanes) {
-        XTSize = CHW * Lanes;
-        XT.reset(new double[static_cast<size_t>(XTSize)]);
+      double *XTd = XT.get(CHW * Lanes);
+      transposeLive(In + Row0, Rows, Lanes, CHW, SkipDead, XTd,
+                    LiveBefore.data(), LiveInput.data());
+      const TapBlock B{XTd, LiveBefore.data(), LiveInput.data(), Rows, Lanes,
+                       Out + Row0};
+      const int64_t AccSize = PixGrain * accStride(OC, Lanes);
+      if (Chunks == 1) {
+        convPixels(L, B, 0, P, X.data(), Col.data(), Acc.get(AccSize));
+        continue;
       }
-      // Transpose 64-input tiles into the next free slots, then, while the
-      // tile is in L1, close the gaps of its dead inputs. Dense data moves
-      // nothing in the second step.
-      int64_t NumLive = 0;
-      for (int64_t I0 = 0; I0 < CHW; I0 += 64) {
-        const int64_t Cols = std::min<int64_t>(64, CHW - I0);
-        double *Tile = XT.get() + NumLive * Lanes;
-        for (int64_t R = 0; R < Rows; ++R) {
-          const double *Src = In[Row0 + R] + I0;
-          for (int64_t I = 0; I < Cols; ++I)
-            Tile[I * Lanes + R] = Src[I];
-        }
-        for (int64_t R = Rows; R < Lanes; ++R)
-          for (int64_t I = 0; I < Cols; ++I)
-            Tile[I * Lanes + R] = 0.0;
-        const int64_t TileSlot = NumLive;
-        for (int64_t I = 0; I < Cols; ++I) {
-          if (SkipDead && deadLanes(Tile + I * Lanes, Rows)) {
-            Slot[static_cast<size_t>(I0 + I)] = -1;
-            continue;
-          }
-          if (NumLive != TileSlot + I)
-            std::copy_n(Tile + I * Lanes, Lanes, XT.get() + NumLive * Lanes);
-          Slot[static_cast<size_t>(I0 + I)] = NumLive++;
-        }
-      }
-      const double *XTd = XT.get();
       parallelFor(Chunks, 1, [&](int64_t Begin, int64_t End) {
-        std::vector<const double *> X(static_cast<size_t>(C * KH * KW));
-        std::vector<int64_t> Col(static_cast<size_t>(C * KH * KW));
-        std::vector<double> Acc;
+        LineScratch ChunkAcc;
+        std::vector<const double *> ChunkX(static_cast<size_t>(MaxTaps));
+        std::vector<int64_t> ChunkCol(static_cast<size_t>(MaxTaps));
         for (int64_t Chunk = Begin; Chunk < End; ++Chunk) {
           const int64_t PBegin = Chunk * PixGrain;
-          const int64_t NumPix = std::min(PixGrain, P - PBegin);
-          // Acc is [NumPix, OC, Lanes]: one pixel's rows lie back to back.
-          Acc.resize(static_cast<size_t>(NumPix * OC * Lanes));
-          for (int64_t Px = 0; Px < NumPix; ++Px) {
-            const int64_t Oh = (PBegin + Px) / OW, Ow = (PBegin + Px) % OW;
-            const TapSpan Hs = tapSpan(Oh, H, KH, G, Transposed);
-            const TapSpan Ws = tapSpan(Ow, W, KW, G, Transposed);
-            // The pixel's live taps in accumulation order; a dead tap's
-            // entry is overwritten by the next one.
-            int64_t NumTaps = 0;
-            for (int64_t Ic = 0; Ic < C; ++Ic)
-              for (int64_t Ih = Hs.Lo; Ih < Hs.Hi; ++Ih) {
-                const int64_t Kh = Hs.K0 + Hs.KStep * (Ih - Hs.Lo);
-                const int64_t *RowSlot = Slot.data() + (Ic * H + Ih) * W;
-                for (int64_t Iw = Ws.Lo; Iw < Ws.Hi; ++Iw) {
-                  const int64_t Kw = Ws.K0 + Ws.KStep * (Iw - Ws.Lo);
-                  const int64_t S = RowSlot[Iw];
-                  X[static_cast<size_t>(NumTaps)] =
-                      XTd + std::max<int64_t>(S, 0) * Lanes;
-                  Col[static_cast<size_t>(NumTaps)] =
-                      Ic * IcStride + Kh * KW + Kw;
-                  NumTaps += S >= 0;
-                }
-              }
-            double *PixAcc = Acc.data() + Px * OC * Lanes;
-            for (int64_t Oc = 0; Oc < OC; ++Oc)
-              std::fill_n(PixAcc + Oc * Lanes, Lanes,
-                          Transposed && BiasD ? BiasD[Oc] : 0.0);
-            tapPixel(X.data(), Col.data(), NumTaps, Wd, OcStride, OC, PixAcc,
-                     Lanes);
-          }
-          for (int64_t R = 0; R < Rows; ++R)
-            for (int64_t Oc = 0; Oc < OC; ++Oc) {
-              double *Dst = Out[Row0 + R] + Oc * P + PBegin;
-              const double *Src = Acc.data() + Oc * Lanes + R;
-              if (!Transposed && BiasD) {
-                const double Bv = BiasD[Oc];
-                for (int64_t Px = 0; Px < NumPix; ++Px)
-                  Dst[Px] = Src[Px * OC * Lanes] + Bv;
-              } else {
-                for (int64_t Px = 0; Px < NumPix; ++Px)
-                  Dst[Px] = Src[Px * OC * Lanes];
-              }
-            }
+          convPixels(L, B, PBegin, std::min(PixGrain, P - PBegin),
+                     ChunkX.data(), ChunkCol.data(), ChunkAcc.get(AccSize));
         }
       });
     }

@@ -665,6 +665,120 @@ TEST(TiledGemmTest, ConvDeadInputsBitwiseEqualToNaiveReference) {
   }
 }
 
+/// The rows of Batch, each copied into its own buffer at an address off a
+/// 64-byte boundary, as the engine hands a layer each region's storage.
+std::vector<std::vector<double>> separateRows(const Tensor &Batch) {
+  const int64_t Rows = Batch.dim(0), Width = Batch.numel() / Rows;
+  std::vector<std::vector<double>> Bufs(static_cast<size_t>(Rows));
+  for (int64_t I = 0; I < Rows; ++I) {
+    Bufs[static_cast<size_t>(I)].assign(static_cast<size_t>(Width + 2), 0.0);
+    std::copy_n(Batch.data() + I * Width, Width,
+                Bufs[static_cast<size_t>(I)].data() + 1);
+  }
+  return Bufs;
+}
+
+/// The start of the row in Buf: one or two doubles in, whichever is off a
+/// 64-byte boundary.
+double *offLine(std::vector<double> &Buf) {
+  double *Row = Buf.data() + 1;
+  return reinterpret_cast<uintptr_t>(Row) % 64 == 0 ? Row + 1 : Row;
+}
+
+// The paper's conv layers and two odd geometries the way the engine calls
+// them: 115 rows (three full 32-row blocks and one of 19, padded to 24
+// lanes), each in its own buffer off a cache line, in shuffled order, at 1
+// and 4 threads. Several blocks make the kernel accumulate each block's
+// whole output plane, whose pixel count is not always a multiple of the
+// 8-pixel write-back tile (225, 49, 25 and 100 here). The inputs are
+// dense (the classifiers' first layers read the decoder's image) or have
+// half their components zero in every row. Every output element, written
+// over a NaN, must equal the direct loops bit for bit.
+TEST(TiledGemmTest, ConvSeparateRowBlocksBitwiseEqualToNaiveReference) {
+  Rng R(17);
+  const ConvLayerCase Cases[] = {
+      {"decoder convT 32->16 s2", true, 32, 16, 3, 2, 1, 1, 8},
+      {"decoder convT 16->3 s1", true, 16, 3, 3, 1, 1, 0, 16},
+      {"ConvSmall conv 3->16 k4 s2", false, 3, 16, 4, 2, 1, 0, 16},
+      {"ConvSmall conv 16->32 k4 s2", false, 16, 32, 4, 2, 1, 0, 8},
+      {"ConvMed conv 3->12 k4 s1", false, 3, 12, 4, 1, 1, 0, 16},
+      {"ConvMed conv 12->16 k4 s2", false, 12, 16, 4, 2, 1, 0, 15},
+      {"ConvLarge conv 3->16 k3 s1", false, 3, 16, 3, 1, 1, 0, 16},
+      {"ConvLarge conv 16->16 k4 s2", false, 16, 16, 4, 2, 1, 0, 16},
+      {"ConvLarge conv 16->32 k3 s1", false, 16, 32, 3, 1, 1, 0, 8},
+      {"ConvLarge conv 32->32 k4 s2", false, 32, 32, 4, 2, 1, 0, 8},
+      {"conv k3 s1 p0, odd", false, 2, 5, 3, 1, 0, 0, 7},
+      {"convT k2 s3 p0 op2, odd", true, 3, 4, 2, 3, 0, 2, 3}};
+  const int64_t Rows = 115;
+  for (const ConvLayerCase &C : Cases) {
+    std::unique_ptr<Layer> L;
+    ConvGeometry G;
+    const Tensor W = convCaseWeight(C, R);
+    const Tensor Bias = Tensor::randn({C.OutC}, R, 0.1);
+    if (C.Transposed) {
+      auto T = std::make_unique<ConvTranspose2d>(
+          C.InC, C.OutC, C.Kernel, C.Stride, C.Padding, C.OutPadding);
+      T->weight() = W.clone();
+      T->bias() = Bias.clone();
+      G = T->geometry();
+      L = std::move(T);
+    } else {
+      auto T = std::make_unique<Conv2d>(C.InC, C.OutC, C.Kernel, C.Stride,
+                                        C.Padding);
+      T->weight() = W.clone();
+      T->bias() = Bias.clone();
+      G = T->geometry();
+      L = std::move(T);
+    }
+    const Shape InShape({1, C.InC, C.Size, C.Size});
+    const int64_t OutWidth = L->outputShape(InShape).numel();
+    for (bool Dead : {false, true}) {
+      // A first layer's image has no zero component.
+      if (Dead && C.InC == 3)
+        continue;
+      Tensor In = Tensor::randn({Rows, C.InC, C.Size, C.Size}, R, 1.0);
+      if (C.InC != 3)
+        In = relu(In);
+      if (Dead)
+        zeroColumns({&In}, 0.5, R);
+      const Tensor Ref = C.Transposed ? naiveConvTranspose2d(In, W, Bias, G)
+                                      : naiveConv2d(In, W, Bias, G);
+      std::vector<std::vector<double>> InBufs = separateRows(In);
+      // Row pointer I reads and writes sample Order[I].
+      std::vector<int64_t> Order(static_cast<size_t>(Rows));
+      for (int64_t I = 0; I < Rows; ++I)
+        Order[static_cast<size_t>(I)] = I;
+      for (int64_t I = Rows - 1; I > 0; --I)
+        std::swap(Order[static_cast<size_t>(I)],
+                  Order[static_cast<size_t>(R.below(I + 1))]);
+      for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+        ThreadCount Scope(Threads);
+        std::vector<std::vector<double>> OutBufs(
+            static_cast<size_t>(Rows),
+            std::vector<double>(static_cast<size_t>(OutWidth + 2),
+                                std::numeric_limits<double>::quiet_NaN()));
+        std::vector<const double *> InPtrs;
+        std::vector<double *> OutPtrs;
+        for (int64_t Sample : Order) {
+          InPtrs.push_back(offLine(InBufs[static_cast<size_t>(Sample)]));
+          OutPtrs.push_back(offLine(OutBufs[static_cast<size_t>(Sample)]));
+        }
+        L->applyAffineRows(InShape, InPtrs.data(), OutPtrs.data(), Rows,
+                           /*WithBias=*/true);
+        int64_t Mismatched = 0;
+        for (int64_t I = 0; I < Rows; ++I)
+          Mismatched += std::memcmp(
+                            offLine(OutBufs[static_cast<size_t>(I)]),
+                            Ref.data() + I * OutWidth,
+                            static_cast<size_t>(OutWidth) * sizeof(double)) != 0;
+        EXPECT_EQ(Mismatched, 0)
+            << C.Name << (Dead ? ", half dead" : ", dense") << " @"
+            << Threads;
+      }
+    }
+  }
+}
+
 // --- End-to-end propagation determinism -----------------------------------
 
 Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {

@@ -40,6 +40,19 @@ TEST(ModelZoo, DatasetsAreDeterministicAndSplit) {
   std::filesystem::remove_all("/tmp/genprove_zoo_test_a");
 }
 
+// The cache directory appears with the first saved network: a zoo that
+// is only constructed (every BenchEnv builds one) or only generates data
+// leaves nothing behind.
+TEST(ModelZoo, UnsavedZooLeavesNoDirectory) {
+  const char *Dir = "/tmp/genprove_zoo_test_fresh";
+  std::filesystem::remove_all(Dir);
+  {
+    ModelZoo Zoo(tinyConfig(Dir));
+    EXPECT_EQ(Zoo.train(DatasetId::Shoes).numImages(), 60);
+  }
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+}
+
 TEST(ModelZoo, VaeIsCachedAcrossInstances) {
   const char *Dir = "/tmp/genprove_zoo_test_b";
   std::filesystem::remove_all(Dir);
