@@ -141,24 +141,6 @@ void BM_MatmulNaive(benchmark::State &State) {
 }
 BENCHMARK(BM_MatmulNaive)->ArgName("n")->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_MatmulTransB(benchmark::State &State) {
-  const int64_t N = State.range(0);
-  PoolScope Scope(State.range(1));
-  Rng R(6);
-  Tensor A = Tensor::randn({N, N}, R);
-  Tensor B = Tensor::randn({N, N}, R);
-  for (auto _ : State) {
-    Tensor C = matmulTransB(A, B);
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.SetItemsProcessed(State.iterations() * N * N * N);
-}
-BENCHMARK(BM_MatmulTransB)
-    ->ArgNames({"n", "threads"})
-    ->Apply([](benchmark::internal::Benchmark *B) {
-      threadRows(B, {{256, 1}, {256, 4}});
-    });
-
 /// One of the paper's conv layers at 16x16 images (the batch-innermost
 /// tap kernel's hot shapes). A post-ReLU layer reads relu(randn), the
 /// classifiers' first layer the decoder's dense image (randn).
@@ -584,8 +566,7 @@ void BM_ReluSplit(benchmark::State &State) {
   Tensor End = Start.clone();
   for (int64_t J = 0; J < 8; ++J)
     End[J] += R.normal(0.0, 0.06);
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   DeviceMemoryModel PrefixMemory;
   PropagateStats PrefixStats;
   const std::vector<Region> Split = propagateRegions(

@@ -35,8 +35,7 @@ void propagateBoxAudit(const std::vector<const Layer *> &Layers,
   static Gauge &MaxDilation =
       MetricsRegistry::global().gauge("audit.max_dilation_rel");
 
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   const auto Step = [&](bool Sound, const Layer *L, const Shape &InShape,
                         Region &Box) {
     SoundRoundingScope Rounding(Sound);

@@ -32,7 +32,6 @@ PropagatedState GenProve::propagateWithSchedule(
     PropConfig.Relax.RelaxPercent = P;
     PropConfig.Relax.ClusterK = K;
     PropConfig.Relax.NodeThreshold = Config.NodeThreshold;
-    PropConfig.EnableRelax = P > 0.0;
     PropConfig.Cdf = makeCdf(Config.Distribution);
     PropConfig.Resilience = Config.Resilience;
     // Every run consults the process-wide PropagationCache, which does
@@ -279,7 +278,7 @@ Tensor forwardConcretePoints(const std::vector<const Layer *> &Layers,
   Tensor Acts = rowsToActivations(Points, InputShape);
   for (const Layer *L : Layers) {
     if (L->isAffine()) {
-      Acts = L->applyAffine(Acts);
+      Acts = L->applyAffine(std::move(Acts));
     } else {
       Acts = relu(Acts);
     }

@@ -41,8 +41,7 @@ analyzeBoxMulti(const std::vector<const Layer *> &Layers,
   std::vector<Region> Init;
   Init.push_back(segmentBox(Start, End));
 
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   PropagateStats Stats;
   const std::vector<Region> Final =
       propagateRegions(Layers, InputShape, std::move(Init), Config, Memory,

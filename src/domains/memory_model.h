@@ -111,13 +111,6 @@ public:
     return tryCharge(stateBytes(Nodes, Dim));
   }
 
-  /// Would a state of this size fit? Pure query: no peak update, no
-  /// interceptor consultation (the interceptor models a transient device
-  /// fault, not a capacity limit).
-  bool wouldFit(int64_t Nodes, int64_t Dim) const {
-    return BudgetBytes == 0 || stateBytes(Nodes, Dim) <= BudgetBytes;
-  }
-
   /// Install (or clear, with an empty function) the fault-injection hook.
   void setInterceptor(ChargeInterceptor Hook) {
     Interceptor = std::move(Hook);

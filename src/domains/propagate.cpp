@@ -136,7 +136,9 @@ void applyAffineLayer(const Layer &L, const Shape &InShape,
                             CenterOut.data(), RadiusOut.data(), NumBoxes);
     else
       L.applyToBoxRows(InShape, CenterIn.data(), RadiusIn.data(),
-                       CenterOut.data(), RadiusOut.data(), NumBoxes);
+                       /*Mag=*/nullptr, CenterOut.data(), RadiusOut.data(),
+                       /*OutMag=*/nullptr, /*OutBiasImage=*/nullptr,
+                       NumBoxes);
   }
 
   parallelFor(NumRegions, [&](int64_t Begin, int64_t End) {
@@ -277,7 +279,6 @@ uint64_t cacheSaltForConfig(const PropagateConfig &Config,
   H = hashing::hashDouble(H, Config.Relax.RelaxPercent);
   H = hashing::hashDouble(H, Config.Relax.ClusterK);
   H = hashing::hashU64(H, static_cast<uint64_t>(Config.Relax.NodeThreshold));
-  H = hashing::hashU64(H, Config.EnableRelax ? 1 : 0);
   H = hashing::hashU64(H, soundRoundingEnabled() ? 1 : 0);
   return H;
 }
@@ -512,10 +513,11 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
       Timer LayerClock;
       GENPROVE_SPAN(Rec.Kind);
 
-      // Relaxation fires right before convolutional layers (Section 3.1).
+      // Relaxation fires right before convolutional layers (Section 3.1),
+      // when it may box anything (p > 0).
       const bool IsConvolutional = L->kind() == Layer::Kind::Conv2d ||
                                    L->kind() == Layer::Kind::ConvTranspose2d;
-      if (Config.EnableRelax && IsConvolutional) {
+      if (Config.Relax.RelaxPercent > 0.0 && IsConvolutional) {
         GENPROVE_SPAN("relax");
         const int64_t Before = static_cast<int64_t>(Regions.size());
         relaxRegions(Regions, Config.Relax);
@@ -526,10 +528,9 @@ std::vector<Region> propagateRegions(const std::vector<const Layer *> &Layers,
       Shape NextShape = CurShape;
       bool ChargeFailed = false;
       if (L->isAffine()) {
-        // Regions are stored flat, so Flatten and Reshape move no data:
-        // they change only the shape the next layer reads.
-        if (L->kind() != Layer::Kind::Flatten &&
-            L->kind() != Layer::Kind::Reshape)
+        // Regions are stored flat, so a shape-only layer moves no data: it
+        // changes only the shape the next layer reads.
+        if (!L->isShapeOnly())
           applyAffineLayer(*L, CurShape, Regions);
         NextShape = L->outputShape(CurShape);
       } else {

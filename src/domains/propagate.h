@@ -92,8 +92,9 @@ struct ResilienceConfig {
 
 /// Engine configuration.
 struct PropagateConfig {
+  /// Relaxation before each convolutional layer; p = 0 (the default)
+  /// turns it off.
   RelaxConfig Relax;
-  bool EnableRelax = true;
   ParamCdf Cdf;             ///< empty = uniform (identity CDF).
   ResilienceConfig Resilience;
   /// Optional memoizing abstract-state cache (domains/prop_cache.h),

@@ -50,7 +50,7 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
   if (!soundRoundingEnabled() && Kind != ZonotopeKind::HybridZono) {
     // Zonotope and DeepZono keep an all-zero slack in round-to-nearest,
     // and |A|·0 = 0: the affine kernel alone maps the center.
-    Center = L->applyAffine(Center);
+    Center = L->applyAffine(std::move(Center));
     Slack = Tensor({1, Center.numel()});
   } else if (soundRoundingEnabled()) {
     // Magnitude bound on any represented (or concretely forwarded) point:
@@ -67,15 +67,16 @@ void applyAffineToState(const Layer *L, const Shape &CurShape,
         Acc = fp::addUp(Acc, std::fabs(St.Gens.at(Row, J)));
       Mags[J] = Hybrid ? Acc : fp::addUp(Acc, Own);
     }
-    // One three-plane box map carries the center through the affine map
-    // and the slack and magnitude through |A|, and yields the bias image
-    // of a zero input.
+    // One box map carries the center through the affine map and the slack
+    // and magnitude through |A|, and yields the bias image of a zero input.
     Tensor Mag = rowsToActivations(std::move(Mags), CurShape);
     Tensor BiasImage;
-    L->applyToBoxPlanes(Center, Slack, Mag, BiasImage);
+    L->applyToBox(Center, Slack, &Mag, &BiasImage);
     // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
     // rounding errors of the center map, every generator row, the slack
-    // propagation and a concrete forward pass of a represented point.
+    // propagation and a concrete forward pass of a represented point. A
+    // shape-only layer rounds nothing, but the step still runs on it (on a
+    // +0.0 bias image), which is part of every pinned sound result.
     const double Gamma = fp::accumulationBound(L->accumulationDepth());
     for (int64_t J = 0; J < Slack.numel(); ++J)
       Slack[J] = fp::addUp(

@@ -40,9 +40,6 @@ struct Interval {
   bool contains(const Interval &Other) const {
     return Lo <= Other.Lo && Other.Hi <= Hi;
   }
-  bool intersects(const Interval &Other) const {
-    return Lo <= Other.Hi && Other.Lo <= Hi;
-  }
 
   /// Center/radius pair with [C - R, C + R] guaranteed to contain
   /// [Lo, Hi] regardless of how C rounds: the radius is the directed-up

@@ -1,17 +1,18 @@
 //===- nn/abs_cache.h - Cached absolute-weight tensor ----------*- C++ -*-===//
 ///
 /// \file
-/// Memoized weight-derived tensors for the verifier: elementwise |W| for
-/// the convolutions' interval (box) propagation and W^T for Linear's
-/// affine kernels. Rebuilding either per call would redo the same O(|W|)
-/// work thousands of times per certification run; the cache builds each
-/// once and rebuilds only after an invalidate().
+/// Memoized weight-derived tensors: elementwise |W| for the convolutions'
+/// interval (box) propagation and W^T for every Linear map. Rebuilding
+/// either per call would redo the same O(|W|) work thousands of times per
+/// certification run; the cache builds each once and rebuilds only after
+/// an invalidate().
 ///
 /// Invalidation contract: the owning layer bumps the cache from every
 /// path that can hand out mutable parameter access (the non-const
-/// weight()/bias() accessors and params()). Training loops re-fetch
-/// params() each step, so a stale |W| or W^T cannot survive into a
-/// subsequent verification pass.
+/// weight()/bias() accessors and params()). An optimizer holds the
+/// params() pointers for a whole run and mutates through them without a
+/// new fetch, so Linear::forward, the one training pass that reads a
+/// memo, bumps the cache after each call.
 ///
 /// Thread safety: get() is safe for concurrent readers — parallel bench
 /// grid cells share Layer objects — via a double-purpose mutex that also
@@ -68,7 +69,7 @@ public:
   }
 
   /// W^T ([In, Out] from the layer's [Out, In] weight), memoized under the
-  /// same staleness contract as get(). Linear's affine kernels consume the
+  /// same staleness contract as get(). Linear's kernels consume the
   /// transposed layout: with W^T the output dimension is the contiguous
   /// inner axis, so the per-output ascending-k accumulator chains
   /// vectorize across outputs (the [Out, In] dot-product form defeats the
@@ -78,11 +79,15 @@ public:
     const uint64_t V = Version.load(std::memory_order_acquire);
     if (TransVersion != V) {
       const int64_t N = W.dim(0), K = W.dim(1);
-      Trans = Tensor({K, N});
+      // A training forward rebuilds W^T every step: keep the storage.
+      if (Trans.rank() != 2 || Trans.dim(0) != K || Trans.dim(1) != N)
+        Trans = Tensor({K, N});
       const double *Wd = W.data();
       double *Td = Trans.data();
-      for (int64_t I = 0; I < N; ++I)
-        for (int64_t J = 0; J < K; ++J)
+      // Write W^T row by row: stores that stride by a W^T row (a power of
+      // two on large layers) miss cache and TLB on every store.
+      for (int64_t J = 0; J < K; ++J)
+        for (int64_t I = 0; I < N; ++I)
           Td[J * N + I] = Wd[I * K + J];
       TransVersion = V;
     }

@@ -42,14 +42,21 @@ void Conv2d::applyAffineRows(const Shape &InShape, const double *const *In,
 void Conv2d::applyToBoxRows(const Shape &InShape,
                             const double *const *Center,
                             const double *const *Radius,
+                            const double *const *Mag,
                             double *const *OutCenter,
-                            double *const *OutRadius, int64_t Rows) const {
+                            double *const *OutRadius, double *const *OutMag,
+                            double *const *OutBiasImage, int64_t Rows) const {
   check(acceptsInputShape(InShape), "Conv2d input shape mismatch");
   const int64_t H = InShape.dim(2), W = InShape.dim(3);
   conv2dRows(Center, Rows, H, W, Weight, Bias, Geom, OutCenter);
-  // The radius image |W| * r: the same kernel on the memoized |W|.
-  conv2dRows(Radius, Rows, H, W, AbsCache.get(Weight), Tensor(), Geom,
-             OutRadius);
+  // The radius and magnitude images |W| * r: the same kernel on the
+  // memoized |W|.
+  const Tensor &AbsWeight = AbsCache.get(Weight);
+  conv2dRows(Radius, Rows, H, W, AbsWeight, Tensor(), Geom, OutRadius);
+  if (Mag)
+    conv2dRows(Mag, Rows, H, W, AbsWeight, Tensor(), Geom, OutMag);
+  if (OutBiasImage)
+    zeroInputImageRows(InShape, OutBiasImage, Rows);
 }
 
 std::vector<Param> Conv2d::params() {

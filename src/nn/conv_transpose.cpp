@@ -41,17 +41,23 @@ void ConvTranspose2d::applyAffineRows(const Shape &InShape, const double *const 
                       WithBias ? Bias : NoBias, Geom, Out);
 }
 
-void ConvTranspose2d::applyToBoxRows(const Shape &InShape,
-                                     const double *const *Center,
-                                     const double *const *Radius,
-                                     double *const *OutCenter,
-                                     double *const *OutRadius, int64_t Rows) const {
+void ConvTranspose2d::applyToBoxRows(
+    const Shape &InShape, const double *const *Center,
+    const double *const *Radius, const double *const *Mag,
+    double *const *OutCenter, double *const *OutRadius, double *const *OutMag,
+    double *const *OutBiasImage, int64_t Rows) const {
   check(acceptsInputShape(InShape), "ConvTranspose2d input shape mismatch");
   const int64_t H = InShape.dim(2), W = InShape.dim(3);
   convTranspose2dRows(Center, Rows, H, W, Weight, Bias, Geom, OutCenter);
-  // The radius image |W| * r: the same kernel on the memoized |W|.
-  convTranspose2dRows(Radius, Rows, H, W, AbsCache.get(Weight), Tensor(), Geom,
+  // The radius and magnitude images |W| * r: the same kernel on the
+  // memoized |W|.
+  const Tensor &AbsWeight = AbsCache.get(Weight);
+  convTranspose2dRows(Radius, Rows, H, W, AbsWeight, Tensor(), Geom,
                       OutRadius);
+  if (Mag)
+    convTranspose2dRows(Mag, Rows, H, W, AbsWeight, Tensor(), Geom, OutMag);
+  if (OutBiasImage)
+    zeroInputImageRows(InShape, OutBiasImage, Rows);
 }
 
 std::vector<Param> ConvTranspose2d::params() {

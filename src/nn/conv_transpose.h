@@ -22,8 +22,10 @@ public:
                        double *const *Out, int64_t Rows,
                        bool WithBias) const override;
   void applyToBoxRows(const Shape &InShape, const double *const *Center,
-                      const double *const *Radius, double *const *OutCenter,
-                      double *const *OutRadius, int64_t Rows) const override;
+                      const double *const *Radius, const double *const *Mag,
+                      double *const *OutCenter, double *const *OutRadius,
+                      double *const *OutMag, double *const *OutBiasImage,
+                      int64_t Rows) const override;
   int64_t accumulationDepth() const override {
     // Each output pixel gathers at most InChannels * KH * KW scattered
     // contributions, plus the bias.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace genprove {
 
@@ -41,9 +42,13 @@ Shape sampleShape(const Shape &Batch) {
   return Shape(std::move(Dims));
 }
 
-/// One batch through the layer's row-form affine map.
-Tensor affineBatch(const Layer &L, const Tensor &Points, bool WithBias) {
-  Tensor Out(L.outputShape(Points.shape()));
+/// One batch through the layer's row-form affine map; a shape-only layer
+/// reshapes the batch and touches no element.
+Tensor affineBatch(const Layer &L, Tensor Points, bool WithBias) {
+  Shape OutShape = L.outputShape(Points.shape());
+  if (L.isShapeOnly())
+    return std::move(Points).reshaped(std::move(OutShape));
+  Tensor Out(std::move(OutShape));
   L.applyAffineRows(sampleShape(Points.shape()), rowPointers(Points).data(),
                     rowPointers(Out).data(), Points.dim(0), WithBias);
   return Out;
@@ -51,65 +56,68 @@ Tensor affineBatch(const Layer &L, const Tensor &Points, bool WithBias) {
 
 } // namespace
 
-Tensor Layer::applyAffine(const Tensor &Points) const {
-  return affineBatch(*this, Points, /*WithBias=*/true);
+Tensor Layer::applyAffine(Tensor Points) const {
+  return affineBatch(*this, std::move(Points), /*WithBias=*/true);
 }
 
-Tensor Layer::applyLinear(const Tensor &Points) const {
-  return affineBatch(*this, Points, /*WithBias=*/false);
+Tensor Layer::applyLinear(Tensor Points) const {
+  return affineBatch(*this, std::move(Points), /*WithBias=*/false);
 }
 
-void Layer::applyToBox(Tensor &Center, Tensor &Radius) const {
-  Tensor NewCenter(outputShape(Center.shape()));
-  Tensor NewRadius(NewCenter.shape());
+void Layer::applyToBox(Tensor &Center, Tensor &Radius, Tensor *Mag,
+                       Tensor *BiasImage) const {
+  const Shape OutShape = outputShape(Center.shape());
+  if (isShapeOnly()) {
+    // A zero input maps to +0.0, the identity's image of zero rows.
+    if (BiasImage)
+      *BiasImage = Tensor(OutShape);
+    Center = std::move(Center).reshaped(OutShape);
+    Radius = std::move(Radius).reshaped(OutShape);
+    if (Mag)
+      *Mag = std::move(*Mag).reshaped(OutShape);
+    return;
+  }
+  Tensor NewCenter(OutShape), NewRadius(OutShape), NewMag;
+  std::vector<const double *> MagIn;
+  std::vector<double *> MagOut, BiasOut;
+  if (Mag) {
+    NewMag = Tensor(OutShape);
+    MagIn = rowPointers(std::as_const(*Mag));
+    MagOut = rowPointers(NewMag);
+  }
+  if (BiasImage) {
+    *BiasImage = Tensor(OutShape);
+    BiasOut = rowPointers(*BiasImage);
+  }
   applyToBoxRows(sampleShape(Center.shape()), rowPointers(Center).data(),
-                 rowPointers(Radius).data(), rowPointers(NewCenter).data(),
-                 rowPointers(NewRadius).data(), Center.dim(0));
+                 rowPointers(Radius).data(), Mag ? MagIn.data() : nullptr,
+                 rowPointers(NewCenter).data(), rowPointers(NewRadius).data(),
+                 Mag ? MagOut.data() : nullptr,
+                 BiasImage ? BiasOut.data() : nullptr, Center.dim(0));
   Center = std::move(NewCenter);
   Radius = std::move(NewRadius);
-}
-
-void Layer::applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                             Tensor &BiasImage) const {
-  Tensor NewCenter(outputShape(Center.shape()));
-  Tensor NewRadius(NewCenter.shape()), NewMag(NewCenter.shape());
-  BiasImage = Tensor(NewCenter.shape());
-  applyToBoxPlanesRows(
-      sampleShape(Center.shape()), rowPointers(Center).data(),
-      rowPointers(Radius).data(), rowPointers(Mag).data(),
-      rowPointers(NewCenter).data(), rowPointers(NewRadius).data(),
-      rowPointers(NewMag).data(), rowPointers(BiasImage).data(),
-      Center.dim(0));
-  Center = std::move(NewCenter);
-  Radius = std::move(NewRadius);
-  Mag = std::move(NewMag);
+  if (Mag)
+    *Mag = std::move(NewMag);
 }
 
 void Layer::applyAffineRows(const Shape &, const double *const *,
                             double *const *, int64_t, bool) const {
-  fatalError("applyAffine called on a non-affine layer");
+  fatalError("applyAffineRows called on " + describe());
 }
 
 void Layer::applyToBoxRows(const Shape &, const double *const *,
-                           const double *const *, double *const *,
+                           const double *const *, const double *const *,
+                           double *const *, double *const *, double *const *,
                            double *const *, int64_t) const {
-  fatalError("applyToBox called on a non-affine layer");
+  fatalError("applyToBoxRows called on " + describe());
 }
 
-void Layer::applyToBoxPlanesRows(const Shape &InShape,
-                                 const double *const *Center,
-                                 const double *const *Radius,
-                                 const double *const *Mag,
-                                 double *const *OutCenter,
-                                 double *const *OutRadius,
-                                 double *const *OutMag,
-                                 double *const *OutBiasImage,
-                                 int64_t Rows) const {
+void Layer::zeroInputImageRows(const Shape &InShape, double *const *Out,
+                               int64_t Rows) const {
   const std::vector<double> Zero(static_cast<size_t>(InShape.numel()), 0.0);
   const std::vector<const double *> ZeroRows(static_cast<size_t>(Rows),
                                              Zero.data());
-  applyToBoxRows(InShape, ZeroRows.data(), Mag, OutBiasImage, OutMag, Rows);
-  applyToBoxRows(InShape, Center, Radius, OutCenter, OutRadius, Rows);
+  applyAffineRows(InShape, ZeroRows.data(), Out, Rows, /*WithBias=*/true);
 }
 
 void Layer::applyToBoxSoundRows(const Shape &InShape,
@@ -117,20 +125,13 @@ void Layer::applyToBoxSoundRows(const Shape &InShape,
                                 const double *const *Radius,
                                 double *const *OutCenter,
                                 double *const *OutRadius, int64_t Rows) const {
-  const int64_t Depth = accumulationDepth();
-  if (Depth <= 0) {
-    // Pure data movement (Flatten/Reshape): exact in floating point.
-    applyToBoxRows(InShape, Center, Radius, OutCenter, OutRadius, Rows);
-    return;
-  }
-
   // Every point x of the input box satisfies |x| <= |c| + r elementwise,
   // so gamma_K * (|A|(|c| + r) + |b|) bounds the rounding error of the
   // round-to-nearest affine kernels on the center AND of a concrete
   // forward pass of any boxed point, for any summation order the tiled
   // kernels pick (standard dot-product error analysis). The magnitude
-  // plane of applyToBoxPlanesRows() carries |A| * (|c| + r), its bias
-  // image the |b| term.
+  // plane of applyToBoxRows() carries |A| * (|c| + r), its bias image the
+  // |b| term.
   const int64_t InN = InShape.numel(), OutN = outputShape(InShape).numel();
   Tensor Mag({Rows, InN}), OutMag({Rows, OutN}), BiasImage({Rows, OutN});
   double *M = Mag.data();
@@ -139,11 +140,11 @@ void Layer::applyToBoxSoundRows(const Shape &InShape,
       for (int64_t J = 0; J < InN; ++J)
         M[I * InN + J] = fp::addUp(std::fabs(Center[I][J]), Radius[I][J]);
   });
-  applyToBoxPlanesRows(InShape, Center, Radius, rowPointers(Mag).data(),
-                       OutCenter, OutRadius, rowPointers(OutMag).data(),
-                       rowPointers(BiasImage).data(), Rows);
+  applyToBoxRows(InShape, Center, Radius, rowPointers(Mag).data(), OutCenter,
+                 OutRadius, rowPointers(OutMag).data(),
+                 rowPointers(BiasImage).data(), Rows);
 
-  const double Gamma = fp::accumulationBound(Depth);
+  const double Gamma = fp::accumulationBound(accumulationDepth());
   const double *MOut = OutMag.data();
   const double *B = BiasImage.data();
   parallelFor(Rows, [&](int64_t Begin, int64_t End) {

@@ -13,10 +13,12 @@
 ///    affine map, radius via |A|). ReLU is handled symbolically by the
 ///    abstract domains, never through this interface.
 ///
-/// The layers implement the affine interface once, in row form: a batch
-/// is a list of row pointers, each row one flat sample, read and written
-/// where it lies. The region engine hands over each region's own storage
-/// that way; the Tensor entry points wrap the row forms.
+/// The layers implement each map once, in row form: a batch is a list of
+/// row pointers, each row one flat sample, read and written where it lies.
+/// The region engine hands over each region's own storage that way; the
+/// Tensor entry points wrap the row forms. Flatten and Reshape have no row
+/// forms: on flat rows their map is the identity (isShapeOnly()), so every
+/// client changes only the shape it reads the rows with.
 ///
 /// Dynamic dispatch uses an LLVM-style Kind tag instead of RTTI.
 ///
@@ -60,6 +62,12 @@ public:
   /// True for every layer except ReLU.
   bool isAffine() const { return LayerKind != Kind::ReLU; }
 
+  /// True for Flatten and Reshape: the affine map moves no data, it only
+  /// changes the activation shape of the same flat rows.
+  bool isShapeOnly() const {
+    return LayerKind == Kind::Flatten || LayerKind == Kind::Reshape;
+  }
+
   /// Training-mode forward pass on a batch (first dim is the batch).
   /// Caches whatever backward() needs.
   virtual Tensor forward(const Tensor &Input) = 0;
@@ -68,60 +76,47 @@ public:
   virtual Tensor backward(const Tensor &GradOutput) = 0;
 
   /// Affine application with bias to a batch of points. Only valid when
-  /// isAffine().
-  Tensor applyAffine(const Tensor &Points) const;
+  /// isAffine(). Takes the batch by value: pass an rvalue and a
+  /// shape-only layer hands back its storage instead of copying it.
+  Tensor applyAffine(Tensor Points) const;
 
   /// Linear part only (no bias); used for direction vectors, curve
   /// coefficients and zonotope generators. Only valid when isAffine().
-  Tensor applyLinear(const Tensor &Points) const;
+  Tensor applyLinear(Tensor Points) const;
 
   /// Interval propagation: Center' = A*Center + b, Radius' = |A|*Radius.
-  /// Only valid when isAffine().
-  void applyToBox(Tensor &Center, Tensor &Radius) const;
-
-  /// The box map of the sound transformers: Center' = A*Center + b and
-  /// Radius' = |A|*Radius as in applyToBox(), plus a magnitude plane
-  /// Mag' = |A|*Mag, and BiasImage set to the image A*0 + b of a zero
-  /// input (one row per input row; only its absolute value is meaningful,
-  /// the sign of a zero entry is unspecified).
-  void applyToBoxPlanes(Tensor &Center, Tensor &Radius, Tensor &Mag,
-                        Tensor &BiasImage) const;
+  /// With \p Mag, also the magnitude plane Mag' = |A|*Mag of the sound
+  /// transformers; with \p BiasImage, the image A*0 + b of a zero input
+  /// (one row per input row; only its absolute value is meaningful, the
+  /// sign of a zero entry is unspecified). Each plane is rewritten in
+  /// place. Only valid when isAffine().
+  void applyToBox(Tensor &Center, Tensor &Radius, Tensor *Mag = nullptr,
+                  Tensor *BiasImage = nullptr) const;
 
   // --- Row forms. Rows input rows In[i], each one sample of the
   // --- single-sample activation shape InShape stored flat, map to output
   // --- rows Out[i] of outputShape(InShape).numel() doubles, which the
   // --- layer writes in full. Input and output rows must not overlap.
+  // --- Only valid when isAffine() && !isShapeOnly().
 
   /// applyAffine (WithBias) or applyLinear (!WithBias) in row form.
   virtual void applyAffineRows(const Shape &InShape, const double *const *In,
                                double *const *Out, int64_t Rows,
                                bool WithBias) const;
 
-  /// applyToBox in row form.
+  /// applyToBox in row form. Mag and OutMag are both null or both set;
+  /// OutBiasImage may be null.
   virtual void applyToBoxRows(const Shape &InShape,
                               const double *const *Center,
                               const double *const *Radius,
+                              const double *const *Mag,
                               double *const *OutCenter,
-                              double *const *OutRadius, int64_t Rows) const;
-
-  /// applyToBoxPlanes in row form. Every plane is bit-identical to the
-  /// applyToBoxRows() kernels. The base class runs two applyToBoxRows()
-  /// calls (the bias image from one shared zero row); Linear streams all
-  /// three planes in one pass.
-  virtual void applyToBoxPlanesRows(const Shape &InShape,
-                                    const double *const *Center,
-                                    const double *const *Radius,
-                                    const double *const *Mag,
-                                    double *const *OutCenter,
-                                    double *const *OutRadius,
-                                    double *const *OutMag,
-                                    double *const *OutBiasImage,
-                                    int64_t Rows) const;
+                              double *const *OutRadius, double *const *OutMag,
+                              double *const *OutBiasImage, int64_t Rows) const;
 
   /// Number of round-to-nearest accumulation terms behind one output value
-  /// of the affine map (dot-product length plus the bias add). Zero means
-  /// the layer is exact in floating point (pure data movement), so
-  /// applyToBoxSoundRows() needs no radius inflation.
+  /// of the affine map (dot-product length plus the bias add). Zero for
+  /// the shape-only layers, which are exact in floating point.
   virtual int64_t accumulationDepth() const { return 0; }
 
   /// Sound variant of applyToBoxRows(): same round-to-nearest kernels, but
@@ -129,7 +124,7 @@ public:
   /// rounding error so [Center' +- Radius'] contains the exact interval
   /// image — and any round-to-nearest forward pass through this layer of a
   /// point in the input box. Implemented once on the base class in terms
-  /// of applyToBoxPlanesRows()/accumulationDepth().
+  /// of the applyToBoxRows() planes and accumulationDepth().
   void applyToBoxSoundRows(const Shape &InShape, const double *const *Center,
                            const double *const *Radius,
                            double *const *OutCenter, double *const *OutRadius,
@@ -158,6 +153,12 @@ public:
 
   /// Human-readable description, e.g. "Conv2d(3->16, k4, s2, p1)".
   virtual std::string describe() const = 0;
+
+protected:
+  /// The bias image of applyToBoxRows() for layers without a closed form:
+  /// the layer's own affine map on Rows shared all-zero input rows.
+  void zeroInputImageRows(const Shape &InShape, double *const *Out,
+                          int64_t Rows) const;
 
 private:
   const Kind LayerKind;

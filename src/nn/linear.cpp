@@ -2,7 +2,6 @@
 
 #include "src/nn/linear.h"
 
-#include "src/parallel/thread_pool.h"
 #include "src/tensor/ops.h"
 
 #include <algorithm>
@@ -15,26 +14,12 @@ Linear::Linear(int64_t InFeatures, int64_t OutFeatures)
       Weight({OutFeatures, InFeatures}), Bias({OutFeatures}),
       GradWeight({OutFeatures, InFeatures}), GradBias({OutFeatures}) {}
 
-namespace {
-
-/// Out[i, j] += Bias[j] for every row, in place.
-void addBiasRows(Tensor &Out, const Tensor &Bias) {
-  const int64_t N = Bias.numel();
-  double *Od = Out.data();
-  const double *Bd = Bias.data();
-  parallelFor(Out.dim(0), [&](int64_t Begin, int64_t End) {
-    for (int64_t I = Begin; I < End; ++I)
-      for (int64_t J = 0; J < N; ++J)
-        Od[I * N + J] += Bd[J];
-  });
-}
-
-} // namespace
-
 Tensor Linear::forward(const Tensor &Input) {
   CachedInput = Input;
-  Tensor Out = matmulTransB(Input, Weight); // [B, Out]
-  addBiasRows(Out, Bias);
+  Tensor Out = applyAffine(Input);
+  // The optimizer mutates W through params() after this call, which the
+  // memo cannot see: mark W^T stale so no later call reads the old one.
+  AbsCache.invalidate();
   return Out;
 }
 
@@ -59,29 +44,18 @@ void Linear::applyAffineRows(const Shape &InShape, const double *const *In,
 
 void Linear::applyToBoxRows(const Shape &InShape, const double *const *Center,
                             const double *const *Radius,
+                            const double *const *Mag,
                             double *const *OutCenter, double *const *OutRadius,
+                            double *const *OutMag, double *const *OutBiasImage,
                             int64_t Rows) const {
-  check(InShape.numel() == InFeatures, "Linear input shape mismatch");
-  fusedBoxAffineRows(Center, Radius, nullptr, Rows, AbsCache.getTrans(Weight),
-                     Bias, OutCenter, OutRadius, nullptr);
-}
-
-void Linear::applyToBoxPlanesRows(const Shape &InShape,
-                                  const double *const *Center,
-                                  const double *const *Radius,
-                                  const double *const *Mag,
-                                  double *const *OutCenter,
-                                  double *const *OutRadius,
-                                  double *const *OutMag,
-                                  double *const *OutBiasImage,
-                                  int64_t Rows) const {
   check(InShape.numel() == InFeatures, "Linear input shape mismatch");
   fusedBoxAffineRows(Center, Radius, Mag, Rows, AbsCache.getTrans(Weight),
                      Bias, OutCenter, OutRadius, OutMag);
   // A zero input's dot product is +0.0, and +0.0 + b == b up to the sign
   // of a zero bias: the bias image is the bias itself.
-  for (int64_t I = 0; I < Rows; ++I)
-    std::copy_n(Bias.data(), OutFeatures, OutBiasImage[I]);
+  if (OutBiasImage)
+    for (int64_t I = 0; I < Rows; ++I)
+      std::copy_n(Bias.data(), OutFeatures, OutBiasImage[I]);
 }
 
 std::vector<Param> Linear::params() {

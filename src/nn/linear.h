@@ -10,13 +10,11 @@ namespace genprove {
 
 /// Fully connected layer: y = x W^T + b with W of shape [Out, In].
 ///
-/// The verifier interface (applyAffineRows/applyToBox[Planes]Rows) runs on
-/// a memoized W^T [In, Out] next to W: with the output dimension
-/// contiguous, every output element is an ascending-k accumulator chain
-/// that vectorizes across outputs, bit-identical to the [Out, In]
-/// dot-product form. Training (forward/backward) stays on the dot form:
-/// params() invalidates the memo every optimizer step, so a training
-/// forward through W^T would re-transpose every step.
+/// Every map runs on a memoized W^T [In, Out] next to W: with the output
+/// dimension contiguous, every output element is an ascending-k
+/// accumulator chain that vectorizes across outputs, bit-identical to the
+/// [Out, In] dot-product form. The training forward is applyAffine() too;
+/// it rebuilds W^T once per call, since training mutates W between calls.
 class Linear : public Layer {
 public:
   Linear(int64_t InFeatures, int64_t OutFeatures);
@@ -27,14 +25,10 @@ public:
                        double *const *Out, int64_t Rows,
                        bool WithBias) const override;
   void applyToBoxRows(const Shape &InShape, const double *const *Center,
-                      const double *const *Radius, double *const *OutCenter,
-                      double *const *OutRadius, int64_t Rows) const override;
-  void applyToBoxPlanesRows(const Shape &InShape, const double *const *Center,
-                            const double *const *Radius,
-                            const double *const *Mag, double *const *OutCenter,
-                            double *const *OutRadius, double *const *OutMag,
-                            double *const *OutBiasImage,
-                            int64_t Rows) const override;
+                      const double *const *Radius, const double *const *Mag,
+                      double *const *OutCenter, double *const *OutRadius,
+                      double *const *OutMag, double *const *OutBiasImage,
+                      int64_t Rows) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
   bool acceptsInputShape(const Shape &InputShape) const override;

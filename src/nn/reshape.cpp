@@ -2,22 +2,9 @@
 
 #include "src/nn/reshape.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace genprove {
-
-namespace {
-
-/// Flatten and Reshape move data only: each row is copied unchanged.
-void copyRows(const Shape &InShape, const double *const *In,
-              double *const *Out, int64_t Rows) {
-  const int64_t N = InShape.numel();
-  for (int64_t I = 0; I < Rows; ++I)
-    std::copy_n(In[I], N, Out[I]);
-}
-
-} // namespace
 
 Tensor Flatten::forward(const Tensor &Input) {
   CachedInputShape = Input.shape();
@@ -26,20 +13,6 @@ Tensor Flatten::forward(const Tensor &Input) {
 
 Tensor Flatten::backward(const Tensor &GradOutput) {
   return GradOutput.reshaped(CachedInputShape);
-}
-
-void Flatten::applyAffineRows(const Shape &InShape, const double *const *In,
-                              double *const *Out, int64_t Rows, bool) const {
-  copyRows(InShape, In, Out, Rows);
-}
-
-void Flatten::applyToBoxRows(const Shape &InShape,
-                             const double *const *Center,
-                             const double *const *Radius,
-                             double *const *OutCenter,
-                             double *const *OutRadius, int64_t Rows) const {
-  copyRows(InShape, Center, OutCenter, Rows);
-  copyRows(InShape, Radius, OutRadius, Rows);
 }
 
 bool Flatten::acceptsInputShape(const Shape &InputShape) const {
@@ -62,20 +35,6 @@ Tensor Reshape::forward(const Tensor &Input) { return applyAffine(Input); }
 Tensor Reshape::backward(const Tensor &GradOutput) {
   const int64_t B = GradOutput.dim(0);
   return GradOutput.reshaped({B, Channels * Height * Width});
-}
-
-void Reshape::applyAffineRows(const Shape &InShape, const double *const *In,
-                              double *const *Out, int64_t Rows, bool) const {
-  copyRows(InShape, In, Out, Rows);
-}
-
-void Reshape::applyToBoxRows(const Shape &InShape,
-                             const double *const *Center,
-                             const double *const *Radius,
-                             double *const *OutCenter,
-                             double *const *OutRadius, int64_t Rows) const {
-  copyRows(InShape, Center, OutCenter, Rows);
-  copyRows(InShape, Radius, OutRadius, Rows);
 }
 
 bool Reshape::acceptsInputShape(const Shape &InputShape) const {

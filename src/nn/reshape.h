@@ -7,20 +7,16 @@
 
 namespace genprove {
 
-/// Flattens NCHW activations to [N, C*H*W]. A linear (identity) map, so the
-/// affine interface reshapes without touching data.
+/// Flattens NCHW activations to [N, C*H*W]. On flat rows the map is the
+/// identity (Layer::isShapeOnly()), so it has no row forms: the Tensor
+/// entry points reshape without touching data, and the region engine only
+/// changes its shape.
 class Flatten : public Layer {
 public:
   Flatten() : Layer(Kind::Flatten) {}
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  void applyAffineRows(const Shape &InShape, const double *const *In,
-                       double *const *Out, int64_t Rows,
-                       bool WithBias) const override;
-  void applyToBoxRows(const Shape &InShape, const double *const *Center,
-                      const double *const *Radius, double *const *OutCenter,
-                      double *const *OutRadius, int64_t Rows) const override;
   bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override { return "Flatten"; }
@@ -29,19 +25,14 @@ private:
   Shape CachedInputShape;
 };
 
-/// Reshapes [N, C*H*W] activations to NCHW with the given channel/size.
+/// Reshapes [N, C*H*W] activations to NCHW with the given channel/size;
+/// shape-only like Flatten.
 class Reshape : public Layer {
 public:
   Reshape(int64_t Channels, int64_t Height, int64_t Width);
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  void applyAffineRows(const Shape &InShape, const double *const *In,
-                       double *const *Out, int64_t Rows,
-                       bool WithBias) const override;
-  void applyToBoxRows(const Shape &InShape, const double *const *Center,
-                      const double *const *Radius, double *const *OutCenter,
-                      double *const *OutRadius, int64_t Rows) const override;
   bool acceptsInputShape(const Shape &InputShape) const override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;

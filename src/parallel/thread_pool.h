@@ -8,8 +8,9 @@
 /// (src/domains/propagate.cpp), and the bench / CLI harnesses (independent
 /// grid cells and spec endpoints).
 ///
-/// Sizing: GENPROVE_THREADS environment variable (or the --threads CLI
-/// flag via setThreads()); unset/0 means std::thread::hardware_concurrency.
+/// Sizing: the GENPROVE_THREADS environment variable, where unset or 0
+/// means std::thread::hardware_concurrency; the tools' --threads N flag
+/// (N >= 1, they refuse anything else) overrides it through setThreads().
 /// A pool of size 1 never spawns a worker and executes every chunk inline
 /// on the caller, which is exactly the pre-parallel serial code path.
 ///

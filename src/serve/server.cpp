@@ -29,6 +29,11 @@ namespace genprove {
 
 namespace {
 
+/// --isolate backoff between request-level retries: interactive latencies
+/// want a much shorter ladder than the batch CLI's ShardPolicy default.
+constexpr double RetryBackoffInitialSeconds = 0.01;
+constexpr double RetryBackoffMaxSeconds = 0.1;
+
 double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -184,8 +189,8 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
     // interval-box fallback at worst.
     ShardPolicy Policy;
     Policy.MaxRetries = Cfg.RequestRetries;
-    Policy.BackoffInitialSeconds = Cfg.BackoffInitialSeconds;
-    Policy.BackoffMaxSeconds = Cfg.BackoffMaxSeconds;
+    Policy.BackoffInitialSeconds = RetryBackoffInitialSeconds;
+    Policy.BackoffMaxSeconds = RetryBackoffMaxSeconds;
     Policy.HeartbeatTimeoutSeconds = Cfg.HeartbeatTimeoutSeconds;
     Policy.ShardDeadlineSeconds =
         (HasDeadline ? std::max(Remaining, 0.0)

@@ -54,10 +54,6 @@ struct ServeConfig {
   /// before the interval-box fallback answers (the per-request
   /// supervision ladder).
   int64_t RequestRetries = 2;
-  /// --isolate only: backoff between request-level retries; interactive
-  /// latencies want a much shorter ladder than the batch CLI.
-  double BackoffInitialSeconds = 0.01;
-  double BackoffMaxSeconds = 0.1;
   /// --isolate only: kill a worker silent for this long (catches hung
   /// propagations).
   double HeartbeatTimeoutSeconds = 2.0;

@@ -78,7 +78,7 @@ double ShardScheduler::backoffDelay(int64_t Attempt) const {
     return 0.0;
   double Delay = Policy.BackoffInitialSeconds;
   for (int64_t I = 1; I < Attempt; ++I)
-    Delay *= Policy.BackoffMultiplier;
+    Delay *= 2.0;
   return std::min(Delay, Policy.BackoffMaxSeconds);
 }
 

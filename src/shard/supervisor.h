@@ -84,9 +84,8 @@ struct ShardPolicy {
   /// Kill a worker whose last heartbeat is older than this; 0 disables.
   double HeartbeatTimeoutSeconds = 2.0;
   /// Exponential backoff between retries of one shard:
-  /// delay(k) = min(Initial * Multiplier^(k-1), Max) before attempt k.
+  /// delay(k) = min(Initial * 2^(k-1), Max) before attempt k.
   double BackoffInitialSeconds = 0.05;
-  double BackoffMultiplier = 2.0;
   double BackoffMaxSeconds = 2.0;
   /// Supervisor poll cadence while workers are live.
   double PollIntervalSeconds = 0.01;

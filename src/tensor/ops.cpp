@@ -324,48 +324,14 @@ int64_t gemmGrain(int64_t M) {
   return std::max<int64_t>(4, Grain);
 }
 
-/// C[IBegin..IEnd) = A * B^T rows for A [M,K], B [N,K]: dot products,
-/// 4-way unrolled over j so each A row pass feeds four accumulators.
-void gemmTransBRowBlock(const double *Ad, const double *Bd, double *Cd,
-                        int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  for (int64_t I = IBegin; I < IEnd; ++I) {
-    const double *Arow = Ad + I * K;
-    double *Crow = Cd + I * N;
-    int64_t J = 0;
-    for (; J + 4 <= N; J += 4) {
-      const double *B0 = Bd + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk) {
-        const double Av = Arow[Kk];
-        S0 += Av * B0[Kk];
-        S1 += Av * B1[Kk];
-        S2 += Av * B2[Kk];
-        S3 += Av * B3[Kk];
-      }
-      Crow[J] = S0;
-      Crow[J + 1] = S1;
-      Crow[J + 2] = S2;
-      Crow[J + 3] = S3;
-    }
-    for (; J < N; ++J) {
-      const double *Brow = Bd + J * K;
-      double Acc = 0.0;
-      for (int64_t Kk = 0; Kk < K; ++Kk)
-        Acc += Arow[Kk] * Brow[Kk];
-      Crow[J] = Acc;
-    }
-  }
-}
-
 /// The interval affine body behind fusedBoxAffineRows: Wt is W^T [K, N],
 /// so for each input element k the accumulator rows advance over the
 /// contiguous output axis — independent per-output ascending-k chains
-/// that the vectorizer can run in lanes (the dot-product form of
-/// gemmTransBRowBlock keeps the chain in one scalar register and cannot
-/// be vectorized under strict FP semantics). Every chain starts at +0.0,
-/// so a k at which every plane of the row is zero is skipped. The bias
-/// lands after the complete dot, so every output is bit-identical to the
-/// dot form plus a bias pass.
+/// that the vectorizer can run in lanes (a dot-product form over W [N, K]
+/// keeps the chain in one scalar register and cannot be vectorized under
+/// strict FP semantics). Every chain starts at +0.0, so a k at which every
+/// plane of the row is zero is skipped. The bias lands after the complete
+/// dot, so every output is bit-identical to the dot form plus a bias pass.
 template <bool WithMag>
 __attribute__((always_inline)) inline void
 fusedBoxAffineTBody(const double *const *Cen, const double *const *Rad,
@@ -410,7 +376,7 @@ fusedBoxAffineTBody(const double *const *Cen, const double *const *Rad,
 // Like the GEMM bodies above, the interval kernel compiles once for the
 // baseline ISA and once for AVX-512, both with fp-contract=off: an FMA
 // contraction would single-round the multiply-add and break the bitwise
-// match with the matmulTransB form training uses.
+// match with matmulRows, which runs the same chains for applyAffineRows.
 __attribute__((optimize("fp-contract=off"))) void
 fusedBoxTRowBlockPlain(const double *const *Cen, const double *const *Rad,
                        const double *const *Mag, const double *Wtd,
@@ -515,20 +481,6 @@ Tensor matmulTransA(const Tensor &A, const Tensor &B) {
   return C;
 }
 
-Tensor matmulTransB(const Tensor &A, const Tensor &B) {
-  check(A.rank() == 2 && B.rank() == 2, "matmulTransB requires rank-2");
-  const int64_t M = A.dim(0), K = A.dim(1), N = B.dim(0);
-  check(B.dim(1) == K, "matmulTransB inner dimension mismatch");
-  Tensor C({M, N});
-  const double *Ad = A.data();
-  const double *Bd = B.data();
-  double *Cd = C.data();
-  parallelFor(M, [&](int64_t IBegin, int64_t IEnd) {
-    gemmTransBRowBlock(Ad, Bd, Cd, IBegin, IEnd, K, N);
-  });
-  return C;
-}
-
 void fusedBoxAffineRows(const double *const *Centers,
                         const double *const *Radii, const double *const *Mags,
                         int64_t M, const Tensor &Wt, const Tensor &Bias,
@@ -562,23 +514,24 @@ ConvGeometry::convTransposeOutput(int64_t H, int64_t W) const {
 
 namespace {
 
-/// Unfold one sample [C, H, W] into a [C*KH*KW, OH*OW] column matrix.
-void im2col(const double *Input, int64_t C, int64_t H, int64_t W,
-            const ConvGeometry &G, double *Col) {
+/// Unfold one sample [C, H, W] into an [OH*OW, C*KH*KW] patch matrix: one
+/// row per output pixel, the layout matmul takes as its B operand. Each
+/// row is written in order; the sample it reads stays in cache.
+void im2row(const double *Input, int64_t C, int64_t H, int64_t W,
+            const ConvGeometry &G, double *Patches) {
   const auto [OH, OW] = G.convOutput(H, W);
-  for (int64_t Ch = 0; Ch < C; ++Ch) {
-    for (int64_t Kh = 0; Kh < G.KernelH; ++Kh) {
-      for (int64_t Kw = 0; Kw < G.KernelW; ++Kw) {
-        const int64_t Row = (Ch * G.KernelH + Kh) * G.KernelW + Kw;
-        double *ColRow = Col + Row * OH * OW;
-        for (int64_t Oh = 0; Oh < OH; ++Oh) {
+  for (int64_t Oh = 0; Oh < OH; ++Oh) {
+    for (int64_t Ow = 0; Ow < OW; ++Ow) {
+      double *Row = Patches;
+      Patches += C * G.KernelH * G.KernelW;
+      for (int64_t Ch = 0; Ch < C; ++Ch) {
+        for (int64_t Kh = 0; Kh < G.KernelH; ++Kh) {
           const int64_t Ih = Oh * G.Stride - G.Padding + Kh;
-          for (int64_t Ow = 0; Ow < OW; ++Ow) {
+          for (int64_t Kw = 0; Kw < G.KernelW; ++Kw) {
             const int64_t Iw = Ow * G.Stride - G.Padding + Kw;
-            double V = 0.0;
-            if (Ih >= 0 && Ih < H && Iw >= 0 && Iw < W)
-              V = Input[(Ch * H + Ih) * W + Iw];
-            ColRow[Oh * OW + Ow] = V;
+            *Row++ = Ih >= 0 && Ih < H && Iw >= 0 && Iw < W
+                         ? Input[(Ch * H + Ih) * W + Iw]
+                         : 0.0;
           }
         }
       }
@@ -1212,7 +1165,7 @@ Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
 
   const Tensor WeightMat = Weight.reshaped({OC, KSize});
   Tensor GradInput({N, C, H, W});
-  Tensor Col({KSize, OH * OW});
+  Tensor Patches({OH * OW, KSize});
 
   for (int64_t Sample = 0; Sample < N; ++Sample) {
     const Tensor GradOutMat =
@@ -1220,9 +1173,11 @@ Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
                std::vector<double>(GradOutput.data() + Sample * OC * OH * OW,
                                    GradOutput.data() +
                                        (Sample + 1) * OC * OH * OW));
-    // Grad wrt weight: dW += dOut * Col^T.
-    im2col(Input.data() + Sample * C * H * W, C, H, W, Geom, Col.data());
-    Tensor Dw = matmulTransB(GradOutMat, Col); // [OC, KSize]
+    // Grad wrt weight: dW += dOut * Patches, each element an ascending-p
+    // chain over the output pixels. Training activations are finite, so
+    // matmul's skipped all-zero dOut columns drop only ±0 terms.
+    im2row(Input.data() + Sample * C * H * W, C, H, W, Geom, Patches.data());
+    Tensor Dw = matmul(GradOutMat, Patches); // [OC, KSize]
     GradWeight.addInPlace(Dw.reshaped(Weight.shape()));
     // Grad wrt bias: row sums of dOut.
     for (int64_t Oc = 0; Oc < OC; ++Oc) {

@@ -1,8 +1,8 @@
 //===- tensor/ops.h - Tensor kernels ---------------------------*- C++ -*-===//
 ///
 /// \file
-/// The numeric kernels: matmul (plus transposed variants used by backprop),
-/// the fused interval affine map behind Linear, and 2-D convolution and
+/// The numeric kernels: matmul (plus the transposed-A variant backprop
+/// uses), the fused interval affine map behind Linear, and 2-D convolution and
 /// transposed convolution. Both convolutions run on one batch-innermost
 /// tap kernel; interval radii go through the same kernel with |W| (a box
 /// with center c and radius r maps through an affine layer as
@@ -35,11 +35,12 @@ std::vector<double *> rowPointers(Tensor &T);
 
 /// C = A(MxK) * B(KxN); wraps matmulRows, so B must be finite: a k at
 /// which A is zero gets no step, which matches the dense sum only when it
-/// drops no 0 * inf term. Every caller passes layer weights, which
-/// loadNetwork and each optimizer step check.
+/// drops no 0 * inf term. Callers pass layer weights (W^T for a Linear),
+/// which loadNetwork and each optimizer step check, or the unfolded
+/// training activations of conv2dBackward.
 Tensor matmul(const Tensor &A, const Tensor &B);
 
-/// Row form of matmul, behind Linear's affine maps: writes the M rows
+/// Row form of matmul, behind every Linear map: writes the M rows
 /// C[i] = A[i] * B (+ Bias[0, N) after the full dot, when Bias is not
 /// null) for rows A[i] of K doubles, B [K, N] and rows C[i] of N doubles.
 /// Every output element accumulates ascending k from +0.0. A k at which
@@ -52,9 +53,6 @@ void matmulRows(const double *const *A, int64_t M, const Tensor &B,
 /// C = A^T(KxM -> MxK as given) * B. A is (KxM), result (MxN): C = Aᵀ B.
 Tensor matmulTransA(const Tensor &A, const Tensor &B);
 
-/// C = A * Bᵀ where A is (MxK) and B is (NxK); result (MxN).
-Tensor matmulTransB(const Tensor &A, const Tensor &B);
-
 /// Interval affine map through a Linear weight supplied pre-transposed, in
 /// row form: Wt is W^T [K, N] for a weight W [N, K]. One streaming pass
 /// over Wt computes, per input row i (K doubles each),
@@ -63,10 +61,11 @@ Tensor matmulTransB(const Tensor &A, const Tensor &B);
 ///   OutMags[i]= Mags[i]    * |Wt|            (optional magnitude image)
 /// with |Wt| taken elementwise in registers. Every output element
 /// accumulates one ascending-k chain from +0.0 and the bias lands after
-/// the full dot, so each plane is bit-identical to matmulTransB against W
-/// (or |W|) followed by a bias pass; with the output dimension contiguous
-/// the chains vectorize across outputs, which the strict-FP dot-product
-/// form cannot. A k at which every plane of a row is zero gets no step.
+/// the full dot, so each plane is bit-identical to the dot product of the
+/// row with W (or |W|) followed by a bias pass, and the center plane to
+/// matmulRows; with the output dimension contiguous the chains vectorize
+/// across outputs, which the strict-FP dot-product form cannot. A k at
+/// which every plane of a row is zero gets no step.
 /// Mags/OutMags may be null to skip the magnitude plane; Wt must be
 /// finite.
 void fusedBoxAffineRows(const double *const *Centers,

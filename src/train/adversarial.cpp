@@ -106,6 +106,20 @@ void splitWeight(const Tensor &W, Tensor &Pos, Tensor &Neg) {
   }
 }
 
+/// The positive and negative parts of a Linear weight W [Out, In], laid
+/// out as W^T [In, Out]: matmul's layout, the one Linear's own maps run on.
+void splitWeightTransposed(const Tensor &W, Tensor &Pos, Tensor &Neg) {
+  const int64_t Out = W.dim(0), In = W.dim(1);
+  Pos = Tensor({In, Out});
+  Neg = Tensor({In, Out});
+  for (int64_t K = 0; K < In; ++K)
+    for (int64_t J = 0; J < Out; ++J) {
+      const double V = W[J * In + K];
+      Pos[K * Out + J] = std::max(V, 0.0);
+      Neg[K * Out + J] = std::min(V, 0.0);
+    }
+}
+
 IbpBounds ibpForwardImpl(Sequential &Network, const Tensor &LoIn,
                          const Tensor &HiIn, std::vector<IbpCache> *Caches) {
   Tensor Lo = LoIn;
@@ -116,24 +130,25 @@ IbpBounds ibpForwardImpl(Sequential &Network, const Tensor &LoIn,
       (*Caches)[LayerIdx] = {Lo, Hi};
     switch (L.kind()) {
     case Layer::Kind::Linear: {
-      auto &Lin = static_cast<Linear &>(L);
+      const auto &Lin = static_cast<const Linear &>(L);
       Tensor Pos, Neg;
-      splitWeight(Lin.weight(), Pos, Neg);
-      Tensor NewLo = matmulTransB(Lo, Pos);
-      NewLo.addInPlace(matmulTransB(Hi, Neg));
-      Tensor NewHi = matmulTransB(Hi, Pos);
-      NewHi.addInPlace(matmulTransB(Lo, Neg));
+      splitWeightTransposed(Lin.weight(), Pos, Neg);
+      Tensor NewLo = matmul(Lo, Pos);
+      NewLo.addInPlace(matmul(Hi, Neg));
+      Tensor NewHi = matmul(Hi, Pos);
+      NewHi.addInPlace(matmul(Lo, Neg));
+      const Tensor &Bias = Lin.bias();
       for (int64_t I = 0; I < NewLo.dim(0); ++I)
         for (int64_t J = 0; J < NewLo.dim(1); ++J) {
-          NewLo.at(I, J) += Lin.bias()[J];
-          NewHi.at(I, J) += Lin.bias()[J];
+          NewLo.at(I, J) += Bias[J];
+          NewHi.at(I, J) += Bias[J];
         }
       Lo = std::move(NewLo);
       Hi = std::move(NewHi);
       break;
     }
     case Layer::Kind::Conv2d: {
-      auto &Conv = static_cast<Conv2d &>(L);
+      const auto &Conv = static_cast<const Conv2d &>(L);
       Tensor Pos, Neg;
       splitWeight(Conv.weight(), Pos, Neg);
       Tensor NewLo = conv2d(Lo, Pos, Conv.bias(), Conv.geometry());
@@ -149,8 +164,8 @@ IbpBounds ibpForwardImpl(Sequential &Network, const Tensor &LoIn,
       Hi = relu(Hi);
       break;
     case Layer::Kind::Flatten: {
-      Lo = L.applyAffine(Lo);
-      Hi = L.applyAffine(Hi);
+      Lo = L.applyAffine(std::move(Lo));
+      Hi = L.applyAffine(std::move(Hi));
       break;
     }
     default:
@@ -170,8 +185,11 @@ void ibpBackward(Sequential &Network, const std::vector<IbpCache> &Caches,
     switch (L.kind()) {
     case Layer::Kind::Linear: {
       auto &Lin = static_cast<Linear &>(L);
+      // Read W through the const accessor: the mutable one bumps the
+      // layer's memo on every call.
+      const Tensor &W = static_cast<const Linear &>(Lin).weight();
       Tensor Pos, Neg;
-      splitWeight(Lin.weight(), Pos, Neg);
+      splitWeight(W, Pos, Neg);
       auto Params = Lin.params();
       Tensor &GradW = *Params[0].Grad;
       Tensor &GradB = *Params[1].Grad;
@@ -181,7 +199,7 @@ void ibpBackward(Sequential &Network, const std::vector<IbpCache> &Caches,
       Tensor GwNeg = matmulTransA(DLo, Cache.HiIn);
       GwNeg.addInPlace(matmulTransA(DHi, Cache.LoIn));
       for (int64_t I = 0; I < GradW.numel(); ++I)
-        GradW[I] += Lin.weight()[I] >= 0.0 ? GwPos[I] : GwNeg[I];
+        GradW[I] += W[I] >= 0.0 ? GwPos[I] : GwNeg[I];
       for (int64_t I = 0; I < DLo.dim(0); ++I)
         for (int64_t J = 0; J < DLo.dim(1); ++J)
           GradB[J] += DLo.at(I, J) + DHi.at(I, J);
@@ -195,13 +213,14 @@ void ibpBackward(Sequential &Network, const std::vector<IbpCache> &Caches,
     }
     case Layer::Kind::Conv2d: {
       auto &Conv = static_cast<Conv2d &>(L);
+      const Tensor &W = static_cast<const Conv2d &>(Conv).weight();
       Tensor Pos, Neg;
-      splitWeight(Conv.weight(), Pos, Neg);
+      splitWeight(W, Pos, Neg);
       auto Params = Conv.params();
       Tensor &GradW = *Params[0].Grad;
       Tensor &GradB = *Params[1].Grad;
-      Tensor GwPos(Conv.weight().shape());
-      Tensor GwNeg(Conv.weight().shape());
+      Tensor GwPos(W.shape());
+      Tensor GwNeg(W.shape());
       Tensor GbScratch(GradB.shape());
       // Four data paths: (lo,Pos)->lo', (hi,Neg)->lo', (hi,Pos)->hi',
       // (lo,Neg)->hi'.
@@ -214,7 +233,7 @@ void ibpBackward(Sequential &Network, const std::vector<IbpCache> &Caches,
       NewDHi.addInPlace(conv2dBackward(Cache.HiIn, Neg, DLo, Conv.geometry(),
                                        GwNeg, GbScratch));
       for (int64_t I = 0; I < GradW.numel(); ++I)
-        GradW[I] += Conv.weight()[I] >= 0.0 ? GwPos[I] : GwNeg[I];
+        GradW[I] += W[I] >= 0.0 ? GwPos[I] : GwNeg[I];
       // Bias contributes to both bounds once each (GbScratch counted both
       // DLo and DHi exactly once across the four calls above... but each
       // was added twice, once per weight sign split), so halve it.

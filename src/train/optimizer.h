@@ -23,12 +23,6 @@ public:
   /// zero the gradients. Aborts if the update left a non-finite parameter.
   virtual void step() = 0;
 
-  /// Current learning rate.
-  double learningRate() const { return Lr; }
-
-  /// Adjust the learning rate (for schedules).
-  void setLearningRate(double NewLr) { Lr = NewLr; }
-
 protected:
   explicit Optimizer(std::vector<Param> Params, double Lr)
       : Params(std::move(Params)), Lr(Lr) {}

@@ -20,16 +20,6 @@ double mean(const std::vector<double> &Values) {
   return sum(Values) / static_cast<double>(Values.size());
 }
 
-double stddev(const std::vector<double> &Values) {
-  if (Values.size() < 2)
-    return 0.0;
-  const double M = mean(Values);
-  double Acc = 0.0;
-  for (double V : Values)
-    Acc += (V - M) * (V - M);
-  return std::sqrt(Acc / static_cast<double>(Values.size() - 1));
-}
-
 double percentile(std::vector<double> Values, double Q) {
   if (Values.empty())
     return 0.0;

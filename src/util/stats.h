@@ -17,9 +17,6 @@ namespace genprove {
 /// Arithmetic mean; 0 for an empty range.
 double mean(const std::vector<double> &Values);
 
-/// Sample standard deviation; 0 for fewer than two values.
-double stddev(const std::vector<double> &Values);
-
 /// The q-th percentile (q in [0,1]) using linear interpolation between order
 /// statistics. Sorts a copy; 0 for an empty range.
 double percentile(std::vector<double> Values, double Q);

@@ -45,33 +45,6 @@ std::string TablePrinter::render() const {
   return Out.str();
 }
 
-std::string TablePrinter::renderCsv() const {
-  std::ostringstream Out;
-  auto EmitRow = [&](const std::vector<std::string> &Row) {
-    for (size_t I = 0; I < Row.size(); ++I) {
-      const bool NeedsQuote = Row[I].find_first_of(",\"\n") != std::string::npos;
-      if (NeedsQuote) {
-        Out << '"';
-        for (char C : Row[I]) {
-          if (C == '"')
-            Out << '"';
-          Out << C;
-        }
-        Out << '"';
-      } else {
-        Out << Row[I];
-      }
-      if (I + 1 < Row.size())
-        Out << ',';
-    }
-    Out << '\n';
-  };
-  EmitRow(Header);
-  for (const auto &Row : Rows)
-    EmitRow(Row);
-  return Out.str();
-}
-
 void TablePrinter::print() const { std::fputs(render().c_str(), stdout); }
 
 std::string formatBound(double Value) {

@@ -26,9 +26,6 @@ public:
   /// Render as an aligned ASCII table with a separator under the header.
   std::string render() const;
 
-  /// Render as CSV (quoted only when necessary).
-  std::string renderCsv() const;
-
   /// Convenience: render() to stdout.
   void print() const;
 

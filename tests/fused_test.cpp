@@ -5,8 +5,8 @@
 /// verifier interface on W^T, with one three-plane fusedBoxAffineRows
 /// stream for the sound box map. Every analysis path (engine, box,
 /// zonotope, deepzono, hybrid) must return bounds bit-identical to the
-/// unfused dot form (matmulTransB against W and |W|, the base class's two
-/// applyToBoxRows calls) — at any thread count, in both rounding modes.
+/// unfused dot form (a test-local dot-product loop over W and |W|, one
+/// plane at a time) — at any thread count, in both rounding modes.
 /// EXPECT_EQ on doubles, not a tolerance: the W^T kernels keep the exact
 /// per-element ascending-k accumulation order of the dot form.
 ///
@@ -20,7 +20,6 @@
 #include "src/nn/architectures.h"
 #include "src/nn/linear.h"
 #include "src/parallel/thread_pool.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
@@ -51,14 +50,13 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims,
   return Net;
 }
 
-/// The unfused reference for Linear: the dot form through matmulTransB
-/// against W and an elementwise |W| (the layout training keeps), a
-/// separate bias pass, and the base class's two-call box planes. It
-/// overrides the row forms every entry point and the engine run on,
-/// gathering the rows into one batch. It keeps Linear's kind and weights,
-/// so the engine and every domain run the same code on both; only the
-/// kernels differ. The fingerprint is salted so the PropagationCache never
-/// hands one net's state to the other.
+/// The unfused reference for Linear: a test-local dot-product loop over W
+/// and an elementwise |W| (the [Out, In] layout), a separate bias pass, one
+/// plane at a time, and the bias image from zero rows through that loop.
+/// It overrides the row forms every entry point and the engine run on. It
+/// keeps Linear's kind and weights, so the engine and every domain run the
+/// same code on both; only the kernels differ. The fingerprint is salted
+/// so the PropagationCache never hands one net's state to the other.
 class DotFormLinear : public Linear {
 public:
   explicit DotFormLinear(const Linear &Src)
@@ -73,42 +71,39 @@ public:
   void applyAffineRows(const Shape &, const double *const *In,
                        double *const *Out, int64_t Rows,
                        bool WithBias) const override {
-    Tensor Res = matmulTransB(gather(In, Rows), weight());
+    dot(In, Rows, weight(), Out);
     if (WithBias)
-      for (int64_t I = 0; I < Res.dim(0); ++I)
+      for (int64_t I = 0; I < Rows; ++I)
         for (int64_t J = 0; J < outFeatures(); ++J)
-          Res.at(I, J) += bias()[J];
-    scatter(Res, Out);
+          Out[I][J] += bias()[J];
   }
   void applyToBoxRows(const Shape &InShape, const double *const *Center,
-                      const double *const *Radius, double *const *OutCenter,
-                      double *const *OutRadius, int64_t Rows) const override {
+                      const double *const *Radius, const double *const *Mag,
+                      double *const *OutCenter, double *const *OutRadius,
+                      double *const *OutMag, double *const *OutBiasImage,
+                      int64_t Rows) const override {
     applyAffineRows(InShape, Center, OutCenter, Rows, /*WithBias=*/true);
-    scatter(matmulTransB(gather(Radius, Rows), AbsWeight), OutRadius);
-  }
-  void applyToBoxPlanesRows(const Shape &InShape, const double *const *Center,
-                            const double *const *Radius,
-                            const double *const *Mag, double *const *OutCenter,
-                            double *const *OutRadius, double *const *OutMag,
-                            double *const *OutBiasImage,
-                            int64_t Rows) const override {
-    Layer::applyToBoxPlanesRows(InShape, Center, Radius, Mag, OutCenter,
-                                OutRadius, OutMag, OutBiasImage, Rows);
+    dot(Radius, Rows, AbsWeight, OutRadius);
+    if (Mag)
+      dot(Mag, Rows, AbsWeight, OutMag);
+    if (OutBiasImage)
+      zeroInputImageRows(InShape, OutBiasImage, Rows);
   }
   uint64_t fingerprint() const override {
     return hashing::hashU64(Linear::fingerprint(), 0xD07F0A11ULL);
   }
 
 private:
-  Tensor gather(const double *const *In, int64_t Rows) const {
-    Tensor Batch({Rows, inFeatures()});
+  /// Out[i][j] = sum over ascending k of In[i][k] * M[j][k], from +0.0.
+  void dot(const double *const *In, int64_t Rows, const Tensor &M,
+           double *const *Out) const {
     for (int64_t I = 0; I < Rows; ++I)
-      std::copy_n(In[I], inFeatures(), Batch.data() + I * inFeatures());
-    return Batch;
-  }
-  void scatter(const Tensor &Batch, double *const *Out) const {
-    for (int64_t I = 0; I < Batch.dim(0); ++I)
-      std::copy_n(Batch.data() + I * outFeatures(), outFeatures(), Out[I]);
+      for (int64_t J = 0; J < outFeatures(); ++J) {
+        double S = 0.0;
+        for (int64_t K = 0; K < inFeatures(); ++K)
+          S += In[I][K] * M.at(J, K);
+        Out[I][J] = S;
+      }
   }
 
   Tensor AbsWeight; // |W| [Out, In]

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace genprove {
 namespace {
 
@@ -261,8 +263,12 @@ TEST(GenProve, ForwardConcretePointsMatchesSequentialForward) {
   const Tensor A = forwardConcretePoints(Net.view(), Shape({1, 5}), X);
   const Tensor B = Net.forward(X);
   ASSERT_EQ(A.numel(), B.numel());
-  for (int64_t I = 0; I < A.numel(); ++I)
-    EXPECT_NEAR(A[I], B[I], 1e-12);
+  // Both run the same Linear GEMM and ReLU, so they agree bit for bit.
+  for (int64_t I = 0; I < A.numel(); ++I) {
+    const double Va = A[I], Vb = B[I];
+    EXPECT_EQ(std::memcmp(&Va, &Vb, sizeof(double)), 0)
+        << "element " << I << ": " << Va << " vs " << Vb;
+  }
 }
 
 } // namespace

@@ -16,8 +16,6 @@ TEST(Interval, BasicAccessors) {
   EXPECT_TRUE(I.contains(0.0));
   EXPECT_FALSE(I.contains(3.5));
   EXPECT_TRUE(I.contains(Interval(0.0, 1.0)));
-  EXPECT_TRUE(I.intersects(Interval(2.0, 9.0)));
-  EXPECT_FALSE(I.intersects(Interval(4.0, 9.0)));
 }
 
 TEST(Interval, AddSub) {

@@ -5,12 +5,15 @@
 #include "src/nn/init.h"
 #include "src/nn/linear.h"
 #include "src/nn/serialize.h"
+#include "src/parallel/thread_pool.h"
+#include "src/train/optimizer.h"
 #include "src/util/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -34,6 +37,69 @@ TEST(Linear, AffineInterfaceMatchesForward) {
   for (int64_t I = 0; I < 2; ++I)
     for (int64_t J = 0; J < 3; ++J)
       EXPECT_NEAR(Lin.at(I, J) + L.bias()[J], Aff.at(I, J), 1e-12);
+}
+
+/// The dot form of y = x W^T + b: per output an ascending-k sum from +0.0
+/// over W's row, then the bias.
+Tensor dotFormLinear(const Tensor &X, const Tensor &W, const Tensor &B) {
+  const int64_t Rows = X.dim(0), In = X.dim(1), Out = W.dim(0);
+  Tensor Y({Rows, Out});
+  for (int64_t I = 0; I < Rows; ++I)
+    for (int64_t J = 0; J < Out; ++J) {
+      double S = 0.0;
+      for (int64_t K = 0; K < In; ++K)
+        S += X.at(I, K) * W.at(J, K);
+      Y.at(I, J) = S + B[J];
+    }
+  return Y;
+}
+
+/// Index of the first element whose bits differ, or -1.
+int64_t firstBitDifference(const Tensor &A, const Tensor &B) {
+  if (A.numel() != B.numel())
+    return 0;
+  for (int64_t I = 0; I < A.numel(); ++I) {
+    const double X = A[I], Y = B[I];
+    if (std::memcmp(&X, &Y, sizeof(double)) != 0)
+      return I;
+  }
+  return -1;
+}
+
+// The training forward runs the verifier's W^T GEMM: it must equal the dot
+// form bit for bit, on a 4-row block whose column 2 is zero in every row
+// (the GEMM gives it no k-step) and with -0.0 inputs, at 1 and 4 threads.
+// After an optimizer step through the pointers params() handed out, the
+// next forward must read the stepped weights, not a W^T built before it.
+TEST(Linear, ForwardIsTheDotFormAndReadsSteppedWeights) {
+  Rng R(23);
+  Linear L(7, 5);
+  L.weight() = Tensor::randn({5, 7}, R);
+  L.bias() = Tensor::randn({5}, R);
+  Tensor X = Tensor::randn({6, 7}, R);
+  for (int64_t I = 0; I < 4; ++I)
+    X.at(I, 2) = I % 2 == 0 ? -0.0 : 0.0;
+  X.at(1, 5) = -0.0;
+  X.at(4, 0) = -0.0;
+  // Const views: the mutable accessors would invalidate the W^T memo.
+  const Tensor &W = static_cast<const Linear &>(L).weight();
+  const Tensor &B = static_cast<const Linear &>(L).bias();
+  Sgd Opt(L.params(), 0.1);
+
+  const auto ExpectDotForm = [&](const char *When) {
+    for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+      ThreadPool::global().setThreads(Threads);
+      EXPECT_EQ(firstBitDifference(L.forward(X), dotFormLinear(X, W, B)), -1)
+          << When << " @" << Threads;
+    }
+  };
+  ExpectDotForm("initial weights");
+  const Tensor Before = W.clone();
+  L.backward(Tensor::randn({6, 5}, R));
+  Opt.step();
+  EXPECT_NE(firstBitDifference(W, Before), -1);
+  ExpectDotForm("stepped weights");
+  ThreadPool::global().setThreads(ThreadPool::envThreads());
 }
 
 TEST(Linear, BoxPropagationIsSound) {

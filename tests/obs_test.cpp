@@ -562,8 +562,7 @@ TEST_F(ObsTest, LayerTimelineProjectsToAggregates) {
   Tensor E2 = Tensor::randn({1, 4}, R);
   std::vector<Region> Init{makeSegmentRegion(E1, E2)};
 
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   DeviceMemoryModel Memory;
   PropagateStats Stats;
   const auto Final = propagateRegions(Layers, InShape, std::move(Init),
@@ -620,8 +619,7 @@ TEST_F(ObsTest, PropagateFeedsRegisteredCounters) {
   Tensor E1 = Tensor::randn({1, 4}, R);
   Tensor E2 = Tensor::randn({1, 4}, R);
   std::vector<Region> Init{makeSegmentRegion(E1, E2)};
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   DeviceMemoryModel Memory;
   PropagateStats Stats;
   propagateRegions(Net.view(), Shape({1, 4}), std::move(Init), Config, Memory,

@@ -68,8 +68,7 @@ TEST_P(PropagateSoundness, ExactSegmentMatchesConcreteForward) {
   Tensor E2 = Tensor::randn({1, 4}, R);
   std::vector<Region> Init{makeSegmentRegion(E1, E2)};
 
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   DeviceMemoryModel Memory;
   PropagateStats Stats;
   const auto Final = propagateRegions(Layers, InShape, std::move(Init),
@@ -124,7 +123,6 @@ TEST_P(PropagateSoundness, RelaxedSegmentStillCoversSamples) {
   std::vector<Region> Init{makeSegmentRegion(E1, E2)};
 
   PropagateConfig Config;
-  Config.EnableRelax = true;
   Config.Relax.RelaxPercent = 0.8; // aggressive boxing
   Config.Relax.ClusterK = 4.0;
   Config.Relax.NodeThreshold = 2; // relax even tiny chains
@@ -163,8 +161,7 @@ TEST_P(PropagateSoundness, QuadraticCurveExact) {
   Tensor A2 = Tensor::randn({1, 3}, R);
   std::vector<Region> Init{makeQuadraticRegion(A0, A1, A2)};
 
-  PropagateConfig Config;
-  Config.EnableRelax = false;
+  const PropagateConfig Config;
   DeviceMemoryModel Memory;
   PropagateStats Stats;
   const auto Final = propagateRegions(Layers, InShape, std::move(Init),

@@ -72,7 +72,6 @@ TEST(MemoryModel, StateBytesSaturatesInsteadOfWrapping) {
   EXPECT_TRUE(Memory.exhausted());
   DeviceMemoryModel Fresh(1 << 20);
   EXPECT_FALSE(Fresh.chargeState(-1, 16));
-  EXPECT_FALSE(Fresh.wouldFit(-1, 16));
 }
 
 TEST(MemoryModel, TryChargeLeavesModelUntouchedOnFailure) {

@@ -321,7 +321,6 @@ ShardPolicy testPolicy(int64_t NumShards, int64_t MaxRetries) {
   P.NumShards = NumShards;
   P.MaxRetries = MaxRetries;
   P.BackoffInitialSeconds = 0.05;
-  P.BackoffMultiplier = 2.0;
   P.BackoffMaxSeconds = 2.0;
   return P;
 }

@@ -107,8 +107,8 @@ namespace {
       "                    [--prom-out FILE.prom] [--run-id ID]\n"
       "\n"
       "parallelism:\n"
-      "  --threads N         size of the shared worker pool (default: the\n"
-      "                      GENPROVE_THREADS env var, else the hardware\n"
+      "  --threads N         size of the shared worker pool, N >= 1 (default:\n"
+      "                      the GENPROVE_THREADS env var, else the hardware\n"
       "                      concurrency; 1 = fully serial). Results are\n"
       "                      bit-identical for every thread count.\n"
       "\n"
@@ -384,6 +384,8 @@ int main(int Argc, char **Argv) {
       SpecTexts.push_back(Next());
     } else if (Arg == "--threads") {
       ThreadsGiven = numberArg<int64_t>(Arg, Next());
+      if (ThreadsGiven < 1)
+        usage("--threads wants N >= 1");
       ThreadPool::global().setThreads(ThreadsGiven);
     } else if (Arg == "--p") {
       Config.RelaxPercent = numberArg<double>(Arg, Next());

@@ -115,7 +115,9 @@ namespace {
       "  --drain-deadline-ms T SIGTERM waits T ms for in-flight requests\n"
       "                        (default 10000)\n"
       "  --sound               directed rounding for every request\n"
-      "  --threads N           engine thread-pool size\n"
+      "  --threads N           engine thread-pool size, N >= 1 (default:\n"
+      "                        GENPROVE_THREADS, else the hardware\n"
+      "                        concurrency)\n"
       "  --metrics-out PATH / --prom-out PATH / --log-out PATH /\n"
       "  --trace-out PATH      telemetry artifacts, flushed on drain and\n"
       "                        on fatal signals; the JSONL log appends\n"
@@ -234,7 +236,10 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--sound") {
       Cfg.SoundMode = true;
     } else if (Arg == "--threads") {
-      ThreadPool::global().setThreads(Int(Arg, I));
+      const int64_t Threads = Int(Arg, I);
+      if (Threads < 1)
+        usage("--threads wants N >= 1");
+      ThreadPool::global().setThreads(Threads);
     } else if (Arg == "--metrics-out") {
       MetricsOutPath = NextArg(I);
     } else if (Arg == "--prom-out") {
